@@ -30,19 +30,7 @@ vs the buffered baseline — both reported next to the paper's ~200 B
 Table-3 figure — plus fold-path engine throughput for each, with label
 equivalence validated before anything is timed.
 
-A fourth payload, ``BENCH_parallel.json``, sweeps the execution runtime
-(``repro.runtime``): the serial runtime vs the thread and process
-runtimes across a worker-count sweep on a fragmented multi-packet
-trace, per-flow label equivalence validated before anything is timed.
-The ratios are reported honestly — pure-Python ingest serializes on the
-GIL (thread) or pays per-packet frame encode + IPC (process), so wins
-only materialize where the numpy fold/classify kernels dominate and
-cores are actually available; expect ratios near (or below) 1.0 on
-small traces and single-core machines. Process-runtime timings exclude
-engine construction (worker spawn + model hand-off is per-deployment
-setup, not per-trace cost).
-
-A fifth payload, ``BENCH_ingest.json``, compares streaming ingest
+A fourth payload, ``BENCH_ingest.json``, compares streaming ingest
 (``process_source`` over a ``PcapFileSource``) against the materialized
 path (``read_pcap`` + ``process_trace``) on the same capture file:
 throughput ratio (reported honestly — the streaming decode does the
@@ -99,7 +87,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_hot_path.json"
 DEFAULT_ENGINE_OUT = REPO_ROOT / "BENCH_engine.json"
 DEFAULT_STATE_OUT = REPO_ROOT / "BENCH_state.json"
-DEFAULT_PARALLEL_OUT = REPO_ROOT / "BENCH_parallel.json"
 DEFAULT_INGEST_OUT = REPO_ROOT / "BENCH_ingest.json"
 SEED = 2009
 
@@ -637,127 +624,6 @@ def bench_state(
     }
 
 
-def bench_parallel(
-    n_flows: int,
-    payload_bytes: int,
-    packets_per_flow: int,
-    per_class: int,
-    worker_counts: "tuple[int, ...]",
-    repeat: int,
-    seed: int,
-    buffer_size: int = 32,
-    model: str = "svm",
-    extractor: str = "incremental",
-) -> dict:
-    """Serial vs thread vs process runtime on a fragmented trace.
-
-    The same classifier and trace run under ``runtime="serial"``,
-    ``runtime="thread"``, and ``runtime="process"`` for each worker
-    count; per-flow labels must match the serial run exactly before
-    anything is timed (the parallel runtimes' determinism contract).
-    The incremental extractor is the default subject because its numpy
-    fold kernels release the GIL — the only place thread parallelism
-    can actually pay on CPython. For the process runtime the engine
-    (worker spawn + model hand-off) is built *outside* the timed
-    region: that setup cost is per-deployment, not per-trace, and the
-    sweep measures steady-state ingest.
-    """
-    files, labels = labelled_training_files(per_class, 2048, seed)
-    classifier = IustitiaClassifier(model=model, buffer_size=buffer_size)
-    classifier.fit_files(files, labels)
-    trace, _ = fragmented_fill_trace(
-        n_flows, payload_bytes, packets_per_flow, seed + 1
-    )
-    pipeline = IustitiaConfig(
-        buffer_size=buffer_size, strip_known_headers=False
-    )
-
-    def build(runtime: str, num_workers: "int | None" = None) -> StagedEngine:
-        return StagedEngine(
-            classifier,
-            EngineConfig(
-                runtime=runtime,
-                num_workers=num_workers,
-                extractor=extractor,
-                max_batch=32,
-                max_delay=1e9,
-                telemetry=False,
-                pipeline=pipeline,
-            ),
-            sinks=[StatsSink()],
-        )
-
-    def run(runtime: str, num_workers: "int | None" = None) -> StagedEngine:
-        engine = build(runtime, num_workers)
-        with engine:
-            engine.process_trace(trace, sample_interval=1e9)
-        return engine
-
-    # Determinism gate: every runtime and worker count must reproduce
-    # the serial per-flow label map before its timing counts for anything.
-    serial_labels = {c.key: c.label for c in run("serial").stats.classified}
-    for runtime in ("thread", "process"):
-        for workers in worker_counts:
-            got = {
-                c.key: c.label
-                for c in run(runtime, workers).stats.classified
-            }
-            if got != serial_labels:
-                raise AssertionError(
-                    f"{runtime} runtime (num_workers={workers}) changed labels"
-                )
-
-    def throughput(fn) -> dict:
-        seconds = _best_of(fn, repeat)
-        return {
-            "seconds": seconds,
-            "packets_per_s": len(trace) / seconds,
-            "flows_per_s": n_flows / seconds,
-        }
-
-    def process_seconds(workers: int) -> float:
-        # Workers spawn and receive the model before the clock starts;
-        # only the trace ingest (dispatch + merge barriers) is timed.
-        engine = build("process", workers)
-        with engine:
-            start = time.perf_counter()
-            engine.process_trace(trace, sample_interval=1e9)
-            return time.perf_counter() - start
-
-    serial = throughput(lambda: run("serial"))
-    thread_runs = {}
-    for workers in worker_counts:
-        entry = throughput(lambda: run("thread", workers))
-        entry["vs_serial"] = entry["packets_per_s"] / serial["packets_per_s"]
-        thread_runs[str(workers)] = entry
-    process_runs = {}
-    for workers in worker_counts:
-        seconds = min(process_seconds(workers) for _ in range(repeat))
-        entry = {
-            "seconds": seconds,
-            "packets_per_s": len(trace) / seconds,
-            "flows_per_s": n_flows / seconds,
-        }
-        entry["vs_serial"] = entry["packets_per_s"] / serial["packets_per_s"]
-        process_runs[str(workers)] = entry
-
-    return {
-        "model": model,
-        "extractor": extractor,
-        "buffer_size": buffer_size,
-        "n_flows": n_flows,
-        "n_packets": len(trace),
-        "payload_bytes": payload_bytes,
-        "packets_per_flow": packets_per_flow,
-        "worker_counts": list(worker_counts),
-        "serial": serial,
-        "thread": thread_runs,
-        "process": process_runs,
-        "process_timed_region": "process_trace (engine/worker spawn excluded)",
-        "labels_identical": True,
-    }
-
-
 def bench_ingest(
     n_flows: int,
     per_class: int,
@@ -1117,44 +983,6 @@ def collect_state_results(
     return results
 
 
-def collect_parallel_results(
-    n_flows: int = 400,
-    payload_bytes: int = 64,
-    packets_per_flow: int = 4,
-    per_class: int = 30,
-    worker_counts: "tuple[int, ...]" = (1, 2, 4),
-    repeat: int = 3,
-    seed: int = SEED,
-) -> dict:
-    """Runtime sweep, as the ``BENCH_parallel.json`` payload."""
-    results = {
-        "generated_by": "benchmarks/run_perf.py",
-        "seed": seed,
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
-        "runtime_sweep": bench_parallel(
-            n_flows, payload_bytes, packets_per_flow, per_class,
-            worker_counts, repeat, seed,
-        ),
-    }
-    # Headline numbers at the top level, where CI and readers look first.
-    sweep = results["runtime_sweep"]
-    best_workers, best = max(
-        sweep["thread"].items(), key=lambda item: item[1]["vs_serial"]
-    )
-    results["best_thread_vs_serial"] = best["vs_serial"]
-    results["best_thread_workers"] = int(best_workers)
-    best_workers, best = max(
-        sweep["process"].items(), key=lambda item: item[1]["vs_serial"]
-    )
-    results["best_process_vs_serial"] = best["vs_serial"]
-    results["best_process_workers"] = int(best_workers)
-    return results
-
-
 def collect_ingest_results(
     n_flows: int = 300,
     per_class: int = 30,
@@ -1197,9 +1025,6 @@ def main(argv: "list[str] | None" = None) -> dict:
     parser.add_argument("--engine-out", type=Path, default=DEFAULT_ENGINE_OUT)
     parser.add_argument("--state-out", type=Path, default=DEFAULT_STATE_OUT)
     parser.add_argument(
-        "--parallel-out", type=Path, default=DEFAULT_PARALLEL_OUT
-    )
-    parser.add_argument(
         "--ingest-out", type=Path, default=DEFAULT_INGEST_OUT
     )
     parser.add_argument("--buffers", type=int, default=256)
@@ -1213,15 +1038,7 @@ def main(argv: "list[str] | None" = None) -> dict:
     parser.add_argument("--state-flows", type=int, default=400)
     parser.add_argument("--state-payload-bytes", type=int, default=64)
     parser.add_argument("--state-packets-per-flow", type=int, default=4)
-    parser.add_argument("--parallel-flows", type=int, default=400)
     parser.add_argument("--ingest-flows", type=int, default=300)
-    parser.add_argument(
-        "--parallel-workers",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="worker counts to sweep for the thread and process runtimes",
-    )
     parser.add_argument("--delay-flows", type=int, default=300)
     parser.add_argument("--delay-duration", type=float, default=60.0)
     parser.add_argument("--repeat", type=int, default=3)
@@ -1245,8 +1062,6 @@ def main(argv: "list[str] | None" = None) -> dict:
         # Enough flows that the CI fold-throughput ratio gate (>= 0.9)
         # is signal, not scheduler noise.
         args.state_flows = 120
-        args.parallel_flows = 120
-        args.parallel_workers = [1, 2]
         args.ingest_flows = 60
         args.repeat = 1
     results = collect_results(
@@ -1319,28 +1134,6 @@ def main(argv: "list[str] | None" = None) -> dict:
     )
     print(f"wrote {args.state_out}")
 
-    parallel_results = collect_parallel_results(
-        n_flows=args.parallel_flows,
-        per_class=args.e2e_per_class,
-        worker_counts=tuple(args.parallel_workers),
-        repeat=args.repeat,
-        seed=args.seed,
-    )
-    args.parallel_out.write_text(json.dumps(parallel_results, indent=2) + "\n")
-    sweep = parallel_results["runtime_sweep"]
-    print(
-        f"runtime_sweep serial: {sweep['serial']['packets_per_s']:,.0f} "
-        "packets/s"
-    )
-    for runtime in ("thread", "process"):
-        for workers, entry in sweep[runtime].items():
-            print(
-                f"runtime_sweep {runtime} workers={workers}: "
-                f"{entry['packets_per_s']:,.0f} packets/s "
-                f"({entry['vs_serial']:.2f}x vs serial)"
-            )
-    print(f"wrote {args.parallel_out}")
-
     ingest_results = collect_ingest_results(
         n_flows=args.ingest_flows,
         per_class=args.e2e_per_class,
@@ -1372,7 +1165,6 @@ def main(argv: "list[str] | None" = None) -> dict:
     print(f"wrote {args.ingest_out}")
     results["engine"] = engine_results
     results["state"] = state_results
-    results["parallel"] = parallel_results
     results["ingest"] = ingest_results
     return results
 

@@ -24,8 +24,8 @@ producers (datagram endpoints, live sockets) — see :mod:`repro.ingest`.
 
 Subpackages: ``repro.core`` (entropy vectors, estimation, classifier,
 CDB, pipeline), ``repro.engine`` (staged online engine),
-``repro.runtime`` (execution runtimes: serial / worker threads /
-worker processes, via a pluggable registry), ``repro.ingest``
+``repro.runtime`` (the serial execution runtime and the registry
+third-party runtimes plug into), ``repro.ingest``
 (streaming packet sources + the asyncio capture driver),
 ``repro.obs`` (telemetry), ``repro.ml`` (CART, SVM/SMO/DAGSVM),
 ``repro.streaming`` (AMS / stream-entropy estimation), ``repro.net``

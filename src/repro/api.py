@@ -138,21 +138,14 @@ def open_engine(
     shape); it requires a pure first-``b``-bytes pipeline (no header
     stripping/skipping, no random skip, no estimation).
 
-    ``EngineConfig(runtime="thread", num_workers=N)`` executes the shard
-    pipelines on worker threads under a classify coordinator instead of
-    inline (see :mod:`repro.runtime`); per-flow labels match the serial
-    runtime, outcome *order* does not.
-    ``EngineConfig(runtime="process", num_workers=N)`` replicates whole
-    shard pipelines into shared-nothing worker processes and merges
-    their result frames by global arrival seq — per-flow labels and CDB
-    counters match the serial runtime exactly, and runs are
-    deterministic. Any runtime registered through
-    :func:`repro.runtime.register` can be named the same way.
+    The shard pipelines run inline on the calling thread (the serial
+    runtime, see :mod:`repro.runtime`); a runtime registered through
+    :func:`repro.runtime.register` can be named with
+    ``EngineConfig(runtime=<name>)``.
 
     The returned engine is a context manager: ``with
     repro.open_engine(...) as engine:`` guarantees ``runtime.close()``
-    (worker threads/processes released) plus a final flush of every
-    attached sink. ``close()`` is idempotent; processing packets after
+    plus a final flush of every attached sink. ``close()`` is idempotent; processing packets after
     it — or calling ``finish()`` twice with no packets in between —
     raises :class:`repro.EngineClosedError`.
 

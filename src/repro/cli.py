@@ -10,8 +10,6 @@ Subcommands::
                                    [--labels labels.json] [--json out.json]
                                    [--metrics metrics.prom]
                                    [--extractor batch|incremental]
-                                   [--runtime serial|thread|process]
-                                   [--workers N]
                                    [--on-error fail-fast|degrade|dead-letter]
                                    [--max-retries N]
 
@@ -56,7 +54,6 @@ from repro.net.pcap import PcapDecodeStats, write_pcap
 from repro.net.trace import Trace
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
 from repro.obs import render_text
-from repro.runtime import available as available_runtimes
 
 __all__ = ["main"]
 
@@ -127,7 +124,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         }
 
     extractor = getattr(args, "extractor", "batch")
-    runtime = getattr(args, "runtime", "serial")
     pipeline = IustitiaConfig(
         buffer_size=classifier.buffer_size,
         # The incremental extractor folds counters at arrival and keeps
@@ -137,16 +133,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     try:
         engine = open_engine(
             classifier,
-            EngineConfig(
-                extractor=extractor,
-                runtime=runtime,
-                num_workers=getattr(args, "workers", None),
-                pipeline=pipeline,
-            ),
+            EngineConfig(extractor=extractor, pipeline=pipeline),
         )
     except ValueError as exc:
-        print(f"error: cannot use --extractor {extractor} "
-              f"with --runtime {runtime}: {exc}", file=sys.stderr)
+        print(f"error: cannot use --extractor {extractor}: {exc}",
+              file=sys.stderr)
         return 2
     mode = getattr(args, "on_error", "fail-fast")
     if mode == "dead-letter":
@@ -276,22 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         "drain time (batch, default; enables header stripping) or fold "
         "k-gram counters at packet arrival with no payload retained "
         "(incremental)",
-    )
-    classify.add_argument(
-        "--runtime",
-        choices=available_runtimes(),
-        default="serial",
-        help="execution runtime: run every shard pipeline inline "
-        "(serial, default), pin shards to worker threads under a "
-        "classify coordinator (thread), or replicate shard pipelines "
-        "into shared-nothing worker processes (process)",
-    )
-    classify.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="workers for --runtime thread/process "
-        "(default: one per shard, capped at CPU count)",
     )
     classify.add_argument(
         "--on-error",

@@ -175,19 +175,6 @@ class ClassificationDatabase:
             return True
         return False
 
-    def drop_inactive(self, flow_id: bytes) -> bool:
-        """Mirror one inactivity removal; returns whether it was present.
-
-        :meth:`purge_inactive` removes by scanning *local* records; a
-        replica mirroring another store's sweep (the process runtime's
-        coordinator replaying worker events) must instead remove the
-        specific flow while keeping the ``inactive`` attribution.
-        """
-        if self._records.pop(flow_id, None) is not None:
-            self.total_removed_inactive += 1
-            return True
-        return False
-
     @property
     def removal_counts(self) -> dict[str, int]:
         """Lifetime removals keyed by exit path (fin / inactive / reclassified)."""

@@ -139,24 +139,13 @@ class EngineConfig:
     #: features (see :mod:`repro.core.extract`).
     extractor: "str | object" = "batch"
     #: Execution runtime driving the shard pipelines (see
-    #: :mod:`repro.runtime`): ``"serial"`` (default) runs every shard
-    #: inline, packet-for-packet equivalent to the fused engine;
-    #: ``"thread"`` pins shards to worker threads under a classify
-    #: coordinator; ``"process"`` replicates shard pipelines into
-    #: shared-nothing worker processes. Any name registered through
+    #: :mod:`repro.runtime`): ``"serial"`` (the only built-in) runs
+    #: every shard inline, packet-for-packet equivalent to the fused
+    #: engine. Any name registered through
     #: :func:`repro.runtime.register` resolves here, and a callable
     #: ``(engine_config) -> Runtime`` plugs in a custom executor
     #: directly.
     runtime: "str | object" = "serial"
-    #: Workers for the thread/process runtimes (None = one per shard,
-    #: capped at the machine's CPU count). Must be between 1 and
-    #: ``num_shards`` when set — shards are the unit of parallelism.
-    #: Ignored by the serial runtime.
-    num_workers: "int | None" = None
-    #: Bound of each worker's ingress queue (packets). A full queue
-    #: blocks dispatch — backpressure instead of unbounded buffering.
-    #: Ignored by the serial runtime.
-    queue_depth: int = 1024
     #: Template for the remaining pipeline knobs (feature set, header
     #: handling, CDB purging, Section-4.6 defenses).
     pipeline: "IustitiaConfig | None" = None
@@ -183,24 +172,6 @@ class EngineConfig:
             raise TypeError(
                 "runtime must be a registry name or a factory callable, "
                 f"got {type(self.runtime).__name__}"
-            )
-        if self.num_workers is not None:
-            if self.num_workers < 1:
-                raise ValueError(
-                    f"num_workers must be >= 1 (got {self.num_workers}); "
-                    "leave it None for the default of one worker per "
-                    "shard, capped at the CPU count"
-                )
-            if self.num_workers > self.num_shards:
-                raise ValueError(
-                    f"num_workers={self.num_workers} exceeds "
-                    f"num_shards={self.num_shards}: shards are the unit of "
-                    "parallelism, so the extra workers would sit idle; "
-                    "raise num_shards or lower num_workers"
-                )
-        if self.queue_depth < 1:
-            raise ValueError(
-                f"queue_depth must be >= 1, got {self.queue_depth}"
             )
         if isinstance(self.extractor, str):
             from repro.core.extract import EXTRACTORS

@@ -17,7 +17,7 @@ collection / classification / export pipelines):
 * :mod:`~repro.engine.engine`     — :class:`StagedEngine`, the thin
   dispatch/classify/fan-out facade over the shard pipelines.
 
-*Who executes the shard pipelines* — inline or on worker threads — is
+*Who executes the shard pipelines* is
 the :mod:`repro.runtime` layer's job (``EngineConfig(runtime=...)``).
 ``repro.core.pipeline.IustitiaEngine`` remains as a synchronous facade
 (``max_batch=1``) with the historical surface.

@@ -35,7 +35,7 @@ class ReadyFlow:
     batching changes *when* the model runs, never *what* it sees.
 
     ``seq`` / ``first_arrival`` / ``shard`` carry enough of the pending
-    flow's identity for a coordinator in another thread to classify the
+    flow's identity for the runtime to classify the
     batch (ordering, delay metrics) and route the label back to the
     owning :class:`~repro.engine.shard.ShardPipeline` without touching
     shard-local state.

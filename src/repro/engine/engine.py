@@ -20,10 +20,8 @@ Figure 1 draws and the monolithic ``IustitiaEngine`` fused together:
 default :class:`~repro.runtime.SerialRuntime` drives shards inline and
 is packet-for-packet equivalent to the fused engine (the equivalence
 suite checks labels, counters, and the CDB size series at
-``max_batch=1``); :class:`~repro.runtime.ThreadRuntime` pins shards to
-worker threads and merges their drains into cross-shard classify
-batches. The facade keeps only cross-shard concerns: dispatch, the
-classify kernels, sink fan-out, the shard-global purge trigger, and
+``max_batch=1``). The facade keeps only cross-shard concerns: dispatch,
+the classify kernels, sink fan-out, the shard-global purge trigger, and
 merged stats/metrics.
 """
 
@@ -98,8 +96,8 @@ class StagedEngine:
     merged at scrape time — and a run yields live counters, gauges, and
     histograms for each paper claim (see DESIGN.md's metric map).
 
-    Engines using the thread runtime own worker threads: call
-    :meth:`close` (or use the engine as a context manager) when done.
+    Call :meth:`close` (or use the engine as a context manager) when
+    done: it releases whatever the runtime holds and flushes the sinks.
     """
 
     def __init__(
@@ -227,12 +225,11 @@ class StagedEngine:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the runtime's workers and flush the sinks (idempotent).
+        """Close the runtime and flush the sinks (idempotent).
 
         After closing, the engine is read-only: counters, metrics, and
         collected outcomes stay available, but processing more packets
-        raises :class:`~repro.engine.types.EngineClosedError` — worker
-        runtimes have already torn down their threads/processes.
+        raises :class:`~repro.engine.types.EngineClosedError`.
         """
         if self._closed:
             return
@@ -248,8 +245,7 @@ class StagedEngine:
     def _ensure_open(self) -> None:
         if self._closed:
             raise EngineClosedError(
-                "engine is closed; close() released its runtime workers — "
-                "build a new engine to process more packets"
+                "engine is closed; build a new engine to process more packets"
             )
 
     def __enter__(self) -> "StagedEngine":
@@ -265,9 +261,9 @@ class StagedEngine:
     def stats(self) -> EngineStats:
         """Merged counters: facade dispatch + every shard, at read time.
 
-        Shards own their counters (no cross-thread writes on the fill
-        path); each access builds a fresh merged snapshot, so read the
-        attribute again after more packets rather than holding one.
+        Shards own their counters; each access builds a fresh merged
+        snapshot, so read the attribute again after more packets rather
+        than holding one.
         """
         merged = EngineStats(
             packets=self._packets, data_packets=self._data_packets
@@ -408,10 +404,7 @@ class StagedEngine:
         The classify loop runs per flow and the CDB hit path per packet,
         so the hot path keeps plain shard-local ints and a deferred
         delay list, and this collector levels the facade's counters up
-        to the merged values when the registry is scraped. Under the
-        thread runtime the reads are unsynchronized snapshots of
-        monotonic ints — scrapes may run a few events behind, never
-        backwards.
+        to the merged values when the registry is scraped.
         """
         self._flush_delay_buf()
         stats = self.stats
@@ -444,8 +437,7 @@ class StagedEngine:
     def classify_labels(self, batch, now: float):
         """Run the batched finalize + predict kernels over ready flows.
 
-        Pure classification: no shard state is touched, so any thread
-        may call it (the thread runtime's coordinator does). Observes
+        Pure classification: no shard state is touched. Observes
         the classify/finalize timers and the delay / state-bytes
         distributions from the ``ReadyFlow`` metadata alone.
         """
@@ -539,69 +531,6 @@ class StagedEngine:
         if self._inserts_since_purge >= trigger:
             self._inserts_since_purge = 0
             self.runtime.purge(now)
-
-    # -- result-frame merge surface (process-runtime coordinator) --------------
-
-    def mirror_cdb_insert(self, flow_id: bytes, label, now: float) -> None:
-        """Replay a worker's CDB insert into the local replica partition.
-
-        The process runtime's workers own the authoritative CDB
-        partitions and stream insert/remove events back; the coordinator
-        replays them here so ``len(engine.table)``, the Figure-8 size
-        series, and the lifetime counters read identically to the serial
-        runtime. The replay goes straight to the shard's CDB — the
-        table's own insert counter would re-trigger purges that the
-        emission path (:meth:`note_inserts`) already coordinates.
-        """
-        self.table.shard_of(flow_id).cdb.insert(flow_id, label, now)
-
-    def mirror_cdb_remove(self, flow_id: bytes, reason: str) -> None:
-        """Replay a worker's CDB removal, preserving its attribution.
-
-        ``reason`` is ``"fin"``, ``"reclassified"``, or ``"inactive"``
-        (the latter routed through
-        :meth:`~repro.core.cdb.ClassificationDatabase.drop_inactive`,
-        since a replica cannot re-run the staleness scan).
-        """
-        cdb = self.table.shard_of(flow_id).cdb
-        if reason == "inactive":
-            cdb.drop_inactive(flow_id)
-        else:
-            cdb.remove(flow_id, reason=reason)
-
-    def mirror_shard_stats(self, frame) -> None:
-        """Level shard counters from a worker's cumulative stats frame.
-
-        Each frame row is ``(shard_index, cdb_hits, classifications,
-        unclassifiable, fin_removals, reclassifications, per_class,
-        fold_seconds, fold_calls)`` with ``per_class`` ordered by
-        ``ALL_NATURES``. Values are cumulative, so replaying a frame is
-        idempotent and the merged :attr:`stats` / metric collectors see
-        exactly the worker's counters.
-        """
-        for (
-            index,
-            cdb_hits,
-            classifications,
-            unclassifiable,
-            fin_removals,
-            reclassifications,
-            per_class,
-            fold_seconds,
-            fold_calls,
-        ) in frame:
-            pipeline = self.pipelines[index]
-            stats = pipeline.stats
-            stats.cdb_hits = cdb_hits
-            stats.classifications = classifications
-            stats.unclassifiable = unclassifiable
-            stats.fin_removals = fin_removals
-            stats.reclassifications = reclassifications
-            stats.per_class = {
-                nature: per_class[i] for i, nature in enumerate(ALL_NATURES)
-            }
-            pipeline._fold_seconds = fold_seconds
-            pipeline._fold_calls = fold_calls
 
     # -- packet path ----------------------------------------------------------
 

@@ -9,14 +9,13 @@ only ever touches one shard's state — the
 :class:`~repro.engine.deadlines.DeadlineWheel`, the
 :class:`~repro.engine.batcher.FoldBatcher`, and the
 :class:`~repro.engine.batcher.MicroBatcher` — behind a narrow surface
-(:meth:`ingest` / :meth:`poll_due` / :meth:`flush` / :meth:`apply`)
+(:meth:`ingest` / :meth:`poll_due` / :meth:`pop_expired` / :meth:`apply`)
 with **no references to global engine state**.
 
 The split is exactly along the read/write sets of the staged engine:
 
 * everything from CDB lookup through window freezing writes only
-  shard-local structures, so it lives here and can run on a per-shard
-  worker with no locks;
+  shard-local structures, so it lives here;
 * classification itself (extractor ``finalize`` + vectorized predict)
   reads frozen windows from *many* shards, so the pipeline never
   classifies — it emits :class:`~repro.engine.batcher.ReadyFlow`\\ s
@@ -128,14 +127,8 @@ class ShardPipeline:
     Owns the shard's pending dict and CDB partition (via ``shard``),
     its deadline wheel, micro-batcher, and fold batcher. Never
     classifies: ready flows leave through the return values of
-    :meth:`ingest` / :meth:`poll_due` / :meth:`flush` /
-    :meth:`final_drain`, and labels come back through :meth:`apply`.
-
-    ``freeze_on_ready`` (set by thread runtimes) folds a streaming
-    flow's deferred chunks the moment it becomes ready and ignores
-    later ones, so the window handed across threads is immutable; the
-    serial runtime leaves it off and keeps the monolith's exact
-    fold-at-classify cadence.
+    :meth:`ingest` / :meth:`poll_due` / :meth:`make_ready` /
+    :meth:`drain`, and labels come back through :meth:`apply`.
     """
 
     def __init__(
@@ -173,16 +166,9 @@ class ShardPipeline:
         # per-packet batcher registration would be pure overhead, so it
         # is skipped entirely in that mode.
         self._fold_on_classify = self._defer_folds and fold_batch == 0
-        self.freeze_on_ready = False
-        #: Optional ``(flow_id, pending) -> None`` callback fired when a
-        #: too-short flow is dropped as unclassifiable — the process
-        #: runtime journals these so its coordinator can release the
-        #: packets it buffered for the flow.
-        self.on_drop = None
         self.stats = EngineStats()
         #: (label, packet) pairs awaiting sink fan-out — the runtime
-        #: drains this after every call; plain list appends keep the
-        #: fill path lock-free.
+        #: drains this after every call.
         self.outbox: list = []
         self._time_folds = False
         self._fold_seconds = 0.0
@@ -261,9 +247,7 @@ class ShardPipeline:
         may span shards, hence ``pending_of``, a cross-shard flow-id →
         pending resolver (defaults to this shard's own dict) — so the
         whole batch folds in one vectorized call, the monolith's exact
-        cadence. Thread runtimes never call it: their flows fold at
-        :meth:`make_ready` (``freeze_on_ready``), before crossing
-        threads.
+        cadence.
         """
         if self._fold_on_classify:
             pending_get = (
@@ -296,12 +280,6 @@ class ShardPipeline:
             if len(window) < self.policy.min_window:
                 return None
             return window, protocol
-        if self.freeze_on_ready and pending.unfolded:
-            # Thread runtimes: absorb the deferred chunks now so the
-            # state object crossing to the coordinator stops mutating.
-            if not self._fold_on_classify:
-                self.fold_batcher.take([flow_id])
-            self._fold_pending([pending])
         folded = self.extractor.folded_bytes(pending.state)
         if pending.unfolded:
             # Deferred chunks count toward readiness: by the time the
@@ -333,8 +311,6 @@ class ShardPipeline:
                 self.fold_batcher.discard(flow_id)
             self.shard.pending.pop(flow_id, None)
             self.wheel.cancel(flow_id)
-            if self.on_drop is not None:
-                self.on_drop(flow_id, pending)
             return []
         window, protocol = frozen
         pending.queued = True
@@ -415,12 +391,7 @@ class ShardPipeline:
         if packet.payload:
             prior_raw = pending.raw_bytes
             pending.raw_bytes = prior_raw + len(packet.payload)
-            if pending.queued and self.freeze_on_ready:
-                # Window already frozen for a cross-thread classify;
-                # count the bytes and keep the packet for forwarding,
-                # but never mutate the handed-off state.
-                pass
-            elif self._defer_folds:
+            if self._defer_folds:
                 # Chunks fold in arrival order and each fold caps at the
                 # extractor window, so once the bytes *before* this chunk
                 # already cover the window its fold is provably a no-op —
@@ -485,33 +456,3 @@ class ShardPipeline:
             self.shard.cdb.remove(flow_id, reason="fin")
             self.stats.fin_removals += 1
         return outcome, pending.packets
-
-    # -- shard-local flush/finish (thread-runtime entry points) ---------------
-
-    def flush(self, now: float) -> "list[ReadyFlow]":
-        """Shard-local timeout flush; returns everything now ready.
-
-        Thread runtimes run this on the shard's worker. The serial
-        runtime instead merges expirations across shards in global
-        ``seq`` order (the facade's ``flush_timeouts``), which is what
-        exact monolith equivalence requires.
-        """
-        out = self.poll_due(now)
-        expired = self.pop_expired(now)
-        expired.sort(key=lambda item: item[1].seq)
-        for flow_id, pending in expired:
-            out.extend(self.make_ready(flow_id, pending, now, force=False))
-        out.extend(self.drain(reason="timeout"))
-        return out
-
-    def final_drain(self, now: float) -> "list[ReadyFlow]":
-        """End of stream for this shard: everything pending becomes ready."""
-        out = self.drain(reason="final")
-        items = sorted(
-            self.shard.pending.items(), key=lambda item: item[1].seq
-        )
-        for flow_id, pending in items:
-            if not pending.queued:
-                out.extend(self.make_ready(flow_id, pending, now, force=False))
-        out.extend(self.drain(reason="final"))
-        return out

@@ -21,7 +21,7 @@ class EngineClosedError(RuntimeError):
 
     Raised by :class:`~repro.engine.engine.StagedEngine` when packets
     are processed after :meth:`~repro.engine.engine.StagedEngine.close`
-    (the runtime's workers are gone) or when ``finish()`` is called
+    (the runtime has been released) or when ``finish()`` is called
     twice with no intervening packets (the stream already drained —
     a double drain would re-run end-of-stream work against an empty
     engine and silently report nothing).

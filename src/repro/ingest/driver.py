@@ -11,11 +11,10 @@ runtime protocol change. The pieces:
   protocol, whose callback cannot await) drop-and-count instead, which
   is what a kernel socket buffer would have done anyway.
 * **Dispatch pump** — one task that pulls packets in feed order and
-  calls ``engine.process_packet`` (→ ``Runtime.dispatch``). Worker
-  runtimes block the put into their bounded ingress queues when a shard
-  falls behind; that block happens *inside the pump*, so backpressure
-  propagates: the pump stalls, the in-flight queue fills, producers
-  await. No unbounded buffering anywhere on the path.
+  calls ``engine.process_packet`` (→ ``Runtime.dispatch``). The call
+  is synchronous, so a slow engine stalls the pump and backpressure
+  propagates: the in-flight queue fills, producers await. No
+  unbounded buffering anywhere on the path.
 * **Wall-clock flush tick** — the engine's timeout machinery runs on
   the packet clock, which stalls when packets stop arriving (exactly
   when timeouts matter most, live). The tick estimates the packet clock
@@ -85,8 +84,8 @@ class DatagramIngestProtocol(asyncio.DatagramProtocol):
 class AsyncIngestDriver:
     """Bridges asyncio packet producers into a staged engine.
 
-    ``engine`` is an open :class:`~repro.engine.StagedEngine` (any
-    runtime). The driver owns no engine lifecycle: closing the driver
+    ``engine`` is an open :class:`~repro.engine.StagedEngine`. The
+    driver owns no engine lifecycle: closing the driver
     does not close the engine, and ``finish()`` performs the engine's
     end-of-stream drain exactly once.
     """
@@ -163,8 +162,7 @@ class AsyncIngestDriver:
         """Cancel the driver's tasks and drop queued packets (idempotent).
 
         Safe at any point — mid-stream, after :meth:`finish`, or twice;
-        the engine is left untouched (still open, still owning its
-        runtime workers).
+        the engine is left untouched (still open).
         """
         if self._closed:
             return
@@ -308,10 +306,10 @@ class AsyncIngestDriver:
     async def _pump(self) -> None:
         """Dispatch queued packets in feed order.
 
-        ``process_packet`` may block on a worker runtime's bounded
-        ingress queues — that stall is the backpressure path, and it
-        happens here so the whole driver (and its producers, once the
-        in-flight queue fills) slows to the engine's pace.
+        ``process_packet`` runs inline — a slow engine is the
+        backpressure path, and it stalls here so the whole driver (and
+        its producers, once the in-flight queue fills) slows to the
+        engine's pace.
 
         Dispatch errors route through :attr:`error_policy`. A fatal one
         (fail-fast, or an exhausted dead-letter callback) is recorded

@@ -294,9 +294,8 @@ def load_model(path):
 def classifier_to_dict(classifier) -> dict:
     """Serialize a fitted :class:`IustitiaClassifier` to a JSON-able dict.
 
-    The same payload :func:`save_classifier` writes to disk; the process
-    runtime also ships it (picklable, plain types only) to rebuild the
-    classifier inside worker processes. The (delta, epsilon) estimator,
+    The same payload :func:`save_classifier` writes to disk (plain
+    types only). The (delta, epsilon) estimator,
     when present, is recorded by its parameters and rebuilt with a
     fresh RNG on load.
     """

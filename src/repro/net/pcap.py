@@ -59,6 +59,11 @@ LINKTYPE_RAW = 101
 #: Ethernet II link type: packets carry a 14-byte frame header.
 LINKTYPE_ETHERNET = 1
 
+#: Floor of the per-record captured-length bound (libpcap's
+#: MAXIMUM_SNAPLEN): a header declaring a smaller snaplen than its
+#: records actually carry is tolerated up to this size.
+_MAX_SNAPLEN = 262144
+
 
 @dataclass
 class PcapDecodeStats:
@@ -137,7 +142,9 @@ def iter_pcap(
     records (``captured < original``) are counted and skipped rather
     than misparsed; rejects pcapng and other link types with a clear
     error. A truncated file tail (partial record header or body) raises
-    ``ValueError`` mid-iteration.
+    ``ValueError`` mid-iteration, as does a record whose captured
+    length exceeds ``max(snaplen, 262144)`` — checked before the body is
+    read, so a hostile length field cannot force a giant allocation.
 
     ``stats`` — an optional :class:`PcapDecodeStats` the caller can
     watch (or let :class:`repro.ingest.PcapFileSource` surface as
@@ -158,9 +165,10 @@ def iter_pcap(
                 f"{path}: unrecognized pcap magic 0x{magic:08x} "
                 "(pcapng is not supported)"
             ) from None
-        _vmaj, _vmin, _zone, _sig, _snap, linktype = struct.unpack(
+        _vmaj, _vmin, _zone, _sig, snaplen, linktype = struct.unpack(
             order + "HHiIII", global_header[4:]
         )
+        max_captured = max(snaplen, _MAX_SNAPLEN)
         if linktype not in (LINKTYPE_RAW, LINKTYPE_ETHERNET):
             raise ValueError(
                 f"{path}: link type {linktype} unsupported (expected raw IP "
@@ -175,6 +183,11 @@ def iter_pcap(
             seconds, ticks, captured, original = struct.unpack(
                 order + "IIII", record_header
             )
+            if captured > max_captured:
+                raise ValueError(
+                    f"{path}: pcap record captured length {captured} exceeds "
+                    f"the snaplen bound {max_captured}"
+                )
             record = handle.read(captured)
             if len(record) < captured:
                 raise ValueError(f"{path}: truncated pcap record body")

@@ -307,8 +307,8 @@ class MetricsRegistry:
 
         registry.counter("engine_packets_total", shard=3).inc()
 
-    :meth:`child` registries extend sharing across *threads* without
-    locks: each shard-local component fills its own child (one writer,
+    :meth:`child` registries keep shard-local fills cheap: each
+    shard-local component fills its own child (one writer,
     plain attribute bumps), and the parent's scrape surface
     (:meth:`families`, :meth:`snapshot`, ``render_text``) merges
     same-name instruments at read time — counters and gauges sum,
@@ -327,7 +327,7 @@ class MetricsRegistry:
     def child(self) -> "MetricsRegistry":
         """A registry whose instruments merge into this one at scrape time.
 
-        Made for shard-local (per-thread) fills: the child is a full
+        Made for shard-local fills: the child is a full
         registry — get-or-create instruments, its own collectors — but
         everything it holds appears in the parent's scrape output,
         summed with any same-name instruments of the parent or sibling
@@ -463,58 +463,6 @@ class MetricsRegistry:
                 for key in sorted(groups)
             ]
             yield name, kind, help_text, instruments
-
-    def dump_state(self) -> list:
-        """Serialize every instrument to plain picklable tuples.
-
-        Made for cross-process telemetry (the process runtime's workers
-        dump their registries on demand): the result carries one entry
-        per family — ``(name, kind, help, buckets, rows)`` with each row
-        ``(labels, data)`` — built from the merged :meth:`families`
-        view, so child-registry instruments are included and pull-based
-        collectors run first. ``data`` is the value for counters/gauges
-        and ``(bucket_counts, sum, count)`` for histograms.
-        """
-        out = []
-        for name, kind, help_text, instruments in self.families():
-            buckets = instruments[0].bounds if kind == "histogram" else None
-            rows = []
-            for inst in instruments:
-                if kind == "histogram":
-                    data = (list(inst._counts), inst._sum, inst._count)
-                else:
-                    data = inst._value
-                rows.append((inst.labels, data))
-            out.append((name, kind, help_text, buckets, rows))
-        return out
-
-    def load_state(self, state: list, skip=()) -> None:
-        """Load a :meth:`dump_state` payload into this registry.
-
-        Instruments are get-or-created locally and **set** to the dumped
-        values (not added), so reloading successive dumps of the same
-        source registry is idempotent — the natural semantics for
-        mirroring a worker's cumulative state at every scrape. Families
-        named in ``skip`` are ignored (the process runtime skips the
-        families its coordinator levels itself).
-        """
-        for name, kind, _help, buckets, rows in state:
-            if name in skip:
-                continue
-            for labels, data in rows:
-                label_kwargs = dict(labels)
-                if kind == "histogram":
-                    inst = self.histogram(
-                        name, buckets=tuple(buckets), **label_kwargs
-                    )
-                    counts, total, count = data
-                    inst._counts = list(counts)
-                    inst._sum = total
-                    inst._count = count
-                elif kind == "gauge":
-                    self.gauge(name, **label_kwargs)._value = data
-                else:
-                    self.counter(name, **label_kwargs)._value = data
 
     def snapshot(self) -> dict:
         """Plain-dict view of every instrument.

@@ -4,22 +4,13 @@ The staged engine's state was split along shard boundaries
 (:class:`repro.engine.shard.ShardPipeline`); a *runtime* decides who
 executes each pipeline and when:
 
-* :class:`SerialRuntime` (default) drives every shard inline on the
-  calling thread, in arrival order — packet-for-packet equivalent to
-  the fused engine (proven by the staged-equivalence suite);
-* :class:`ThreadRuntime` pins shards to worker threads (bounded
-  per-worker ingress queues provide backpressure) and merges their
-  ``ReadyFlow`` drains on a coordinator into cross-shard classify
-  batches, so the batched finalize/predict kernels — which release the
-  GIL inside numpy — keep their 30-80x win;
-* :class:`ProcessRuntime` replicates whole shard pipelines into
-  shared-nothing worker *processes* (pending buffers, CDB partition,
-  deadline wheel, and fold state all live worker-side) and merges
-  compact result frames by global arrival seq, escaping the GIL
-  entirely at the cost of a byte-frame IPC boundary.
+* :class:`SerialRuntime` (the only built-in) drives every shard inline
+  on the calling thread, in arrival order — packet-for-packet
+  equivalent to the fused engine (proven by the staged-equivalence
+  suite).
 
-Selection goes through the **runtime registry**: built-ins register
-themselves on import, :func:`register` adds third-party runtimes with
+Selection goes through the **runtime registry**: the built-in registers
+itself on import, :func:`register` adds third-party runtimes with
 no engine edits, :func:`available` lists what this process can run, and
 ``EngineConfig(runtime=<name>)`` resolves through :func:`make_runtime`.
 A callable ``(engine_config) -> Runtime`` is also accepted directly as
@@ -29,16 +20,12 @@ mapping.
 
 from repro.runtime import base as _base
 from repro.runtime.base import Runtime, available, make_runtime, register
-from repro.runtime.process import ProcessRuntime
 from repro.runtime.serial import SerialRuntime
-from repro.runtime.threaded import ThreadRuntime
 
 __all__ = [
     "RUNTIMES",
-    "ProcessRuntime",
     "Runtime",
     "SerialRuntime",
-    "ThreadRuntime",
     "available",
     "make_runtime",
     "register",

@@ -9,17 +9,17 @@ facade calls exactly four things on the hot path and lifecycle:
 * :meth:`Runtime.dispatch` — one packet, already hashed and routed;
 * :meth:`Runtime.flush` — buffer-timeout sweep at a sample point;
 * :meth:`Runtime.finish` — end of stream, everything pending classifies;
-* :meth:`Runtime.close` — release workers (no-op for serial).
+* :meth:`Runtime.close` — release execution resources (no-op for serial).
 
 In exchange the runtime may call back into the engine's coordinator
 surface: ``engine.pipelines``, ``engine.classify_apply(batch, now)``
-(serial), ``engine.classify_labels(batch, now)`` +
-``pipeline.apply(...)`` + ``engine.emit*`` (threaded), and
+(or its parts: ``engine.classify_labels(batch, now)`` +
+``pipeline.apply(...)`` + ``engine.emit*``), and
 ``engine.note_inserts(n, now)`` for the shard-global purge trigger.
 
 This module also hosts the **runtime registry**: runtimes register a
-name → factory pair via :func:`register` (the built-ins register
-themselves on import), ``EngineConfig(runtime=...)`` resolves through
+name → factory pair via :func:`register` (the built-in serial runtime
+registers itself on import), ``EngineConfig(runtime=...)`` resolves through
 :func:`make_runtime`, and :func:`available` lists what a given process
 can run — third-party runtimes plug in without engine edits.
 """
@@ -40,7 +40,7 @@ def register(name: str, factory) -> None:
 
     ``factory`` is any callable ``(engine_config) -> Runtime``; it
     receives the full (frozen) ``EngineConfig`` and may read whichever
-    knobs it understands (``num_workers``, ``queue_depth``, ...).
+    knobs it understands (``max_batch``, ``max_delay``, ...).
     Registration is idempotent for the same factory object; a *different*
     factory under an existing name raises ``ValueError`` — shadowing a
     runtime silently would change engine behaviour at a distance.
@@ -99,9 +99,8 @@ class Runtime(Protocol):
 
         Runtimes may rewire the pipelines' stage instances here — the
         serial runtime aliases one shared micro-batcher/fold accumulator
-        into every pipeline; the thread runtime installs pass-through
-        batchers and batches at its coordinator — which is why the
-        engine binds metrics only *after* this call.
+        into every pipeline — which is why the engine binds metrics
+        only *after* this call.
         """
 
     def bind_metrics(self, registry) -> None:

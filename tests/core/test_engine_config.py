@@ -61,21 +61,21 @@ class TestEngineConfig:
 
 
 class TestRuntimeKnobs:
-    """The runtime/num_workers/queue_depth fields validate eagerly."""
+    """The runtime field validates eagerly; the worker knobs are gone."""
 
     def test_defaults(self):
-        config = EngineConfig()
-        assert config.runtime == "serial"
-        assert config.num_workers is None
-        assert config.queue_depth == 1024
+        assert EngineConfig().runtime == "serial"
 
     def test_known_names_accepted(self):
-        assert EngineConfig(runtime="thread").runtime == "thread"
-        assert EngineConfig(runtime="process").runtime == "process"
+        assert EngineConfig(runtime="serial").runtime == "serial"
 
     def test_unknown_runtime_name_rejected(self):
         with pytest.raises(ValueError, match="unknown runtime 'fiber'"):
             EngineConfig(runtime="fiber")
+        # The deleted built-ins are unknown names like any other.
+        for name in ("thread", "process"):
+            with pytest.raises(ValueError, match="expected one of serial"):
+                EngineConfig(runtime=name)
 
     def test_non_callable_runtime_rejected(self):
         with pytest.raises(TypeError, match="factory callable"):
@@ -85,27 +85,16 @@ class TestRuntimeKnobs:
         factory = lambda engine_config: None  # noqa: E731
         assert EngineConfig(runtime=factory).runtime is factory
 
-    def test_worker_and_queue_bounds(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            EngineConfig(num_workers=-1)
-        with pytest.raises(ValueError, match="leave it None"):
-            EngineConfig(num_workers=0)
-        with pytest.raises(ValueError, match="queue_depth"):
-            EngineConfig(queue_depth=0)
-        assert EngineConfig(num_workers=4, queue_depth=1).queue_depth == 1
-
-    def test_workers_cannot_exceed_shards(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            EngineConfig(num_workers=5, num_shards=4)
-        # At the boundary: one worker per shard is fine.
-        assert EngineConfig(num_workers=4, num_shards=4).num_workers == 4
+    def test_worker_and_queue_fields_removed(self):
+        with pytest.raises(TypeError, match="num_workers"):
+            EngineConfig(num_workers=2)
+        with pytest.raises(TypeError, match="queue_depth"):
+            EngineConfig(queue_depth=1)
 
     def test_runtime_knobs_are_frozen(self):
-        config = EngineConfig(runtime="thread")
+        config = EngineConfig(runtime="serial")
         with pytest.raises(AttributeError):
-            config.runtime = "serial"
-        with pytest.raises(AttributeError):
-            config.num_workers = 8
+            config.runtime = "other"
 
 
 class TestLegacyKwargRemoval:

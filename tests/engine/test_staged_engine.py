@@ -4,7 +4,13 @@ import pytest
 
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.labels import ALL_NATURES
-from repro.engine import CallbackSink, QueueSink, StagedEngine, StatsSink
+from repro.engine import (
+    CallbackSink,
+    EngineClosedError,
+    QueueSink,
+    StagedEngine,
+    StatsSink,
+)
 from repro.net.packet import (
     FLAG_ACK,
     FLAG_FIN,
@@ -206,3 +212,64 @@ class TestTraceAccuracy:
         engine.process_trace(small_trace)
         assert engine.stats.classifications > 0
         assert all(nature in engine.stats.per_class for nature in ALL_NATURES)
+
+
+class TestLifecycle:
+    """close()/finish() session semantics on the serial runtime."""
+
+    def test_close_is_idempotent_and_engine_becomes_readonly(
+        self, trained_cart, small_trace
+    ):
+        engine = StagedEngine(trained_cart, IustitiaConfig(buffer_size=32))
+        with engine:
+            stats = engine.process_trace(small_trace)
+        engine.close()  # second close: no-op
+        assert stats.classifications > 0
+        assert engine.stats.classifications == stats.classifications
+        with pytest.raises(EngineClosedError, match="closed"):
+            engine.process_packet(small_trace.packets[0])
+        with pytest.raises(EngineClosedError):
+            engine.flush_timeouts(0.0)
+
+    def test_double_finish_raises(self, trained_cart, small_trace):
+        with StagedEngine(
+            trained_cart, IustitiaConfig(buffer_size=32)
+        ) as engine:
+            engine.process_trace(small_trace)  # ends with finish()
+            with pytest.raises(EngineClosedError, match="finish"):
+                engine.finish(small_trace.packets[-1].timestamp)
+            # Processing another packet re-arms finish().
+            engine.process_packet(small_trace.packets[0])
+            engine.finish(small_trace.packets[-1].timestamp + 60.0)
+
+    def test_close_flushes_sinks(self, trained_cart, small_trace):
+        class FlushingSink:
+            def __init__(self):
+                self.flushed = 0
+
+            def on_flow_classified(self, outcome, packets):
+                pass
+
+            def on_packet(self, label, packet):
+                pass
+
+            def flush(self):
+                self.flushed += 1
+
+        sink = FlushingSink()
+        engine = StagedEngine(
+            trained_cart, IustitiaConfig(buffer_size=32), sinks=[sink]
+        )
+        with engine:
+            engine.process_trace(small_trace)
+        assert sink.flushed == 1
+
+    def test_metrics_readable_after_close(self, trained_cart, small_trace):
+        engine = StagedEngine(trained_cart, IustitiaConfig(buffer_size=32))
+        with engine:
+            engine.process_trace(small_trace)
+        snap = engine.metrics.snapshot()
+        assert sum(snap["engine_classifications_total"].values()) > 0
+        assert sum(snap["engine_packets_total"].values()) == len(
+            small_trace.packets
+        )

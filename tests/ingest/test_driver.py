@@ -104,31 +104,13 @@ class TestDeterminism:
 
 
 class TestBackpressure:
-    def test_thread_runtime_queue_depth_one(self, trained_cart, small_trace):
-        config = EngineConfig(runtime="thread", num_workers=2, queue_depth=1)
-
-        def summarize(engine, stats):
-            # What the staged-equivalence suite gates for the thread
-            # runtime: labels, classification counts, and CDB lifetime
-            # counters (cdb_hits depends on coordinator timing there).
-            return (
-                _labels(stats),
-                stats.classifications,
-                stats.per_class,
-                engine.table.total_inserted,
-                engine.table.total_removed_fin,
-            )
-
-        with open_engine(trained_cart, config) as engine:
-            for packet in small_trace.packets:
-                engine.process_packet(packet)
-            engine.finish(small_trace.packets[-1].timestamp)
-            offline = summarize(engine, engine.stats)
+    def test_max_inflight_one_matches_offline(self, trained_cart, small_trace):
+        offline = _offline(trained_cart, small_trace)
 
         async def run():
-            with open_engine(trained_cart, config) as engine:
-                # max_inflight=1 + queue_depth=1: every stage of the path
-                # is a one-slot buffer, so the run only completes if
+            with open_engine(trained_cart) as engine:
+                # A one-slot in-flight buffer: every feed() after the
+                # first awaits the pump, so the run only completes if
                 # blocking backpressure propagates correctly end to end.
                 driver = AsyncIngestDriver(
                     engine, max_inflight=1, flush_interval=None
@@ -136,9 +118,8 @@ class TestBackpressure:
                 for packet in small_trace.packets:
                     await driver.feed(packet)
                 stats = await driver.finish()
-                summary = summarize(engine, stats)
                 await driver.close()
-                return summary
+                return _labels(stats), _counters(stats)
 
         assert asyncio.run(run()) == offline
 

@@ -125,20 +125,6 @@ class TestTrainAndClassify:
         # windows.
         assert natures["batch"] == natures["incremental"]
 
-    def test_classify_thread_runtime_labels_match_serial(
-        self, artifacts, tmp_path, capsys
-    ):
-        model, pcap, _ = artifacts
-        natures = {}
-        for runtime in ("serial", "thread"):
-            out_json = tmp_path / f"results-{runtime}.json"
-            assert main(["classify", str(model), str(pcap),
-                         "--json", str(out_json),
-                         "--runtime", runtime, "--workers", "4"]) == 0
-            results = json.loads(out_json.read_text())
-            natures[runtime] = {r["flow"]: r["nature"] for r in results}
-        assert natures["serial"] == natures["thread"]
-
     def test_classify_rejects_non_model_file(self, artifacts, tmp_path, capsys):
         _, pcap, _ = artifacts
         bogus = tmp_path / "bogus.json"
@@ -165,19 +151,18 @@ class TestParser:
             namespace = parser.parse_args(args)
             assert callable(namespace.func)
 
-    def test_classify_runtime_flags_parse(self):
-        namespace = build_parser().parse_args(
-            ["classify", "m.json", "x.pcap",
-             "--runtime", "thread", "--workers", "4"]
-        )
-        assert namespace.runtime == "thread"
-        assert namespace.workers == 4
-
-    def test_unknown_runtime_rejected_at_parse(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["classify", "m.json", "x.pcap", "--runtime", "fiber"]
-            )
+    def test_unknown_runtime_rejected_at_parse(self, capsys):
+        # There is one runtime, so the selection flags are gone: naming
+        # any runtime (or a worker count) is an argparse error.
+        for flags in (
+            ["--runtime", "fiber"], ["--runtime", "thread"], ["--workers", "4"]
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(
+                    ["classify", "m.json", "x.pcap", *flags]
+                )
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConsoleEntryPoint:

@@ -7,8 +7,7 @@ reproduce the seed engine's labels, per-class counts, counters, and CDB
 size series on the reference synthetic traces, even though the engine's
 state now lives in per-shard pipelines. ``max_batch>1`` must preserve
 every label (windows are frozen at readiness), though classification
-*timestamps* may differ by design. The thread runtime must reproduce
-the serial runtime's per-flow label map (order-free determinism).
+*timestamps* may differ by design.
 """
 
 import numpy as np
@@ -18,7 +17,7 @@ from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.pipeline import IustitiaEngine
 from repro.engine import QueueSink, StagedEngine, StatsSink
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
-from repro.runtime import SerialRuntime, ThreadRuntime
+from repro.runtime import SerialRuntime
 
 from ._seed_engine import SeedEngine
 
@@ -208,54 +207,3 @@ class TestSerialRuntimeExplicit:
         folds = {id(p.fold_batcher) for p in engine.pipelines}
         assert len(batchers) == 1
         assert len(folds) == 1
-
-
-class TestThreadRuntimeDeterminism:
-    """Thread runtime: same per-flow labels as serial, order-free."""
-
-    @pytest.mark.parametrize("extractor", ["batch", "incremental"])
-    def test_labels_match_serial(
-        self, trained_svm, reference_traces, extractor
-    ):
-        trace = reference_traces["plain"]
-        pipeline = IustitiaConfig(
-            buffer_size=32, strip_known_headers=(extractor == "batch")
-        )
-        base = dict(max_batch=8, extractor=extractor, pipeline=pipeline)
-        serial = StagedEngine(trained_svm, EngineConfig(**base))
-        serial_stats = serial.process_trace(trace)
-        threaded = StagedEngine(
-            trained_svm,
-            EngineConfig(runtime="thread", num_workers=4, **base),
-        )
-        with threaded:
-            threaded_stats = threaded.process_trace(trace)
-        assert _label_map(threaded_stats) == _label_map(serial_stats)
-        assert threaded_stats.per_class == serial_stats.per_class
-        assert threaded_stats.classifications == serial_stats.classifications
-        # CDB lifecycle counters agree too: same inserts, same FIN exits.
-        assert threaded.table.total_inserted == serial.table.total_inserted
-        assert threaded.table.total_removed_fin == serial.table.total_removed_fin
-
-    def test_runtime_object_and_cleanup(self, trained_svm, reference_traces):
-        engine = StagedEngine(
-            trained_svm, EngineConfig(runtime="thread", num_workers=2)
-        )
-        assert isinstance(engine.runtime, ThreadRuntime)
-        assert engine.runtime.name == "thread"
-        engine.process_trace(reference_traces["plain"])
-        engine.close()
-        engine.close()  # idempotent
-        assert engine.runtime._threads == []
-
-    def test_backpressure_queue_depth_one(self, trained_svm, reference_traces):
-        """A 1-deep ingress queue blocks dispatch but never corrupts."""
-        trace = reference_traces["plain"]
-        serial_stats = StagedEngine(trained_svm).process_trace(trace)
-        engine = StagedEngine(
-            trained_svm,
-            EngineConfig(runtime="thread", num_workers=2, queue_depth=1),
-        )
-        with engine:
-            stats = engine.process_trace(trace)
-        assert _label_map(stats) == _label_map(serial_stats)

@@ -2,11 +2,8 @@
 
 The acceptance gate for the ingest layer: ``process_source`` over a
 ``PcapFileSource`` must produce labels, CDB lifetime counters, and sink
-order identical to ``process_trace`` over ``read_pcap`` — on the serial
-runtime for both extractors (bit-for-bit, including the CDB size
-series), and labels + CDB counters on the thread and process runtimes
-(outcome *order* is scheduling-dependent there, as the staged
-equivalence suite already documents).
+order identical to ``process_trace`` over ``read_pcap`` — for both
+extractors, bit-for-bit, including the CDB size series.
 """
 
 import pytest
@@ -26,7 +23,7 @@ def trace_pcap(tmp_path_factory, small_trace):
     return path
 
 
-def _config(extractor: str, **engine_kwargs) -> EngineConfig:
+def _config(extractor: str) -> EngineConfig:
     return EngineConfig(
         extractor=extractor,
         pipeline=IustitiaConfig(
@@ -35,7 +32,6 @@ def _config(extractor: str, **engine_kwargs) -> EngineConfig:
             # the same pipeline so runs stay comparable.
             strip_known_headers=False,
         ),
-        **engine_kwargs,
     )
 
 
@@ -89,35 +85,3 @@ class TestSerialEquivalence:
         ]
         # Same packet clock → same Figure-8 CDB size series.
         assert stats_s.cdb_size_series == stats_m.cdb_size_series
-
-
-class TestWorkerRuntimeEquivalence:
-    def test_thread_runtime_labels_and_cdb_counters(
-        self, trained_cart, trace_pcap
-    ):
-        config = _config("batch", runtime="thread", num_workers=4)
-        engine_m, stats_m = _materialized(trained_cart, config, trace_pcap)
-        engine_s, stats_s = _streamed(trained_cart, config, trace_pcap)
-        assert _label_map(stats_s) == _label_map(stats_m)
-        # cdb_hits depends on coordinator timing under the thread
-        # runtime; the lifetime counters must still agree exactly.
-        assert stats_s.classifications == stats_m.classifications
-        assert stats_s.per_class == stats_m.per_class
-        assert engine_s.table.total_inserted == engine_m.table.total_inserted
-        assert (
-            engine_s.table.total_removed_fin
-            == engine_m.table.total_removed_fin
-        )
-
-    def test_process_runtime_labels_and_cdb_counters(
-        self, trained_cart, trace_pcap
-    ):
-        config = _config("batch", runtime="process", num_workers=2)
-        engine_m, stats_m = _materialized(trained_cart, config, trace_pcap)
-        engine_s, stats_s = _streamed(trained_cart, config, trace_pcap)
-        assert _label_map(stats_s) == _label_map(stats_m)
-        # The process runtime is deterministic: full counter equality.
-        assert _lifetime_counters(engine_s, stats_s) == _lifetime_counters(
-            engine_m, stats_m
-        )
-        assert stats_s.cdb_hits == stats_m.cdb_hits

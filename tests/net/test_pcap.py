@@ -1,6 +1,7 @@
 """Tests for the pcap reader/writer."""
 
 import struct
+import tracemalloc
 
 import pytest
 
@@ -118,6 +119,33 @@ class TestErrorHandling:
         assert next(records).payload == _packets()[0].payload
         with pytest.raises(ValueError, match="truncated pcap record header"):
             next(records)
+
+    def test_hostile_captured_length_rejected_before_read(self, tmp_path):
+        # 48 bytes: a record header claiming a 2 GiB body. The bound is
+        # checked before the read, so nothing near that is allocated.
+        path = tmp_path / "hostile.pcap"
+        header = struct.pack("!IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)
+        record = struct.pack("!IIII", 1, 0, 0x7FFFFFFF, 0x7FFFFFFF)
+        path.write_bytes(header + record + b"\x00" * 8)
+        assert path.stat().st_size == 48
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the snaplen bound"):
+                read_pcap(path)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_record_above_declared_snaplen_tolerated_up_to_floor(self, tmp_path):
+        # Writers that understate snaplen are common; the bound is
+        # max(snaplen, 262144), not the declared snaplen alone.
+        path = tmp_path / "understated.pcap"
+        body = _packets()[0].to_bytes()
+        header = struct.pack("!IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 16, 101)
+        record = struct.pack("!IIII", 1, 0, len(body), len(body))
+        path.write_bytes(header + record + body)
+        assert read_pcap(path)[0].payload == _packets()[0].payload
 
 
 def _write_nano_pcap(path, order, seconds, nanos, body):

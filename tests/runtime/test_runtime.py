@@ -8,31 +8,30 @@ from repro.core.config import EngineConfig, IustitiaConfig
 from repro.engine import StagedEngine
 from repro.runtime import (
     RUNTIMES,
-    ProcessRuntime,
     SerialRuntime,
-    ThreadRuntime,
     available,
     make_runtime,
     register,
 )
 
 
-def _spec(runtime, num_workers=0, queue_depth=1024):
+def _spec(runtime):
     """A minimal EngineConfig stand-in for make_runtime."""
-    return SimpleNamespace(
-        runtime=runtime, num_workers=num_workers, queue_depth=queue_depth
-    )
+    return SimpleNamespace(runtime=runtime)
 
 
 class TestMakeRuntime:
     def test_builtin_names_resolve(self):
         assert isinstance(make_runtime(_spec("serial")), SerialRuntime)
-        assert isinstance(make_runtime(_spec("thread")), ThreadRuntime)
-        assert isinstance(make_runtime(_spec("process")), ProcessRuntime)
 
     def test_registry_covers_builtin_names(self):
-        assert set(RUNTIMES) == {"serial", "thread", "process"}
-        assert available() == ("process", "serial", "thread")
+        assert set(RUNTIMES) == {"serial"}
+        assert available() == ("serial",)
+
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_deleted_runtimes_are_unknown_names(self, name):
+        with pytest.raises(ValueError, match="expected one of serial"):
+            make_runtime(_spec(name))
 
     def test_unknown_name_raises_value_error(self):
         with pytest.raises(ValueError, match="unknown runtime 'fiber'"):
@@ -41,11 +40,6 @@ class TestMakeRuntime:
     def test_non_callable_spec_raises_type_error(self):
         with pytest.raises(TypeError, match="registry name or a factory"):
             make_runtime(_spec(42))
-
-    def test_thread_factory_forwards_config_knobs(self):
-        runtime = make_runtime(_spec("thread", num_workers=3, queue_depth=7))
-        assert runtime.num_workers == 3
-        assert runtime.queue_depth == 7
 
     def test_custom_factory_callable(self):
         seen = {}
@@ -63,14 +57,33 @@ class TestMakeRuntime:
 class TestRegisterApi:
     """repro.runtime.register / available — the third-party entry point."""
 
-    def test_registered_name_resolves_and_lists(self):
-        factory = lambda engine_config: SerialRuntime()  # noqa: E731
+    def test_registered_name_resolves_and_lists(
+        self, trained_cart, small_trace
+    ):
+        class FiberRuntime(SerialRuntime):
+            name = "fiber"
+
+        factory = lambda engine_config: FiberRuntime()  # noqa: E731
         register("fiber", factory)
         try:
             assert "fiber" in available()
-            assert isinstance(make_runtime(_spec("fiber")), SerialRuntime)
+            assert isinstance(make_runtime(_spec("fiber")), FiberRuntime)
             # EngineConfig validation resolves through the same registry.
             assert EngineConfig(runtime="fiber").runtime == "fiber"
+            # ...and the registered runtime drives an engine end to end.
+            pipeline = IustitiaConfig(buffer_size=32)
+            with StagedEngine(
+                trained_cart, EngineConfig(runtime="fiber", pipeline=pipeline)
+            ) as engine:
+                assert isinstance(engine.runtime, FiberRuntime)
+                stats = engine.process_trace(small_trace)
+            serial_stats = StagedEngine(
+                trained_cart, EngineConfig(pipeline=pipeline)
+            ).process_trace(small_trace)
+            assert stats.classifications > 0
+            assert {c.key: c.label for c in stats.classified} == {
+                c.key: c.label for c in serial_stats.classified
+            }
         finally:
             RUNTIMES.pop("fiber", None)
 
@@ -93,8 +106,12 @@ class TestRegisterApi:
             register("fiber2", "not-a-factory")
 
     def test_unknown_name_error_lists_available(self):
-        with pytest.raises(ValueError, match="process, serial, thread"):
-            make_runtime(_spec("fiber"))
+        register("fiber3", lambda engine_config: SerialRuntime())
+        try:
+            with pytest.raises(ValueError, match="fiber3, serial"):
+                make_runtime(_spec("fiber"))
+        finally:
+            RUNTIMES.pop("fiber3", None)
 
 
 class TestEngineIntegration:
@@ -114,31 +131,22 @@ class TestEngineIntegration:
         serial = StagedEngine(trained_svm)
         assert list(serial.batcher._parts) == serial.runtime.batchers()
         assert len(serial.runtime.batchers()) == 1
-        with StagedEngine(
-            trained_svm, EngineConfig(runtime="thread", num_workers=2)
-        ) as threaded:
-            # The coordinator batcher is the only one that micro-batches;
-            # per-shard pass-throughs are invisible to the stage view.
-            assert list(threaded.batcher._parts) == threaded.runtime.batchers()
-            assert len(threaded.runtime.batchers()) == 1
-
-    def test_thread_runtime_rejects_random_skip(self, trained_svm):
-        config = EngineConfig(
-            runtime="thread",
-            num_workers=2,
-            pipeline=IustitiaConfig(buffer_size=32, random_skip_max=16),
-        )
-        with pytest.raises(ValueError, match="random_skip_max"):
-            StagedEngine(trained_svm, config)
 
     def test_serial_runtime_close_is_noop(self, trained_svm):
         engine = StagedEngine(trained_svm)
         engine.close()
         engine.close()
 
-    def test_context_manager_closes_thread_runtime(self, trained_svm):
-        with StagedEngine(
-            trained_svm, EngineConfig(runtime="thread", num_workers=2)
-        ) as engine:
-            assert len(engine.runtime._threads) == 2
-        assert engine.runtime._threads == []
+    def test_context_manager_closes_runtime(self, trained_svm):
+        class ClosingRuntime(SerialRuntime):
+            closed = 0
+
+            def close(self):
+                self.closed += 1
+
+        config = EngineConfig(runtime=lambda engine_config: ClosingRuntime())
+        with StagedEngine(trained_svm, config) as engine:
+            assert engine.runtime.closed == 0
+        assert engine.runtime.closed == 1
+        engine.close()  # idempotent: the runtime is not closed twice
+        assert engine.runtime.closed == 1
