@@ -482,7 +482,6 @@ def bench_state(
     seed: int,
     buffer_size: int = 32,
     model: str = "svm",
-    fold_batch_sizes: "tuple[int, ...]" = (0, 1, 8, 32, 128),
 ) -> dict:
     """Per-flow state bytes and fold-path throughput: incremental vs buffered.
 
@@ -493,14 +492,6 @@ def bench_state(
     walk + CDB record; the incremental side counters + boundary carry +
     CDB record), so the medians are directly comparable to the paper's
     ~200 B Table-3 figure.
-
-    Fold-path throughput is swept across ``fold_batch_sizes`` — the
-    engine's fold-batching knob (``fold_batch=1`` folds every chunk at
-    arrival, ``N > 1`` defers with an ``N``-chunk size trigger, and
-    ``0`` defers every chunk to its flow's classify drain, the default).
-    The headline ``incremental_vs_buffered`` ratio uses the default
-    engine configuration (``EngineConfig().fold_batch``) on the
-    incremental side.
     """
     from repro.core.accounting import flow_state_bytes
     from repro.core.extract import IncrementalEntropyExtractor
@@ -514,13 +505,8 @@ def bench_state(
     # The incremental extractor retains no payload, so the comparison
     # runs the pure first-b-bytes pipeline on both sides.
     pipeline = IustitiaConfig(buffer_size=buffer_size, strip_known_headers=False)
-    default_fold_batch = EngineConfig().fold_batch
 
-    def run(
-        extractor: str,
-        telemetry: bool = True,
-        fold_batch: "int | None" = None,
-    ) -> StagedEngine:
+    def run(extractor: str, telemetry: bool = True) -> StagedEngine:
         engine = StagedEngine(
             classifier,
             EngineConfig(
@@ -528,9 +514,6 @@ def bench_state(
                 max_batch=32,
                 max_delay=1e9,
                 telemetry=telemetry,
-                fold_batch=(
-                    fold_batch if fold_batch is not None else default_fold_batch
-                ),
                 pipeline=pipeline,
             ),
             sinks=[StatsSink()],
@@ -538,20 +521,14 @@ def bench_state(
         engine.process_trace(trace, sample_interval=1e9)
         return engine
 
-    # Equivalence gate: folding counters at arrival must reproduce the
-    # buffered path's labels exactly on the same fragmented stream, at
-    # every fold-batching depth.
+    # Equivalence gate: folding counters must reproduce the buffered
+    # path's labels exactly on the same fragmented stream.
     buffered_labels = {c.key: c.label for c in run("batch").stats.classified}
-    for fold_batch in fold_batch_sizes:
-        got = {
-            c.key: c.label
-            for c in run("incremental", fold_batch=fold_batch).stats.classified
-        }
-        if got != buffered_labels:
-            raise AssertionError(
-                f"incremental extractor (fold_batch={fold_batch}) changed "
-                "labels on the fold path"
-            )
+    got = {c.key: c.label for c in run("incremental").stats.classified}
+    if got != buffered_labels:
+        raise AssertionError(
+            "incremental extractor changed labels on the fold path"
+        )
 
     feature_set = classifier.feature_set
     offline = IncrementalEntropyExtractor(feature_set, buffer_size)
@@ -590,15 +567,6 @@ def bench_state(
             lambda: run("incremental", telemetry=False)
         ),
     }
-    sweep = {}
-    for fold_batch in fold_batch_sizes:
-        entry = throughput(
-            lambda: run("incremental", telemetry=False, fold_batch=fold_batch)
-        )
-        entry["vs_buffered"] = (
-            entry["packets_per_s"] / runs["batch"]["packets_per_s"]
-        )
-        sweep[str(fold_batch)] = entry
 
     return {
         "model": model,
@@ -612,9 +580,7 @@ def bench_state(
             "buffered": buffered_stats,
         },
         "fold_throughput": {
-            "default_fold_batch": default_fold_batch,
             "runs": runs,
-            "fold_batch_sweep": sweep,
             "incremental_vs_buffered": (
                 runs["incremental"]["packets_per_s"]
                 / runs["batch"]["packets_per_s"]

@@ -138,7 +138,7 @@ def open_engine(
     shape); it requires a pure first-``b``-bytes pipeline (no header
     stripping/skipping, no random skip, no estimation).
 
-    The shard pipelines run inline on the calling thread (the serial
+    The flow pipeline runs inline on the calling thread (the serial
     runtime, see :mod:`repro.runtime`); a runtime registered through
     :func:`repro.runtime.register` can be named with
     ``EngineConfig(runtime=<name>)``.

@@ -6,10 +6,10 @@ Two config objects, one nesting the other:
   ``b``, feature set, header handling, CDB purging, the Section-4.6
   defenses);
 * :class:`EngineConfig` — the staged engine's operational knobs
-  (shard count, micro-batch size and latency bound, telemetry) plus
-  the pipeline knobs users actually sweep (``buffer_size``,
-  ``buffer_timeout``), consolidated from what used to be scattered
-  keyword arguments across ``StagedEngine`` and the classifier.
+  (micro-batch size and latency bound, telemetry) plus the pipeline
+  knobs users actually sweep (``buffer_size``, ``buffer_timeout``),
+  consolidated from what used to be scattered keyword arguments across
+  ``StagedEngine`` and the classifier.
 
 ``EngineConfig`` resolves to a fully-validated ``IustitiaConfig`` on
 construction (its ``pipeline`` field), so one frozen object carries
@@ -108,26 +108,10 @@ class EngineConfig:
     buffer_size: "int | None" = None
     #: Give up and classify a partial buffer after this inactivity (seconds).
     buffer_timeout: "float | None" = None
-    #: Flow-table partitions (pending buffers + CDB, by hash prefix).
-    num_shards: int = 8
     #: Ready flows per micro-batched ``classify_buffers`` call.
     max_batch: int = 32
     #: Packet-clock seconds a ready flow may wait for its batch to fill.
     max_delay: float = 0.05
-    #: Fold-batching stage knob. ``0`` (default) defers every chunk
-    #: until its flow is about to be classified, so each classify drain
-    #: folds a whole batch's chunks in one vectorized ``fold_batch``
-    #: call — deferred memory stays bounded because chunks past the
-    #: window cap are never queued. ``N > 1`` adds a size trigger: a
-    #: drain also fires whenever ``N`` chunks have accumulated across
-    #: flows (folds ahead of classification at the cost of smaller
-    #: batches). ``1`` disables deferral entirely (every chunk folds at
-    #: arrival, the pre-batching behaviour). Only streaming extractors
-    #: defer folds — the batch extractor's state must stay current for
-    #: re-windowing. Folding later never changes results: readiness
-    #: checks account for queued chunks and every classify drain folds
-    #: first.
-    fold_batch: int = 0
     #: Instrument the engine with a :class:`repro.obs.MetricsRegistry`.
     telemetry: bool = True
     #: Per-flow feature pipeline: ``"batch"`` buffers raw payload and
@@ -138,27 +122,22 @@ class EngineConfig:
     #: buffer_size) -> FeatureExtractor`` plugs in alternative fragment
     #: features (see :mod:`repro.core.extract`).
     extractor: "str | object" = "batch"
-    #: Execution runtime driving the shard pipelines (see
+    #: Execution runtime driving the flow pipeline (see
     #: :mod:`repro.runtime`): ``"serial"`` (the only built-in) runs
-    #: every shard inline, packet-for-packet equivalent to the fused
-    #: engine. Any name registered through
-    #: :func:`repro.runtime.register` resolves here, and a callable
-    #: ``(engine_config) -> Runtime`` plugs in a custom executor
-    #: directly.
+    #: it inline, packet-for-packet equivalent to the fused engine.
+    #: Any name registered through :func:`repro.runtime.register`
+    #: resolves here, and a callable ``(engine_config) -> Runtime``
+    #: plugs in a custom executor directly.
     runtime: "str | object" = "serial"
     #: Template for the remaining pipeline knobs (feature set, header
     #: handling, CDB purging, Section-4.6 defenses).
     pipeline: "IustitiaConfig | None" = None
 
     def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_delay < 0:
             raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
-        if self.fold_batch < 0:
-            raise ValueError(f"fold_batch must be >= 0, got {self.fold_batch}")
         if isinstance(self.runtime, str):
             from repro.runtime import available
 

@@ -17,8 +17,7 @@ thin facade over :class:`repro.engine.StagedEngine` pinned to
 monolith's synchronous behaviour), with a ``StatsSink`` + ``QueueSink``
 pair standing in for the historical ``stats.classified`` and
 ``output_queues`` surfaces. New code that wants micro-batched
-classification, shard-parallel flow tables, or custom sinks should use
-``StagedEngine`` directly.
+classification or custom sinks should use ``StagedEngine`` directly.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ class IustitiaEngine:
 
     @property
     def cdb(self):
-        """The sharded CDB partition (ClassificationDatabase-compatible)."""
+        """The engine's flow table, which is its ``ClassificationDatabase``."""
         return self._engine.table
 
     @property

@@ -4,30 +4,30 @@ The package splits the paper's Figure-1 engine into the stages real
 high-rate classifiers are built from (cf. ITCM and FastFlow's
 collection / classification / export pipelines):
 
-* :mod:`~repro.engine.flow_table` — pending buffers + CDB sharded by
-  flow-hash prefix;
+* :mod:`~repro.engine.flow_table` — the one flow table: pending
+  buffers + the CDB, keyed by flow ID;
 * :mod:`~repro.engine.deadlines`  — min-heap deadline wheel for
   O(expired) buffer-timeout flushes;
 * :mod:`~repro.engine.batcher`    — micro-batches ready flows through
   the vectorized ``classify_buffers`` kernels;
-* :mod:`~repro.engine.shard`      — :class:`ShardPipeline`, one
-  shard's lookup/buffer/fold/ready stages as a self-contained unit;
+* :mod:`~repro.engine.pipeline`   — :class:`FlowPipeline`, the
+  lookup/buffer/fold/ready stages over that table;
 * :mod:`~repro.engine.sinks`      — pluggable outcome subscribers
   (stats, per-nature queues, callbacks);
 * :mod:`~repro.engine.engine`     — :class:`StagedEngine`, the thin
-  dispatch/classify/fan-out facade over the shard pipelines.
+  dispatch/classify/fan-out facade over the pipeline.
 
-*Who executes the shard pipelines* is
-the :mod:`repro.runtime` layer's job (``EngineConfig(runtime=...)``).
+*Who executes the pipeline* is the :mod:`repro.runtime` layer's job
+(``EngineConfig(runtime=...)``).
 ``repro.core.pipeline.IustitiaEngine`` remains as a synchronous facade
 (``max_batch=1``) with the historical surface.
 """
 
-from repro.engine.batcher import FoldBatcher, MicroBatcher, ReadyFlow
+from repro.engine.batcher import MicroBatcher, ReadyFlow
 from repro.engine.deadlines import DeadlineWheel
 from repro.engine.engine import StagedEngine
-from repro.engine.flow_table import FlowShard, ShardedFlowTable
-from repro.engine.shard import IngestResult, ShardPipeline, WindowPolicy
+from repro.engine.flow_table import FlowTable
+from repro.engine.pipeline import FlowPipeline, IngestResult, WindowPolicy
 from repro.engine.sinks import (
     CallbackSink,
     MetricsSink,
@@ -48,17 +48,15 @@ __all__ = [
     "DeadlineWheel",
     "EngineClosedError",
     "EngineStats",
-    "FlowShard",
+    "FlowPipeline",
+    "FlowTable",
     "IngestResult",
     "MetricsSink",
-    "FoldBatcher",
     "MicroBatcher",
     "PendingFlow",
     "QueueSink",
     "ReadyFlow",
     "ResultSink",
-    "ShardPipeline",
-    "ShardedFlowTable",
     "StagedEngine",
     "StatsSink",
     "WindowPolicy",

@@ -1,33 +1,30 @@
-"""The staged online engine: a thin facade over per-shard pipelines.
+"""The staged online engine: a thin facade over one flow pipeline.
 
 ``StagedEngine`` composes the explicit pipeline stages that the paper's
 Figure 1 draws and the monolithic ``IustitiaEngine`` fused together:
 
-1. **hash + shard** — SHA-1 the 5-tuple, route to one
-   :class:`~repro.engine.shard.ShardPipeline` (the facade's only
+1. **hash** — SHA-1 the 5-tuple into the flow ID (the facade's only
    per-packet job);
-2. **CDB lookup / buffer / fold / ready** — entirely shard-local, owned
-   by the pipeline: pending buffers, the
-   :class:`~repro.engine.deadlines.DeadlineWheel`, fold batching, and
-   the per-shard :class:`~repro.engine.batcher.MicroBatcher`;
+2. **CDB lookup / buffer / fold / ready** — owned by the
+   :class:`~repro.engine.pipeline.FlowPipeline` over the one
+   :class:`~repro.engine.flow_table.FlowTable`: pending buffers, the
+   :class:`~repro.engine.deadlines.DeadlineWheel`, deferred folds, and
+   the :class:`~repro.engine.batcher.MicroBatcher`;
 3. **extract + classify** — ready flows drain through one extractor
    ``finalize`` + vectorized predict call per batch
-   (:meth:`classify_labels`), then apply back to their owning shard;
+   (:meth:`classify_labels`), then apply back to the table;
 4. **forward** — outcomes fan out to the pluggable
    :class:`~repro.engine.sinks.ResultSink` list (:meth:`emit`).
 
 *Who runs what* is delegated to a :mod:`repro.runtime` runtime: the
-default :class:`~repro.runtime.SerialRuntime` drives shards inline and
-is packet-for-packet equivalent to the fused engine (the equivalence
+default :class:`~repro.runtime.SerialRuntime` drives the pipeline inline
+and is packet-for-packet equivalent to the fused engine (the equivalence
 suite checks labels, counters, and the CDB size series at
-``max_batch=1``). The facade keeps only cross-shard concerns: dispatch,
-the classify kernels, sink fan-out, the shard-global purge trigger, and
-merged stats/metrics.
+``max_batch=1``). The facade keeps dispatch, the classify kernels, sink
+fan-out, and the metrics collector.
 """
 
 from __future__ import annotations
-
-from itertools import count
 
 import numpy as np
 
@@ -35,8 +32,8 @@ from repro.core.classifier import IustitiaClassifier
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.extract import make_extractor
 from repro.core.labels import ALL_NATURES, FlowNature
-from repro.engine.flow_table import ShardedFlowTable
-from repro.engine.shard import ShardPipeline, WindowPolicy
+from repro.engine.flow_table import FlowTable
+from repro.engine.pipeline import FlowPipeline, WindowPolicy
 from repro.engine.sinks import DELAY_BUCKETS, MetricsSink, ResultSink, StatsSink
 from repro.engine.types import ClassifiedFlow, EngineClosedError, EngineStats
 from repro.net.flow import FlowKey
@@ -61,40 +58,18 @@ STATE_BYTE_BUCKETS = (
 )
 
 
-class _StageView:
-    """Read-only aggregate over the per-shard instances of one stage.
-
-    ``engine.wheel`` and ``engine.batcher`` kept their monolith-era
-    meaning (how many flows are scheduled / queued *overall*) when the
-    stages moved into the shard pipelines; this view preserves that
-    surface without pretending there is still one global instance.
-    """
-
-    __slots__ = ("_parts",)
-
-    def __init__(self, parts) -> None:
-        self._parts = parts
-
-    def __len__(self) -> int:
-        return sum(len(part) for part in self._parts)
-
-    def __contains__(self, flow_id: bytes) -> bool:
-        return any(flow_id in part for part in self._parts)
-
-
 class StagedEngine:
     """Staged online flow-nature classifier engine.
 
     Configure with one frozen :class:`~repro.core.config.EngineConfig`
     (or a bare :class:`IustitiaConfig`, wrapped with engine defaults).
-    The former ``num_shards`` / ``max_batch`` / ``max_delay`` keywords
-    were removed — passing them raises ``TypeError``. Unless telemetry
+    Staging knobs are ``EngineConfig`` fields, not constructor keywords
+    — passing any raises ``TypeError``. Unless telemetry
     is disabled (``EngineConfig(telemetry=False)``), every stage
     registers instruments on ``self.metrics`` — a
     :class:`repro.obs.MetricsRegistry`, shareable via the ``registry``
-    argument, with per-shard stages bound to lock-free child registries
-    merged at scrape time — and a run yields live counters, gauges, and
-    histograms for each paper claim (see DESIGN.md's metric map).
+    argument — and a run yields live counters, gauges, and histograms
+    for each paper claim (see DESIGN.md's metric map).
 
     Call :meth:`close` (or use the engine as a context manager) when
     done: it releases whatever the runtime holds and flushes the sinks.
@@ -157,50 +132,41 @@ class StagedEngine:
         self._state_bytes_batch = getattr(
             self.extractor, "state_bytes_batch", None
         )
-        self.table = ShardedFlowTable(
-            num_shards=engine_config.num_shards,
+        self.table = FlowTable(
             purge_coefficient=self.config.purge_coefficient,
             purge_trigger_flows=self.config.purge_trigger_flows,
-            extractor=self.extractor,
         )
         self._rng = rng if rng is not None else np.random.default_rng()
-        policy = WindowPolicy(
+        self.pipeline = FlowPipeline(
+            self.table,
             extractor=self.extractor,
-            config=self.config,
-            min_window=classifier.feature_set.max_width,
-            rng=self._rng,
-        )
-        # One global arrival-sequence mint shared by every shard: drains
-        # sort ready flows by ``seq``, reproducing the monolith's global
-        # classify order under the serial runtime.
-        seq = count()
-        self.pipelines = [
-            ShardPipeline(
-                shard,
+            policy=WindowPolicy(
                 extractor=self.extractor,
-                policy=policy,
-                max_batch=engine_config.max_batch,
-                max_delay=engine_config.max_delay,
-                fold_batch=engine_config.fold_batch,
-                buffer_timeout=self.config.buffer_timeout,
-                reclassify_interval=self.config.reclassify_interval,
-                next_seq=seq.__next__,
-            )
-            for shard in self.table.shards
-        ]
+                config=self.config,
+                min_window=classifier.feature_set.max_width,
+                rng=self._rng,
+            ),
+            max_batch=engine_config.max_batch,
+            max_delay=engine_config.max_delay,
+            buffer_timeout=self.config.buffer_timeout,
+            reclassify_interval=self.config.reclassify_interval,
+        )
+        #: The one pipeline, as the iterable external instrumentation
+        #: (the benchmark's tracer) walks.
+        self.pipelines = (self.pipeline,)
+        self.wheel = self.pipeline.wheel
+        self.batcher = self.pipeline.batcher
+        #: Live counters: the engine counts packets, the pipeline the rest.
+        self.stats: EngineStats = self.pipeline.stats
         self.sinks: list[ResultSink] = (
             list(sinks) if sinks is not None else [StatsSink()]
         )
-        self._packets = 0
-        self._data_packets = 0
-        self._series: list[tuple[float, int]] = []
-        self._classified_ref: "list[ClassifiedFlow] | None" = None
+        self._payload_bytes = 0
         for sink in self.sinks:
             if isinstance(sink, StatsSink):
                 # Surface the sink's list as stats.classified.
-                self._classified_ref = sink.classified
+                self.stats.classified = sink.classified
                 break
-        self._inserts_since_purge = 0
         self._closed = False
         self._finished = False
         if registry is None and engine_config.telemetry:
@@ -214,10 +180,6 @@ class StagedEngine:
             else:
                 registry = MetricsRegistry()
         self.metrics: "MetricsRegistry | None" = registry
-        # Bind the runtime before the instruments: runtimes may rewire
-        # the pipelines' stage instances (the serial runtime aliases one
-        # shared micro-batcher into every shard), and the instruments
-        # must land on whatever objects actually run.
         self.runtime = make_runtime(engine_config)
         self.runtime.bind(self)
         self._bind_metrics(registry)
@@ -255,47 +217,6 @@ class StagedEngine:
         self.close()
         return False
 
-    # -- merged state --------------------------------------------------------
-
-    @property
-    def stats(self) -> EngineStats:
-        """Merged counters: facade dispatch + every shard, at read time.
-
-        Shards own their counters; each access builds a fresh merged
-        snapshot, so read the attribute again after more packets rather
-        than holding one.
-        """
-        merged = EngineStats(
-            packets=self._packets, data_packets=self._data_packets
-        )
-        for pipeline in self.pipelines:
-            stats = pipeline.stats
-            merged.cdb_hits += stats.cdb_hits
-            merged.classifications += stats.classifications
-            merged.unclassifiable += stats.unclassifiable
-            merged.fin_removals += stats.fin_removals
-            merged.reclassifications += stats.reclassifications
-            for nature, value in stats.per_class.items():
-                merged.per_class[nature] += value
-        merged.cdb_size_series = self._series
-        if self._classified_ref is not None:
-            merged.classified = self._classified_ref
-        return merged
-
-    def shard_index(self, flow_id: bytes) -> int:
-        """Shard pipeline owning a flow ID (16-bit hash prefix)."""
-        return self.table.shard_index(flow_id)
-
-    @property
-    def wheel(self) -> _StageView:
-        """Aggregate view over every shard's deadline wheel."""
-        return _StageView([pipeline.wheel for pipeline in self.pipelines])
-
-    @property
-    def batcher(self) -> _StageView:
-        """Aggregate view over the runtime's classify micro-batchers."""
-        return _StageView(self.runtime.batchers())
-
     # -- telemetry -----------------------------------------------------------
 
     def _bind_metrics(self, registry: "MetricsRegistry | None") -> None:
@@ -309,20 +230,7 @@ class StagedEngine:
             self._delay_buf = []
             return
         self.table.bind_metrics(registry)
-        bound_folds: set[int] = set()
-        for pipeline in self.pipelines:
-            # Shard stages fill a lock-free child registry each; the
-            # parent sums same-name instruments at scrape time. The
-            # fold accumulator may be shared across pipelines (serial
-            # runtime) — bind each distinct instance exactly once.
-            child = registry.child()
-            pipeline.bind_metrics(child)
-            if pipeline._defer_folds and id(pipeline.fold_batcher) not in bound_folds:
-                bound_folds.add(id(pipeline.fold_batcher))
-                pipeline.fold_batcher.bind_metrics(child)
-        # The classify micro-batcher belongs to the runtime (one shared
-        # instance, a coordinator batcher, ...); let it bind its own.
-        self.runtime.bind_metrics(registry)
+        self.pipeline.bind_metrics(registry)
         self._m_delay = registry.histogram(
             "engine_classification_delay_seconds",
             buckets=DELAY_BUCKETS,
@@ -357,6 +265,12 @@ class StagedEngine:
             "record; the paper's ~200 B claim at b=32) — exact per flow "
             "when the extractor affords it, sampled otherwise",
         )
+        self._m_packets = registry.counter(
+            "engine_packets_total", help="Packets ingested"
+        )
+        self._m_payload_bytes = registry.counter(
+            "engine_payload_bytes_total", help="Payload bytes ingested"
+        )
         self._m_cdb_hits = registry.counter(
             "engine_cdb_hits_total",
             help="Packets forwarded via an existing CDB label",
@@ -382,6 +296,8 @@ class StagedEngine:
         # Last stats values pushed into the counters: deltas are tracked
         # per engine, so engines sharing a registry still aggregate.
         self._synced_counts = {
+            "packets": 0,
+            "payload_bytes": 0,
             "cdb_hits": 0,
             "unclassifiable": 0,
             "reclassifications": 0,
@@ -402,9 +318,9 @@ class StagedEngine:
         """Sync the engine's pull-based instruments (scrape-time only).
 
         The classify loop runs per flow and the CDB hit path per packet,
-        so the hot path keeps plain shard-local ints and a deferred
-        delay list, and this collector levels the facade's counters up
-        to the merged values when the registry is scraped.
+        so the hot path keeps plain ints and a deferred delay list, and
+        this collector levels the counters up to them when the registry
+        is scraped.
         """
         self._flush_delay_buf()
         stats = self.stats
@@ -413,6 +329,10 @@ class StagedEngine:
             counter.inc(current - self._synced_classified[nature])
             self._synced_classified[nature] = current
         synced = self._synced_counts
+        self._m_packets.inc(stats.packets - synced["packets"])
+        synced["packets"] = stats.packets
+        self._m_payload_bytes.inc(self._payload_bytes - synced["payload_bytes"])
+        synced["payload_bytes"] = self._payload_bytes
         self._m_cdb_hits.inc(stats.cdb_hits - synced["cdb_hits"])
         synced["cdb_hits"] = stats.cdb_hits
         self._m_unclassifiable.inc(
@@ -423,10 +343,10 @@ class StagedEngine:
             stats.reclassifications - synced["reclassifications"]
         )
         synced["reclassifications"] = stats.reclassifications
-        # Fold timing accumulates in plain shard-local floats/ints on the
-        # packet path; level the labeled counters up to their sums here.
-        fold_seconds = sum(p.fold_seconds for p in self.pipelines)
-        fold_calls = sum(p.fold_calls for p in self.pipelines)
+        # Fold timing accumulates in plain floats/ints on the packet
+        # path; level the labeled counters up to them here.
+        fold_seconds = self.pipeline.fold_seconds
+        fold_calls = self.pipeline.fold_calls
         self._m_fold_seconds.inc(fold_seconds - synced["fold_seconds"])
         synced["fold_seconds"] = fold_seconds
         self._m_folds.inc(fold_calls - synced["fold_calls"])
@@ -437,7 +357,7 @@ class StagedEngine:
     def classify_labels(self, batch, now: float):
         """Run the batched finalize + predict kernels over ready flows.
 
-        Pure classification: no shard state is touched. Observes
+        Pure classification: the flow table is not touched. Observes
         the classify/finalize timers and the delay / state-bytes
         distributions from the ``ReadyFlow`` metadata alone.
         """
@@ -482,19 +402,19 @@ class StagedEngine:
         return labels
 
     def classify_apply(self, batch, now: float) -> "dict[bytes, FlowNature]":
-        """Classify a drained batch and apply labels inline (serial path)."""
+        """Fold, classify and apply a drained batch inline (serial path)."""
         if not batch:
             return {}
+        self.pipeline.fold_for(batch)
         labels = self.classify_labels(batch, now)
         results: dict[bytes, FlowNature] = {}
         for ready, label in zip(batch, labels):
-            applied = self.pipelines[ready.shard].apply(ready, label, now)
+            applied = self.pipeline.apply(ready, label, now)
             if applied is None:
                 continue
             outcome, packets = applied
             self.emit(outcome, packets)
             results[ready.flow_id] = label
-            self.note_inserts(1, now)
         return results
 
     def emit(self, outcome: ClassifiedFlow, packets) -> None:
@@ -507,47 +427,26 @@ class StagedEngine:
         for sink in self.sinks:
             sink.on_packet(label, packet)
 
-    def drain_outbox(self, pipeline) -> None:
-        """Forward a shard's queued CDB-hit packets to the sinks."""
-        events = pipeline.outbox
-        pipeline.outbox = []
+    def drain_outbox(self) -> None:
+        """Forward the pipeline's queued CDB-hit packets to the sinks."""
+        events = self.pipeline.outbox
+        self.pipeline.outbox = []
         for label, packet in events:
             self.emit_packet(label, packet)
-
-    def note_inserts(self, n: int, now: float) -> None:
-        """Count CDB inserts toward the shard-global purge trigger.
-
-        The paper's inactivity sweep fires every ``purge_trigger_flows``
-        inserts *across all shards* — per-shard triggers would purge at
-        different times than the monolithic engine and skew the Figure-8
-        size series — so insert counting stays with the facade and the
-        sweep itself runs wherever shard state lives
-        (``runtime.purge``).
-        """
-        trigger = self.config.purge_trigger_flows
-        if not trigger:
-            return
-        self._inserts_since_purge += n
-        if self._inserts_since_purge >= trigger:
-            self._inserts_since_purge = 0
-            self.runtime.purge(now)
 
     # -- packet path ----------------------------------------------------------
 
     def process_packet(self, packet: Packet) -> "FlowNature | None":
-        """Run one packet through the stages; returns its flow's label if known.
-
-        Asynchronous runtimes return None unconditionally — outcomes
-        arrive through the sinks.
-        """
+        """Run one packet through the stages; returns its flow's label if known."""
         self._ensure_open()
         self._finished = False
-        self._packets += 1
+        stats = self.stats
+        stats.packets += 1
         key = FlowKey.of_packet(packet)
         flow_id = flow_hash(key)
-        self.table.note_ingest(flow_id, len(packet.payload))
         if packet.payload:
-            self._data_packets += 1
+            stats.data_packets += 1
+            self._payload_bytes += len(packet.payload)
         is_close = packet.is_tcp and (packet.transport.fin or packet.transport.rst)
         return self.runtime.dispatch(
             packet, key, flow_id, packet.timestamp, is_close
@@ -557,16 +456,15 @@ class StagedEngine:
         """Classify pending flows inactive beyond ``buffer_timeout``.
 
         Implements "when ... the buffer stops receiving packets for a
-        certain period of time" (Section 4.4.1). Each shard's deadline
-        wheel makes this O(expired), independent of how many flows are
-        live. Returns how many flows were handled (classified or
-        dropped); asynchronous runtimes return 0.
+        certain period of time" (Section 4.4.1). The deadline wheel
+        makes this O(expired), independent of how many flows are live.
+        Returns how many flows were handled (classified or dropped).
         """
         self._ensure_open()
         return self.runtime.flush(now)
 
     def finish(self, now: float) -> None:
-        """End of stream: drain every batcher and classify every pending flow.
+        """End of stream: drain the batcher and classify every pending flow.
 
         Raises :class:`~repro.engine.types.EngineClosedError` when called
         twice with no packets in between — the stream already drained,
@@ -628,7 +526,7 @@ class StagedEngine:
             )
         next_sample = None
         final = None
-        series = self._series
+        series = self.stats.cdb_size_series
         for packet in source:
             try:
                 self.process_packet(packet)

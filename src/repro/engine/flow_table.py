@@ -1,81 +1,36 @@
-"""Sharded flow table: pending buffers + CDB partitioned by hash prefix.
+"""The engine's flow table: pending buffers plus the CDB, one of each.
 
-Section 4.5 hashes every flow to a 160-bit SHA-1 ID; the table routes
-each ID to one of ``num_shards`` shards by its leading bytes (SHA-1 is
-uniform, so prefix keying balances shards). Each :class:`FlowShard`
-owns an independent pending-buffer dict and an independent
-:class:`~repro.core.cdb.ClassificationDatabase` partition, so a later PR
-can pin shards to separate workers with no shared state but the
-classifier.
-
-Aggregate semantics match a single CDB exactly: the table (not the
-shards) counts inserts and triggers the paper's inactivity sweep across
-all shards once ``purge_trigger_flows`` inserts accumulate — per-shard
-triggers would purge at different times than the monolithic engine and
-skew the Figure-8 size series.
-
-The table also exposes the full read/counter surface of
-``ClassificationDatabase`` (``len``, ``lookup``, ``size_bits``,
-``total_*``), so existing code that held ``engine.cdb`` keeps working
-against the sharded store.
+Section 4.5 hashes every flow to a 160-bit SHA-1 ID; Figure 1 keys two
+structures by it — the buffers of flows still filling their
+classification window, and the Classification Database of flows already
+labelled. :class:`FlowTable` is both: it *is* the engine's
+:class:`~repro.core.cdb.ClassificationDatabase` (``len``, ``lookup``,
+``insert``, the ``total_*`` counters and the paper's inactivity sweep,
+fired by the CDB's own ``purge_trigger_flows`` insert count) and it
+holds the ``pending`` dict beside it, so code that held ``engine.cdb``
+keeps working against ``engine.table``.
 """
 
 from __future__ import annotations
 
-from repro.core.cdb import RECORD_BITS, CdbRecord, ClassificationDatabase
-from repro.core.labels import FlowNature
+from repro.core.cdb import RECORD_BYTES, ClassificationDatabase
 from repro.engine.types import PendingFlow
 
-__all__ = ["FlowShard", "ShardedFlowTable"]
+__all__ = ["FlowTable"]
 
 
-class FlowShard:
-    """One partition: pending flow buffers plus a CDB slice.
-
-    The shard's CDB is created with automatic sweeps disabled
-    (``purge_trigger_flows=0``); the owning table coordinates purges
-    globally so aggregate behaviour matches one monolithic CDB.
-    """
-
-    __slots__ = ("index", "pending", "cdb")
-
-    def __init__(self, index: int, purge_coefficient: float) -> None:
-        self.index = index
-        self.pending: dict[bytes, PendingFlow] = {}
-        self.cdb = ClassificationDatabase(
-            purge_coefficient=purge_coefficient, purge_trigger_flows=0
-        )
-
-
-class ShardedFlowTable:
-    """Flow-hash-prefix-partitioned pending buffers and CDB."""
+class FlowTable(ClassificationDatabase):
+    """One CDB plus the pending-flow buffers, keyed by flow ID."""
 
     def __init__(
-        self,
-        num_shards: int = 8,
-        purge_coefficient: float = 4.0,
-        purge_trigger_flows: int = 5000,
-        extractor=None,
+        self, purge_coefficient: float = 4.0, purge_trigger_flows: int = 5000
     ) -> None:
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if purge_trigger_flows < 0:
-            raise ValueError(
-                f"purge_trigger_flows must be >= 0, got {purge_trigger_flows}"
-            )
-        self.num_shards = num_shards
-        self.purge_trigger_flows = purge_trigger_flows
-        #: Mints each new pending flow's feature state; None keeps the
-        #: table usable standalone (flows then carry ``state=None``).
-        self.extractor = extractor
-        self.shards = [FlowShard(i, purge_coefficient) for i in range(num_shards)]
-        self._inserts_since_purge = 0
-        self._next_seq = 0
-        self._m_shard_packets: "list | None" = None
-        self._m_shard_bytes: "list | None" = None
-        #: Interleaved per-shard [packets, bytes] pairs; plain ints so the
-        #: per-packet ingest path never touches a metric object.
-        self._ingest: "list[int] | None" = None
+        super().__init__(
+            purge_coefficient=purge_coefficient,
+            purge_trigger_flows=purge_trigger_flows,
+        )
+        #: Flows still buffering toward classification, by flow ID.
+        self.pending: dict[bytes, PendingFlow] = {}
         self._m_pending = None
         self._m_cdb_flows = None
         self._m_cdb_bytes = None
@@ -83,29 +38,11 @@ class ShardedFlowTable:
     def bind_metrics(self, registry) -> None:
         """Register this table's instruments on a ``MetricsRegistry``.
 
-        Exposes per-shard ingest (packets/payload-bytes counters, labeled
-        by shard index), pending-flow occupancy (gauge), and the CDB's
-        occupancy in flows and 194-bit-record bytes (gauges — the
-        paper's Figure 8 size series, live). Every instrument here is
-        pull-based: the hot path only bumps plain ints, and a registry
-        collector syncs them into counters/gauges at scrape time.
+        Exposes pending-flow occupancy and the CDB's occupancy in flows
+        and 194-bit-record bytes (the paper's Figure 8 size series,
+        live). All three are pull-based gauges: a registry collector
+        reads the sizes at scrape time, so the packet path pays nothing.
         """
-        self._m_shard_packets = [
-            registry.counter(
-                "engine_packets_total",
-                help="Packets ingested, by flow-table shard",
-                shard=i,
-            )
-            for i in range(self.num_shards)
-        ]
-        self._m_shard_bytes = [
-            registry.counter(
-                "engine_payload_bytes_total",
-                help="Payload bytes ingested, by flow-table shard",
-                shard=i,
-            )
-            for i in range(self.num_shards)
-        ]
         self._m_pending = registry.gauge(
             "engine_pending_flows",
             help="Flows currently buffering toward classification",
@@ -118,162 +55,25 @@ class ShardedFlowTable:
             "cdb_record_bytes",
             help="CDB storage under the paper's 194-bit record model",
         )
-        self._ingest = [0] * (2 * self.num_shards)
-        # Last values pushed into the counters: deltas are tracked per
-        # table, so tables sharing a registry still aggregate correctly.
-        self._ingest_synced = [0] * (2 * self.num_shards)
         registry.add_collector(self._collect)
 
     def _collect(self) -> None:
-        """Sync the pull-based instruments (scrape-time only)."""
-        ingest = self._ingest
-        synced = self._ingest_synced
-        for index, counter in enumerate(self._m_shard_packets):
-            counter.inc(ingest[2 * index] - synced[2 * index])
-            synced[2 * index] = ingest[2 * index]
-        for index, counter in enumerate(self._m_shard_bytes):
-            counter.inc(ingest[2 * index + 1] - synced[2 * index + 1])
-            synced[2 * index + 1] = ingest[2 * index + 1]
-        self._m_pending.set(self.pending_count)
+        """Refresh the occupancy gauges (scrape-time only)."""
+        self._m_pending.set(len(self.pending))
         occupancy = len(self)
         self._m_cdb_flows.set(occupancy)
-        self._m_cdb_bytes.set(occupancy * RECORD_BITS / 8.0)
-
-    def note_ingest(self, flow_id: bytes, payload_bytes: int) -> None:
-        """Count one ingested packet against its shard (no-op unbound)."""
-        counts = self._ingest
-        if counts is None:
-            return
-        index = ((flow_id[0] << 8) | flow_id[1]) % self.num_shards * 2
-        counts[index] += 1
-        counts[index + 1] += payload_bytes
-
-    def shard_index(self, flow_id: bytes) -> int:
-        """Shard owning a flow ID (keyed by the 16-bit hash prefix)."""
-        return ((flow_id[0] << 8) | flow_id[1]) % self.num_shards
-
-    def shard_of(self, flow_id: bytes) -> FlowShard:
-        """The shard owning a flow ID."""
-        return self.shards[self.shard_index(flow_id)]
-
-    # -- pending buffers -----------------------------------------------------
+        self._m_cdb_bytes.set(occupancy * RECORD_BYTES)
 
     @property
     def pending_count(self) -> int:
         """Number of flows currently buffering."""
-        return sum(len(shard.pending) for shard in self.shards)
-
-    def pending_get(self, flow_id: bytes) -> "PendingFlow | None":
-        """The flow's pending state, or None."""
-        return self.shard_of(flow_id).pending.get(flow_id)
-
-    def pending_create(self, flow_id: bytes, key, now: float) -> PendingFlow:
-        """Start buffering a new flow; assigns its global arrival ``seq``.
-
-        The flow's feature state is minted by the table's extractor, so
-        every packet the engine routes here folds into extractor-owned
-        state rather than an engine-owned byte buffer.
-        """
-        pending = PendingFlow(
-            key=key,
-            seq=self._next_seq,
-            state=(
-                self.extractor.new_state() if self.extractor is not None else None
-            ),
-            first_arrival=now,
-            last_arrival=now,
-        )
-        self._next_seq += 1
-        self.shard_of(flow_id).pending[flow_id] = pending
-        return pending
-
-    def pending_pop(self, flow_id: bytes) -> "PendingFlow | None":
-        """Remove and return the flow's pending state (None when absent)."""
-        return self.shard_of(flow_id).pending.pop(flow_id, None)
+        return len(self.pending)
 
     def pending_items(self) -> "list[tuple[bytes, PendingFlow]]":
-        """All pending flows in global first-arrival (``seq``) order."""
-        items = [
-            (flow_id, pending)
-            for shard in self.shards
-            for flow_id, pending in shard.pending.items()
-        ]
-        items.sort(key=lambda item: item[1].seq)
-        return items
+        """A snapshot of all pending flows, in first-arrival order.
 
-    # -- CDB partition (ClassificationDatabase-compatible surface) -----------
-
-    def __len__(self) -> int:
-        return sum(len(shard.cdb) for shard in self.shards)
-
-    def __contains__(self, flow_id: bytes) -> bool:
-        return flow_id in self.shard_of(flow_id).cdb
-
-    @property
-    def size_bits(self) -> int:
-        """Total CDB storage in bits under the paper's 194-bit record model."""
-        return len(self) * RECORD_BITS
-
-    @property
-    def size_bytes(self) -> float:
-        """Total CDB storage in bytes under the 194-bit record model."""
-        return self.size_bits / 8.0
-
-    def lookup(self, flow_id: bytes) -> "FlowNature | None":
-        """Label of a flow, or None when unknown."""
-        return self.shard_of(flow_id).cdb.lookup(flow_id)
-
-    def record_of(self, flow_id: bytes) -> "CdbRecord | None":
-        """The full CDB record of a flow, or None when unknown."""
-        return self.shard_of(flow_id).cdb.record_of(flow_id)
-
-    def insert(self, flow_id: bytes, label: FlowNature, now: float) -> None:
-        """Store a classified flow; may trigger the global inactivity sweep."""
-        self.shard_of(flow_id).cdb.insert(flow_id, label, now)
-        self._inserts_since_purge += 1
-        if (
-            self.purge_trigger_flows
-            and self._inserts_since_purge >= self.purge_trigger_flows
-        ):
-            self.purge_inactive(now)
-
-    def touch(self, flow_id: bytes, now: float) -> None:
-        """Record a packet arrival for a known flow (updates lambda)."""
-        self.shard_of(flow_id).cdb.touch(flow_id, now)
-
-    def remove(self, flow_id: bytes, reason: str = "fin") -> bool:
-        """Remove a flow's CDB record; returns whether it was present."""
-        return self.shard_of(flow_id).cdb.remove(flow_id, reason=reason)
-
-    def purge_inactive(self, now: float) -> int:
-        """Run the inactivity sweep on every shard; returns total removed."""
-        removed = sum(shard.cdb.purge_inactive(now) for shard in self.shards)
-        self._inserts_since_purge = 0
-        return removed
-
-    # -- aggregate lifetime counters -----------------------------------------
-
-    @property
-    def total_inserted(self) -> int:
-        return sum(shard.cdb.total_inserted for shard in self.shards)
-
-    @property
-    def total_removed_fin(self) -> int:
-        return sum(shard.cdb.total_removed_fin for shard in self.shards)
-
-    @property
-    def total_removed_inactive(self) -> int:
-        return sum(shard.cdb.total_removed_inactive for shard in self.shards)
-
-    @property
-    def total_removed_reclassified(self) -> int:
-        return sum(shard.cdb.total_removed_reclassified for shard in self.shards)
-
-    @property
-    def removal_counts(self) -> dict[str, int]:
-        """Lifetime removals keyed by exit path (fin / inactive / reclassified)."""
-        return {
-            "fin": self.total_removed_fin,
-            "inactive": self.total_removed_inactive,
-            "reclassified": self.total_removed_reclassified,
-        }
+        A flow enters ``pending`` at its first packet and dicts keep
+        insertion order, so no sort is needed; the copy lets the caller
+        classify (and so pop) flows while it walks the list.
+        """
+        return list(self.pending.items())

@@ -1,47 +1,43 @@
-"""Per-shard pipeline: one flow-table partition driven as a unit.
+"""The per-packet pipeline: lookup, buffer, fold, ready — and label apply.
 
-PR 2 sharded the flow table but kept one fused engine driving every
-shard, so sharding bought isolation and nothing else. This module is
-the other half of that cut: a :class:`ShardPipeline` owns one
-:class:`~repro.engine.flow_table.FlowShard` (pending buffers + CDB
-partition) together with the per-shard instances of every stage that
-only ever touches one shard's state — the
-:class:`~repro.engine.deadlines.DeadlineWheel`, the
-:class:`~repro.engine.batcher.FoldBatcher`, and the
-:class:`~repro.engine.batcher.MicroBatcher` — behind a narrow surface
-(:meth:`ingest` / :meth:`poll_due` / :meth:`pop_expired` / :meth:`apply`)
-with **no references to global engine state**.
+:class:`FlowPipeline` owns every stage between the flow hash and the
+classifier, all of it keyed by one
+:class:`~repro.engine.flow_table.FlowTable`: the CDB lookup, the pending
+buffers, the :class:`~repro.engine.deadlines.DeadlineWheel` of
+buffer-timeout deadlines, the deferred fold of streaming extractors, and
+the :class:`~repro.engine.batcher.MicroBatcher` of ready flows — behind
+a narrow surface (:meth:`ingest` / :meth:`poll_due` /
+:meth:`pop_expired` / :meth:`apply`).
 
-The split is exactly along the read/write sets of the staged engine:
+The split from the engine is along read/write sets:
 
-* everything from CDB lookup through window freezing writes only
-  shard-local structures, so it lives here;
+* everything from CDB lookup through window freezing writes only the
+  flow table, so it lives here;
 * classification itself (extractor ``finalize`` + vectorized predict)
-  reads frozen windows from *many* shards, so the pipeline never
-  classifies — it emits :class:`~repro.engine.batcher.ReadyFlow`\\ s
-  and the owning runtime hands back labels through :meth:`apply`;
-* sink fan-out and metrics scraping are coordinator concerns: the
-  pipeline appends forwardable packets to :attr:`outbox` and keeps its
-  counters in a plain :class:`~repro.engine.types.EngineStats`, merged
-  at scrape time (see ``MetricsRegistry.child``).
+  reads only frozen windows, so the pipeline never classifies — it
+  emits :class:`~repro.engine.batcher.ReadyFlow`\\ s and the runtime
+  hands back labels through :meth:`apply`;
+* sink fan-out is the engine's: the pipeline appends forwardable
+  packets to :attr:`outbox`.
 
-``stats`` fields used here: ``cdb_hits``, ``classifications``,
+``stats`` fields written here: ``cdb_hits``, ``classifications``,
 ``unclassifiable``, ``fin_removals``, ``reclassifications``,
-``per_class``. The packet/byte dispatch counters stay with the facade
-(it sees every packet before routing).
+``per_class``. The packet counters are the engine's (it sees every
+packet first).
 """
 
 from __future__ import annotations
 
+from itertools import count
 from time import perf_counter
 
 from repro.core.headers import skip_threshold, strip_app_header
-from repro.engine.batcher import FoldBatcher, MicroBatcher, ReadyFlow
+from repro.engine.batcher import MicroBatcher, ReadyFlow
 from repro.engine.deadlines import DeadlineWheel
-from repro.engine.flow_table import FlowShard
+from repro.engine.flow_table import FlowTable
 from repro.engine.types import ClassifiedFlow, EngineStats, PendingFlow
 
-__all__ = ["IngestResult", "ShardPipeline", "WindowPolicy"]
+__all__ = ["FlowPipeline", "IngestResult", "WindowPolicy"]
 
 #: Wall-clock-sample every Nth scalar fold when telemetry is on: two
 #: ``perf_counter`` calls per packet cost as much as the array fold
@@ -52,32 +48,27 @@ FOLD_TIMER_SAMPLE_EVERY = 64
 
 
 class IngestResult:
-    """What one packet did to its shard.
+    """What one packet did to the flow table.
 
     ``label`` is the flow's known label (CDB hit) or None; ``ready`` is
     whatever batch the packet drained (empty when nothing classifies
-    yet); ``urgent`` means a FIN/RST forced the drain and the runtime
-    should flush *every* shard's queue into one classify call — the
-    close semantics of the fused engine, where a single batcher held
-    all shards' ready flows.
+    yet).
     """
 
-    __slots__ = ("label", "ready", "urgent")
+    __slots__ = ("label", "ready")
 
-    def __init__(self, label=None, ready=(), urgent=False) -> None:
+    def __init__(self, label=None, ready=()) -> None:
         self.label = label
         self.ready = ready
-        self.urgent = urgent
 
 
 class WindowPolicy:
     """Freezes a pending flow's classification window.
 
     Pure classify-side configuration (header stripping/skipping, the
-    random-skip defense, the usability bound), shared by every shard of
-    an engine: the random-skip draws come from the engine's one RNG in
-    readiness order, which is what keeps the staged engine's draws
-    aligned with the monolith's.
+    random-skip defense, the usability bound). The random-skip draws
+    come from the engine's one RNG in readiness order, which is what
+    keeps the staged engine's draws aligned with the monolith's.
     """
 
     __slots__ = ("extractor", "config", "min_window", "rng")
@@ -121,56 +112,48 @@ class WindowPolicy:
         )
 
 
-class ShardPipeline:
-    """One shard's ingest→buffer→fold→ready pipeline.
+class FlowPipeline:
+    """The ingest→buffer→fold→ready pipeline over one flow table.
 
-    Owns the shard's pending dict and CDB partition (via ``shard``),
-    its deadline wheel, micro-batcher, and fold batcher. Never
-    classifies: ready flows leave through the return values of
-    :meth:`ingest` / :meth:`poll_due` / :meth:`make_ready` /
-    :meth:`drain`, and labels come back through :meth:`apply`.
+    Owns the deadline wheel and the micro-batcher; reads and writes the
+    table's pending dict and CDB. Never classifies: ready flows leave
+    through the return values of :meth:`ingest` / :meth:`poll_due` /
+    :meth:`make_ready` / :meth:`drain`, and labels come back through
+    :meth:`apply`.
     """
 
     def __init__(
         self,
-        shard: FlowShard,
+        table: FlowTable,
         *,
         extractor,
         policy: WindowPolicy,
         max_batch: int,
         max_delay: float,
-        fold_batch: int,
         buffer_timeout: float,
         reclassify_interval: float,
-        next_seq,
     ) -> None:
-        self.shard = shard
-        self.index = shard.index
+        self.table = table
         self.extractor = extractor
         self.policy = policy
         self.buffer_timeout = buffer_timeout
         self.reclassify_interval = reclassify_interval
-        self._next_seq = next_seq
+        #: Mints ``PendingFlow.seq``, the first-arrival order of flows.
+        self._next_seq = count().__next__
         self.wheel = DeadlineWheel()
         self.batcher = MicroBatcher(max_batch=max_batch, max_delay=max_delay)
-        self.fold_batcher = FoldBatcher(fold_batch)
-        # Fold-batching stage: streaming extractors (no payload retained,
-        # state only read at classify drains) may defer per-packet folds
-        # and absorb a whole tick's chunks in one vectorized fold_batch
-        # call. The batch extractor folds immediately — its raw window is
+        # Streaming extractors (no payload retained, state only read at
+        # classify drains) defer every fold to the classify drain, which
+        # absorbs a whole batch's chunks in one vectorized fold_batch
+        # call. The batch extractor folds at arrival — its raw window is
         # re-read at readiness, so its state must always be current.
-        # fold_batch=1 opts back into fold-at-arrival.
-        self._defer_folds = not extractor.retains_payload and fold_batch != 1
-        # With no size trigger (fold_batch=0) every fold happens at a
-        # drain, which can find its flows through the pending dict — the
-        # per-packet batcher registration would be pure overhead, so it
-        # is skipped entirely in that mode.
-        self._fold_on_classify = self._defer_folds and fold_batch == 0
+        self._fold_at_drain = not extractor.retains_payload
         self.stats = EngineStats()
         #: (label, packet) pairs awaiting sink fan-out — the runtime
         #: drains this after every call.
         self.outbox: list = []
         self._time_folds = False
+        self._m_fold_chunks = None
         self._fold_seconds = 0.0
         self._fold_calls = 0
         self._fold_countdown = 0
@@ -178,19 +161,19 @@ class ShardPipeline:
     # -- telemetry -----------------------------------------------------------
 
     def bind_metrics(self, registry) -> None:
-        """Bind this shard's stage instruments on a (child) registry.
+        """Bind the wheel's, the batcher's and the fold stage's instruments.
 
-        The wheel's instruments land on the given registry — typically a
-        ``MetricsRegistry.child()`` of the engine's, so per-shard fills
-        stay single-writer and the parent sums them at scrape time. The
-        micro-/fold-batcher instruments are bound by the engine instead:
-        runtimes may swap in shared instances (the serial runtime
-        installs one global batcher across every shard), and only the
-        engine sees the post-bind identity. Counter-shaped stats stay
-        plain ints on :attr:`stats` and are levelled by the engine's
-        collector.
+        Counter-shaped stats stay plain ints on :attr:`stats` and are
+        levelled by the engine's collector.
         """
         self.wheel.bind_metrics(registry)
+        self.batcher.bind_metrics(registry)
+        if self._fold_at_drain:
+            self._m_fold_chunks = registry.histogram(
+                "fold_batch_chunks",
+                buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
+                help="Payload chunks folded per vectorized fold_batch drain",
+            )
         self._time_folds = True
 
     @property
@@ -222,8 +205,21 @@ class ShardPipeline:
         else:
             self.extractor.fold(state, payload)
 
-    def _fold_pending(self, flows: list) -> None:
-        """Fold the deferred chunks of ``flows`` in one ``fold_batch`` call."""
+    def fold_for(self, batch: "list[ReadyFlow]") -> None:
+        """Fold the deferred chunks of a batch about to be finalized.
+
+        The engine calls this once per classify batch, so the whole
+        batch folds in one vectorized ``fold_batch`` call.
+        """
+        if not self._fold_at_drain:
+            return
+        pending_get = self.table.pending.get
+        flows = [
+            pending
+            for ready in batch
+            if (pending := pending_get(ready.flow_id)) is not None
+            and pending.unfolded
+        ]
         if not flows:
             return
         states = [pending.state for pending in flows]
@@ -234,46 +230,17 @@ class ShardPipeline:
             self._fold_seconds += perf_counter() - fold_start
             chunks = sum(len(chunk_list) for chunk_list in chunk_lists)
             self._fold_calls += chunks
-            self.fold_batcher.observe_drain(chunks)
+            self._m_fold_chunks.observe(chunks)
         else:
             self.extractor.fold_batch(states, chunk_lists)
         for pending in flows:
             pending.unfolded = []
 
-    def fold_for(self, batch: "list[ReadyFlow]", pending_of=None) -> None:
-        """Fold the deferred chunks of a batch about to be finalized.
-
-        The serial runtime calls this once per classify batch — which
-        may span shards, hence ``pending_of``, a cross-shard flow-id →
-        pending resolver (defaults to this shard's own dict) — so the
-        whole batch folds in one vectorized call, the monolith's exact
-        cadence.
-        """
-        if self._fold_on_classify:
-            pending_get = (
-                pending_of if pending_of is not None else self.shard.pending.get
-            )
-            self._fold_pending(
-                [
-                    pending
-                    for ready in batch
-                    if (pending := pending_get(ready.flow_id)) is not None
-                    and pending.unfolded
-                ]
-            )
-        elif self._defer_folds and len(self.fold_batcher):
-            # Size-triggered mode: fold just the flows being finalized;
-            # others' chunks stay queued, accumulating toward a
-            # full-size fold batch instead of draining early.
-            self._fold_pending(
-                self.fold_batcher.take(ready.flow_id for ready in batch)
-            )
-
     # -- readiness -----------------------------------------------------------
 
     def _freeze(self, flow_id: bytes, pending: PendingFlow):
         """Freeze the flow's window; None when too short to classify."""
-        if self.extractor.retains_payload:
+        if not self._fold_at_drain:
             window, protocol = self.policy.classification_window(
                 self.extractor.raw_window(pending.state)
             )
@@ -296,7 +263,7 @@ class ShardPipeline:
     def make_ready(
         self, flow_id: bytes, pending: PendingFlow, now: float, force: bool
     ) -> "list[ReadyFlow]":
-        """Freeze a flow's window and hand it to the shard's batcher.
+        """Freeze a flow's window and hand it to the micro-batcher.
 
         Too-short windows are dropped as unclassifiable on the spot
         (the window cannot improve: readiness means the buffer is full,
@@ -307,9 +274,7 @@ class ShardPipeline:
         frozen = self._freeze(flow_id, pending)
         if frozen is None:
             self.stats.unclassifiable += 1
-            if self._defer_folds:
-                self.fold_batcher.discard(flow_id)
-            self.shard.pending.pop(flow_id, None)
+            self.table.pending.pop(flow_id, None)
             self.wheel.cancel(flow_id)
             return []
         window, protocol = frozen
@@ -322,7 +287,6 @@ class ShardPipeline:
                 protocol=protocol,
                 seq=pending.seq,
                 first_arrival=pending.first_arrival,
-                shard=self.index,
             ),
             now,
         )
@@ -331,7 +295,7 @@ class ShardPipeline:
         return batch if batch else []
 
     def drain(self, reason: str = "manual") -> "list[ReadyFlow]":
-        """Flush the micro-batch; the caller folds before finalizing."""
+        """Flush the micro-batch."""
         return self.batcher.drain(reason=reason)
 
     def poll_due(self, now: float) -> "list[ReadyFlow]":
@@ -342,7 +306,7 @@ class ShardPipeline:
 
     def pop_expired(self, now: float) -> "list[tuple[bytes, PendingFlow]]":
         """Pending flows whose buffer-timeout deadline has passed."""
-        pending_get = self.shard.pending.get
+        pending_get = self.table.pending.get
         return [
             (flow_id, pending)
             for flow_id in self.wheel.pop_expired(now)
@@ -354,30 +318,30 @@ class ShardPipeline:
     def ingest(
         self, packet, key, flow_id: bytes, now: float, is_close: bool
     ) -> IngestResult:
-        """Run one packet of this shard through lookup/buffer/fold/ready."""
-        shard = self.shard
-        record = shard.cdb.record_of(flow_id)
+        """Run one packet through lookup/buffer/fold/ready."""
+        table = self.table
+        record = table.record_of(flow_id)
         if record is not None and (
             self.reclassify_interval
             and record.age(now) > self.reclassify_interval
         ):
             # Section 4.6 defense: long-lived flows are periodically
             # re-examined, so padding only defrauds the first interval.
-            shard.cdb.remove(flow_id, reason="reclassified")
+            table.remove(flow_id, reason="reclassified")
             self.stats.reclassifications += 1
             record = None
         if record is not None:
             label = record.label
             self.stats.cdb_hits += 1
-            shard.cdb.touch(flow_id, now)
+            table.touch(flow_id, now)
             if packet.payload:
                 self.outbox.append((label, packet))
             if is_close:
-                shard.cdb.remove(flow_id, reason="fin")
+                table.remove(flow_id, reason="fin")
                 self.stats.fin_removals += 1
             return IngestResult(label=label)
 
-        pending = shard.pending.get(flow_id)
+        pending = table.pending.get(flow_id)
         if pending is None:
             pending = PendingFlow(
                 key=key,
@@ -386,31 +350,26 @@ class ShardPipeline:
                 first_arrival=now,
                 last_arrival=now,
             )
-            shard.pending[flow_id] = pending
+            table.pending[flow_id] = pending
         pending.last_arrival = now
         if packet.payload:
             prior_raw = pending.raw_bytes
             pending.raw_bytes = prior_raw + len(packet.payload)
-            if self._defer_folds:
+            if not self._fold_at_drain:
+                self._fold_one(pending.state, packet.payload)
+            elif prior_raw < self.extractor.buffer_size:
                 # Chunks fold in arrival order and each fold caps at the
                 # extractor window, so once the bytes *before* this chunk
                 # already cover the window its fold is provably a no-op —
-                # skip the queue (and the eventual fold) entirely.
-                if prior_raw < self.extractor.buffer_size:
-                    pending.unfolded.append(packet.payload)
-                    if not self._fold_on_classify and self.fold_batcher.push(
-                        flow_id, pending
-                    ):
-                        self._fold_pending(self.fold_batcher.drain())
-            else:
-                self._fold_one(pending.state, packet.payload)
+                # it is never queued, which also bounds deferred memory.
+                pending.unfolded.append(packet.payload)
             pending.packets.append(packet)
 
         if pending.queued:
             # Window already with the batcher; a close needs the label now.
             if is_close:
                 pending.closed = True
-                return IngestResult(ready=self.drain(reason="close"), urgent=True)
+                return IngestResult(ready=self.drain(reason="close"))
             return IngestResult()
         self.wheel.schedule(flow_id, now + self.buffer_timeout)
         if pending.raw_bytes >= self.policy.target_bytes or is_close:
@@ -418,10 +377,9 @@ class ShardPipeline:
             # arrived (or give up).
             if is_close:
                 pending.closed = True
-            ready = self.make_ready(flow_id, pending, now, force=is_close)
-            # An unclassifiable close drops the flow without touching the
-            # queue (ready empty), so nothing is urgent about it.
-            return IngestResult(ready=ready, urgent=is_close and bool(ready))
+            return IngestResult(
+                ready=self.make_ready(flow_id, pending, now, force=is_close)
+            )
         return IngestResult()
 
     # -- label application ---------------------------------------------------
@@ -429,19 +387,19 @@ class ShardPipeline:
     def apply(
         self, ready: ReadyFlow, label, now: float
     ) -> "tuple[ClassifiedFlow, list] | None":
-        """Store a classified flow's label; single writer of shard state.
+        """Store a classified flow's label; single writer of the table.
 
-        Pops the pending entry, inserts the CDB record (retiring it at
-        once for flows that closed before their label), and returns the
-        outcome plus the buffered packets for the runtime to fan out to
-        sinks. The shard-global purge trigger stays with the caller —
-        it spans shards by design.
+        Pops the pending entry, inserts the CDB record — which fires the
+        CDB's inactivity sweep every ``purge_trigger_flows`` inserts —
+        retiring it at once for flows that closed before their label,
+        and returns the outcome plus the buffered packets for the
+        engine to fan out to sinks.
         """
         flow_id = ready.flow_id
-        pending = self.shard.pending.pop(flow_id, None)
+        pending = self.table.pending.pop(flow_id, None)
         if pending is None:
             return None
-        self.shard.cdb.insert(flow_id, label, now)
+        self.table.insert(flow_id, label, now)
         self.stats.classifications += 1
         self.stats.per_class[label] += 1
         outcome = ClassifiedFlow(
@@ -453,6 +411,6 @@ class ShardPipeline:
             stripped_protocol=ready.protocol,
         )
         if pending.closed:
-            self.shard.cdb.remove(flow_id, reason="fin")
+            self.table.remove(flow_id, reason="fin")
             self.stats.fin_removals += 1
         return outcome, pending.packets

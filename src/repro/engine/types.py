@@ -50,11 +50,11 @@ class PendingFlow:
     classify stage inserts the label and immediately retires the CDB
     record (the monolith's remove-after-classify close path).
 
-    ``unfolded`` holds payload chunks queued for the engine's
-    fold-batching stage (streaming extractors only): arriving payload is
+    ``unfolded`` holds payload chunks whose fold is deferred to the
+    classify drain (streaming extractors only): arriving payload is
     appended here instead of folding immediately, and one vectorized
     ``fold_batch`` call absorbs every queued chunk — in arrival order —
-    before any drain reads the flow's state.
+    before the drain reads the flow's state.
     """
 
     key: FlowKey

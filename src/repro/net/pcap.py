@@ -140,8 +140,9 @@ def iter_pcap(
     nanosecond timestamp magics (normalized to float seconds); Ethernet
     frames are stripped (non-IPv4 frames are skipped); snaplen-truncated
     records (``captured < original``) are counted and skipped rather
-    than misparsed; rejects pcapng and other link types with a clear
-    error. A truncated file tail (partial record header or body) raises
+    than misparsed, and so are records whose body does not parse as an
+    IPv4 TCP/UDP packet (``decode_errors``); rejects pcapng and other
+    link types with a clear error. A truncated file tail (partial record header or body) raises
     ``ValueError`` mid-iteration, as does a record whose captured
     length exceeds ``max(snaplen, 262144)`` — checked before the body is
     read, so a hostile length field cannot force a giant allocation.
@@ -205,17 +206,24 @@ def iter_pcap(
             # this view, so packet payloads reach the extractor fold
             # path without a single intermediate copy.
             data = memoryview(record)
-            if linktype == LINKTYPE_ETHERNET:
-                frame = EthernetHeader.from_bytes(data)
-                if not frame.is_ipv4:
-                    stats.skipped_frames += 1
-                    continue  # ARP/IPv6/etc.: not Iustitia traffic
+            try:
+                if linktype == LINKTYPE_ETHERNET:
+                    frame = EthernetHeader.from_bytes(data)
+                    if not frame.is_ipv4:
+                        stats.skipped_frames += 1
+                        continue  # ARP/IPv6/etc.: not Iustitia traffic
+                    data = data[EthernetHeader.HEADER_LEN :]
+                packet = Packet.from_bytes(
+                    data, timestamp=seconds + ticks / ticks_per_second
+                )
+            except ValueError:
+                # The record is intact but its body is not an IPv4
+                # TCP/UDP packet (ICMP, a bad IHL, a short TCP header):
+                # one such record must not end the capture.
+                stats.decode_errors += 1
+                continue
             stats.packets += 1
-            yield Packet.from_bytes(
-                data if linktype == LINKTYPE_RAW
-                else data[EthernetHeader.HEADER_LEN :],
-                timestamp=seconds + ticks / ticks_per_second,
-            )
+            yield packet
 
 
 def read_pcap(path: "str | Path") -> list[Packet]:

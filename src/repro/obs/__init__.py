@@ -6,7 +6,7 @@ imports from the rest of ``repro``): a :class:`MetricsRegistry` of
 instruments with :class:`Timer` context managers, and a Prometheus-style
 text exposition (:func:`render_text`, checked by :func:`validate_text`).
 
-The staged engine instruments every stage with it by default — per-shard
+The staged engine instruments every stage with it by default — packet
 ingest, deadline-wheel expirations, micro-batch drains, per-batch
 classify latency, per-flow classification delay (the paper's Section 5
 metric), and CDB occupancy / per-flow state bytes (the ~200 B claim).

@@ -258,32 +258,6 @@ class Histogram:
         }
 
 
-def _merge_instruments(name, kind, key, instruments):
-    """One scrape-ready instrument for a ``(name, labels)`` group.
-
-    A single instrument passes through untouched (the common case —
-    per-shard stages use disjoint children but unique label sets stay
-    unique). Multiple writers merge into a fresh read-only aggregate.
-    """
-    if len(instruments) == 1:
-        return instruments[0]
-    if kind == "counter":
-        out = Counter(name, key)
-        out._value = sum(inst._value for inst in instruments)
-        return out
-    if kind == "gauge":
-        out = Gauge(name, key)
-        out._value = sum(inst._value for inst in instruments)
-        return out
-    out = Histogram(name, instruments[0].bounds, key)
-    for inst in instruments:
-        for index, bucket_count in enumerate(inst._counts):
-            out._counts[index] += bucket_count
-        out._sum += inst._sum
-        out._count += inst._count
-    return out
-
-
 class _Family:
     """All instruments sharing one metric name (one per label set)."""
 
@@ -305,45 +279,16 @@ class MetricsRegistry:
     later calls with the same name must agree or raise ``ValueError``.
     Label values are passed as keyword arguments::
 
-        registry.counter("engine_packets_total", shard=3).inc()
-
-    :meth:`child` registries keep shard-local fills cheap: each
-    shard-local component fills its own child (one writer,
-    plain attribute bumps), and the parent's scrape surface
-    (:meth:`families`, :meth:`snapshot`, ``render_text``) merges
-    same-name instruments at read time — counters and gauges sum,
-    histograms (same buckets) add bucket counts.
+        registry.counter("batcher_drains_total", reason="size").inc()
     """
 
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
         self._collectors: list = []
-        self._children: "list[MetricsRegistry]" = []
 
     def __len__(self) -> int:
-        """Instruments registered *directly* on this registry (no children)."""
+        """Number of instruments registered."""
         return sum(len(f.instruments) for f in self._families.values())
-
-    def child(self) -> "MetricsRegistry":
-        """A registry whose instruments merge into this one at scrape time.
-
-        Made for shard-local fills: the child is a full
-        registry — get-or-create instruments, its own collectors — but
-        everything it holds appears in the parent's scrape output,
-        summed with any same-name instruments of the parent or sibling
-        children. Merging requires agreeing kinds (and, for histograms,
-        buckets); disagreement raises at scrape time.
-        """
-        child = MetricsRegistry()
-        self._children.append(child)
-        return child
-
-    def _registries(self) -> "list[MetricsRegistry]":
-        """This registry and every descendant child, depth-first."""
-        out = [self]
-        for child in self._children:
-            out.extend(child._registries())
-        return out
 
     def add_collector(self, callback) -> None:
         """Register a zero-arg callback run before every scrape.
@@ -357,10 +302,9 @@ class MetricsRegistry:
         self._collectors.append(callback)
 
     def collect(self) -> None:
-        """Run every registered collector, children included."""
-        for registry in self._registries():
-            for callback in registry._collectors:
-                callback()
+        """Run every registered collector."""
+        for callback in self._collectors:
+            callback()
 
     def counter(self, name: str, help: str = "", **labels) -> Counter:
         """Get or create a counter."""
@@ -414,55 +358,14 @@ class MetricsRegistry:
         """``(name, kind, help, [instruments])`` in name order, for scrapes.
 
         Runs :meth:`collect` first, so pull-based gauges are fresh.
-        Child-registry instruments are merged in: one family per name
-        across the whole tree, same-``(name, labels)`` instruments
-        summed into a read-only aggregate (counters/gauges add values,
-        histograms add bucket counts — identical buckets required).
         """
         self.collect()
-        registries = self._registries()
-        if len(registries) == 1:
-            for name in sorted(self._families):
-                family = self._families[name]
-                instruments = [
-                    family.instruments[key] for key in sorted(family.instruments)
-                ]
-                yield name, family.kind, family.help, instruments
-            return
-        merged: dict[str, list] = {}
-        for registry in registries:
-            for name, family in registry._families.items():
-                entry = merged.get(name)
-                if entry is None:
-                    # [kind, help, buckets, {label-key: [instruments]}]
-                    merged[name] = entry = [
-                        family.kind, family.help, family.buckets, {}
-                    ]
-                else:
-                    if entry[0] != family.kind:
-                        raise ValueError(
-                            f"metric {name!r} registered as a {entry[0]} and "
-                            f"a {family.kind} across child registries"
-                        )
-                    if (
-                        family.kind == "histogram"
-                        and entry[2] != family.buckets
-                    ):
-                        raise ValueError(
-                            f"histogram {name!r} registered with differing "
-                            "buckets across child registries"
-                        )
-                    if not entry[1]:
-                        entry[1] = family.help
-                for key, instrument in family.instruments.items():
-                    entry[3].setdefault(key, []).append(instrument)
-        for name in sorted(merged):
-            kind, help_text, _buckets, groups = merged[name]
+        for name in sorted(self._families):
+            family = self._families[name]
             instruments = [
-                _merge_instruments(name, kind, key, groups[key])
-                for key in sorted(groups)
+                family.instruments[key] for key in sorted(family.instruments)
             ]
-            yield name, kind, help_text, instruments
+            yield name, family.kind, family.help, instruments
 
     def snapshot(self) -> dict:
         """Plain-dict view of every instrument.

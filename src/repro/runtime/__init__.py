@@ -1,13 +1,12 @@
-"""Execution runtimes: how an engine's shard pipelines are driven.
+"""Execution runtimes: how an engine's flow pipeline is driven.
 
-The staged engine's state was split along shard boundaries
-(:class:`repro.engine.shard.ShardPipeline`); a *runtime* decides who
-executes each pipeline and when:
+The staged engine keeps its per-packet stages in one
+:class:`repro.engine.pipeline.FlowPipeline`; a *runtime* decides who
+executes it and when:
 
-* :class:`SerialRuntime` (the only built-in) drives every shard inline
-  on the calling thread, in arrival order — packet-for-packet
-  equivalent to the fused engine (proven by the staged-equivalence
-  suite).
+* :class:`SerialRuntime` (the only built-in) drives it inline on the
+  calling thread, in arrival order — packet-for-packet equivalent to
+  the fused engine (proven by the staged-equivalence suite).
 
 Selection goes through the **runtime registry**: the built-in registers
 itself on import, :func:`register` adds third-party runtimes with

@@ -1,21 +1,21 @@
 """The Runtime protocol: the contract between engine facade and executor.
 
 A runtime never owns flow state — the engine's
-:class:`~repro.engine.shard.ShardPipeline` list does. The runtime only
+:class:`~repro.engine.pipeline.FlowPipeline` does. The runtime only
 decides *where* each pipeline call executes and how drained
 ``ReadyFlow`` batches reach the engine's classify/apply machinery. The
 facade calls exactly four things on the hot path and lifecycle:
 
-* :meth:`Runtime.dispatch` — one packet, already hashed and routed;
+* :meth:`Runtime.dispatch` — one packet, already hashed;
 * :meth:`Runtime.flush` — buffer-timeout sweep at a sample point;
 * :meth:`Runtime.finish` — end of stream, everything pending classifies;
 * :meth:`Runtime.close` — release execution resources (no-op for serial).
 
 In exchange the runtime may call back into the engine's coordinator
-surface: ``engine.pipelines``, ``engine.classify_apply(batch, now)``
-(or its parts: ``engine.classify_labels(batch, now)`` +
-``pipeline.apply(...)`` + ``engine.emit*``), and
-``engine.note_inserts(n, now)`` for the shard-global purge trigger.
+surface: ``engine.pipeline``, ``engine.classify_apply(batch, now)``
+(or its parts: ``pipeline.fold_for(batch)`` +
+``engine.classify_labels(batch, now)`` + ``pipeline.apply(...)`` +
+``engine.emit*``).
 
 This module also hosts the **runtime registry**: runtimes register a
 name → factory pair via :func:`register` (the built-in serial runtime
@@ -89,46 +89,25 @@ def make_runtime(engine_config) -> "Runtime":
 
 @runtime_checkable
 class Runtime(Protocol):
-    """Drives an engine's shard pipelines (see module docstring)."""
+    """Drives an engine's flow pipeline (see module docstring)."""
 
     #: Registry-style name, for telemetry and benchmark reports.
     name: str
 
     def bind(self, engine) -> None:
-        """Attach to an engine (called once, from the engine constructor).
-
-        Runtimes may rewire the pipelines' stage instances here — the
-        serial runtime aliases one shared micro-batcher/fold accumulator
-        into every pipeline — which is why the engine binds metrics
-        only *after* this call.
-        """
-
-    def bind_metrics(self, registry) -> None:
-        """Bind the runtime's own stage instruments (the micro-batcher)."""
-
-    def batchers(self) -> list:
-        """The micro-batchers that can hold queued ready flows."""
+        """Attach to an engine (called once, from the engine constructor)."""
 
     def dispatch(self, packet, key, flow_id: bytes, now: float, is_close: bool):
-        """Run one packet through its shard; returns the label if known.
-
-        Asynchronous runtimes may return None even for flows whose
-        label is (or becomes) known — the authoritative record of
-        outcomes is the sink fan-out.
-        """
+        """Run one packet through the pipeline; returns the label if known."""
 
     def flush(self, now: float) -> int:
         """Classify pending flows inactive beyond ``buffer_timeout``.
 
-        Returns how many flows expired, when the runtime can know it
-        synchronously (asynchronous runtimes return 0).
+        Returns how many flows expired.
         """
 
     def finish(self, now: float) -> None:
         """End of stream: classify everything pending, then quiesce."""
-
-    def purge(self, now: float) -> None:
-        """Run the CDB inactivity sweep wherever shard state lives."""
 
     def close(self) -> None:
         """Release any execution resources (idempotent)."""

@@ -2,7 +2,6 @@
 
 Implements the estimation machinery the paper builds on:
 
-* AMS-style frequency-moment estimation (Alon, Matias, Szegedy; STOC 1996),
 * the single-pass stream-entropy estimator of Lall et al. (SIGMETRICS 2006),
 * median-of-means sketch reduction.
 
@@ -10,7 +9,6 @@ These are usable standalone on arbitrary element streams; ``repro.core``
 specializes them to k-gram streams over flow buffers.
 """
 
-from repro.streaming.ams import ams_f2_estimate, ams_fp_estimate
 from repro.streaming.entropy_stream import (
     StreamEntropyEstimator,
     estimate_s_from_stream,
@@ -22,8 +20,6 @@ from repro.streaming.sketch import median_of_means
 __all__ = [
     "ReservoirSampler",
     "StreamEntropyEstimator",
-    "ams_f2_estimate",
-    "ams_fp_estimate",
     "estimate_s_from_stream",
     "estimate_stream_entropy",
     "median_of_means",

@@ -1,5 +1,6 @@
 """Tests for EngineConfig and the legacy-kwarg deprecation shim."""
 
+import dataclasses
 import warnings
 
 import pytest
@@ -12,7 +13,6 @@ from repro.engine import StagedEngine
 class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
-        assert config.num_shards == 8
         assert config.max_batch == 32
         assert config.max_delay == 0.05
         assert config.telemetry is True
@@ -47,8 +47,6 @@ class TestEngineConfig:
             )
 
     def test_staging_knob_validation(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            EngineConfig(num_shards=0)
         with pytest.raises(ValueError, match="max_batch"):
             EngineConfig(max_batch=0)
         with pytest.raises(ValueError, match="max_delay"):
@@ -58,6 +56,20 @@ class TestEngineConfig:
         config = EngineConfig()
         with pytest.raises(AttributeError):
             config.max_batch = 64
+
+    def test_shard_and_fold_knobs_removed(self):
+        with pytest.raises(TypeError, match="num_shards"):
+            EngineConfig(num_shards=2)
+        with pytest.raises(TypeError, match="fold_batch"):
+            EngineConfig(fold_batch=1)
+
+    def test_field_set_is_exact(self):
+        # One flow table, one fold cadence: a new knob must be argued
+        # for here, not slipped in.
+        assert {field.name for field in dataclasses.fields(EngineConfig)} == {
+            "buffer_size", "buffer_timeout", "max_batch", "max_delay",
+            "telemetry", "extractor", "runtime", "pipeline",
+        }
 
 
 class TestRuntimeKnobs:

@@ -2,76 +2,11 @@
 
 import pytest
 
-from repro.engine.batcher import FoldBatcher, MicroBatcher, ReadyFlow
-from repro.engine.types import PendingFlow
+from repro.engine.batcher import MicroBatcher, ReadyFlow
 
 
 def _ready(i: int) -> ReadyFlow:
     return ReadyFlow(flow_id=bytes([i]) * 20, window=b"x" * 32, protocol=None)
-
-
-def _fid(i: int) -> bytes:
-    return bytes([i]) * 8
-
-
-def _pending(n_chunks: int) -> PendingFlow:
-    pending = PendingFlow(key=None, first_arrival=0.0, last_arrival=0.0, seq=0)
-    pending.unfolded = [b"abcd"] * n_chunks
-    return pending
-
-
-class TestFoldBatcher:
-    def test_size_trigger_counts_chunks_across_flows(self):
-        batcher = FoldBatcher(max_packets=3)
-        a, b = _pending(0), _pending(0)
-        assert not batcher.push(_fid(1), a)
-        assert not batcher.push(_fid(2), b)
-        assert batcher.push(_fid(1), a)  # 3rd chunk, same flow counts
-        assert len(batcher) == 3
-
-    def test_no_size_trigger_when_disabled(self):
-        batcher = FoldBatcher(max_packets=0)
-        pending = _pending(0)
-        for _ in range(1000):
-            assert not batcher.push(_fid(1), pending)
-
-    def test_drain_returns_each_flow_once_and_resets(self):
-        batcher = FoldBatcher(max_packets=4)
-        a, b = _pending(2), _pending(1)
-        batcher.push(_fid(1), a)
-        batcher.push(_fid(1), a)
-        batcher.push(_fid(2), b)
-        flows = batcher.drain()
-        assert flows == [a, b]
-        assert len(batcher) == 0
-        assert batcher.drain() == []
-
-    def test_take_pops_only_named_flows(self):
-        batcher = FoldBatcher(max_packets=100)
-        a, b, c = _pending(2), _pending(1), _pending(3)
-        for fid, pending in ((1, a), (2, b), (3, c)):
-            for _ in pending.unfolded:
-                batcher.push(_fid(fid), pending)
-        taken = batcher.take([_fid(1), _fid(3), _fid(9)])
-        assert taken == [a, c]
-        # b's chunk is still queued and accumulating.
-        assert len(batcher) == 1
-        assert batcher.drain() == [b]
-
-    def test_discard_forgets_flow_and_its_chunks(self):
-        batcher = FoldBatcher(max_packets=100)
-        a = _pending(2)
-        batcher.push(_fid(1), a)
-        batcher.push(_fid(1), a)
-        batcher.discard(_fid(1))
-        assert len(batcher) == 0
-        assert a.unfolded == []
-        assert batcher.drain() == []
-        batcher.discard(_fid(7))  # unknown flow is a no-op
-
-    def test_negative_max_packets_rejected(self):
-        with pytest.raises(ValueError, match="max_packets"):
-            FoldBatcher(max_packets=-1)
 
 
 class TestSizeTrigger:

@@ -95,13 +95,12 @@ class TestEdgeCases:
         assert len(wheel) == 0
 
 
-class TestMultiShardFlushOrdering:
+class TestFlushOrdering:
     """Engine-level: flows expiring the same tick flush in arrival order.
 
-    Each shard pipeline owns its own wheel, so one engine tick pops
-    expired flows from several heaps; the runtime must merge them back
-    into global arrival (seq) order before classification, matching the
-    monolith's single-wheel behaviour.
+    The wheel pops expired flows in deadline order; the runtime must put
+    them back into first-arrival (seq) order before classification,
+    matching the monolith's flush.
     """
 
     def _packet(self, payload, timestamp, sport):
@@ -123,12 +122,21 @@ class TestMultiShardFlushOrdering:
         )
         sports = [1001, 1002, 1003, 1004, 1005, 1006, 1007, 1008]
         for i, sport in enumerate(sports):
-            # 24 bytes < buffer_size keeps every flow pending (buffering).
+            # 24 bytes over two packets < buffer_size keeps every flow
+            # pending (buffering).
             engine.process_packet(
-                self._packet(b"the quick brown fox 0124", 0.0 + i * 0.001, sport)
+                self._packet(b"the quick br", 0.0 + i * 0.001, sport)
             )
-        armed_shards = sum(1 for p in engine.pipelines if len(p.wheel))
-        assert armed_shards >= 2, "test needs flows spread across shards"
+        for i, sport in enumerate(reversed(sports)):
+            # Re-arm in reverse: the last flow to arrive expires first.
+            engine.process_packet(
+                self._packet(b"own fox 0124", 1.0 + i * 0.001, sport)
+            )
+        deadlines = [
+            engine.wheel.deadline_of(flow_id)
+            for flow_id, _pending in engine.table.pending_items()
+        ]
+        assert deadlines == sorted(deadlines, reverse=True)
         expired = engine.flush_timeouts(now=50.0)
         assert expired == len(sports)
         classified_ports = [c.key.src_port for c in engine.stats.classified]

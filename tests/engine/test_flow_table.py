@@ -1,12 +1,13 @@
-"""Tests for the sharded flow table (hash-prefix partitioning + global purge)."""
+"""Tests for the flow table (one CDB + the pending buffers beside it)."""
 
 import hashlib
 
 import pytest
 
 from repro.core.cdb import ClassificationDatabase
-from repro.core.labels import BINARY, ENCRYPTED, TEXT
-from repro.engine.flow_table import ShardedFlowTable
+from repro.core.labels import ENCRYPTED, TEXT
+from repro.engine.flow_table import FlowTable
+from repro.engine.types import PendingFlow
 from repro.net.flow import FlowKey
 
 
@@ -19,35 +20,9 @@ def _key(i: int) -> FlowKey:
                    dst_port=80, protocol=17)
 
 
-class TestSharding:
-    def test_prefix_routing_is_stable(self):
-        table = ShardedFlowTable(num_shards=8)
-        for i in range(50):
-            fid = _fid(i)
-            assert table.shard_index(fid) == int.from_bytes(fid[:2], "big") % 8
-            assert table.shard_of(fid) is table.shards[table.shard_index(fid)]
-
-    def test_shards_balance_roughly(self):
-        table = ShardedFlowTable(num_shards=4)
-        for i in range(400):
-            table.insert(_fid(i), TEXT, now=0.0)
-        sizes = [len(shard.cdb) for shard in table.shards]
-        assert sum(sizes) == 400
-        assert min(sizes) > 50  # SHA-1 prefixes spread uniformly
-
-    def test_single_shard_degenerates_to_one_cdb(self):
-        table = ShardedFlowTable(num_shards=1)
-        table.insert(_fid(1), BINARY, now=0.0)
-        assert len(table.shards[0].cdb) == len(table) == 1
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            ShardedFlowTable(num_shards=0)
-
-
 class TestCdbSurface:
     def test_insert_lookup_remove_roundtrip(self):
-        table = ShardedFlowTable(num_shards=8)
+        table = FlowTable()
         table.insert(_fid(1), ENCRYPTED, now=1.0)
         assert _fid(1) in table
         assert table.lookup(_fid(1)) is ENCRYPTED
@@ -56,25 +31,26 @@ class TestCdbSurface:
         assert table.lookup(_fid(1)) is None
         assert not table.remove(_fid(1))
 
-    def test_counters_aggregate_across_shards(self):
-        table = ShardedFlowTable(num_shards=8)
+    def test_removal_counters_by_exit_path(self):
+        table = FlowTable(purge_trigger_flows=0)
         for i in range(30):
             table.insert(_fid(i), TEXT, now=0.0)
         for i in range(10):
             table.remove(_fid(i), reason="fin")
         for i in range(10, 15):
             table.remove(_fid(i), reason="reclassified")
+        table.touch(_fid(15), now=100.0)
+        assert table.purge_inactive(now=100.0) == 14
         assert table.total_inserted == 30
-        assert table.total_removed_fin == 10
-        assert table.total_removed_reclassified == 5
         assert table.removal_counts == {
-            "fin": 10, "inactive": 0, "reclassified": 5
+            "fin": 10, "inactive": 14, "reclassified": 5
         }
-        assert len(table) == 15
-        assert table.size_bits == 15 * 194
+        assert len(table) == 1
+        assert table.size_bits == 194
+        assert table.size_bytes == 194 / 8.0
 
-    def test_touch_updates_the_owning_shard(self):
-        table = ShardedFlowTable(num_shards=8)
+    def test_touch_updates_the_record(self):
+        table = FlowTable()
         table.insert(_fid(3), TEXT, now=10.0)
         table.touch(_fid(3), now=10.25)
         assert table.record_of(_fid(3)).last_inter_arrival == pytest.approx(0.25)
@@ -82,8 +58,8 @@ class TestCdbSurface:
 
 class TestGlobalPurgeTrigger:
     def test_sweep_matches_single_cdb(self):
-        """Sharded purge at the global trigger == one monolithic CDB."""
-        table = ShardedFlowTable(num_shards=8, purge_trigger_flows=25)
+        """The table sweeps exactly when a bare CDB would."""
+        table = FlowTable(purge_trigger_flows=25)
         single = ClassificationDatabase(purge_trigger_flows=25)
         for i in range(120):
             now = float(i)
@@ -93,8 +69,17 @@ class TestGlobalPurgeTrigger:
         assert table.total_removed_inactive == single.total_removed_inactive
         assert table.total_removed_inactive > 0
 
-    def test_shard_cdbs_never_self_purge(self):
-        table = ShardedFlowTable(num_shards=4, purge_trigger_flows=0)
+    def test_sweep_fires_at_the_trigger_and_not_before(self):
+        table = FlowTable(purge_trigger_flows=25)
+        for i in range(24):
+            table.insert(_fid(i), TEXT, now=float(i))
+        assert table.total_removed_inactive == 0
+        assert len(table) == 24
+        table.insert(_fid(24), TEXT, now=24.0)
+        assert table.total_removed_inactive > 0
+
+    def test_no_trigger_never_sweeps(self):
+        table = FlowTable(purge_trigger_flows=0)
         for i in range(100):
             table.insert(_fid(i), TEXT, now=float(i))
         # No trigger: stale records stay until an explicit sweep.
@@ -102,20 +87,26 @@ class TestGlobalPurgeTrigger:
         assert table.purge_inactive(now=1000.0) == 100
 
 
-class TestPendingPartition:
+class TestPending:
     def test_pending_items_in_first_arrival_order(self):
-        table = ShardedFlowTable(num_shards=8)
+        table = FlowTable()
         for i in range(20):
-            table.pending_create(_fid(i), _key(i), now=float(i))
+            table.pending[_fid(i)] = PendingFlow(key=_key(i), seq=i)
+        # A flow that was classified and came back queues behind the rest.
+        del table.pending[_fid(3)]
+        table.pending[_fid(3)] = PendingFlow(key=_key(3), seq=20)
         items = table.pending_items()
         assert [p.seq for _, p in items] == sorted(p.seq for _, p in items)
-        assert [p.key for _, p in items] == [_key(i) for i in range(20)]
+        assert [p.key for _, p in items] == [
+            _key(i) for i in range(20) if i != 3
+        ] + [_key(3)]
         assert table.pending_count == 20
 
-    def test_pending_pop(self):
-        table = ShardedFlowTable(num_shards=2)
-        table.pending_create(_fid(1), _key(1), now=0.0)
-        popped = table.pending_pop(_fid(1))
-        assert popped.key == _key(1)
-        assert table.pending_pop(_fid(1)) is None
-        assert table.pending_count == 0
+    def test_pending_is_separate_from_the_cdb(self):
+        table = FlowTable()
+        table.pending[_fid(1)] = PendingFlow(key=_key(1))
+        assert len(table) == 0 and _fid(1) not in table
+        assert table.pending_count == 1
+        items = table.pending_items()
+        table.pending.clear()
+        assert [flow_id for flow_id, _ in items] == [_fid(1)]

@@ -7,6 +7,7 @@ from repro.core.labels import ALL_NATURES
 from repro.engine import (
     CallbackSink,
     EngineClosedError,
+    IngestResult,
     QueueSink,
     StagedEngine,
     StatsSink,
@@ -106,6 +107,10 @@ class TestBatchAccumulation:
         assert label is not None
         assert engine.stats.classifications == 2
         assert engine.stats.fin_removals == 1
+
+    def test_ingest_result_carries_label_and_ready_only(self):
+        # A close drains through ``ready``; there is no separate flag.
+        assert IngestResult.__slots__ == ("label", "ready")
 
     def test_finish_drains_queued_and_pending(self, trained_svm, sample_files):
         engine = _engine(trained_svm, max_batch=100)
@@ -270,6 +275,4 @@ class TestLifecycle:
             engine.process_trace(small_trace)
         snap = engine.metrics.snapshot()
         assert sum(snap["engine_classifications_total"].values()) > 0
-        assert sum(snap["engine_packets_total"].values()) == len(
-            small_trace.packets
-        )
+        assert snap["engine_packets_total"] == len(small_trace.packets)

@@ -1,6 +1,7 @@
 """Tests for the PacketSource implementations."""
 
 import socket
+import struct
 import threading
 
 import pytest
@@ -73,6 +74,10 @@ class TestPcapFileSource:
     def test_metrics_leveled(self, tmp_path):
         path = tmp_path / "m.pcap"
         write_pcap(path, [_packet(i) for i in range(7)])
+        icmp = bytearray(_packet(7).to_bytes())
+        icmp[9] = 1  # IPv4 protocol field: not TCP/UDP, so undecodable
+        with open(path, "ab") as handle:
+            handle.write(struct.pack("!IIII", 9, 0, len(icmp), len(icmp)) + icmp)
         registry = MetricsRegistry()
         with PcapFileSource(path, registry=registry) as source:
             count = sum(1 for _ in source)
@@ -80,6 +85,8 @@ class TestPcapFileSource:
         label = f"pcap:{path.name}"
         counter = registry.counter("ingest_packets_total", source=label)
         assert counter.value == 7
+        errors = registry.counter("ingest_decode_errors_total", source=label)
+        assert errors.value == 1
 
 
 class TestTraceSource:

@@ -5,7 +5,7 @@ engine under the default :class:`~repro.runtime.SerialRuntime` with
 ``max_batch=1`` — and therefore the ``IustitiaEngine`` facade — must
 reproduce the seed engine's labels, per-class counts, counters, and CDB
 size series on the reference synthetic traces, even though the engine's
-state now lives in per-shard pipelines. ``max_batch>1`` must preserve
+state now lives in a separate pipeline. ``max_batch>1`` must preserve
 every label (windows are frozen at readiness), though classification
 *timestamps* may differ by design.
 """
@@ -79,9 +79,8 @@ class TestSyncEquivalence:
         assert staged_stats.cdb_size_series == seed_stats.cdb_size_series
         assert len(staged.table) == len(seed.cdb)
         # Same flows end up in the CDB with the same labels.
-        for shard in staged.table.shards:
-            for flow_id, record in shard.cdb._records.items():
-                assert seed.cdb.lookup(flow_id) is record.label
+        for flow_id, record in staged.table._records.items():
+            assert seed.cdb.lookup(flow_id) is record.label
 
     def test_classification_order_and_delays(
         self, trained_svm, reference_traces
@@ -197,13 +196,3 @@ class TestSerialRuntimeExplicit:
         assert _label_map(staged_stats) == _label_map(seed_stats)
         assert _counter_tuple(staged_stats) == _counter_tuple(seed_stats)
         assert staged_stats.cdb_size_series == seed_stats.cdb_size_series
-
-    def test_serial_shares_one_batcher_across_shards(self, trained_svm):
-        # The monolith had one micro-batcher; the serial runtime keeps
-        # that by aliasing a single instance into every pipeline, so the
-        # size trigger counts ready flows from all shards together.
-        engine = StagedEngine(trained_svm)
-        batchers = {id(p.batcher) for p in engine.pipelines}
-        folds = {id(p.fold_batcher) for p in engine.pipelines}
-        assert len(batchers) == 1
-        assert len(folds) == 1

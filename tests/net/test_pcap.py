@@ -137,6 +137,26 @@ class TestErrorHandling:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_unparseable_record_counted_and_skipped(self, tmp_path):
+        # TCP, ICMP, TCP: the ICMP record's body is intact but is not a
+        # TCP/UDP packet; it must cost one record, not the capture.
+        path = tmp_path / "icmp.pcap"
+        tcp = _packets()[0].to_bytes()
+        icmp = bytearray(tcp)
+        icmp[9] = 1  # IPv4 protocol field
+        header = struct.pack("!IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)
+        parts = [header]
+        for body in (tcp, bytes(icmp), tcp):
+            parts.append(struct.pack("!IIII", 1, 0, len(body), len(body)))
+            parts.append(body)
+        path.write_bytes(b"".join(parts))
+        stats = PcapDecodeStats()
+        loaded = list(iter_pcap(path, stats=stats))
+        assert [p.payload for p in loaded] == [_packets()[0].payload] * 2
+        assert stats.records == 3
+        assert stats.decode_errors == 1
+        assert stats.packets == 2
+
     def test_record_above_declared_snaplen_tolerated_up_to_floor(self, tmp_path):
         # Writers that understate snaplen are common; the bound is
         # max(snaplen, 262144), not the declared snaplen alone.

@@ -201,76 +201,6 @@ class TestMetricsRegistry:
         reg.counter("b_total", shard=1)
         assert len(reg) == 3
 
-
-class TestChildRegistries:
-    """Shard-local child registries merge into the parent at scrape."""
-
-    def test_counters_sum_across_children(self):
-        parent = MetricsRegistry()
-        parent.counter("pkts_total").inc(1)
-        for n in (2, 4):
-            parent.child().counter("pkts_total").inc(n)
-        assert parent.snapshot()["pkts_total"] == 7.0
-
-    def test_gauges_sum_across_children(self):
-        parent = MetricsRegistry()
-        a, b = parent.child(), parent.child()
-        a.gauge("pending_flows").set(3)
-        b.gauge("pending_flows").set(5)
-        assert parent.snapshot()["pending_flows"] == 8.0
-
-    def test_histograms_add_bucket_counts(self):
-        parent = MetricsRegistry()
-        a, b = parent.child(), parent.child()
-        a.histogram("lat", buckets=(1.0, 2.0)).observe(0.5)
-        b.histogram("lat", buckets=(1.0, 2.0)).observe(1.5)
-        b.histogram("lat", buckets=(1.0, 2.0)).observe(0.2)
-        snap = parent.snapshot()["lat"]
-        assert snap["count"] == 3
-        assert snap["sum"] == pytest.approx(2.2)
-
-    def test_labeled_instruments_merge_by_label_set(self):
-        parent = MetricsRegistry()
-        a, b = parent.child(), parent.child()
-        a.counter("drains_total", reason="size").inc(1)
-        b.counter("drains_total", reason="size").inc(2)
-        b.counter("drains_total", reason="timeout").inc(5)
-        snap = parent.snapshot()["drains_total"]
-        assert snap == {'reason="size"': 3.0, 'reason="timeout"': 5.0}
-
-    def test_kind_mismatch_across_children_raises(self):
-        parent = MetricsRegistry()
-        parent.child().counter("depth")
-        parent.child().gauge("depth")
-        with pytest.raises(ValueError, match="counter and a gauge"):
-            list(parent.families())
-
-    def test_bucket_mismatch_across_children_raises(self):
-        parent = MetricsRegistry()
-        parent.child().histogram("lat", buckets=(1.0,))
-        parent.child().histogram("lat", buckets=(2.0,))
-        with pytest.raises(ValueError, match="differing"):
-            list(parent.families())
-
-    def test_child_collectors_run_on_parent_scrape(self):
-        parent = MetricsRegistry()
-        child = parent.child()
-        state = {"depth": 0}
-        gauge = child.gauge("queue_depth")
-        child.add_collector(lambda: gauge.set(state["depth"]))
-        state["depth"] = 9
-        assert parent.snapshot()["queue_depth"] == 9.0
-
-    def test_grandchildren_merge_too(self):
-        parent = MetricsRegistry()
-        child = parent.child()
-        child.counter("pkts_total").inc(1)
-        child.child().counter("pkts_total").inc(10)
-        assert parent.snapshot()["pkts_total"] == 11.0
-
-    def test_merged_aggregate_is_read_only_view(self):
-        # Scraping must never mutate the children: two scrapes agree.
-        parent = MetricsRegistry()
-        parent.child().counter("pkts_total").inc(4)
-        assert parent.snapshot()["pkts_total"] == 4.0
-        assert parent.snapshot()["pkts_total"] == 4.0
+    def test_no_child_registries(self):
+        # One writer per engine: the scrape-time tree merge is gone.
+        assert not hasattr(MetricsRegistry, "child")

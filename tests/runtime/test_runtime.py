@@ -127,10 +127,12 @@ class TestEngineIntegration:
         assert isinstance(engine.runtime, SerialRuntime)
         assert calls == [engine_config]
 
-    def test_engine_batcher_view_tracks_runtime_batchers(self, trained_svm):
-        serial = StagedEngine(trained_svm)
-        assert list(serial.batcher._parts) == serial.runtime.batchers()
-        assert len(serial.runtime.batchers()) == 1
+    def test_engine_stages_are_the_one_pipelines_own(self, trained_svm):
+        engine = StagedEngine(trained_svm)
+        (pipeline,) = engine.pipelines
+        assert engine.batcher is pipeline.batcher
+        assert engine.wheel is pipeline.wheel
+        assert not hasattr(engine.runtime, "batchers")
 
     def test_serial_runtime_close_is_noop(self, trained_svm):
         engine = StagedEngine(trained_svm)
