@@ -14,10 +14,10 @@ on clean traffic.
 import numpy as np
 
 from _helpers import PER_CLASS, SEED
+from repro import open_engine
 from repro.core.classifier import IustitiaClassifier
-from repro.core.config import IustitiaConfig
+from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.labels import ENCRYPTED
-from repro.core.pipeline import IustitiaEngine
 from repro.experiments.datasets import standard_corpus
 from repro.experiments.reporting import format_table
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
@@ -26,7 +26,11 @@ _PADDING = 64
 
 
 def _run(classifier, trace, config, seed=3):
-    engine = IustitiaEngine(classifier, config, rng=np.random.default_rng(seed))
+    engine = open_engine(
+        classifier,
+        EngineConfig(max_batch=1, max_delay=0.0, pipeline=config),
+        rng=np.random.default_rng(seed),
+    )
     engine.process_trace(trace)
     return engine.evaluate_against(trace)["accuracy"]
 

@@ -14,12 +14,12 @@ import time
 import numpy as np
 
 from _helpers import PER_CLASS, SEED
+from repro import open_engine
 from repro.core.classifier import IustitiaClassifier
-from repro.core.config import IustitiaConfig
+from repro.core.config import EngineConfig
 from repro.core.accounting import exact_space_bytes
 from repro.core.delay import BufferingDelayModel
 from repro.core.features import PHI_SVM_PRIME
-from repro.core.pipeline import IustitiaEngine
 from repro.experiments.datasets import standard_corpus
 
 
@@ -29,7 +29,9 @@ def test_headline_end_to_end(benchmark, bench_trace):
         model="svm", feature_set=PHI_SVM_PRIME, buffer_size=32
     ).fit_corpus(corpus)
 
-    engine = IustitiaEngine(classifier, IustitiaConfig(buffer_size=32))
+    engine = open_engine(
+        classifier, EngineConfig(buffer_size=32, max_batch=1, max_delay=0.0)
+    )
     engine.process_trace(bench_trace)
     report = engine.evaluate_against(bench_trace)
 

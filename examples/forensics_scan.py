@@ -22,12 +22,12 @@ from repro import (
     BINARY,
     ENCRYPTED,
     TEXT,
+    EngineConfig,
     GatewayTraceConfig,
-    IustitiaConfig,
-    IustitiaEngine,
     Trace,
     build_corpus,
     generate_gateway_trace,
+    open_engine,
     read_pcap,
     train,
     write_pcap,
@@ -54,7 +54,9 @@ def main() -> None:
 
     corpus = build_corpus(per_class=80, seed=53)
     classifier = train(corpus, model="svm", buffer_size=32)
-    engine = IustitiaEngine(classifier, IustitiaConfig(buffer_size=32))
+    engine = open_engine(
+        classifier, EngineConfig(buffer_size=32, max_batch=1, max_delay=0.0)
+    )
     engine.process_trace(replay)
     labels = {c.key: c.label for c in engine.stats.classified}
     flows = assemble_flows(replay.packets)

@@ -24,11 +24,11 @@ from repro import (
     BINARY,
     ENCRYPTED,
     TEXT,
+    EngineConfig,
     GatewayTraceConfig,
-    IustitiaConfig,
-    IustitiaEngine,
     build_corpus,
     generate_gateway_trace,
+    open_engine,
     train,
 )
 from repro.net.flow import assemble_flows
@@ -84,7 +84,9 @@ def main() -> None:
     planted = inject_attacks(flows, np.random.default_rng(31))
     print(f"  {len(flows)} flows, {len(planted)} with planted signatures")
 
-    engine = IustitiaEngine(classifier, IustitiaConfig(buffer_size=32))
+    engine = open_engine(
+        classifier, EngineConfig(buffer_size=32, max_batch=1, max_delay=0.0)
+    )
     engine.process_trace(trace)
     labels = {c.key: c.label for c in engine.stats.classified}
 

@@ -19,11 +19,12 @@ from repro import (
     ENCRYPTED,
     BINARY,
     TEXT,
+    EngineConfig,
     GatewayTraceConfig,
-    IustitiaConfig,
-    IustitiaEngine,
+    QueueSink,
     build_corpus,
     generate_gateway_trace,
+    open_engine,
     train,
 )
 from repro.core.delay import BufferingDelayModel
@@ -50,15 +51,20 @@ def main() -> None:
                 nature_weights=mix, app_header_probability=0.0,
             )
         )
-        engine = IustitiaEngine(classifier, IustitiaConfig(buffer_size=32))
+        queues = QueueSink()
+        engine = open_engine(
+            classifier,
+            EngineConfig(buffer_size=32, max_batch=1, max_delay=0.0),
+            sink=queues,
+        )
         stats = engine.process_trace(trace)
         report = engine.evaluate_against(trace)
 
         print(f"  flows classified: {stats.classifications} "
               f"(accuracy {report['accuracy']:.1%})")
-        total_packets = sum(len(q) for q in engine.output_queues.values())
+        total_packets = sum(len(q) for q in queues.queues.values())
         for nature, queue in sorted(
-            engine.output_queues.items(), key=lambda kv: len(kv[1]), reverse=True
+            queues.queues.items(), key=lambda kv: len(kv[1]), reverse=True
         ):
             share = len(queue) / total_packets if total_packets else 0.0
             print(f"  {policy[nature]:6s} queue [{str(nature):9s}]: "

@@ -23,12 +23,12 @@ classifies a capture of any size in bounded memory, and
 producers (datagram endpoints, live sockets) — see :mod:`repro.ingest`.
 
 Subpackages: ``repro.core`` (entropy vectors, estimation, classifier,
-CDB, pipeline), ``repro.engine`` (staged online engine),
+CDB, config), ``repro.engine`` (staged online engine),
 ``repro.runtime`` (the serial execution runtime and the registry
 third-party runtimes plug into), ``repro.ingest``
 (streaming packet sources + the asyncio capture driver),
 ``repro.obs`` (telemetry), ``repro.ml`` (CART, SVM/SMO/DAGSVM),
-``repro.streaming`` (AMS / stream-entropy estimation), ``repro.net``
+``repro.streaming`` (stream-entropy estimation), ``repro.net``
 (packets, flows, pcap, trace generation), ``repro.data`` (synthetic
 corpus), ``repro.analysis`` (KL/JSD divergences), ``repro.experiments``
 (benchmark harness).
@@ -48,7 +48,6 @@ from repro.core import (
     FlowNature,
     IustitiaClassifier,
     IustitiaConfig,
-    IustitiaEngine,
     TrainingMethod,
     entropy_vector,
     kgram_entropy,
@@ -88,6 +87,7 @@ from repro.net import (
     GatewayTraceConfig,
     Packet,
     PcapDecodeStats,
+    PcapError,
     Trace,
     generate_gateway_trace,
     iter_pcap,
@@ -131,7 +131,6 @@ __all__ = [
     "Histogram",
     "IustitiaClassifier",
     "IustitiaConfig",
-    "IustitiaEngine",
     "LabeledFile",
     "MetricsRegistry",
     "MetricsSink",
@@ -142,6 +141,7 @@ __all__ = [
     "Packet",
     "PacketSource",
     "PcapDecodeStats",
+    "PcapError",
     "PcapFileSource",
     "QueueSink",
     "ReplaySource",

@@ -50,7 +50,7 @@ from repro.ingest import (
     SupervisedSource,
 )
 from repro.net.flow import FlowKey
-from repro.net.pcap import PcapDecodeStats, write_pcap
+from repro.net.pcap import PcapDecodeStats, PcapError, write_pcap
 from repro.net.trace import Trace
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
 from repro.obs import render_text
@@ -123,7 +123,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             for text, name in raw.items()
         }
 
-    extractor = getattr(args, "extractor", "batch")
+    extractor = args.extractor
     pipeline = IustitiaConfig(
         buffer_size=classifier.buffer_size,
         # The incremental extractor folds counters at arrival and keeps
@@ -139,15 +139,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         print(f"error: cannot use --extractor {extractor}: {exc}",
               file=sys.stderr)
         return 2
-    mode = getattr(args, "on_error", "fail-fast")
-    if mode == "dead-letter":
+    if args.on_error == "dead-letter":
         def _spool_dead_letter(packet, exc) -> None:
             where = packet.five_tuple if packet is not None else "<flush tick>"
             print(f"dead-letter: {where}: {exc}", file=sys.stderr)
 
         policy = ErrorPolicy("dead-letter", dead_letter=_spool_dead_letter)
     else:
-        policy = ErrorPolicy(mode)
+        policy = ErrorPolicy(args.on_error)
 
     # Stream the capture: one record in memory at a time, never a
     # materialized list[Packet] — memory is O(live flows), not O(pcap).
@@ -159,26 +158,30 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         opened.append(PcapFileSource(args.pcap, registry=engine.metrics))
         return opened[-1]
 
-    max_retries = getattr(args, "max_retries", 0)
-    if max_retries:
+    if args.max_retries:
         source = SupervisedSource(
             _open_source,
-            policy=RetryPolicy(max_attempts=max_retries),
+            policy=RetryPolicy(max_attempts=args.max_retries),
             skip_delivered=True,
             registry=engine.metrics,
             name="classify",
         )
     else:
         source = _open_source()
-    with engine, source:
-        stats = engine.process_source(source, on_error=policy)
+    try:
+        with engine, source:
+            stats = engine.process_source(source, on_error=policy)
+    except (PcapError, OSError) as exc:
+        print(f"error: cannot read capture {args.pcap}: {exc}",
+              file=sys.stderr)
+        return 2
     decode = PcapDecodeStats()
     for passed in opened:
         for field in ("records", "packets", "bytes", "truncated_records",
                       "skipped_frames", "decode_errors"):
             setattr(decode, field,
                     getattr(decode, field) + getattr(passed.stats, field))
-    supervised_restarts = max_retries and source.restarts
+    supervised_restarts = args.max_retries and source.restarts
     if supervised_restarts:
         print(f"supervision: {source.restarts} source restarts, "
               f"zero packets replayed downstream", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Iustitia core: entropy vectors, estimation, classification, and the
-online flow-classification pipeline (Figure 1 of the paper)."""
+"""Iustitia core: entropy vectors, estimation, classification, the CDB,
+and the configuration of the online engine (:mod:`repro.engine`)."""
 
 from repro.core.accounting import (
     distinct_counters,
@@ -46,7 +46,6 @@ from repro.core.headers import (
     strip_app_header,
 )
 from repro.core.labels import BINARY, ENCRYPTED, TEXT, FlowNature
-from repro.core.pipeline import ClassifiedFlow, IustitiaEngine, PipelineStats
 from repro.core.delay import BufferingDelayModel, DelayBreakdown
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "BufferingDelayModel",
     "CdbRecord",
     "ClassificationDatabase",
-    "ClassifiedFlow",
     "DelayBreakdown",
     "ENCRYPTED",
     "EngineConfig",
@@ -68,12 +66,10 @@ __all__ = [
     "FlowNature",
     "IustitiaClassifier",
     "IustitiaConfig",
-    "IustitiaEngine",
     "PHI_CART",
     "PHI_CART_PRIME",
     "PHI_SVM",
     "PHI_SVM_PRIME",
-    "PipelineStats",
     "TEXT",
     "TrainingMethod",
     "byte_entropy",

@@ -27,7 +27,7 @@ __all__ = ["EngineConfig", "IustitiaConfig"]
 
 @dataclass(frozen=True)
 class IustitiaConfig:
-    """Knobs of :class:`repro.core.pipeline.IustitiaEngine`.
+    """Per-flow classification knobs (``EngineConfig.pipeline``).
 
     Defaults follow the paper's headline configuration: a 32-byte buffer
     classified with exact entropy vectors over the memory-preferred SVM

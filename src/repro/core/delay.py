@@ -24,40 +24,7 @@ from repro.net.trace import Trace
 __all__ = [
     "BufferingDelayModel",
     "DelayBreakdown",
-    "delay_inter_arrival_ratio",
-    "mean_inter_arrival",
 ]
-
-def mean_inter_arrival(trace: Trace) -> float:
-    """Mean packet inter-arrival time over a whole trace, in seconds.
-
-    The denominator of the paper's headline claim (Section 1.3):
-    classification delay is reported *relative to* the mean gap between
-    consecutive packets at the observation point. Computed as the trace
-    span divided by the gap count, which is robust to packet ordering.
-    """
-    if len(trace.packets) < 2:
-        raise ValueError("trace needs at least two packets for an inter-arrival")
-    timestamps = [p.timestamp for p in trace.packets]
-    span = max(timestamps) - min(timestamps)
-    if span <= 0:
-        raise ValueError("trace packets span zero time")
-    return span / (len(timestamps) - 1)
-
-
-def delay_inter_arrival_ratio(mean_delay_seconds: float, trace: Trace) -> float:
-    """``mean per-flow classification delay / mean packet inter-arrival``.
-
-    The paper's Section 5 operational claim is that this ratio stays
-    around 0.1 — classification costs about a tenth of the time budget
-    each packet gap provides. The engine's telemetry measures the
-    numerator (``engine_classify_batch_seconds`` per classified flow);
-    the trace supplies the denominator.
-    """
-    if mean_delay_seconds < 0:
-        raise ValueError("mean_delay_seconds must be >= 0")
-    return mean_delay_seconds / mean_inter_arrival(trace)
-
 
 #: Paper-measured SHA-1 hash time, seconds.
 DEFAULT_HASH_TIME = 18e-6

@@ -18,9 +18,9 @@ collection / classification / export pipelines):
   dispatch/classify/fan-out facade over the pipeline.
 
 *Who executes the pipeline* is the :mod:`repro.runtime` layer's job
-(``EngineConfig(runtime=...)``).
-``repro.core.pipeline.IustitiaEngine`` remains as a synchronous facade
-(``max_batch=1``) with the historical surface.
+(``EngineConfig(runtime=...)``). Build an engine with
+:func:`repro.open_engine`; ``EngineConfig(max_batch=1, max_delay=0.0)``
+is the synchronous, classify-on-ready behaviour of the original monolith.
 """
 
 from repro.engine.batcher import MicroBatcher, ReadyFlow

@@ -1,7 +1,7 @@
 """The staged online engine: a thin facade over one flow pipeline.
 
 ``StagedEngine`` composes the explicit pipeline stages that the paper's
-Figure 1 draws and the monolithic ``IustitiaEngine`` fused together:
+Figure 1 draws and the original monolithic engine fused together:
 
 1. **hash** — SHA-1 the 5-tuple into the flow ID (the facade's only
    per-packet job);
@@ -83,14 +83,7 @@ class StagedEngine:
         *,
         sinks: "list[ResultSink] | None" = None,
         registry: "MetricsRegistry | None" = None,
-        **legacy,
     ) -> None:
-        if legacy:
-            raise TypeError(
-                f"StagedEngine({', '.join(sorted(legacy))}=...) keywords were "
-                "removed; set them on repro.EngineConfig(...) and pass that "
-                "as config"
-            )
         if isinstance(config, EngineConfig):
             engine_config = config
         else:

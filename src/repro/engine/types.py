@@ -1,8 +1,7 @@
 """Shared datatypes of the staged engine.
 
-These used to live inside ``core/pipeline.py``'s monolithic engine; they
-are now the common vocabulary of the engine stages (flow table, deadline
-wheel, micro-batcher, sinks) and of the back-compatible facade.
+The common vocabulary of the engine stages (flow table, deadline wheel,
+micro-batcher, sinks).
 """
 
 from __future__ import annotations

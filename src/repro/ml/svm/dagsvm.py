@@ -98,8 +98,7 @@ class DagSvmClassifier:
     def predict_scalar(self, X) -> np.ndarray:
         """Reference per-sample DDAG walk (one kernel call per DAG step).
 
-        Kept for equivalence testing and as the scalar baseline in the
-        hot-path benchmark; ``predict`` is the batched fast path.
+        Kept for equivalence testing; ``predict`` is the batched fast path.
         """
         features = check_X(X)
         check_fitted(self, "pairwise_")

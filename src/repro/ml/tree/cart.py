@@ -357,8 +357,7 @@ class DecisionTreeClassifier:
     def predict_nodewalk(self, X) -> np.ndarray:
         """Reference per-row node-walk prediction (the pre-compiled path).
 
-        Kept for equivalence testing and as the scalar baseline in the
-        hot-path benchmark; ``predict`` is the fast path.
+        Kept for equivalence testing; ``predict`` is the fast path.
         """
         features = check_X(X)
         check_fitted(self, "root_")

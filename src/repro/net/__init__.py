@@ -18,7 +18,13 @@ from repro.net.packet import (
     TcpHeader,
     UdpHeader,
 )
-from repro.net.pcap import PcapDecodeStats, iter_pcap, read_pcap, write_pcap
+from repro.net.pcap import (
+    PcapDecodeStats,
+    PcapError,
+    iter_pcap,
+    read_pcap,
+    write_pcap,
+)
 from repro.net.trace import Trace, TraceRecord
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
 from repro.net.appproto import (
@@ -37,6 +43,7 @@ __all__ = [
     "PROTO_UDP",
     "Packet",
     "PcapDecodeStats",
+    "PcapError",
     "TcpHeader",
     "Trace",
     "TraceRecord",

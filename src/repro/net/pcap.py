@@ -34,6 +34,7 @@ __all__ = [
     "LINKTYPE_ETHERNET",
     "LINKTYPE_RAW",
     "PcapDecodeStats",
+    "PcapError",
     "iter_pcap",
     "read_pcap",
     "write_pcap",
@@ -63,6 +64,16 @@ LINKTYPE_ETHERNET = 1
 #: MAXIMUM_SNAPLEN): a header declaring a smaller snaplen than its
 #: records actually carry is tolerated up to this size.
 _MAX_SNAPLEN = 262144
+
+
+class PcapError(ValueError):
+    """The capture file itself is damaged or not a classic pcap.
+
+    Raised by :func:`iter_pcap` for file-structure faults only (bad
+    magic, unsupported link type, a truncated header or record, an
+    oversize captured length); a record whose *body* fails to parse is
+    counted in ``PcapDecodeStats.decode_errors`` instead.
+    """
 
 
 @dataclass
@@ -143,7 +154,7 @@ def iter_pcap(
     than misparsed, and so are records whose body does not parse as an
     IPv4 TCP/UDP packet (``decode_errors``); rejects pcapng and other
     link types with a clear error. A truncated file tail (partial record header or body) raises
-    ``ValueError`` mid-iteration, as does a record whose captured
+    :class:`PcapError` mid-iteration, as does a record whose captured
     length exceeds ``max(snaplen, 262144)`` — checked before the body is
     read, so a hostile length field cannot force a giant allocation.
 
@@ -157,12 +168,12 @@ def iter_pcap(
     with open(path, "rb") as handle:
         global_header = handle.read(24)
         if len(global_header) < 24:
-            raise ValueError(f"{path}: truncated pcap global header")
+            raise PcapError(f"{path}: truncated pcap global header")
         magic = struct.unpack("!I", global_header[:4])[0]
         try:
             order, ticks_per_second = _MAGICS[magic]
         except KeyError:
-            raise ValueError(
+            raise PcapError(
                 f"{path}: unrecognized pcap magic 0x{magic:08x} "
                 "(pcapng is not supported)"
             ) from None
@@ -171,7 +182,7 @@ def iter_pcap(
         )
         max_captured = max(snaplen, _MAX_SNAPLEN)
         if linktype not in (LINKTYPE_RAW, LINKTYPE_ETHERNET):
-            raise ValueError(
+            raise PcapError(
                 f"{path}: link type {linktype} unsupported (expected raw IP "
                 f"{LINKTYPE_RAW} or Ethernet {LINKTYPE_ETHERNET})"
             )
@@ -180,18 +191,18 @@ def iter_pcap(
             if not record_header:
                 return
             if len(record_header) < 16:
-                raise ValueError(f"{path}: truncated pcap record header")
+                raise PcapError(f"{path}: truncated pcap record header")
             seconds, ticks, captured, original = struct.unpack(
                 order + "IIII", record_header
             )
             if captured > max_captured:
-                raise ValueError(
+                raise PcapError(
                     f"{path}: pcap record captured length {captured} exceeds "
                     f"the snaplen bound {max_captured}"
                 )
             record = handle.read(captured)
             if len(record) < captured:
-                raise ValueError(f"{path}: truncated pcap record body")
+                raise PcapError(f"{path}: truncated pcap record body")
             stats.records += 1
             stats.bytes += captured
             if captured < original:

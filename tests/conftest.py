@@ -10,12 +10,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import open_engine
+from repro.core.config import EngineConfig
 from repro.core.labels import BINARY, ENCRYPTED, TEXT
 from repro.data.binarygen import generate_binary_file
 from repro.data.corpus import Corpus, LabeledFile, build_corpus
 from repro.data.cryptogen import generate_encrypted_file
 from repro.data.textgen import generate_text_file
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
+
+
+def sync_engine(classifier, config=None, **kwargs):
+    """``open_engine`` with the seed monolith's synchronous behaviour.
+
+    ``max_batch=1, max_delay=0.0`` classifies each flow the instant it
+    is ready; ``config`` is the :class:`IustitiaConfig` to nest and
+    ``kwargs`` (``sink=``, ``rng=``, ``registry=``) pass through.
+    """
+    return open_engine(
+        classifier,
+        EngineConfig(max_batch=1, max_delay=0.0, pipeline=config),
+        **kwargs,
+    )
 
 
 @pytest.fixture

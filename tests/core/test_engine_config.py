@@ -110,19 +110,15 @@ class TestRuntimeKnobs:
 
 
 class TestLegacyKwargRemoval:
-    """The deprecated kwargs are now hard errors (one release of warning)."""
+    """Staging knobs are not constructor keywords: Python's own TypeError."""
 
     def test_legacy_kwargs_raise_type_error(self, trained_svm):
-        with pytest.raises(TypeError, match="max_batch, max_delay"):
-            StagedEngine(trained_svm, max_batch=4, max_delay=0.1)
+        with pytest.raises(TypeError):
+            StagedEngine(trained_svm, max_batch=4)
 
     def test_legacy_num_shards_raises(self, trained_svm):
         with pytest.raises(TypeError, match="num_shards"):
             StagedEngine(trained_svm, num_shards=2)
-
-    def test_error_points_at_engine_config(self, trained_svm):
-        with pytest.raises(TypeError, match="EngineConfig"):
-            StagedEngine(trained_svm, max_batch=4)
 
     def test_bare_pipeline_config_still_accepted(self, trained_svm):
         with warnings.catch_warnings():
@@ -139,10 +135,3 @@ class TestLegacyKwargRemoval:
     def test_engine_config_plus_legacy_kwargs_is_an_error(self, trained_svm):
         with pytest.raises(TypeError, match="max_batch"):
             StagedEngine(trained_svm, EngineConfig(), max_batch=4)
-
-    def test_iustitia_engine_facade_does_not_warn(self, trained_svm):
-        from repro.core.pipeline import IustitiaEngine
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            IustitiaEngine(trained_svm)

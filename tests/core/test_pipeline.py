@@ -1,10 +1,10 @@
-"""Tests for the online IustitiaEngine (Figure 1 path)."""
+"""Tests for the online engine (Figure 1 path), classify-on-ready."""
 
 import pytest
 
 from repro.core.config import IustitiaConfig
 from repro.core.labels import ALL_NATURES
-from repro.core.pipeline import IustitiaEngine
+from repro.engine import QueueSink
 from repro.net.flow import FlowKey
 from repro.net.hashing import flow_hash
 from repro.net.packet import (
@@ -15,6 +15,7 @@ from repro.net.packet import (
     TcpHeader,
     UdpHeader,
 )
+from tests.conftest import sync_engine
 
 
 def _udp_packet(payload, timestamp, sport=5555):
@@ -37,7 +38,7 @@ def _tcp_packet(payload, timestamp, flags=FLAG_ACK, sport=6666):
 
 @pytest.fixture
 def engine(trained_svm):
-    return IustitiaEngine(trained_svm, IustitiaConfig(buffer_size=32))
+    return sync_engine(trained_svm, IustitiaConfig(buffer_size=32))
 
 
 class TestPacketPath:
@@ -46,7 +47,7 @@ class TestPacketPath:
         label = engine.process_packet(_udp_packet(payload, 0.0))
         assert label is not None
         assert engine.stats.classifications == 1
-        assert len(engine.cdb) == 1
+        assert len(engine.table) == 1
 
     def test_buffering_until_enough_bytes(self, engine, sample_files):
         data = sample_files["text"]
@@ -64,27 +65,33 @@ class TestPacketPath:
         assert engine.stats.cdb_hits == 1
         assert engine.stats.classifications == 1
 
-    def test_buffered_packets_flushed_to_output_queue(self, engine, sample_files):
+    def test_buffered_packets_flushed_to_output_queue(
+        self, trained_svm, sample_files
+    ):
+        forwarded = QueueSink()
+        engine = sync_engine(
+            trained_svm, IustitiaConfig(buffer_size=32), sink=forwarded
+        )
         data = sample_files["encrypted"]
         engine.process_packet(_udp_packet(data[:16], 0.0))
         label = engine.process_packet(_udp_packet(data[16:48], 0.1))
-        queue = engine.output_queues[label]
+        queue = forwarded.queues[label]
         assert len(queue) == 2  # both buffered packets delivered
 
     def test_distinct_flows_tracked_separately(self, engine, sample_files):
         engine.process_packet(_udp_packet(sample_files["text"][:40], 0.0, sport=1001))
         engine.process_packet(_udp_packet(sample_files["encrypted"][:40], 0.0, sport=1002))
         assert engine.stats.classifications == 2
-        assert len(engine.cdb) == 2
+        assert len(engine.table) == 2
 
 
 class TestFinHandling:
     def test_fin_removes_cdb_record(self, engine, sample_files):
         data = sample_files["binary"]
         engine.process_packet(_tcp_packet(data[:40], 0.0))
-        assert len(engine.cdb) == 1
+        assert len(engine.table) == 1
         engine.process_packet(_tcp_packet(b"", 0.2, flags=FLAG_ACK | FLAG_FIN))
-        assert len(engine.cdb) == 0
+        assert len(engine.table) == 0
         assert engine.stats.fin_removals == 1
 
     def test_fin_on_pending_flow_classifies_partial_buffer(self, engine, sample_files):
@@ -93,7 +100,7 @@ class TestFinHandling:
         # FIN arrives before 32 bytes buffered: classify from 20 bytes.
         engine.process_packet(_tcp_packet(b"", 0.1, flags=FLAG_ACK | FLAG_FIN))
         assert engine.stats.classifications == 1
-        assert len(engine.cdb) == 0  # classified then removed on close
+        assert len(engine.table) == 0  # classified then removed on close
 
     def test_tiny_flow_on_fin_is_unclassifiable(self, engine):
         engine.process_packet(_tcp_packet(b"ab", 0.0))
@@ -152,7 +159,7 @@ class TestTimeouts:
             engine.process_packet(_udp_packet(payload, 0.0, sport=sport))
         assert engine.flush_timeouts(now=100.0) == len(payloads)
         assert engine.stats.classifications == len(payloads)
-        assert not engine._pending
+        assert not engine.table.pending
         by_key = {c.key.src_port: c.label for c in engine.stats.classified}
         for sport, payload in payloads.items():
             assert by_key[sport] == trained_svm.classify_buffer(payload)
@@ -165,7 +172,7 @@ class TestTimeouts:
         assert engine.flush_timeouts(now=100.0) == 2
         assert engine.stats.classifications == 1
         assert engine.stats.unclassifiable == 1
-        assert not engine._pending
+        assert not engine.table.pending
 
 
 class TestCdbRemovalAttribution:
@@ -175,40 +182,40 @@ class TestCdbRemovalAttribution:
         data = sample_files["binary"]
         engine.process_packet(_tcp_packet(data[:40], 0.0))
         engine.process_packet(_tcp_packet(b"", 0.2, flags=FLAG_ACK | FLAG_FIN))
-        assert engine.cdb.total_removed_fin == 1
-        assert engine.cdb.total_removed_reclassified == 0
-        assert engine.cdb.total_removed_inactive == 0
+        assert engine.table.total_removed_fin == 1
+        assert engine.table.total_removed_reclassified == 0
+        assert engine.table.total_removed_inactive == 0
 
     def test_reclassification_not_counted_as_fin(self, trained_svm, sample_files):
         config = IustitiaConfig(buffer_size=32, reclassify_interval=1.0)
-        engine = IustitiaEngine(trained_svm, config)
+        engine = sync_engine(trained_svm, config)
         data = sample_files["encrypted"]
         engine.process_packet(_udp_packet(data[:40], 0.0))
         # A CDB hit 2s later exceeds reclassify_interval: the record is
         # deleted (reason="reclassified") and the flow re-buffers.
         engine.process_packet(_udp_packet(data[40:80], 2.0))
         assert engine.stats.reclassifications == 1
-        assert engine.cdb.total_removed_reclassified == 1
-        assert engine.cdb.total_removed_fin == 0
+        assert engine.table.total_removed_reclassified == 1
+        assert engine.table.total_removed_fin == 0
 
     def test_inactivity_purge_counted_separately(self, trained_svm, sample_files):
         config = IustitiaConfig(buffer_size=32, purge_trigger_flows=2)
-        engine = IustitiaEngine(trained_svm, config)
+        engine = sync_engine(trained_svm, config)
         data = sample_files["text"]
         engine.process_packet(_udp_packet(data[:40], 0.0, sport=1001))
         # The second insert, far in the future, trips the sweep and
         # purges the first (stale) record.
         engine.process_packet(_udp_packet(data[:40], 500.0, sport=1002))
-        assert engine.cdb.total_removed_inactive == 1
-        assert engine.cdb.total_removed_fin == 0
-        assert engine.cdb.removal_counts == {
+        assert engine.table.total_removed_inactive == 1
+        assert engine.table.total_removed_fin == 0
+        assert engine.table.removal_counts == {
             "fin": 0, "inactive": 1, "reclassified": 0
         }
 
 
 class TestTraceProcessing:
     def test_full_trace_accuracy(self, trained_svm, small_trace):
-        engine = IustitiaEngine(trained_svm, IustitiaConfig(buffer_size=32))
+        engine = sync_engine(trained_svm, IustitiaConfig(buffer_size=32))
         stats = engine.process_trace(small_trace)
         assert stats.packets == len(small_trace)
         assert stats.classifications > 0
@@ -216,7 +223,7 @@ class TestTraceProcessing:
         assert report["accuracy"] > 0.75  # paper headline band
 
     def test_cdb_size_series_recorded(self, trained_svm, small_trace):
-        engine = IustitiaEngine(trained_svm, IustitiaConfig(buffer_size=32))
+        engine = sync_engine(trained_svm, IustitiaConfig(buffer_size=32))
         stats = engine.process_trace(small_trace, sample_interval=2.0)
         assert stats.cdb_size_series
         times = [t for t, _ in stats.cdb_size_series]
@@ -228,7 +235,7 @@ class TestTraceProcessing:
         # Regression: when the last packet lands exactly on a sample point,
         # the end-of-trace drain used to append a second sample at the same
         # timestamp. The final sample must instead replace it.
-        engine = IustitiaEngine(trained_svm, IustitiaConfig(buffer_size=32))
+        engine = sync_engine(trained_svm, IustitiaConfig(buffer_size=32))
         data = bytes(range(64))
         trace = Trace(
             packets=[
@@ -241,36 +248,39 @@ class TestTraceProcessing:
         assert times == sorted(set(times))  # strictly increasing, no dupes
         assert times[-1] == 1.0
         # The replaced sample reflects the post-drain CDB size.
-        assert stats.cdb_size_series[-1][1] == len(engine.cdb)
+        assert stats.cdb_size_series[-1][1] == len(engine.table)
 
     def test_cdb_size_series_strictly_increasing(self, trained_svm, small_trace):
-        engine = IustitiaEngine(trained_svm, IustitiaConfig(buffer_size=32))
+        engine = sync_engine(trained_svm, IustitiaConfig(buffer_size=32))
         stats = engine.process_trace(small_trace, sample_interval=0.5)
         times = [t for t, _ in stats.cdb_size_series]
         assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_per_class_counts_sum_to_classifications(self, trained_svm, small_trace):
-        engine = IustitiaEngine(trained_svm, IustitiaConfig(buffer_size=32))
+        engine = sync_engine(trained_svm, IustitiaConfig(buffer_size=32))
         stats = engine.process_trace(small_trace)
         assert sum(stats.per_class.values()) == stats.classifications
 
     def test_output_queues_partition_data_packets(self, trained_svm, small_trace):
-        engine = IustitiaEngine(trained_svm, IustitiaConfig(buffer_size=32))
+        forwarded = QueueSink()
+        engine = sync_engine(
+            trained_svm, IustitiaConfig(buffer_size=32), sink=forwarded
+        )
         stats = engine.process_trace(small_trace)
-        queued = sum(len(q) for q in engine.output_queues.values())
+        queued = sum(len(q) for q in forwarded.queues.values())
         # Every data packet of a classified flow ends up in exactly one queue.
         assert queued <= stats.data_packets
         assert queued > 0
 
     def test_invalid_sample_interval(self, trained_svm, small_trace):
-        engine = IustitiaEngine(trained_svm)
+        engine = sync_engine(trained_svm)
         with pytest.raises(ValueError, match="sample_interval"):
             engine.process_trace(small_trace, sample_interval=0.0)
 
     def test_evaluate_requires_ground_truth(self, trained_svm, small_trace):
         from repro.net.trace import Trace
 
-        engine = IustitiaEngine(trained_svm, IustitiaConfig(buffer_size=32))
+        engine = sync_engine(trained_svm, IustitiaConfig(buffer_size=32))
         unlabeled = Trace(packets=list(small_trace.packets))
         engine.process_trace(unlabeled)
         with pytest.raises(ValueError, match="ground-truth"):
@@ -286,7 +296,7 @@ class TestHeaderAwareEngine:
         clf = IustitiaClassifier(model="svm", buffer_size=512).fit_corpus(
             small_corpus
         )
-        engine = IustitiaEngine(
+        engine = sync_engine(
             clf, IustitiaConfig(buffer_size=512, strip_known_headers=True)
         )
         engine.process_trace(header_trace)

@@ -1,15 +1,15 @@
 """Reference oracle: the seed monolithic engine, frozen for equivalence tests.
 
-This is a verbatim-behaviour copy of ``core/pipeline.IustitiaEngine`` as
-it stood before the staged-engine refactor (commit c09b7ef): one flat
-class with an unsharded CDB, O(pending) timeout scans, immediate
-per-flow classification on the fill path, and hard-coded output queues.
+This is a verbatim-behaviour copy of the original ``core/pipeline.py``
+engine as it stood before the staged-engine refactor (commit c09b7ef):
+one flat class with an unsharded CDB, O(pending) timeout scans,
+immediate per-flow classification on the fill path, and hard-coded
+output queues.
 
 It exists ONLY so ``test_staged_equivalence`` can prove that
-``StagedEngine(max_batch=1)`` — and therefore the ``IustitiaEngine``
-facade — reproduces the seed's labels, counters, and CDB size series
-packet for packet. Do not use it outside the tests; do not "fix" it:
-its behaviour is the specification.
+``StagedEngine(max_batch=1)`` reproduces the seed's labels, counters,
+and CDB size series packet for packet. Do not use it outside the tests;
+do not "fix" it: its behaviour is the specification.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ import pytest
 
 from repro.core.config import IustitiaConfig
 from repro.core.labels import ENCRYPTED
-from repro.core.pipeline import IustitiaEngine
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
+from tests.conftest import sync_engine
 
 
 def _attacked_trace(seed=61, padding=64, fraction=1.0):
@@ -28,7 +28,7 @@ def _attacked_trace(seed=61, padding=64, fraction=1.0):
 
 
 def _accuracy(trained_svm, trace, config, seed=0):
-    engine = IustitiaEngine(trained_svm, config, rng=np.random.default_rng(seed))
+    engine = sync_engine(trained_svm, config, rng=np.random.default_rng(seed))
     engine.process_trace(trace)
     return engine.evaluate_against(trace)["accuracy"], engine
 
@@ -92,12 +92,12 @@ class TestRandomSkipDefense:
 class TestReclassificationDefense:
     def test_old_records_reclassified(self, trained_svm, small_trace):
         config = IustitiaConfig(buffer_size=32, reclassify_interval=2.0)
-        engine = IustitiaEngine(trained_svm, config)
+        engine = sync_engine(trained_svm, config)
         engine.process_trace(small_trace)
         assert engine.stats.reclassifications > 0
 
     def test_disabled_by_default(self, trained_svm, small_trace):
-        engine = IustitiaEngine(trained_svm, IustitiaConfig(buffer_size=32))
+        engine = sync_engine(trained_svm, IustitiaConfig(buffer_size=32))
         engine.process_trace(small_trace)
         assert engine.stats.reclassifications == 0
 

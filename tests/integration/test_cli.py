@@ -132,6 +132,27 @@ class TestTrainAndClassify:
         assert main(["classify", str(bogus), str(pcap)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda path: path.write_text("not a pcap, just some text\n"),
+            lambda path: path.write_bytes(b"\xa1\xb2\xc3\xd4\x00\x02"),
+            lambda path: None,  # never created
+        ],
+        ids=["bad-magic", "truncated-header", "missing"],
+    )
+    def test_classify_rejects_unreadable_capture(
+        self, artifacts, tmp_path, capsys, damage
+    ):
+        model, _, _ = artifacts
+        capture = tmp_path / "junk.pcap"
+        damage(capture)
+        assert main(["classify", str(model), str(capture)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read capture {capture}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestParser:
     def test_requires_subcommand(self):

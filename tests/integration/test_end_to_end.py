@@ -11,17 +11,17 @@ from repro.core.classifier import IustitiaClassifier, TrainingMethod
 from repro.core.config import IustitiaConfig
 from repro.core.estimation import EntropyEstimator
 from repro.core.features import PHI_SVM_PRIME
-from repro.core.pipeline import IustitiaEngine
 from repro.net.pcap import read_pcap, write_pcap
 from repro.net.trace import Trace
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
+from tests.conftest import sync_engine
 
 
 class TestHeadlineScenario:
     """Section 1.3: classify flows from their first 32 bytes."""
 
     def test_svm_accuracy_band(self, trained_svm, small_trace):
-        engine = IustitiaEngine(trained_svm, IustitiaConfig(buffer_size=32))
+        engine = sync_engine(trained_svm, IustitiaConfig(buffer_size=32))
         engine.process_trace(small_trace)
         report = engine.evaluate_against(small_trace)
         # Paper: 86% average; synthetic corpus is cleaner, so require >= 0.75
@@ -29,15 +29,15 @@ class TestHeadlineScenario:
         assert 0.75 <= report["accuracy"] <= 1.0
 
     def test_cart_accuracy_band(self, trained_cart, small_trace):
-        engine = IustitiaEngine(trained_cart, IustitiaConfig(buffer_size=32))
+        engine = sync_engine(trained_cart, IustitiaConfig(buffer_size=32))
         engine.process_trace(small_trace)
         report = engine.evaluate_against(small_trace)
         assert report["accuracy"] >= 0.7
 
     def test_svm_beats_or_matches_cart(self, trained_svm, trained_cart, small_trace):
-        svm_engine = IustitiaEngine(trained_svm, IustitiaConfig(buffer_size=32))
+        svm_engine = sync_engine(trained_svm, IustitiaConfig(buffer_size=32))
         svm_engine.process_trace(small_trace)
-        cart_engine = IustitiaEngine(trained_cart, IustitiaConfig(buffer_size=32))
+        cart_engine = sync_engine(trained_cart, IustitiaConfig(buffer_size=32))
         cart_engine.process_trace(small_trace)
         svm_acc = svm_engine.evaluate_against(small_trace)["accuracy"]
         cart_acc = cart_engine.evaluate_against(small_trace)["accuracy"]
@@ -52,7 +52,7 @@ class TestPcapWorkflow:
         path = tmp_path / "gateway.pcap"
         write_pcap(path, small_trace.packets)
         reloaded = Trace(packets=read_pcap(path), labels=dict(small_trace.labels))
-        engine = IustitiaEngine(trained_svm, IustitiaConfig(buffer_size=32))
+        engine = sync_engine(trained_svm, IustitiaConfig(buffer_size=32))
         engine.process_trace(reloaded)
         report = engine.evaluate_against(reloaded)
         assert report["accuracy"] > 0.7
@@ -71,7 +71,7 @@ class TestEstimationVariant:
             GatewayTraceConfig(n_flows=60, duration=20.0, seed=11,
                                app_header_probability=0.0)
         )
-        engine = IustitiaEngine(clf, IustitiaConfig(buffer_size=1024))
+        engine = sync_engine(clf, IustitiaConfig(buffer_size=1024))
         engine.process_trace(trace)
         report = engine.evaluate_against(trace)
         # Section 4.4.2: estimation costs a few accuracy points, not more.
@@ -88,7 +88,7 @@ class TestHeaderThresholdScenario:
         naive = IustitiaClassifier(model="svm", buffer_size=256).fit_corpus(
             small_corpus
         )
-        naive_engine = IustitiaEngine(
+        naive_engine = sync_engine(
             naive,
             IustitiaConfig(buffer_size=256, strip_known_headers=False),
         )
@@ -100,7 +100,7 @@ class TestHeaderThresholdScenario:
             training=TrainingMethod.RANDOM_OFFSET, header_threshold=300,
             rng=np.random.default_rng(3),
         ).fit_corpus(small_corpus)
-        aware_engine = IustitiaEngine(
+        aware_engine = sync_engine(
             aware,
             IustitiaConfig(buffer_size=256, header_threshold=300,
                            strip_known_headers=False),
@@ -118,11 +118,11 @@ class TestHeaderThresholdScenario:
         clf = IustitiaClassifier(model="svm", buffer_size=512).fit_corpus(
             small_corpus
         )
-        stripped_engine = IustitiaEngine(
+        stripped_engine = sync_engine(
             clf, IustitiaConfig(buffer_size=512, strip_known_headers=True)
         )
         stripped_engine.process_trace(trace)
-        plain_engine = IustitiaEngine(
+        plain_engine = sync_engine(
             clf, IustitiaConfig(buffer_size=512, strip_known_headers=False)
         )
         plain_engine.process_trace(trace)

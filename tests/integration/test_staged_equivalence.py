@@ -2,7 +2,7 @@
 
 The refactor's contract (ISSUE 2, extended by ISSUE 7): the staged
 engine under the default :class:`~repro.runtime.SerialRuntime` with
-``max_batch=1`` — and therefore the ``IustitiaEngine`` facade — must
+``max_batch=1`` (``tests.conftest.sync_engine``) must
 reproduce the seed engine's labels, per-class counts, counters, and CDB
 size series on the reference synthetic traces, even though the engine's
 state now lives in a separate pipeline. ``max_batch>1`` must preserve
@@ -14,17 +14,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import EngineConfig, IustitiaConfig
-from repro.core.pipeline import IustitiaEngine
-from repro.engine import QueueSink, StagedEngine, StatsSink
+from repro.engine import QueueSink, StagedEngine
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
 from repro.runtime import SerialRuntime
 
+from tests.conftest import sync_engine
+
 from ._seed_engine import SeedEngine
-
-
-def _sync(config: IustitiaConfig) -> EngineConfig:
-    """The seed monolith's synchronous behaviour, as an EngineConfig."""
-    return EngineConfig(max_batch=1, max_delay=0.0, pipeline=config)
 
 
 def _label_map(stats):
@@ -68,9 +64,7 @@ class TestSyncEquivalence:
         trace = reference_traces[trace_name]
         config = IustitiaConfig(buffer_size=32)
         seed = SeedEngine(trained_svm, config)
-        staged = StagedEngine(
-            trained_svm, _sync(config), sinks=[StatsSink(), QueueSink()]
-        )
+        staged = sync_engine(trained_svm, config, sink=QueueSink())
         seed_stats = seed.process_trace(trace, sample_interval=1.0)
         staged_stats = staged.process_trace(trace, sample_interval=1.0)
 
@@ -88,7 +82,7 @@ class TestSyncEquivalence:
         trace = reference_traces["plain"]
         config = IustitiaConfig(buffer_size=32)
         seed = SeedEngine(trained_svm, config)
-        staged = IustitiaEngine(trained_svm, config)
+        staged = sync_engine(trained_svm, config)
         seed_stats = seed.process_trace(trace)
         staged_stats = staged.process_trace(trace)
         assert [
@@ -105,11 +99,12 @@ class TestSyncEquivalence:
         trace = reference_traces["plain"]
         config = IustitiaConfig(buffer_size=32)
         seed = SeedEngine(trained_svm, config)
-        staged = IustitiaEngine(trained_svm, config)
+        forwarded = QueueSink()
+        staged = sync_engine(trained_svm, config, sink=forwarded)
         seed.process_trace(trace)
         staged.process_trace(trace)
         for nature, queue in seed.output_queues.items():
-            assert staged.output_queues[nature] == queue
+            assert forwarded.queues[nature] == queue
 
     def test_section_4_6_defenses_config(self, trained_svm, reference_traces):
         """Random skip + reclassification: RNG draw order must align too."""
@@ -118,9 +113,7 @@ class TestSyncEquivalence:
             buffer_size=32, random_skip_max=16, reclassify_interval=3.0
         )
         seed = SeedEngine(trained_svm, config, rng=np.random.default_rng(7))
-        staged = StagedEngine(
-            trained_svm, _sync(config), rng=np.random.default_rng(7)
-        )
+        staged = sync_engine(trained_svm, config, rng=np.random.default_rng(7))
         seed_stats = seed.process_trace(trace)
         staged_stats = staged.process_trace(trace)
         assert _label_map(staged_stats) == _label_map(seed_stats)
@@ -132,7 +125,7 @@ class TestSyncEquivalence:
         trace = reference_traces["plain"]
         config = IustitiaConfig(buffer_size=32, purge_trigger_flows=20)
         seed = SeedEngine(trained_svm, config)
-        staged = StagedEngine(trained_svm, _sync(config))
+        staged = sync_engine(trained_svm, config)
         seed_stats = seed.process_trace(trace, sample_interval=0.5)
         staged_stats = staged.process_trace(trace, sample_interval=0.5)
         assert staged_stats.cdb_size_series == seed_stats.cdb_size_series
@@ -159,18 +152,6 @@ class TestBatchedLabelEquivalence:
         assert _label_map(staged_stats) == _label_map(seed_stats)
         assert staged_stats.per_class == seed_stats.per_class
         assert staged_stats.classifications == seed_stats.classifications
-
-    def test_facade_matches_staged_max_batch_1(
-        self, trained_svm, reference_traces
-    ):
-        trace = reference_traces["headered"]
-        config = IustitiaConfig(buffer_size=32)
-        facade = IustitiaEngine(trained_svm, config)
-        staged = StagedEngine(trained_svm, _sync(config))
-        facade_stats = facade.process_trace(trace)
-        staged_stats = staged.process_trace(trace)
-        assert _label_map(facade_stats) == _label_map(staged_stats)
-        assert facade_stats.cdb_size_series == staged_stats.cdb_size_series
 
 
 class TestSerialRuntimeExplicit:

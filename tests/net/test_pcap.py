@@ -11,6 +11,7 @@ from repro.net.pcap import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW,
     PcapDecodeStats,
+    PcapError,
     iter_pcap,
     read_pcap,
     write_pcap,
@@ -166,6 +167,66 @@ class TestErrorHandling:
         record = struct.pack("!IIII", 1, 0, len(body), len(body))
         path.write_bytes(header + record + body)
         assert read_pcap(path)[0].payload == _packets()[0].payload
+
+
+_RAW_HEADER = struct.pack("!IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (_RAW_HEADER[:6], "truncated pcap global header"),
+        (b"not a pcap, just twenty-four+ bytes", "unrecognized pcap magic"),
+        (_RAW_HEADER[:20] + struct.pack("!I", 113), "link type 113"),
+        (_RAW_HEADER + b"\x00" * 7, "truncated pcap record header"),
+        (
+            _RAW_HEADER + struct.pack("!IIII", 1, 0, 1 << 30, 1 << 30),
+            "exceeds the snaplen bound",
+        ),
+        (
+            _RAW_HEADER + struct.pack("!IIII", 1, 0, 40, 40) + b"\x00" * 10,
+            "truncated pcap record body",
+        ),
+    ],
+)
+def test_file_structure_damage_raises_pcap_error(tmp_path, blob, message):
+    """Six sites, one type; a bad record *body* is counted, not raised
+    (``test_unparseable_record_counted_and_skipped``)."""
+    path = tmp_path / "damaged.pcap"
+    path.write_bytes(blob)
+    with pytest.raises(PcapError, match=message) as caught:
+        list(iter_pcap(path))
+    assert isinstance(caught.value, ValueError)
+
+
+def test_decode_peak_does_not_scale_with_capture(tmp_path):
+    """``iter_pcap`` is O(record): twice the capture, the same peak."""
+
+    def peak_bytes(n_packets):
+        path = tmp_path / f"{n_packets}.pcap"
+        template = _packets()[0]
+        write_pcap(
+            path,
+            (
+                Packet(
+                    ip=template.ip,
+                    transport=template.transport,
+                    payload=bytes(200),
+                    timestamp=float(i),
+                )
+                for i in range(n_packets)
+            ),
+        )
+        tracemalloc.start()
+        try:
+            decoded = sum(1 for _ in iter_pcap(path))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decoded == n_packets
+        return peak
+
+    assert peak_bytes(4000) < 1.5 * peak_bytes(2000)
 
 
 def _write_nano_pcap(path, order, seconds, nanos, body):

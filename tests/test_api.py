@@ -1,6 +1,9 @@
 """Public-API surface tests: everything README documents must exist."""
 
+import importlib
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -18,7 +21,6 @@ class TestPublicApi:
 
     def test_core_types_importable_from_top_level(self):
         assert inspect.isclass(repro.IustitiaClassifier)
-        assert inspect.isclass(repro.IustitiaEngine)
         assert inspect.isclass(repro.ClassificationDatabase)
         assert callable(repro.build_corpus)
         assert callable(repro.generate_gateway_trace)
@@ -60,6 +62,30 @@ class TestPublicApi:
             repro.ml, repro.net, repro.streaming,
         ):
             assert module.__doc__
+
+    def test_iustitia_engine_facade_is_gone(self):
+        """``open_engine`` is the one front door."""
+        assert not hasattr(repro, "IustitiaEngine")
+        assert "IustitiaEngine" not in repro.__all__
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.pipeline")
+
+    def test_core_does_not_import_engine(self):
+        """``repro.core`` sits below ``repro.engine``, never the reverse.
+
+        ``repro/__init__`` itself imports every subpackage, so the probe
+        stands in a bare ``repro`` namespace before importing the core.
+        """
+        probe = (
+            "import importlib.util, sys, types\n"
+            "pkg = types.ModuleType('repro')\n"
+            "pkg.__path__ = list("
+            "importlib.util.find_spec('repro').submodule_search_locations)\n"
+            "sys.modules['repro'] = pkg\n"
+            "import repro.core\n"
+            "sys.exit('repro.engine' in sys.modules)\n"
+        )
+        assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
 
 
 class TestFacade:
