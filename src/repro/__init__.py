@@ -18,15 +18,15 @@ Quickstart (the stable facade — see :mod:`repro.api`)::
     print(repro.render_text(engine.metrics))   # telemetry scrape
 
 Streaming: ``engine.process_source(repro.PcapFileSource(path))``
-classifies a capture of any size in bounded memory, and
-:class:`repro.AsyncIngestDriver` feeds an engine from asyncio
-producers (datagram endpoints, live sockets) — see :mod:`repro.ingest`.
+classifies a capture of any size in bounded memory; ``process_source``
+takes any iterable of packets and is the only loop that feeds the
+engine — see :mod:`repro.ingest`.
 
 Subpackages: ``repro.core`` (entropy vectors, estimation, classifier,
 CDB, config), ``repro.engine`` (staged online engine),
 ``repro.runtime`` (the serial execution runtime and the registry
 third-party runtimes plug into), ``repro.ingest``
-(streaming packet sources + the asyncio capture driver),
+(the streaming pcap source + source supervision),
 ``repro.obs`` (telemetry), ``repro.ml`` (CART, SVM/SMO/DAGSVM),
 ``repro.streaming`` (stream-entropy estimation), ``repro.net``
 (packets, flows, pcap, trace generation), ``repro.data`` (synthetic
@@ -71,15 +71,11 @@ from repro.engine import (
     StatsSink,
 )
 from repro.ingest import (
-    AsyncIngestDriver,
     ErrorPolicy,
     PacketSource,
     PcapFileSource,
-    ReplaySource,
     RetryPolicy,
-    SocketSource,
     SupervisedSource,
-    TraceSource,
 )
 from repro.ml import DagSvmClassifier, DecisionTreeClassifier
 from repro.net import (
@@ -107,7 +103,6 @@ from repro.obs import (
 __version__ = "1.5.0"
 
 __all__ = [
-    "AsyncIngestDriver",
     "BINARY",
     "CallbackSink",
     "ClassificationDatabase",
@@ -144,17 +139,14 @@ __all__ = [
     "PcapError",
     "PcapFileSource",
     "QueueSink",
-    "ReplaySource",
     "ResultSink",
     "RetryPolicy",
-    "SocketSource",
     "StagedEngine",
     "StatsSink",
     "SupervisedSource",
     "TEXT",
     "Timer",
     "Trace",
-    "TraceSource",
     "TrainingMethod",
     "build_corpus",
     "entropy_vector",

@@ -16,11 +16,10 @@ from repro.analysis.divergence import (
     kl_divergence,
     shannon_entropy,
 )
-from repro.analysis.visualize import ascii_histogram, ascii_scatter
+from repro.analysis.visualize import ascii_scatter
 
 __all__ = [
     "EmpiricalCdf",
-    "ascii_histogram",
     "ascii_scatter",
     "jensen_shannon_divergence",
     "kgram_distribution",

@@ -1,16 +1,16 @@
-"""Terminal visualization: ASCII scatter plots and histograms.
+"""Terminal visualization: an ASCII scatter plot.
 
-The benches reproduce the paper's *figures*; these helpers let them render
-the figures in a terminal next to the numeric series — a scatter for the
-Figure 2(a) feature space, histograms/CDF bars for the Figure 9 marginals.
-Pure text output, no plotting dependencies.
+The benches reproduce the paper's *figures*; this helper lets
+``benchmarks/bench_fig2a_feature_space.py`` render the Figure 2(a)
+feature space in a terminal next to the numeric series. Pure text
+output, no plotting dependencies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ascii_histogram", "ascii_scatter"]
+__all__ = ["ascii_scatter"]
 
 
 def ascii_scatter(
@@ -58,27 +58,4 @@ def ascii_scatter(
     )
     legend = "   ".join(f"{name[0]}={name}" for name in points)
     lines.append(f"{y_label} vs {x_label}; legend: {legend}")
-    return "\n".join(lines)
-
-
-def ascii_histogram(
-    samples: "list[float] | np.ndarray",
-    bins: int = 12,
-    width: int = 50,
-    title: str = "",
-) -> str:
-    """Render a histogram as horizontal ASCII bars with counts."""
-    arr = np.asarray(samples, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("no samples to plot")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    counts, edges = np.histogram(arr, bins=bins)
-    peak = max(int(counts.max()), 1)
-    lines = [title] if title else []
-    for i, count in enumerate(counts):
-        bar = "#" * int(round(count / peak * width))
-        lines.append(
-            f"[{edges[i]:>10.4g}, {edges[i + 1]:>10.4g})  {bar} {count}"
-        )
     return "\n".join(lines)

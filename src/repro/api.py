@@ -20,7 +20,7 @@ To classify a capture without materializing it, stream a
         with repro.PcapFileSource("capture.pcap") as source:
             stats = engine.process_source(source)   # O(live flows) memory
 
-For live or flaky inputs, wrap the source in a
+For flaky inputs, wrap the source in a
 :class:`repro.SupervisedSource` (restarts under a
 :class:`repro.RetryPolicy`) and pass ``on_error=`` (an
 :class:`repro.ErrorPolicy` mode) to ``process_source`` so per-packet
@@ -151,13 +151,12 @@ def open_engine(
 
     For captures that should never be materialized, feed the engine a
     streaming source — ``engine.process_source(PcapFileSource(path))``
-    decodes one record at a time (see :mod:`repro.ingest`), and
-    :class:`repro.AsyncIngestDriver` bridges asyncio producers (live
-    datagram endpoints) into the same engine. Both accept an
-    ``on_error`` :class:`repro.ErrorPolicy` for per-packet dispatch
-    faults, and :class:`repro.SupervisedSource` restarts failing
-    sources under a :class:`repro.RetryPolicy` — see DESIGN.md's
-    "Ingest supervision" for the full fault contract.
+    decodes one record at a time (see :mod:`repro.ingest`).
+    ``process_source`` accepts an ``on_error``
+    :class:`repro.ErrorPolicy` for per-packet dispatch faults, and
+    :class:`repro.SupervisedSource` restarts a failing source under a
+    :class:`repro.RetryPolicy` — see DESIGN.md's "Ingest supervision"
+    for the full fault contract.
     """
     if isinstance(classifier, (str, os.PathLike)):
         classifier = load_model(classifier)

@@ -109,15 +109,24 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     try:
         classifier = load_model(args.model)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except OSError as exc:
+        print(f"error: cannot read model {args.model}: {exc}",
+              file=sys.stderr)
+        return 2
+    except (ValueError, KeyError) as exc:
         print(f"error: {args.model} is not a saved classifier: {exc}",
               file=sys.stderr)
         return 2
 
     labels: dict[FlowKey, FlowNature] = {}
     if args.labels:
-        with open(args.labels) as handle:
-            raw = json.load(handle)
+        try:
+            with open(args.labels) as handle:
+                raw = json.load(handle)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read labels {args.labels}: {exc}",
+                  file=sys.stderr)
+            return 2
         labels = {
             _str_to_key(text): FlowNature.from_name(name)
             for text, name in raw.items()
@@ -141,8 +150,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return 2
     if args.on_error == "dead-letter":
         def _spool_dead_letter(packet, exc) -> None:
-            where = packet.five_tuple if packet is not None else "<flush tick>"
-            print(f"dead-letter: {where}: {exc}", file=sys.stderr)
+            print(f"dead-letter: {packet.five_tuple}: {exc}", file=sys.stderr)
 
         policy = ErrorPolicy("dead-letter", dead_letter=_spool_dead_letter)
     else:

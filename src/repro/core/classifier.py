@@ -78,8 +78,6 @@ class IustitiaClassifier:
         self.training = training
         self.header_threshold = header_threshold
         self.estimator = estimator
-        self._m_extract = None
-        self._m_predict = None
         self._rng = rng if rng is not None else np.random.default_rng()
         if model == "svm":
             self._model: "DagSvmClassifier | DecisionTreeClassifier" = (
@@ -87,28 +85,6 @@ class IustitiaClassifier:
             )
         else:
             self._model = DecisionTreeClassifier()
-
-    def bind_metrics(self, registry) -> None:
-        """Time the two classify phases into a ``MetricsRegistry``.
-
-        Registers ``classifier_extract_seconds`` and
-        ``classifier_predict_seconds`` histograms, observed once per
-        :meth:`classify_buffers` call; useful for attributing batch
-        latency between feature extraction and model inference. Pass
-        ``None`` to unbind.
-        """
-        if registry is None:
-            self._m_extract = None
-            self._m_predict = None
-            return
-        self._m_extract = registry.histogram(
-            "classifier_extract_seconds",
-            help="Wall-clock seconds per batched entropy-vector extraction",
-        )
-        self._m_predict = registry.histogram(
-            "classifier_predict_seconds",
-            help="Wall-clock seconds per batched model predict",
-        )
 
     # -- feature extraction --------------------------------------------------
 
@@ -210,14 +186,7 @@ class IustitiaClassifier:
         """
         if not buffers:
             return []
-        if self._m_extract is not None:
-            with self._m_extract.time():
-                X = self.buffer_vectors(buffers)
-            with self._m_predict.time():
-                predictions = self._model.predict(X)
-        else:
-            X = self.buffer_vectors(buffers)
-            predictions = self._model.predict(X)
+        predictions = self._model.predict(self.buffer_vectors(buffers))
         return [FlowNature(int(p)) for p in predictions]
 
     def classify_file(self, data: bytes) -> FlowNature:

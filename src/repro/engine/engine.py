@@ -36,6 +36,8 @@ from repro.engine.flow_table import FlowTable
 from repro.engine.pipeline import FlowPipeline, WindowPolicy
 from repro.engine.sinks import DELAY_BUCKETS, MetricsSink, ResultSink, StatsSink
 from repro.engine.types import ClassifiedFlow, EngineClosedError, EngineStats
+from repro.ingest.metrics import SupervisionMetrics
+from repro.ingest.supervise import ErrorPolicy
 from repro.net.flow import FlowKey
 from repro.net.hashing import flow_hash
 from repro.net.packet import Packet
@@ -506,14 +508,8 @@ class StagedEngine:
         """
         if sample_interval <= 0:
             raise ValueError(f"sample_interval must be positive, got {sample_interval}")
-        # Imported here, not at module top: repro.ingest sits above the
-        # engine in the layering (its driver imports engine types).
-        from repro.ingest.supervise import ErrorPolicy
-
         policy = ErrorPolicy.coerce(on_error)
         if policy.mode != "fail-fast" and self.metrics is not None:
-            from repro.ingest.metrics import SupervisionMetrics
-
             policy.bind_metrics(
                 SupervisionMetrics(self.metrics, source="engine")
             )

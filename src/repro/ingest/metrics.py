@@ -1,7 +1,7 @@
-"""Ingest-side telemetry: the instruments every packet source shares.
+"""Ingest-side telemetry: the instruments packet sources share.
 
-One :class:`IngestMetrics` bundle per source (or driver), all landing in
-a caller-supplied :class:`repro.obs.MetricsRegistry` so ingest counters
+One :class:`IngestMetrics` bundle per source, landing in a
+caller-supplied :class:`repro.obs.MetricsRegistry` so ingest counters
 scrape alongside the engine's own instruments:
 
 * ``ingest_packets_total`` / ``ingest_bytes_total`` — packets yielded
@@ -9,13 +9,8 @@ scrape alongside the engine's own instruments:
 * ``ingest_truncated_records_total`` — snaplen-truncated pcap records
   skipped instead of misparsed;
 * ``ingest_skipped_frames_total`` — non-IPv4 Ethernet frames dropped;
-* ``ingest_decode_errors_total`` — datagrams/records that failed to
-  parse as IPv4/TCP/UDP;
-* ``ingest_inflight_depth`` — packets queued inside
-  :class:`~repro.ingest.driver.AsyncIngestDriver` awaiting dispatch
-  (the bounded in-flight buffer);
-* ``ingest_lag_seconds`` — how far behind its wall-clock schedule a
-  :class:`~repro.ingest.sources.ReplaySource` delivered each packet.
+* ``ingest_decode_errors_total`` — records that failed to parse as
+  IPv4/TCP/UDP.
 
 The supervision layer (:mod:`repro.ingest.supervise`) adds a second
 bundle, :class:`SupervisionMetrics`, covering the fault paths:
@@ -29,34 +24,23 @@ bundle, :class:`SupervisionMetrics`, covering the fault paths:
 * ``ingest_dispatch_errors_total`` — per-packet dispatch errors absorbed
   by a degrade/dead-letter :class:`~repro.ingest.supervise.ErrorPolicy`;
 * ``ingest_dead_letters_total`` — packets handed to a dead-letter
-  callback instead of the engine;
-* ``ingest_flush_tick_errors_total`` — wall-clock flush ticks that
-  raised inside ``engine.flush_timeouts`` (retried under the policy).
+  callback instead of the engine.
 
 File-backed sources level their counters from decode stats inside the
-iteration loop (plain int adds); the gauge and histogram are created on
-demand so sources that never replay or queue do not register them.
+iteration loop (plain int adds).
 """
 
 from __future__ import annotations
 
 from repro.obs import DEFAULT_BACKOFF_BUCKETS
 
-__all__ = ["INGEST_LAG_BUCKETS", "IngestMetrics", "SupervisionMetrics"]
-
-#: Buckets for the replay-lag histogram: from scheduler-noise microseconds
-#: up to multi-second stalls (a replay that cannot keep pace).
-INGEST_LAG_BUCKETS = (
-    0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0
-)
+__all__ = ["IngestMetrics", "SupervisionMetrics"]
 
 
 class IngestMetrics:
     """Ingest instruments for one source, bound to a shared registry."""
 
     __slots__ = (
-        "registry",
-        "source",
         "packets",
         "bytes",
         "truncated_records",
@@ -65,8 +49,6 @@ class IngestMetrics:
     )
 
     def __init__(self, registry, source: str) -> None:
-        self.registry = registry
-        self.source = source
         self.packets = registry.counter(
             "ingest_packets_total",
             help="Packets yielded by ingest sources",
@@ -90,27 +72,8 @@ class IngestMetrics:
         )
         self.decode_errors = registry.counter(
             "ingest_decode_errors_total",
-            help="Records or datagrams that failed IPv4/TCP/UDP decode",
+            help="Records that failed IPv4/TCP/UDP decode",
             source=source,
-        )
-
-    def inflight_gauge(self):
-        """The driver's in-flight depth gauge (created on first use)."""
-        return self.registry.gauge(
-            "ingest_inflight_depth",
-            help="Packets buffered in the async ingest driver awaiting "
-            "engine dispatch",
-            source=self.source,
-        )
-
-    def lag_histogram(self):
-        """The replay-lag histogram (created on first use)."""
-        return self.registry.histogram(
-            "ingest_lag_seconds",
-            buckets=INGEST_LAG_BUCKETS,
-            help="Seconds a replayed packet was delivered behind its "
-            "wall-clock schedule",
-            source=self.source,
         )
 
     def observe_decode(self, stats, synced: dict) -> None:
@@ -133,22 +96,17 @@ class IngestMetrics:
 
 
 class SupervisionMetrics:
-    """Fault-path instruments for one supervised source or driver."""
+    """Fault-path instruments for one supervised source or engine run."""
 
     __slots__ = (
-        "registry",
-        "source",
         "restarts",
         "backoff",
         "consecutive_failures",
         "dispatch_errors",
         "dead_letters",
-        "tick_errors",
     )
 
     def __init__(self, registry, source: str) -> None:
-        self.registry = registry
-        self.source = source
         self.restarts = registry.counter(
             "ingest_restarts_total",
             help="Inner-source restarts performed by the supervisor after "
@@ -177,11 +135,5 @@ class SupervisionMetrics:
             "ingest_dead_letters_total",
             help="Packets handed to a dead-letter callback instead of "
             "the engine",
-            source=source,
-        )
-        self.tick_errors = registry.counter(
-            "ingest_flush_tick_errors_total",
-            help="Wall-clock flush ticks that raised inside "
-            "engine.flush_timeouts",
             source=source,
         )

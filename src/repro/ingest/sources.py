@@ -1,29 +1,24 @@
 """Packet sources: bounded-memory inputs to the streaming engine.
 
 The :class:`PacketSource` protocol is the ingest layer's one contract —
-*an iterable of timestamped packets that can be closed* — so the engine
-(:meth:`repro.engine.StagedEngine.process_source`), the asyncio driver,
-and the pcap writer all consume sources interchangeably:
+*an iterable of timestamped packets that can be closed* — and it is the
+written form of what :meth:`repro.engine.StagedEngine.process_source`
+and :class:`~repro.ingest.supervise.SupervisedSource` accept. Packets
+that already live in memory need no adapter (``trace.packets``, a list,
+a generator all qualify as the iterable); the one concrete source is
+the one that hides a format:
 
 * :class:`PcapFileSource` — incremental capture-file decode (one record
-  in memory at a time, riding :func:`repro.net.pcap.iter_pcap`);
-* :class:`TraceSource` — adapts an in-memory :class:`~repro.net.Trace`;
-* :class:`ReplaySource` — wraps any source and paces delivery on the
-  wall clock according to packet timestamps (optionally scaled), so an
-  offline capture exercises the engine like live traffic;
-* :class:`SocketSource` — blocking datagram ingest from a UDP (or raw)
-  socket, each datagram one serialized IPv4 packet.
+  in memory at a time, riding :func:`repro.net.pcap.iter_pcap`).
 
-Sources are context managers; iterating one that has been closed stops
-cleanly. Metrics are opt-in: pass a :class:`repro.obs.MetricsRegistry`
-and the source fills the shared ingest instruments
+It is a context manager; iterating it after ``close()`` stops cleanly.
+Metrics are opt-in: pass a :class:`repro.obs.MetricsRegistry` and the
+source fills the shared ingest instruments
 (:mod:`repro.ingest.metrics`).
 """
 
 from __future__ import annotations
 
-import socket as socket_module
-import time
 from pathlib import Path
 from typing import Iterator, Protocol, runtime_checkable
 
@@ -31,13 +26,7 @@ from repro.ingest.metrics import IngestMetrics
 from repro.net.packet import Packet
 from repro.net.pcap import PcapDecodeStats, iter_pcap
 
-__all__ = [
-    "PacketSource",
-    "PcapFileSource",
-    "ReplaySource",
-    "SocketSource",
-    "TraceSource",
-]
+__all__ = ["PacketSource", "PcapFileSource"]
 
 #: Level ingest counters from decode stats every this many packets (and
 #: once more when iteration ends), keeping the per-packet path free of
@@ -50,8 +39,7 @@ class PacketSource(Protocol):
     """An iterable of :class:`Packet` that can be closed.
 
     Anything with ``__iter__`` and ``close`` qualifies — including
-    plain generators. The concrete sources in this module add context
-    manager support on top, and accept an optional metrics registry.
+    plain generators.
     """
 
     def __iter__(self) -> Iterator[Packet]: ...
@@ -59,21 +47,7 @@ class PacketSource(Protocol):
     def close(self) -> None: ...
 
 
-class _BaseSource:
-    """Context-manager plumbing shared by the concrete sources."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    def close(self) -> None:
-        """Release the source's resources (idempotent no-op by default)."""
-
-
-class PcapFileSource(_BaseSource):
+class PcapFileSource:
     """Incremental packet source over a classic pcap file.
 
     Decodes one record at a time — memory stays O(record), not
@@ -98,6 +72,13 @@ class PcapFileSource(_BaseSource):
         self._synced: dict = {}
         self._active: "Iterator[Packet] | None" = None
         self._closed = False
+
+    def __enter__(self) -> "PcapFileSource":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
 
     def __iter__(self) -> Iterator[Packet]:
         if self._closed:
@@ -132,232 +113,3 @@ class PcapFileSource(_BaseSource):
         active, self._active = self._active, None
         if active is not None:
             active.close()
-
-
-class TraceSource(_BaseSource):
-    """Adapts an in-memory :class:`~repro.net.Trace` to the protocol.
-
-    Useful where an API wants a :class:`PacketSource` but the packets
-    already live in memory (tests, synthetic traces); ground-truth
-    labels stay reachable via :attr:`labels`.
-    """
-
-    def __init__(self, trace) -> None:
-        self.trace = trace
-
-    @property
-    def labels(self):
-        """The trace's ground-truth flow labels (may be empty)."""
-        return self.trace.labels
-
-    def __iter__(self) -> Iterator[Packet]:
-        return iter(self.trace.packets)
-
-
-class ReplaySource(_BaseSource):
-    """Paces another source on the wall clock by packet timestamps.
-
-    The first packet is delivered immediately; each later packet waits
-    until ``(its timestamp - the first timestamp) / speed`` wall-clock
-    seconds have elapsed since the first delivery. ``speed=2.0`` replays
-    at twice real time; very large speeds degrade to no pacing. When a
-    packet is ready *late* (the consumer was slow), the lag is recorded
-    — on :attr:`max_lag_s` always, and in the ``ingest_lag_seconds``
-    histogram when a registry is bound — and delivery continues without
-    trying to "catch up" by dropping. :attr:`max_lag_s` is per pass:
-    each ``iter()`` re-anchors the replay epoch and resets it, so
-    multi-pass replays never mix lag from earlier passes (the histogram
-    accumulates across passes).
-
-    ``clock``/``sleep`` are injectable for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        source,
-        *,
-        speed: float = 1.0,
-        clock=time.monotonic,
-        sleep=time.sleep,
-        registry=None,
-    ) -> None:
-        if speed <= 0:
-            raise ValueError(f"replay speed must be positive, got {speed}")
-        self.source = source
-        self.speed = speed
-        self.max_lag_s = 0.0
-        self._clock = clock
-        self._sleep = sleep
-        self._lag = (
-            IngestMetrics(registry, source="replay").lag_histogram()
-            if registry is not None
-            else None
-        )
-
-    def __iter__(self) -> Iterator[Packet]:
-        self.max_lag_s = 0.0
-        epoch_wall: "float | None" = None
-        epoch_ts = 0.0
-        for packet in self.source:
-            if epoch_wall is None:
-                epoch_wall = self._clock()
-                epoch_ts = packet.timestamp
-            else:
-                target = (packet.timestamp - epoch_ts) / self.speed
-                remaining = target - (self._clock() - epoch_wall)
-                if remaining > 0:
-                    self._sleep(remaining)
-                lag = (self._clock() - epoch_wall) - target
-                if lag > 0:
-                    if lag > self.max_lag_s:
-                        self.max_lag_s = lag
-                    if self._lag is not None:
-                        self._lag.observe(lag)
-            yield packet
-
-    def close(self) -> None:
-        """Close the wrapped source, when it supports closing."""
-        close = getattr(self.source, "close", None)
-        if callable(close):
-            close()
-
-
-class SocketSource(_BaseSource):
-    """Blocking datagram ingest: one serialized IPv4 packet per datagram.
-
-    Works over any datagram socket — a bound UDP socket (each payload a
-    full serialized IP packet, the engine's wire format) or a raw
-    socket where the kernel delivers IP datagrams directly. Iteration
-    blocks in ``recv`` and ends when the socket is closed
-    (:meth:`close`, from any thread) or, with ``idle_timeout`` set,
-    after that many seconds of silence. Datagrams that fail to decode
-    are counted (``decode_errors``) and dropped, never fatal — a live
-    ingest loop must survive garbage input.
-
-    Arriving packets are stamped with ``timestamp()`` (default
-    ``time.time``) — live capture has no capture-file clock, so the
-    arrival wall clock *is* the packet clock.
-
-    Socket ownership is explicit. With ``own_socket=True`` (the
-    default, and always the case for :meth:`bind_udp`) the socket is
-    transferred to the source: :meth:`close` closes it. With
-    ``own_socket=False`` the socket is *borrowed*: the source still
-    retunes its timeout to the poll interval while iterating, but
-    :meth:`close` restores the timeout the socket arrived with and
-    leaves it open — wrapping a shared socket is non-destructive.
-    """
-
-    #: Internal recv timeout: a blocked recv wakes this often to notice
-    #: a cross-thread close() (closing a socket's fd does not reliably
-    #: interrupt a recv already blocked on it) and to check the idle
-    #: deadline.
-    POLL_INTERVAL = 0.25
-
-    def __init__(
-        self,
-        sock: socket_module.socket,
-        *,
-        timestamp=time.time,
-        max_datagram: int = 65535,
-        idle_timeout: "float | None" = None,
-        own_socket: bool = True,
-        registry=None,
-    ) -> None:
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError(
-                f"idle_timeout must be positive, got {idle_timeout}"
-            )
-        self.sock = sock
-        self.stats = PcapDecodeStats()
-        self._timestamp = timestamp
-        self._max_datagram = max_datagram
-        self._idle_timeout = idle_timeout
-        self._own_socket = own_socket
-        self._prior_timeout = sock.gettimeout()
-        self._closed = False
-        self._metrics = (
-            IngestMetrics(registry, source="socket") if registry is not None
-            else None
-        )
-        self._synced: dict = {}
-        poll = self.POLL_INTERVAL
-        sock.settimeout(poll if idle_timeout is None else min(poll, idle_timeout))
-
-    @classmethod
-    def bind_udp(cls, host: str, port: int, **kwargs) -> "SocketSource":
-        """Bind a fresh UDP socket on ``(host, port)`` and wrap it."""
-        sock = socket_module.socket(
-            socket_module.AF_INET, socket_module.SOCK_DGRAM
-        )
-        sock.bind((host, port))
-        return cls(sock, **kwargs)
-
-    @property
-    def address(self):
-        """The bound local address (``getsockname``)."""
-        return self.sock.getsockname()
-
-    def __iter__(self) -> Iterator[Packet]:
-        idle_deadline = (
-            None if self._idle_timeout is None
-            else time.monotonic() + self._idle_timeout
-        )
-        try:
-            while not self._closed:
-                try:
-                    data = self.sock.recv(self._max_datagram)
-                except (TimeoutError, socket_module.timeout):
-                    # Poll tick: end the stream once the idle deadline
-                    # passes; otherwise re-check _closed and keep waiting.
-                    if (
-                        idle_deadline is not None
-                        and time.monotonic() >= idle_deadline
-                    ):
-                        return
-                    continue
-                except OSError:
-                    return  # socket closed under us: clean end of stream
-                if not data:
-                    continue
-                if idle_deadline is not None:
-                    idle_deadline = time.monotonic() + self._idle_timeout
-                self.stats.records += 1
-                self.stats.bytes += len(data)
-                try:
-                    packet = Packet.from_bytes(
-                        data, timestamp=self._timestamp()
-                    )
-                except ValueError:
-                    self.stats.decode_errors += 1
-                    self._level_metrics()
-                    continue
-                self.stats.packets += 1
-                self._level_metrics()
-                yield packet
-        finally:
-            self._level_metrics()
-
-    def _level_metrics(self) -> None:
-        # Live sources are recv-bound, so leveling per datagram (a few
-        # counter adds) keeps scrapes current at negligible cost.
-        if self._metrics is not None:
-            self._metrics.observe_decode(self.stats, self._synced)
-
-    def close(self) -> None:
-        """End iteration; close an owned socket, restore a borrowed one.
-
-        Owned sockets (the default) are closed — a blocked ``recv``
-        unblocks at the next poll tick at the latest. Borrowed sockets
-        (``own_socket=False``) are left open with the timeout they
-        arrived with restored, so the caller can keep using them.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            if self._own_socket:
-                self.sock.close()
-            else:
-                self.sock.settimeout(self._prior_timeout)
-        except OSError:
-            pass

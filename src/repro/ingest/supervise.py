@@ -1,10 +1,10 @@
 """Ingest supervision: retry policies, error policies, supervised sources.
 
 The streaming layer (:mod:`repro.ingest`) is deliberately fail-fast at
-every seam — a source raises, the stream ends; a dispatch raises, the
-driver dies at ``finish()``. A classifier *monitor* has the opposite
+every seam — a source raises, the stream ends; a dispatch raises,
+``process_source`` raises. A classifier *monitor* has the opposite
 contract: it must keep classifying through transient faults (flapping
-sockets, decode storms, slow engines) while still surfacing real bugs
+file systems, decode storms) while still surfacing real bugs
 immediately. This module makes that behavior explicit instead of
 accidental, with three pieces:
 
@@ -27,7 +27,7 @@ accidental, with three pieces:
 
 Supervision never *re-delivers* on its own: after a restart the wrapper
 resumes iterating whatever the inner source (or its factory) provides.
-Sources with reconnect semantics (sockets, scripted fault harnesses)
+Sources with reconnect semantics (the scripted fault harness)
 continue where they left off; for pass-from-the-start sources (a pcap
 file re-read by a factory) pass ``skip_delivered=True`` and the wrapper
 discards the packets it already yielded, making the supervised stream
@@ -51,7 +51,7 @@ __all__ = ["ErrorPolicy", "RetryPolicy", "SupervisedSource"]
 
 #: Exception types retried by default: transient I/O. ``TimeoutError``
 #: and ``ConnectionError`` are ``OSError`` subclasses, so one entry
-#: covers sockets, pipes, and file systems flapping.
+#: covers pipes and file systems flapping.
 DEFAULT_RETRYABLE: "tuple[type[BaseException], ...]" = (OSError,)
 
 
@@ -140,7 +140,7 @@ class ErrorPolicy:
     A policy instance carries its own per-run counters (:attr:`errors`,
     :attr:`dead_lettered`, :attr:`last_error`) and optionally mirrors
     them into a bound :class:`SupervisionMetrics` — use one instance per
-    consumer (engine run or driver), not one shared across both.
+    engine run.
     """
 
     MODES = ("fail-fast", "degrade", "dead-letter")
@@ -218,7 +218,7 @@ class SupervisedSource:
     ``source`` is either a live :class:`~repro.ingest.PacketSource`
     (anything iterable with ``close()``) or a zero-argument factory
     returning a fresh one per (re)connect — use a factory when a failed
-    source cannot be re-iterated (a TCP stream, a one-shot generator).
+    source cannot be re-iterated (a one-shot generator, a closed file).
 
     On a retryable failure the wrapper closes the broken source (best
     effort), sleeps the policy's backoff (``sleep`` is injectable; the
@@ -329,7 +329,7 @@ class SupervisedSource:
                 pass  # the source already failed; closing is best effort
         if self._factory is None:
             # No factory: re-iterating the same source object IS the
-            # reconnect (socket wrappers, the scripted fault harness).
+            # reconnect (the scripted fault harness).
             self._inner = broken
         delay = self.policy.backoff(attempt)
         self.restarts += 1

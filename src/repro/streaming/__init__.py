@@ -14,14 +14,11 @@ from repro.streaming.entropy_stream import (
     estimate_s_from_stream,
     estimate_stream_entropy,
 )
-from repro.streaming.sampling import ReservoirSampler, sample_positions
 from repro.streaming.sketch import median_of_means
 
 __all__ = [
-    "ReservoirSampler",
     "StreamEntropyEstimator",
     "estimate_s_from_stream",
     "estimate_stream_entropy",
     "median_of_means",
-    "sample_positions",
 ]

@@ -1,9 +1,8 @@
 """Tests for ASCII visualization helpers."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.visualize import ascii_histogram, ascii_scatter
+from repro.analysis.visualize import ascii_scatter
 
 
 class TestAsciiScatter:
@@ -32,29 +31,3 @@ class TestAsciiScatter:
             ascii_scatter({})
         with pytest.raises(ValueError, match="width"):
             ascii_scatter({"a": [(0, 0)]}, width=2)
-
-
-class TestAsciiHistogram:
-    def test_bar_lengths_proportional(self):
-        samples = [1.0] * 90 + [2.5] * 30
-        plot = ascii_histogram(samples, bins=2, width=30)
-        lines = plot.splitlines()
-        long_bar = lines[0].count("#")
-        short_bar = lines[1].count("#")
-        assert long_bar == 30
-        assert short_bar == pytest.approx(10, abs=1)
-
-    def test_counts_displayed(self):
-        plot = ascii_histogram([1.0, 1.0, 5.0], bins=2)
-        assert " 2" in plot
-        assert " 1" in plot
-
-    def test_title_included(self):
-        plot = ascii_histogram([1.0], bins=1, title="Payload sizes")
-        assert plot.startswith("Payload sizes")
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="no samples"):
-            ascii_histogram([])
-        with pytest.raises(ValueError, match="bins"):
-            ascii_histogram([1.0], bins=0)

@@ -1,24 +1,16 @@
 """Fault-injection harness for the ingest supervision layer.
 
-Deterministic, scripted fault doubles — no sockets that actually flap,
-no sleeps that actually sleep. Every retry/degrade/dead-letter path in
-:mod:`repro.ingest.supervise` and the driver's error handling is proven
-by raising *exactly* the scripted exception at *exactly* the chosen
-packet index and asserting the recovery bookkeeping afterwards.
+Deterministic, scripted fault doubles — no sleeps that actually sleep.
+Every retry path in :mod:`repro.ingest.supervise` is proven by raising
+*exactly* the scripted exception at *exactly* the chosen packet index
+and asserting the recovery bookkeeping afterwards.
 
 * :class:`FlakySource` — a packet source that raises scripted
   exceptions at chosen global packet indices. By default it keeps its
-  cursor across re-iteration (socket-reconnect semantics: the stream
-  resumes where it broke, each fault fires once); ``resume=False``
-  restarts every pass from packet 0 (pcap-file semantics), which is
-  what ``SupervisedSource(skip_delivered=True)`` exists for.
-* :class:`FlakySocket` — a duck-typed datagram socket with a scripted
-  ``recv`` sequence (bytes are delivered, exception instances raised),
-  recording every ``settimeout`` so timeout save/restore is checkable.
-* :class:`FlakyEngine` — an engine stub for driver tests: records every
-  dispatched packet, raises scripted exceptions on chosen
-  ``process_packet`` calls and ``flush_timeouts`` ticks, and records
-  ``finish`` epochs.
+  cursor across re-iteration (reconnect semantics: the stream resumes
+  where it broke, each fault fires once); ``resume=False`` restarts
+  every pass from packet 0 (pcap-file semantics), which is what
+  ``SupervisedSource(skip_delivered=True)`` exists for.
 * :class:`RecordingSleep` — a ``sleep`` double that records requested
   delays instead of sleeping.
 """
@@ -27,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 
-__all__ = ["FlakyEngine", "FlakySocket", "FlakySource", "RecordingSleep"]
+__all__ = ["FlakySource", "RecordingSleep"]
 
 
 def _script_map(fail_at) -> "dict[int, deque]":
@@ -72,87 +64,6 @@ class FlakySource:
 
     def close(self) -> None:
         self.closes += 1
-
-
-class FlakySocket:
-    """Duck-typed datagram socket driven by a scripted ``recv`` sequence.
-
-    ``script`` items are either ``bytes`` (returned from ``recv``) or
-    exception instances (raised from it). When the script runs dry,
-    ``recv`` raises ``OSError`` — which :class:`repro.ingest.SocketSource`
-    treats as a clean end of stream. ``settimeout`` calls are recorded
-    on :attr:`timeouts` so ownership semantics are checkable.
-    """
-
-    def __init__(self, script, *, timeout: "float | None" = None) -> None:
-        self.script = deque(script)
-        self.closed = False
-        self.timeouts: "list[float | None]" = []
-        self._timeout = timeout
-
-    def gettimeout(self) -> "float | None":
-        return self._timeout
-
-    def settimeout(self, value: "float | None") -> None:
-        self._timeout = value
-        self.timeouts.append(value)
-
-    def recv(self, bufsize: int) -> bytes:
-        if self.closed:
-            raise OSError("recv on closed FlakySocket")
-        if not self.script:
-            raise OSError("scripted datagrams exhausted")
-        item = self.script.popleft()
-        if isinstance(item, BaseException):
-            raise item
-        return item
-
-    def getsockname(self):
-        return ("127.0.0.1", 0)
-
-    def close(self) -> None:
-        self.closed = True
-
-
-class FlakyEngine:
-    """Engine stub for driver tests: scripted dispatch/flush failures.
-
-    ``fail_at`` maps the 0-based ``process_packet`` *call index* to an
-    exception (or list); ``flush_script`` is consumed one item per
-    ``flush_timeouts`` call — ``None`` succeeds, an exception instance
-    raises. Every accepted packet lands on :attr:`processed`, every
-    finish epoch on :attr:`finishes`.
-    """
-
-    def __init__(self, fail_at=None, flush_script=()) -> None:
-        self.processed = []
-        self.calls = 0
-        self.flush_calls = 0
-        self.flushes: "list[float]" = []
-        self.finishes: "list[float]" = []
-        self.stats = object()  # opaque; the driver returns it verbatim
-        self._script = _script_map(fail_at)
-        self._flush_script = deque(flush_script)
-
-    def process_packet(self, packet) -> None:
-        index = self.calls
-        self.calls += 1
-        pending = self._script.get(index)
-        if pending:
-            raise pending.popleft()
-        self.processed.append(packet)
-
-    def flush_timeouts(self, now: float) -> int:
-        self.flush_calls += 1
-        self.flushes.append(now)
-        if self._flush_script:
-            item = self._flush_script.popleft()
-            if isinstance(item, BaseException):
-                raise item
-        return 0
-
-    def finish(self, now: float) -> None:
-        self.finishes.append(now)
 
 
 class RecordingSleep:

@@ -2,7 +2,7 @@
 
 Every fault in this file is scripted through ``tests/ingest/faults.py``
 and every backoff goes through an injected recorder — no wall-clock
-sleeps, no real sockets, fully deterministic.
+sleeps, fully deterministic.
 """
 
 import pytest
@@ -13,7 +13,6 @@ from repro.ingest import (
     ErrorPolicy,
     RetryPolicy,
     SupervisedSource,
-    TraceSource,
 )
 from repro.obs import DEFAULT_BACKOFF_BUCKETS, MetricsRegistry
 from tests.ingest.faults import FlakySource, RecordingSleep
@@ -290,7 +289,7 @@ class TestEngineProcessSourceOnError:
 
     def _run_clean(self, trained_cart, small_trace):
         with open_engine(trained_cart) as engine:
-            stats = engine.process_source(TraceSource(small_trace))
+            stats = engine.process_source(small_trace.packets)
             return (
                 {c.key: c.label for c in stats.classified},
                 (stats.packets, stats.classifications, stats.cdb_hits,
@@ -345,7 +344,7 @@ class TestEngineProcessSourceOnError:
             engine.process_packet = flaky
             policy = ErrorPolicy("degrade")
             stats = engine.process_source(
-                TraceSource(small_trace), on_error=policy
+                small_trace.packets, on_error=policy
             )
             assert policy.errors == 2
             assert stats.packets == len(small_trace.packets) - 2
@@ -372,7 +371,7 @@ class TestEngineProcessSourceOnError:
                 "dead-letter",
                 dead_letter=lambda p, e: letters.append((p, e)),
             )
-            engine.process_source(TraceSource(small_trace), on_error=policy)
+            engine.process_source(small_trace.packets, on_error=policy)
         assert len(letters) == 1
         assert letters[0][0] is small_trace.packets[2]
         assert policy.dead_lettered == 1
@@ -387,7 +386,7 @@ class TestEngineProcessSourceOnError:
 
             engine.process_packet = flaky
             with pytest.raises(ValueError) as exc_info:
-                engine.process_source(TraceSource(small_trace))
+                engine.process_source(small_trace.packets)
             assert exc_info.value is bug
 
     def test_engine_closed_error_is_never_absorbed(
@@ -401,7 +400,7 @@ class TestEngineProcessSourceOnError:
             policy = ErrorPolicy("degrade")
             with pytest.raises(EngineClosedError):
                 engine.process_source(
-                    TraceSource(small_trace), on_error=policy
+                    small_trace.packets, on_error=policy
                 )
             assert policy.errors == 0  # a usage bug, not a stream fault
 
@@ -420,4 +419,4 @@ class TestEngineProcessSourceOnError:
     def test_rejects_bad_on_error(self, trained_cart, small_trace):
         with open_engine(trained_cart) as engine:
             with pytest.raises(TypeError, match="on_error"):
-                engine.process_source(TraceSource(small_trace), on_error=123)
+                engine.process_source(small_trace.packets, on_error=123)

@@ -153,6 +153,43 @@ class TestTrainAndClassify:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "what, damage",
+        [
+            ("model", lambda path: None),  # never created
+            ("labels", lambda path: None),
+            ("labels", lambda path: path.write_text("{not json")),
+        ],
+        ids=["missing-model", "missing-labels", "labels-not-json"],
+    )
+    def test_classify_rejects_unreadable_model_or_labels(
+        self, artifacts, tmp_path, capsys, what, damage
+    ):
+        model, pcap, _ = artifacts
+        broken = tmp_path / f"broken-{what}.json"
+        damage(broken)
+        if what == "model":
+            argv = ["classify", str(broken), str(pcap)]
+        else:
+            argv = ["classify", str(model), str(pcap), "--labels", str(broken)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {what} {broken}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # refused before any engine ran
+
+    def test_classify_supervised_matches_plain_run(self, artifacts, capsys):
+        model, pcap, _ = artifacts
+        assert main(["classify", str(model), str(pcap)]) == 0
+        plain = capsys.readouterr()
+        assert main(["classify", str(model), str(pcap),
+                     "--on-error", "degrade", "--max-retries", "2"]) == 0
+        supervised = capsys.readouterr()
+        assert " -> " in plain.out
+        assert supervised.out == plain.out
+        assert supervised.err == plain.err  # no restarts, nothing absorbed
+
 
 class TestParser:
     def test_requires_subcommand(self):

@@ -2,12 +2,38 @@
 
 import importlib
 import inspect
+import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imports_engine(subpackage: str) -> bool:
+    """Whether importing ``subpackage`` alone pulls in ``repro.engine``.
+
+    ``repro/__init__`` itself imports every subpackage, so the probe
+    stands in a bare ``repro`` namespace before importing the target.
+    ``repro.core`` goes first, as in ``repro/__init__``: ``net.trace``
+    and ``core.delay`` import each other's packages, and only the
+    core-first order resolves.
+    """
+    probe = (
+        "import importlib.util, sys, types\n"
+        "pkg = types.ModuleType('repro')\n"
+        "pkg.__path__ = list("
+        "importlib.util.find_spec('repro').submodule_search_locations)\n"
+        "sys.modules['repro'] = pkg\n"
+        f"import repro.core, {subpackage}\n"
+        "sys.exit('repro.engine' in sys.modules)\n"
+    )
+    return subprocess.run([sys.executable, "-c", probe]).returncode != 0
 
 
 class TestPublicApi:
@@ -71,21 +97,38 @@ class TestPublicApi:
             importlib.import_module("repro.core.pipeline")
 
     def test_core_does_not_import_engine(self):
-        """``repro.core`` sits below ``repro.engine``, never the reverse.
+        """``repro.core`` sits below ``repro.engine``, never the reverse."""
+        assert not _imports_engine("repro.core")
 
-        ``repro/__init__`` itself imports every subpackage, so the probe
-        stands in a bare ``repro`` namespace before importing the core.
-        """
-        probe = (
-            "import importlib.util, sys, types\n"
-            "pkg = types.ModuleType('repro')\n"
-            "pkg.__path__ = list("
-            "importlib.util.find_spec('repro').submodule_search_locations)\n"
-            "sys.modules['repro'] = pkg\n"
-            "import repro.core\n"
-            "sys.exit('repro.engine' in sys.modules)\n"
-        )
+    def test_ingest_does_not_import_engine(self):
+        """``repro.ingest`` sits below the engine: ``process_source`` is
+        the only feed loop, so nothing in ingest drives an engine."""
+        assert not _imports_engine("repro.ingest")
+
+    def test_live_ingest_surface_is_gone(self):
+        """No driver, no socket/replay/trace sources, no asyncio at import."""
+        for name in ("AsyncIngestDriver", "DatagramIngestProtocol",
+                     "SocketSource", "ReplaySource", "TraceSource"):
+            assert not hasattr(repro, name), name
+            assert name not in repro.__all__
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.ingest.driver")
+        probe = "import repro, sys; sys.exit('asyncio' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
+
+    @pytest.mark.parametrize("document", ["README.md", "DESIGN.md"])
+    def test_documented_names_resolve(self, document):
+        """Every dotted ``repro.…`` name the docs mention exists."""
+        text = (REPO_ROOT / document).read_text()
+        names = set(re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", text))
+        assert names
+        missing = []
+        for name in sorted(names):
+            try:
+                pkgutil.resolve_name(name)
+            except (ImportError, AttributeError):
+                missing.append(name)
+        assert not missing, f"{document} names that do not resolve: {missing}"
 
 
 class TestFacade:
