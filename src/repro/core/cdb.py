@@ -1,9 +1,12 @@
 """Classification Database (CDB) with purging (Sections 1.2 and 4.5).
 
-The CDB maps 160-bit SHA-1 flow IDs to class labels so that every packet
-after a flow's classification is forwarded without re-classification. Each
-record is 194 bits in the paper's accounting: 160 (hash) + 32 (last
-inter-arrival time) + 2 (label).
+The CDB maps flow IDs to class labels so that every packet after a
+flow's classification is forwarded without re-classification. A flow ID
+is an opaque non-empty ``bytes`` key: the engine uses the packed 13-byte
+5-tuple (exact, and free to compute per packet), the paper a 160-bit
+SHA-1 of it. Each record is 194 bits in the paper's accounting — 160
+(hash) + 32 (last inter-arrival time) + 2 (label) — which is the storage
+*model* ``RECORD_BITS`` / ``size_bits`` report whatever the key's length.
 
 Records leave the CDB three ways:
 
@@ -131,8 +134,8 @@ class ClassificationDatabase:
 
     def insert(self, flow_id: bytes, label: FlowNature, now: float) -> None:
         """Store a freshly classified flow; may trigger an inactivity sweep."""
-        if len(flow_id) != 20:
-            raise ValueError(f"flow_id must be a 20-byte SHA-1 digest, got {len(flow_id)}")
+        if not isinstance(flow_id, bytes) or not flow_id:
+            raise ValueError(f"flow_id must be non-empty bytes, got {flow_id!r}")
         self._records[flow_id] = CdbRecord(
             label=label, last_arrival=now, classified_at=now
         )

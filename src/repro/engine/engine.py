@@ -3,8 +3,8 @@
 ``StagedEngine`` composes the explicit pipeline stages that the paper's
 Figure 1 draws and the original monolithic engine fused together:
 
-1. **hash** — SHA-1 the 5-tuple into the flow ID (the facade's only
-   per-packet job);
+1. **key** — read the packet's packed 5-tuple, the flow ID every later
+   stage is keyed by (the facade's only per-packet job);
 2. **CDB lookup / buffer / fold / ready** — owned by the
    :class:`~repro.engine.pipeline.FlowPipeline` over the one
    :class:`~repro.engine.flow_table.FlowTable`: pending buffers, the
@@ -38,8 +38,6 @@ from repro.engine.sinks import DELAY_BUCKETS, MetricsSink, ResultSink, StatsSink
 from repro.engine.types import ClassifiedFlow, EngineClosedError, EngineStats
 from repro.ingest.metrics import SupervisionMetrics
 from repro.ingest.supervise import ErrorPolicy
-from repro.net.flow import FlowKey
-from repro.net.hashing import flow_hash
 from repro.net.packet import Packet
 from repro.net.trace import Trace
 from repro.obs import MetricsRegistry
@@ -437,14 +435,11 @@ class StagedEngine:
         self._finished = False
         stats = self.stats
         stats.packets += 1
-        key = FlowKey.of_packet(packet)
-        flow_id = flow_hash(key)
         if packet.payload:
             stats.data_packets += 1
             self._payload_bytes += len(packet.payload)
-        is_close = packet.is_tcp and (packet.transport.fin or packet.transport.rst)
         return self.runtime.dispatch(
-            packet, key, flow_id, packet.timestamp, is_close
+            packet, packet.flow_tuple, packet.timestamp, packet.is_close
         )
 
     def flush_timeouts(self, now: float) -> int:

@@ -1,9 +1,10 @@
 """The engine's flow table: pending buffers plus the CDB, one of each.
 
-Section 4.5 hashes every flow to a 160-bit SHA-1 ID; Figure 1 keys two
-structures by it — the buffers of flows still filling their
-classification window, and the Classification Database of flows already
-labelled. :class:`FlowTable` is both: it *is* the engine's
+Section 4.5 gives every flow an ID (here the packed 13-byte 5-tuple, in
+the paper its 160-bit SHA-1); Figure 1 keys two structures by it — the
+buffers of flows still filling their classification window, and the
+Classification Database of flows already labelled. :class:`FlowTable`
+is both: it *is* the engine's
 :class:`~repro.core.cdb.ClassificationDatabase` (``len``, ``lookup``,
 ``insert``, the ``total_*`` counters and the paper's inactivity sweep,
 fired by the CDB's own ``purge_trigger_flows`` insert count) and it

@@ -1,6 +1,6 @@
 """The per-packet pipeline: lookup, buffer, fold, ready — and label apply.
 
-:class:`FlowPipeline` owns every stage between the flow hash and the
+:class:`FlowPipeline` owns every stage between the flow key and the
 classifier, all of it keyed by one
 :class:`~repro.engine.flow_table.FlowTable`: the CDB lookup, the pending
 buffers, the :class:`~repro.engine.deadlines.DeadlineWheel` of
@@ -36,6 +36,7 @@ from repro.engine.batcher import MicroBatcher, ReadyFlow
 from repro.engine.deadlines import DeadlineWheel
 from repro.engine.flow_table import FlowTable
 from repro.engine.types import ClassifiedFlow, EngineStats, PendingFlow
+from repro.net.flow import FlowKey
 
 __all__ = ["FlowPipeline", "IngestResult", "WindowPolicy"]
 
@@ -316,7 +317,7 @@ class FlowPipeline:
     # -- packet path ---------------------------------------------------------
 
     def ingest(
-        self, packet, key, flow_id: bytes, now: float, is_close: bool
+        self, packet, flow_id: bytes, now: float, is_close: bool
     ) -> IngestResult:
         """Run one packet through lookup/buffer/fold/ready."""
         table = self.table
@@ -344,7 +345,7 @@ class FlowPipeline:
         pending = table.pending.get(flow_id)
         if pending is None:
             pending = PendingFlow(
-                key=key,
+                key=FlowKey.of_packet(packet),
                 seq=self._next_seq(),
                 state=self.extractor.new_state(),
                 first_arrival=now,

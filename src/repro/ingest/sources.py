@@ -8,8 +8,9 @@ that already live in memory need no adapter (``trace.packets``, a list,
 a generator all qualify as the iterable); the one concrete source is
 the one that hides a format:
 
-* :class:`PcapFileSource` — incremental capture-file decode (one record
-  in memory at a time, riding :func:`repro.net.pcap.iter_pcap`).
+* :class:`PcapFileSource` — incremental capture-file decode (one read
+  chunk and one record in memory at a time, riding
+  :func:`repro.net.pcap.iter_pcap`).
 
 It is a context manager; iterating it after ``close()`` stops cleanly.
 Metrics are opt-in: pass a :class:`repro.obs.MetricsRegistry` and the
@@ -50,15 +51,16 @@ class PacketSource(Protocol):
 class PcapFileSource:
     """Incremental packet source over a classic pcap file.
 
-    Decodes one record at a time — memory stays O(record), not
-    O(capture) — and exposes decode accounting on :attr:`stats`
-    (truncated records, skipped non-IPv4 frames, bytes consumed). Each
-    ``iter()`` starts a fresh pass over the file with fresh per-pass
-    :attr:`stats` (multi-pass reads never mix passes; the registry
-    counters stay cumulative across passes). :meth:`close` is
-    **terminal**: it ends the active pass and every later pass yields
-    nothing — build a new source to re-read a closed file. Yields
-    exactly the packets ``read_pcap`` would return, in the same order.
+    Decodes one record at a time out of fixed-size read chunks — memory
+    stays O(chunk + one record), not O(capture) — and exposes decode
+    accounting on :attr:`stats` (truncated records, skipped non-IPv4
+    frames, bytes consumed). Each ``iter()`` starts a fresh pass over
+    the file with fresh per-pass :attr:`stats` (multi-pass reads never
+    mix passes; the registry counters stay cumulative across passes).
+    :meth:`close` is **terminal**: it ends the active pass and every
+    later pass yields nothing — build a new source to re-read a closed
+    file. Yields exactly the packets ``read_pcap`` would return, in the
+    same order.
     """
 
     def __init__(self, path: "str | Path", *, registry=None) -> None:

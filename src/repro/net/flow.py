@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.packet import Packet
+from repro.net.packet import Packet, pack_five_tuple
 
 __all__ = ["Flow", "FlowKey", "assemble_flows"]
 
@@ -40,20 +40,9 @@ class FlowKey:
                    protocol=protocol)
 
     def to_bytes(self) -> bytes:
-        """Canonical byte encoding (input to the SHA-1 flow ID)."""
-        import socket  # stdlib, local import keeps module load light
-
-        try:
-            src_raw = socket.inet_aton(self.src)
-            dst_raw = socket.inet_aton(self.dst)
-        except OSError:
-            raise ValueError(f"invalid address in flow key {self}")
-        return (
-            src_raw
-            + self.src_port.to_bytes(2, "big")
-            + dst_raw
-            + self.dst_port.to_bytes(2, "big")
-            + self.protocol.to_bytes(1, "big")
+        """Canonical 13-byte encoding: the engine's flow-table key."""
+        return pack_five_tuple(
+            self.src, self.src_port, self.dst, self.dst_port, self.protocol
         )
 
     def reversed(self) -> "FlowKey":

@@ -1,9 +1,13 @@
 """SHA-1 flow identifiers.
 
 Section 4.5: "We use SHA-1 to create 160 bit hash result for each flow."
-The 20-byte digest of the canonical flow-key encoding is the CDB key; its
-size dominates the paper's 194-bit-per-record accounting (160 hash + 32
-inter-arrival + 2 label bits).
+The 20-byte digest of the canonical flow-key encoding is the paper's CDB
+key; its size dominates the 194-bit-per-record accounting (160 hash + 32
+inter-arrival + 2 label bits) that :data:`repro.core.cdb.RECORD_BITS`
+still models. The engine itself keys its flow table by the 13-byte
+encoding directly (``Packet.flow_tuple`` — exact, and already in hand
+after the decode), so no packet pays for a digest; these functions serve
+the paper benches and anything that wants the fixed-width ID.
 """
 
 from __future__ import annotations

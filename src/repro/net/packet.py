@@ -8,8 +8,9 @@ the pcap reader/writer and external tools would parse them.
 
 from __future__ import annotations
 
+import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "Ipv4Header",
@@ -19,6 +20,7 @@ __all__ = [
     "TcpHeader",
     "UdpHeader",
     "internet_checksum",
+    "pack_five_tuple",
 ]
 
 PROTO_TCP = 6
@@ -241,9 +243,46 @@ class UdpHeader:
         return cls(src_port=src_port, dst_port=dst_port, length=length)
 
 
-@dataclass
+#: Fields one decode reads, one struct per IPv4 header length (IHL 5-15):
+#: total length, protocol and addresses, then — past any IP options — the
+#: ports and, meaningful for TCP only, the data-offset and flags bytes.
+_WIRE_FIELDS = {
+    ihl_bytes: struct.Struct(f"!2xH5xB2x4s4s{ihl_bytes - 20}xHH8xBB")
+    for ihl_bytes in range(20, 64, 4)
+}
+
+#: The packed 5-tuple: ``src4 sport2 dst4 dport2 proto1``.
+_FIVE_TUPLE = struct.Struct("!4sH4sHB")
+
+
+def pack_five_tuple(
+    src: str, src_port: int, dst: str, dst_port: int, protocol: int
+) -> bytes:
+    """The canonical 13-byte encoding of a 5-tuple (the engine's flow key)."""
+    try:
+        return _FIVE_TUPLE.pack(
+            socket.inet_aton(src), src_port, socket.inet_aton(dst), dst_port,
+            protocol,
+        )
+    except (OSError, struct.error):
+        raise ValueError(
+            "invalid address, port or protocol in 5-tuple "
+            f"{(src, src_port, dst, dst_port, protocol)}"
+        ) from None
+
+
 class Packet:
     """A full IP packet: IPv4 header, TCP or UDP header, payload, timestamp.
+
+    Built one of two ways. ``Packet(ip, transport, payload, timestamp)``
+    holds the header objects a generator or a test made. A packet decoded
+    by :meth:`from_bytes` holds what the engine reads on every packet —
+    the packed 5-tuple (:attr:`flow_tuple`), the FIN/RST bit
+    (:attr:`is_close`), the payload view and the timestamp — and parses
+    :attr:`ip` / :attr:`transport` from the wire bytes the first time
+    they are asked for. Both kinds answer every attribute alike, compare
+    equal when headers, payload and timestamp agree, and pickle as the
+    four constructor fields.
 
     ``payload`` may be ``bytes`` or a ``memoryview``: the pcap ingest
     path hands out zero-copy views over the capture record, which the
@@ -252,33 +291,154 @@ class Packet:
     identically.
     """
 
-    ip: Ipv4Header
-    transport: "TcpHeader | UdpHeader"
-    payload: "bytes | memoryview" = b""
-    timestamp: float = 0.0
+    __slots__ = (
+        "_ip", "_transport", "payload", "timestamp",
+        "_wire", "_flow_tuple", "_is_close",
+    )
 
-    def __post_init__(self) -> None:
-        expected = PROTO_TCP if isinstance(self.transport, TcpHeader) else PROTO_UDP
-        if self.ip.protocol != expected:
+    def __init__(
+        self,
+        ip: Ipv4Header,
+        transport: "TcpHeader | UdpHeader",
+        payload: "bytes | memoryview" = b"",
+        timestamp: float = 0.0,
+    ) -> None:
+        expected = PROTO_TCP if isinstance(transport, TcpHeader) else PROTO_UDP
+        if ip.protocol != expected:
             raise ValueError(
-                f"IP protocol {self.ip.protocol} does not match transport "
-                f"{type(self.transport).__name__}"
+                f"IP protocol {ip.protocol} does not match transport "
+                f"{type(transport).__name__}"
             )
+        self._ip = ip
+        self._transport = transport
+        self.payload = payload
+        self.timestamp = timestamp
+        # Derived from the headers on access, never stored: a generated
+        # trace holds its packets in memory by the hundred thousand.
+        self._wire = self._flow_tuple = self._is_close = None
+
+    @classmethod
+    def from_bytes(
+        cls, data: "bytes | memoryview", timestamp: float = 0.0
+    ) -> "Packet":
+        """Parse a serialized IPv4 packet (TCP or UDP); IP options skipped.
+
+        One ``unpack_from`` reads every field the packet path needs; no
+        header object is built until :attr:`ip` / :attr:`transport` is
+        read. The payload is a zero-copy ``memoryview`` slice of
+        ``data``: no byte of the packet body is copied between the
+        capture buffer and the extractor fold path. Callers that outlive
+        ``data`` (or mutate it) should ``bytes()`` the payload
+        themselves.
+        """
+        view = data if isinstance(data, memoryview) else memoryview(data)
+        size = len(view)
+        if size < Ipv4Header.HEADER_LEN:
+            raise ValueError(f"IPv4 header needs 20 bytes, got {size}")
+        version_ihl = view[0]
+        if version_ihl >> 4 != 4:
+            raise ValueError(f"not an IPv4 packet (version {version_ihl >> 4})")
+        ihl_bytes = (version_ihl & 0x0F) * 4
+        if ihl_bytes < Ipv4Header.HEADER_LEN:
+            raise ValueError(f"invalid IPv4 IHL {ihl_bytes}")
+        if size < ihl_bytes:
+            raise ValueError(f"IPv4 header claims {ihl_bytes} bytes, got {size}")
+        fields = _WIRE_FIELDS[ihl_bytes]
+        if size >= fields.size:
+            source = view
+        else:
+            # Too short for a TCP header (a UDP datagram under 6 payload
+            # bytes, or a stub): read a zero-extended copy. Every length
+            # check below uses the true size, so the filler is never
+            # taken for packet content.
+            source = bytes(view).ljust(fields.size, b"\x00")
+        (
+            total_length, protocol, src_raw, dst_raw,
+            src_port, dst_port, offset_byte, flags,
+        ) = fields.unpack_from(source)
+        # Ethernet pads short frames: the IP total length, when set and
+        # inside the record, ends the packet.
+        end = total_length if 0 < total_length < size else size
+        body = max(end - ihl_bytes, 0)
+        if protocol == PROTO_TCP:
+            if body < TcpHeader.HEADER_LEN:
+                raise ValueError(f"TCP header needs 20 bytes, got {body}")
+            header_len = (offset_byte >> 4) * 4
+            if header_len < TcpHeader.HEADER_LEN:
+                raise ValueError(f"invalid TCP data offset {header_len}")
+            if body < header_len:
+                raise ValueError(
+                    f"TCP header claims {header_len} bytes, got {body}"
+                )
+            is_close = flags & (FLAG_FIN | FLAG_RST) != 0
+        elif protocol == PROTO_UDP:
+            if body < UdpHeader.HEADER_LEN:
+                raise ValueError(f"UDP header needs 8 bytes, got {body}")
+            header_len = UdpHeader.HEADER_LEN
+            is_close = False
+        else:
+            raise ValueError(f"unsupported IP protocol {protocol}")
+        packet = cls.__new__(cls)
+        packet._ip = packet._transport = None
+        packet._wire = view
+        packet._flow_tuple = _FIVE_TUPLE.pack(
+            src_raw, src_port, dst_raw, dst_port, protocol
+        )
+        packet._is_close = is_close
+        packet.payload = view[ihl_bytes + header_len : end]
+        packet.timestamp = timestamp
+        return packet
+
+    @property
+    def ip(self) -> Ipv4Header:
+        ip = self._ip
+        if ip is None:
+            ip = self._ip = Ipv4Header.from_bytes(self._wire)
+        return ip
+
+    @property
+    def transport(self) -> "TcpHeader | UdpHeader":
+        transport = self._transport
+        if transport is None:
+            ip = self.ip
+            body = self._wire[ip.ihl_bytes : ip.total_length or len(self._wire)]
+            parse = TcpHeader if ip.protocol == PROTO_TCP else UdpHeader
+            transport = self._transport = parse.from_bytes(body)
+        return transport
+
+    @property
+    def flow_tuple(self) -> bytes:
+        """The packed 13-byte 5-tuple, ``FlowKey.of_packet(p).to_bytes()``."""
+        return self._flow_tuple or pack_five_tuple(*self.five_tuple)
+
+    @property
+    def is_close(self) -> bool:
+        """Whether this is a TCP segment carrying FIN or RST."""
+        if self._is_close is not None:
+            return self._is_close
+        transport = self._transport
+        return isinstance(transport, TcpHeader) and (transport.fin or transport.rst)
 
     @property
     def is_tcp(self) -> bool:
-        return isinstance(self.transport, TcpHeader)
+        if self._transport is None:
+            return self._flow_tuple[-1] == PROTO_TCP
+        return isinstance(self._transport, TcpHeader)
 
     @property
     def five_tuple(self) -> tuple[str, int, str, int, int]:
         """(src ip, src port, dst ip, dst port, protocol)."""
-        return (
-            self.ip.src,
-            self.transport.src_port,
-            self.ip.dst,
-            self.transport.dst_port,
-            self.ip.protocol,
-        )
+        ip = self._ip
+        if ip is None:
+            src_raw, src_port, dst_raw, dst_port, protocol = _FIVE_TUPLE.unpack(
+                self._flow_tuple
+            )
+            return (
+                socket.inet_ntoa(src_raw), src_port,
+                socket.inet_ntoa(dst_raw), dst_port, protocol,
+            )
+        transport = self.transport
+        return (ip.src, transport.src_port, ip.dst, transport.dst_port, ip.protocol)
 
     def to_bytes(self) -> bytes:
         """Serialize the whole packet (IP total length fixed up)."""
@@ -300,26 +460,30 @@ class Packet:
             ).to_bytes()
         return header.to_bytes() + transport_bytes + bytes(self.payload)
 
-    @classmethod
-    def from_bytes(
-        cls, data: "bytes | memoryview", timestamp: float = 0.0
-    ) -> "Packet":
-        """Parse a serialized IPv4 packet (TCP or UDP); IP options skipped.
+    def __getstate__(self) -> dict:
+        # The constructor's four fields — also the ``__dict__`` a cached
+        # pickle of the former dataclass carries, so those still load.
+        return {
+            "ip": self.ip,
+            "transport": self.transport,
+            "payload": bytes(self.payload),
+            "timestamp": self.timestamp,
+        }
 
-        The payload is a zero-copy ``memoryview`` slice of ``data``: no
-        byte of the packet body is copied between the capture buffer and
-        the extractor fold path. Callers that outlive ``data`` (or
-        mutate it) should ``bytes()`` the payload themselves.
-        """
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        ip = Ipv4Header.from_bytes(view)
-        body = view[ip.ihl_bytes : ip.total_length or len(view)]
-        if ip.protocol == PROTO_TCP:
-            transport: "TcpHeader | UdpHeader" = TcpHeader.from_bytes(body)
-            payload = body[transport.data_offset_bytes() :]
-        elif ip.protocol == PROTO_UDP:
-            transport = UdpHeader.from_bytes(body)
-            payload = body[UdpHeader.HEADER_LEN :]
-        else:
-            raise ValueError(f"unsupported IP protocol {ip.protocol}")
-        return cls(ip=ip, transport=transport, payload=payload, timestamp=timestamp)
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ip, self.transport, self.payload, self.timestamp) == (
+            other.ip, other.transport, other.payload, other.timestamp
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"Packet(ip={self.ip!r}, transport={self.transport!r}, "
+            f"payload={self.payload!r}, timestamp={self.timestamp!r})"
+        )

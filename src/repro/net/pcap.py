@@ -65,6 +65,9 @@ LINKTYPE_ETHERNET = 1
 #: records actually carry is tolerated up to this size.
 _MAX_SNAPLEN = 262144
 
+#: Bytes :func:`iter_pcap` asks the file for at a time.
+_READ_CHUNK = 1 << 18
+
 
 class PcapError(ValueError):
     """The capture file itself is damaged or not a classic pcap.
@@ -146,17 +149,22 @@ def iter_pcap(
 ) -> Iterator[Packet]:
     """Yield packets from a classic pcap file, one record at a time.
 
-    Incremental decode: memory stays O(one record) no matter how large
-    the capture is. Handles both byte orders and both microsecond and
-    nanosecond timestamp magics (normalized to float seconds); Ethernet
-    frames are stripped (non-IPv4 frames are skipped); snaplen-truncated
-    records (``captured < original``) are counted and skipped rather
-    than misparsed, and so are records whose body does not parse as an
-    IPv4 TCP/UDP packet (``decode_errors``); rejects pcapng and other
-    link types with a clear error. A truncated file tail (partial record header or body) raises
-    :class:`PcapError` mid-iteration, as does a record whose captured
-    length exceeds ``max(snaplen, 262144)`` — checked before the body is
-    read, so a hostile length field cannot force a giant allocation.
+    Incremental decode: the file is read in ``_READ_CHUNK``-byte chunks
+    and records are walked inside the chunk, so memory stays O(chunk +
+    one record) no matter how large the capture is. Each record is
+    copied out of the chunk into its own ``bytes`` before it is parsed:
+    a packet the engine retains pins one record, never a chunk. Handles
+    both byte orders and both microsecond and nanosecond timestamp
+    magics (normalized to float seconds); Ethernet frames are stripped
+    (non-IPv4 frames are skipped); snaplen-truncated records
+    (``captured < original``) are counted and skipped rather than
+    misparsed, and so are records whose body does not parse as an IPv4
+    TCP/UDP packet (``decode_errors``); rejects pcapng and other link
+    types with a clear error. A truncated file tail (partial record
+    header or body) raises :class:`PcapError` mid-iteration, as does a
+    record whose captured length exceeds ``max(snaplen, 262144)`` —
+    checked before the body is read, so a hostile length field cannot
+    force a giant allocation.
 
     ``stats`` — an optional :class:`PcapDecodeStats` the caller can
     watch (or let :class:`repro.ingest.PcapFileSource` surface as
@@ -166,10 +174,10 @@ def iter_pcap(
     if stats is None:
         stats = PcapDecodeStats()
     with open(path, "rb") as handle:
-        global_header = handle.read(24)
-        if len(global_header) < 24:
+        chunk = handle.read(_READ_CHUNK)
+        if len(chunk) < 24:
             raise PcapError(f"{path}: truncated pcap global header")
-        magic = struct.unpack("!I", global_header[:4])[0]
+        magic = struct.unpack_from("!I", chunk)[0]
         try:
             order, ticks_per_second = _MAGICS[magic]
         except KeyError:
@@ -177,8 +185,8 @@ def iter_pcap(
                 f"{path}: unrecognized pcap magic 0x{magic:08x} "
                 "(pcapng is not supported)"
             ) from None
-        _vmaj, _vmin, _zone, _sig, snaplen, linktype = struct.unpack(
-            order + "HHiIII", global_header[4:]
+        _vmaj, _vmin, _zone, _sig, snaplen, linktype = struct.unpack_from(
+            order + "HHiIII", chunk, 4
         )
         max_captured = max(snaplen, _MAX_SNAPLEN)
         if linktype not in (LINKTYPE_RAW, LINKTYPE_ETHERNET):
@@ -186,23 +194,39 @@ def iter_pcap(
                 f"{path}: link type {linktype} unsupported (expected raw IP "
                 f"{LINKTYPE_RAW} or Ethernet {LINKTYPE_ETHERNET})"
             )
+        unpack_record_header = struct.Struct(order + "IIII").unpack_from
+        position = 24
         while True:
-            record_header = handle.read(16)
-            if not record_header:
-                return
-            if len(record_header) < 16:
-                raise PcapError(f"{path}: truncated pcap record header")
-            seconds, ticks, captured, original = struct.unpack(
-                order + "IIII", record_header
+            body = position + 16
+            if body > len(chunk):
+                chunk = chunk[position:] + handle.read(_READ_CHUNK)
+                position, body = 0, 16
+                if not chunk:
+                    return
+                if len(chunk) < 16:
+                    raise PcapError(f"{path}: truncated pcap record header")
+            seconds, ticks, captured, original = unpack_record_header(
+                chunk, position
             )
             if captured > max_captured:
                 raise PcapError(
                     f"{path}: pcap record captured length {captured} exceeds "
                     f"the snaplen bound {max_captured}"
                 )
-            record = handle.read(captured)
-            if len(record) < captured:
-                raise PcapError(f"{path}: truncated pcap record body")
+            position = body + captured
+            if position > len(chunk):
+                # The record straddles the chunk boundary (or is larger
+                # than a chunk): keep its head, read on for its tail.
+                # Each read asks for no more than the file has already
+                # delivered, so a length field that lies (under a
+                # snaplen that lies too) cannot size an allocation.
+                chunk = chunk[body - 16 :]
+                body, position = 16, 16 + captured
+                while position > len(chunk):
+                    tail = handle.read(max(_READ_CHUNK, len(chunk)))
+                    if not tail:
+                        raise PcapError(f"{path}: truncated pcap record body")
+                    chunk += tail
             stats.records += 1
             stats.bytes += captured
             if captured < original:
@@ -212,11 +236,12 @@ def iter_pcap(
                 # and move on.
                 stats.truncated_records += 1
                 continue
-            # One allocation per record (the read itself); everything
-            # downstream — frame strip, header parse, payload — slices
-            # this view, so packet payloads reach the extractor fold
-            # path without a single intermediate copy.
-            data = memoryview(record)
+            # One allocation per record (its copy out of the chunk);
+            # everything downstream — frame strip, header parse, payload
+            # — slices this view, so packet payloads reach the extractor
+            # fold path without a single intermediate copy, and a
+            # retained payload keeps its own record alive, not the chunk.
+            data = memoryview(chunk[body:position])
             try:
                 if linktype == LINKTYPE_ETHERNET:
                     frame = EthernetHeader.from_bytes(data)

@@ -6,7 +6,7 @@ decides *where* each pipeline call executes and how drained
 ``ReadyFlow`` batches reach the engine's classify/apply machinery. The
 facade calls exactly four things on the hot path and lifecycle:
 
-* :meth:`Runtime.dispatch` — one packet, already hashed;
+* :meth:`Runtime.dispatch` — one packet, with its flow ID;
 * :meth:`Runtime.flush` — buffer-timeout sweep at a sample point;
 * :meth:`Runtime.finish` — end of stream, everything pending classifies;
 * :meth:`Runtime.close` — release execution resources (no-op for serial).
@@ -97,7 +97,7 @@ class Runtime(Protocol):
     def bind(self, engine) -> None:
         """Attach to an engine (called once, from the engine constructor)."""
 
-    def dispatch(self, packet, key, flow_id: bytes, now: float, is_close: bool):
+    def dispatch(self, packet, flow_id: bytes, now: float, is_close: bool):
         """Run one packet through the pipeline; returns the label if known."""
 
     def flush(self, now: float) -> int:

@@ -35,7 +35,7 @@ class SerialRuntime:
     def bind(self, engine) -> None:
         self._engine = engine
 
-    def dispatch(self, packet, key, flow_id: bytes, now: float, is_close: bool):
+    def dispatch(self, packet, flow_id: bytes, now: float, is_close: bool):
         engine = self._engine
         pipeline = engine.pipeline
         # The packet clock advanced: drain if the oldest queued flow has
@@ -44,7 +44,7 @@ class SerialRuntime:
         if due:
             engine.classify_apply(due, now)
 
-        result = pipeline.ingest(packet, key, flow_id, now, is_close)
+        result = pipeline.ingest(packet, flow_id, now, is_close)
         if pipeline.outbox:
             engine.drain_outbox()
         if result.label is not None:

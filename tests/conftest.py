@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.api import open_engine
 from repro.core.config import EngineConfig
@@ -18,6 +19,14 @@ from repro.data.corpus import Corpus, LabeledFile, build_corpus
 from repro.data.cryptogen import generate_encrypted_file
 from repro.data.textgen import generate_text_file
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
+
+
+# Hypothesis budgets. ``default`` is what tier-1 pays on every run;
+# ``--hypothesis-profile=ci`` digs deeper, and deterministically: the same
+# examples on every CI run, with no wall-clock deadline to trip on a busy
+# runner.
+settings.register_profile("default", max_examples=100)
+settings.register_profile("ci", max_examples=1000, deadline=None, derandomize=True)
 
 
 def sync_engine(classifier, config=None, **kwargs):

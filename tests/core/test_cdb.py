@@ -26,10 +26,14 @@ class TestBasicOperations:
         assert _fid(1) in cdb
         assert len(cdb) == 1
 
-    def test_insert_requires_sha1_digest(self):
+    def test_insert_requires_nonempty_bytes(self):
+        """A flow ID is an opaque key: any length, but bytes and not empty."""
         cdb = ClassificationDatabase()
-        with pytest.raises(ValueError, match="20-byte"):
-            cdb.insert(b"short", TEXT, now=0.0)
+        cdb.insert(b"short", TEXT, now=0.0)
+        assert cdb.lookup(b"short") is TEXT
+        for bad in (b"", "1.1.1.1:80", None):
+            with pytest.raises(ValueError, match="non-empty bytes"):
+                cdb.insert(bad, TEXT, now=0.0)
 
     def test_remove(self):
         cdb = ClassificationDatabase()

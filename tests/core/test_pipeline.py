@@ -6,7 +6,6 @@ from repro.core.config import IustitiaConfig
 from repro.core.labels import ALL_NATURES
 from repro.engine import QueueSink
 from repro.net.flow import FlowKey
-from repro.net.hashing import flow_hash
 from repro.net.packet import (
     FLAG_ACK,
     FLAG_FIN,

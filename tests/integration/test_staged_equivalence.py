@@ -10,6 +10,8 @@ every label (windows are frozen at readiness), though classification
 *timestamps* may differ by design.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -72,9 +74,10 @@ class TestSyncEquivalence:
         assert _counter_tuple(staged_stats) == _counter_tuple(seed_stats)
         assert staged_stats.cdb_size_series == seed_stats.cdb_size_series
         assert len(staged.table) == len(seed.cdb)
-        # Same flows end up in the CDB with the same labels.
+        # Same flows end up in the CDB with the same labels: the seed
+        # keys its CDB by the SHA-1 of what the staged engine keys by.
         for flow_id, record in staged.table._records.items():
-            assert seed.cdb.lookup(flow_id) is record.label
+            assert seed.cdb.lookup(hashlib.sha1(flow_id).digest()) is record.label
 
     def test_classification_order_and_delays(
         self, trained_svm, reference_traces

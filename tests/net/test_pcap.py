@@ -200,7 +200,7 @@ def test_file_structure_damage_raises_pcap_error(tmp_path, blob, message):
 
 
 def test_decode_peak_does_not_scale_with_capture(tmp_path):
-    """``iter_pcap`` is O(record): twice the capture, the same peak."""
+    """``iter_pcap`` is O(chunk + record): twice the capture, the same peak."""
 
     def peak_bytes(n_packets):
         path = tmp_path / f"{n_packets}.pcap"
