@@ -22,15 +22,20 @@ from repro.core.entropy_vector import (
     entropy_vectors_batch,
     prefix_vector,
     random_offset_vector,
+    require_window_lengths,
 )
 from repro.core.estimation import EntropyEstimator
 from repro.core.features import PHI_SVM_PRIME, FeatureSet
-from repro.core.labels import FlowNature
+from repro.core.labels import ALL_NATURES, FlowNature
 from repro.ml.svm.dagsvm import DagSvmClassifier
 from repro.ml.svm.kernels import RbfKernel
 from repro.ml.tree.cart import DecisionTreeClassifier
 
 __all__ = ["IustitiaClassifier", "TrainingMethod"]
+
+#: The natures as an object array indexed by label value, so a whole
+#: prediction vector maps to ``FlowNature`` members in one fancy index.
+_NATURES = np.array(ALL_NATURES, dtype=object)
 
 
 class TrainingMethod(enum.Enum):
@@ -122,25 +127,21 @@ class IustitiaClassifier:
         """Entropy vectors of many flow buffers at once (``(n, d)`` matrix).
 
         The batched counterpart of :func:`buffer_vector`: exact extraction
-        goes through :func:`entropy_vectors_batch`, which shares one
-        sliding-window pass per feature width across the whole batch. The
+        goes through :func:`entropy_vectors_batch`, where every packed
+        feature width of the whole batch shares one pooled sort. The
         streaming estimator has per-buffer state, so estimated vectors
         still run buffer-by-buffer.
         """
-        windows = [bytes(b[: self.buffer_size]) for b in buffers]
+        size = self.buffer_size
+        windows = [b if len(b) <= size else b[:size] for b in buffers]
+        if self.estimator is None:
+            return entropy_vectors_batch(windows, self.feature_set)
+        require_window_lengths(windows, self.feature_set.max_width)
         if not windows:
             return np.empty((0, len(self.feature_set.widths)), dtype=np.float64)
-        for i, window in enumerate(windows):
-            if len(window) < self.feature_set.max_width:
-                raise ValueError(
-                    f"buffer {i} of {len(window)} bytes cannot hold feature "
-                    f"h_{self.feature_set.max_width}"
-                )
-        if self.estimator is not None:
-            return np.vstack(
-                [self.estimator.estimate_vector(w).values for w in windows]
-            )
-        return entropy_vectors_batch(windows, self.feature_set)
+        return np.vstack(
+            [self.estimator.estimate_vector(bytes(w)).values for w in windows]
+        )
 
     # -- training / inference ------------------------------------------------
 
@@ -169,7 +170,7 @@ class IustitiaClassifier:
     def predict_vectors(self, X) -> np.ndarray:
         """Predict natures from pre-extracted entropy vectors."""
         predictions = self._model.predict(np.asarray(X, dtype=np.float64))
-        return np.array([FlowNature(int(p)) for p in predictions], dtype=object)
+        return _NATURES[predictions]
 
     def classify_buffer(self, buffer: bytes) -> FlowNature:
         """Nature of a flow from its buffered payload."""
@@ -186,8 +187,7 @@ class IustitiaClassifier:
         """
         if not buffers:
             return []
-        predictions = self._model.predict(self.buffer_vectors(buffers))
-        return [FlowNature(int(p)) for p in predictions]
+        return self.predict_vectors(self.buffer_vectors(buffers)).tolist()
 
     def classify_file(self, data: bytes) -> FlowNature:
         """Nature of a file from its first ``buffer_size`` bytes."""

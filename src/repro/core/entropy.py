@@ -29,13 +29,14 @@ __all__ = [
     "byte_entropy",
     "encode_kgram_stream",
     "entropy_from_counts",
-    "entropy_from_grouped_counts",
     "kgram_count_values",
     "kgram_counts",
     "kgram_counts_packed",
     "kgram_entropy",
     "max_normalized_entropy",
     "packed_kgram_keys",
+    "pooled_kgram_entropies",
+    "pooled_kgram_runs",
 ]
 
 _LN2 = math.log(2.0)
@@ -126,10 +127,19 @@ def encode_kgram_stream(
     return np.ascontiguousarray(windows).view(np.dtype((np.void, k))).ravel()
 
 
+def _runs(change: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(starts, lengths)`` of the runs of a sorted sequence.
+
+    ``change[i]`` says whether element ``i + 1`` differs from element
+    ``i``, so the sequence holds ``change.size + 1`` elements.
+    """
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    return starts, np.diff(np.concatenate((starts, [change.size + 1])))
+
+
 def _counts_from_sorted(keys: np.ndarray) -> np.ndarray:
     """Run lengths of a sorted 1-D key array (counts in key order)."""
-    starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
-    return np.diff(np.concatenate((starts, [keys.size])))
+    return _runs(keys[1:] != keys[:-1])[1]
 
 
 def kgram_counts_packed(
@@ -213,45 +223,73 @@ def entropy_from_counts(counts: "np.ndarray | list[int]", k: int) -> float:
     return min(max(h_k, 0.0), 1.0)
 
 
-def entropy_from_grouped_counts(
-    group_ids: np.ndarray,
-    counts: np.ndarray,
-    n_groups: int,
-    k: "int | np.ndarray",
-) -> np.ndarray:
-    """Normalized entropy ``h_k`` of many flows from pooled multiplicities.
+def pooled_kgram_runs(
+    keys: np.ndarray, lengths: np.ndarray, key_bits: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``(group-of-run, multiplicity)`` of packed gram keys pooled by group.
 
-    The batched counterpart of :func:`entropy_from_counts`: ``counts[i]``
-    is one non-zero k-gram multiplicity belonging to flow
-    ``group_ids[i]``, and the result is the length-``n_groups`` vector of
-    per-flow ``h_k`` values computed in three ``np.bincount`` reductions
-    (elements, ``sum m log m``, distinct grams) instead of one Python
-    call per flow. ``k`` is one width for the whole call or a
-    length-``n_groups`` array of per-group widths — the latter lets a
-    caller pool *every* feature width of a batch into a single grouped
-    reduction (group = (width, flow)) and normalize each stripe by its
-    own width. Groups with a single distinct gram are exactly 0.0 and
-    groups with no counts at all come back 0.0 — callers validate that
-    every flow holds at least ``k`` folded bytes.
+    ``keys`` is the ``uint64`` concatenation of every group's packed
+    k-gram keys, group after group, ``lengths[g]`` how many of them
+    belong to group ``g``, and ``key_bits`` the bits the widest key
+    occupies (``8 * max k``). One sort over ``(group, key)`` recovers the
+    multiplicity runs of every group at once — a group being whatever
+    the caller stripes together, typically one feature width of one flow
+    (keys of different widths may collide numerically; the group id keeps
+    their runs apart). Runs come back in ``(group, key)`` order. When the
+    keys leave bit headroom the group id rides their high bits and one
+    ``uint64`` array sorts in place — an order of magnitude cheaper than
+    the two-key lexsort that ``k = 8`` keys (they fill the word) need.
     """
-    k_arr = np.asarray(k)
-    if np.any(k_arr < 1):
-        raise ValueError(f"k must be >= 1, got {k}")
-    if n_groups < 0:
-        raise ValueError(f"n_groups must be >= 0, got {n_groups}")
-    arr = np.asarray(counts, dtype=np.float64).ravel()
-    groups = np.asarray(group_ids).ravel()
-    n_elements = np.bincount(groups, weights=arr, minlength=n_groups)
-    s_k = np.bincount(groups, weights=arr * np.log(arr), minlength=n_groups)
-    distinct = np.bincount(groups, minlength=n_groups)
-    h = np.zeros(n_groups, dtype=np.float64)
+    n_groups = lengths.size
+    if key_bits < 64 and n_groups <= (1 << (64 - key_bits)):
+        shift = np.uint64(key_bits)
+        combined = np.repeat(np.arange(n_groups, dtype=np.uint64), lengths)
+        combined <<= shift
+        combined |= keys
+        combined.sort()
+        starts, run_counts = _runs(combined[1:] != combined[:-1])
+        return (combined[starts] >> shift).astype(np.int64), run_counts
+    gids = np.repeat(np.arange(n_groups, dtype=np.int64), lengths)
+    order = np.lexsort((keys, gids))
+    sorted_keys = keys[order]
+    sorted_gids = gids[order]
+    starts, run_counts = _runs(
+        (sorted_gids[1:] != sorted_gids[:-1])
+        | (sorted_keys[1:] != sorted_keys[:-1])
+    )
+    return sorted_gids[starts], run_counts
+
+
+def pooled_kgram_entropies(
+    keys: np.ndarray, lengths: np.ndarray, widths: np.ndarray, key_bits: int
+) -> np.ndarray:
+    """``h_k`` of every group of pooled gram keys: Formula (1), one sort.
+
+    The one entropy reduction behind both the batched window kernel
+    (:func:`repro.core.entropy_vector.entropy_vectors_batch`) and the
+    incremental extractor's finalize — the batched counterpart of
+    :func:`entropy_from_counts`. :func:`pooled_kgram_runs` turns the
+    pooled keys into per-group multiplicities ``m_ik``; two
+    ``np.bincount`` reductions (``sum m log m``, distinct grams) then
+    emit every group's entropy, group ``g`` normalized by its own width
+    ``widths[g]`` — which is what lets a caller pool *every* feature
+    width of a batch into one call. Arguments as for
+    :func:`pooled_kgram_runs`. A group with a single distinct gram is
+    exactly 0.0, and so is a group with no keys at all — callers
+    validate that every flow holds at least ``k`` bytes.
+    """
+    n_groups = lengths.size
+    run_groups, run_counts = pooled_kgram_runs(keys, lengths, key_bits)
+    counts = run_counts.astype(np.float64)
+    s_k = np.bincount(
+        run_groups, weights=counts * np.log(counts), minlength=n_groups
+    )
+    distinct = np.bincount(run_groups, minlength=n_groups)
+    n_elements = np.maximum(lengths, 1).astype(np.float64)
+    h = (np.log(n_elements) - s_k / n_elements) / (8.0 * _LN2 * widths)
     # One distinct element is exactly zero (avoids ln(N) - ln(N) residue);
-    # empty groups stay zero too.
-    multi = distinct > 1
-    denom = 8.0 * _LN2 * (k_arr[multi] if k_arr.ndim else float(k_arr))
-    h[multi] = (
-        np.log(n_elements[multi]) - s_k[multi] / n_elements[multi]
-    ) / denom
+    # empty groups are zero too.
+    h[distinct <= 1] = 0.0
     return np.clip(h, 0.0, 1.0, out=h)
 
 

@@ -25,6 +25,7 @@ from repro.core.entropy import (
     entropy_from_counts,
     kgram_count_values,
     kgram_entropy,
+    pooled_kgram_entropies,
 )
 from repro.core.features import FULL_FEATURES, FeatureSet
 
@@ -111,60 +112,49 @@ def _entropies_from_change(
     return h_k
 
 
-def _batch_entropies(mat: np.ndarray, widths: "tuple[int, ...]") -> dict:
-    """``{k: h_k per row}`` for a 2-D uint8 buffer matrix.
+def _group_entropies(mat: np.ndarray, widths: "tuple[int, ...]") -> np.ndarray:
+    """``(n_rows, len(widths))`` entropies of a 2-D uint8 buffer matrix.
 
-    One pass of work per width over the whole batch: packed keys are built
-    incrementally (width ``k`` reuses the width ``k - 1`` keys), each
-    width costs one value sort (axis=1) plus run detection. Widths in
-    ``(8, 16]`` split each gram into a (first ``k - 8`` bytes, last 8
-    bytes) two-word key grouped with one ``np.lexsort``; wider grams fall
-    back to the per-row void-view path.
+    Packed keys are built incrementally (width ``k`` reuses the width
+    ``k - 1`` keys). Every width up to ``PACKED_MAX_K`` — ``h_1``
+    included, its key is the byte itself — is pooled into one
+    :func:`~repro.core.entropy.pooled_kgram_entropies` call (group =
+    (width, row)): one sort for the whole matrix, whatever the number of
+    widths. Widths in ``(8, 16]`` split each gram into a (first ``k - 8``
+    bytes, last 8 bytes) two-word key grouped with one ``np.lexsort``;
+    wider grams fall back to the per-row void-view path.
     """
     n_rows, m = mat.shape
-    out: dict[int, np.ndarray] = {}
-    small = sorted(k for k in widths if 2 <= k <= PACKED_MAX_K)
-    two_word = sorted(
-        k for k in widths if PACKED_MAX_K < k <= 2 * PACKED_MAX_K
-    )
-    if 1 in widths:
-        offsets = (np.arange(n_rows, dtype=np.int64) * 256)[:, None]
-        counts = np.bincount(
-            (mat.astype(np.int64) + offsets).ravel(), minlength=256 * n_rows
-        ).reshape(n_rows, 256)
-        s_k = np.where(
-            counts > 0, counts * np.log(np.maximum(counts, 1)), 0.0
-        ).sum(axis=1)
-        h_1 = (math.log(m) - s_k / m) / (8.0 * _LN2)
-        h_1 = np.clip(h_1, 0.0, 1.0)
-        h_1[np.count_nonzero(counts, axis=1) == 1] = 0.0
-        out[1] = h_1
+    out = np.empty((n_rows, len(widths)), dtype=np.float64)
+    small = [k for k in widths if k <= PACKED_MAX_K]
+    two_word = [k for k in widths if PACKED_MAX_K < k <= 2 * PACKED_MAX_K]
+    column_of = {k: column for column, k in enumerate(widths)}
     pack_targets = set(small)
     if two_word:
         pack_targets.add(PACKED_MAX_K)
-        pack_targets.update(
-            k - PACKED_MAX_K for k in two_word if k - PACKED_MAX_K >= 2
-        )
+        pack_targets.update(k - PACKED_MAX_K for k in two_word)
     packs: dict[int, np.ndarray] = {}
     if pack_targets:
         keys = mat.astype(np.uint64)
+        packs[1] = keys
         for k in range(2, max(pack_targets) + 1):
             n_k = m - k + 1
             keys = (keys[:, :n_k] << np.uint64(8)) | mat[:, k - 1 : k - 1 + n_k]
             if k in pack_targets:
                 packs[k] = keys
-    for k in small:
-        n_k = m - k + 1
-        keys_sorted = np.sort(packs[k], axis=1)
-        change = np.empty((n_rows, n_k), dtype=bool)
-        change[:, 0] = True
-        change[:, 1:] = keys_sorted[:, 1:] != keys_sorted[:, :-1]
-        out[k] = _entropies_from_change(change, k, n_k)
+    if small:
+        pooled = pooled_kgram_entropies(
+            np.concatenate([packs[k].ravel() for k in small]),
+            np.repeat([m - k + 1 for k in small], n_rows),
+            np.repeat(np.asarray(small, dtype=np.float64), n_rows),
+            8 * max(small),
+        ).reshape(len(small), n_rows)
+        out[:, [column_of[k] for k in small]] = pooled.T
     for k in two_word:
         n_k = m - k + 1
         head = k - PACKED_MAX_K
         lo = packs[PACKED_MAX_K][:, head : head + n_k]
-        hi = mat[:, :n_k] if head == 1 else packs[head][:, :n_k]
+        hi = packs[head][:, :n_k]
         order = np.lexsort((lo, hi), axis=-1)
         lo_sorted = np.take_along_axis(lo, order, axis=1)
         hi_sorted = np.take_along_axis(hi, order, axis=1)
@@ -173,17 +163,25 @@ def _batch_entropies(mat: np.ndarray, widths: "tuple[int, ...]") -> dict:
         change[:, 1:] = (hi_sorted[:, 1:] != hi_sorted[:, :-1]) | (
             lo_sorted[:, 1:] != lo_sorted[:, :-1]
         )
-        out[k] = _entropies_from_change(change, k, n_k)
+        out[:, column_of[k]] = _entropies_from_change(change, k, n_k)
     for k in widths:
         if k > 2 * PACKED_MAX_K:
-            out[k] = np.array(
-                [
-                    entropy_from_counts(kgram_count_values(row, k), k)
-                    for row in mat
-                ],
-                dtype=np.float64,
-            )
+            out[:, column_of[k]] = [
+                entropy_from_counts(kgram_count_values(row, k), k) for row in mat
+            ]
     return out
+
+
+def require_window_lengths(windows, max_width: int) -> None:
+    """Raise for the first of ``windows`` too short to hold ``h_max_width``."""
+    if windows and min(map(len, windows)) < max_width:
+        index, size = next(
+            (i, len(w)) for i, w in enumerate(windows) if len(w) < max_width
+        )
+        raise ValueError(
+            f"buffer {index} has {size} bytes, cannot hold feature "
+            f"h_{max_width}"
+        )
 
 
 def entropy_vectors_batch(
@@ -193,27 +191,24 @@ def entropy_vectors_batch(
 
     Row ``i`` equals ``entropy_vector(buffers[i], features).values`` to
     within 1e-12 (summation order differs; everything else is identical).
-    Equal-length buffers are stacked into one matrix so each feature width
-    costs a single packed sliding-window pass over the whole batch;
+    Equal-length buffers become one matrix through a single ``b"".join``,
+    and every packed feature width of that matrix shares one pooled sort;
     mixed-length inputs are grouped by length first.
     """
-    arrays = [_as_byte_array(b) for b in buffers]
-    for i, arr in enumerate(arrays):
-        if arr.size < features.max_width:
-            raise ValueError(
-                f"buffer {i} has {arr.size} bytes, cannot hold feature "
-                f"h_{features.max_width}"
-            )
-    out = np.empty((len(arrays), len(features.widths)), dtype=np.float64)
+    windows = [
+        b if type(b) is bytes else _as_byte_array(b).tobytes() for b in buffers
+    ]
+    require_window_lengths(windows, features.max_width)
+    widths = tuple(features.widths)
     by_length: dict[int, list[int]] = {}
-    for i, arr in enumerate(arrays):
-        by_length.setdefault(arr.size, []).append(i)
-    for indices in by_length.values():
-        rows = np.asarray(indices, dtype=np.int64)
-        mat = np.stack([arrays[i] for i in indices])
-        per_width = _batch_entropies(mat, tuple(features.widths))
-        for col, k in enumerate(features.widths):
-            out[rows, col] = per_width[k]
+    for i, window in enumerate(windows):
+        by_length.setdefault(len(window), []).append(i)
+    out = np.empty((len(windows), len(widths)), dtype=np.float64)
+    for length, rows in by_length.items():
+        mat = np.frombuffer(
+            b"".join([windows[i] for i in rows]), dtype=np.uint8
+        )
+        out[rows] = _group_entropies(mat.reshape(len(rows), length), widths)
     return out
 
 

@@ -60,8 +60,9 @@ from repro.core.entropy import (
     PACKED_MAX_K,
     encode_kgram_stream,
     entropy_from_counts,
-    entropy_from_grouped_counts,
     packed_kgram_keys,
+    pooled_kgram_entropies,
+    pooled_kgram_runs,
 )
 from repro.core.features import FeatureSet
 
@@ -279,9 +280,11 @@ class IncrementalEntropyExtractor(FeatureExtractor):
     truncates its window identically).
 
     :meth:`finalize_batch` is Formula (1) over the accumulated counts
-    for the whole ready batch at once: per width, one lexsort over
-    ``(flow, gram-key)`` recovers the multiplicities and one grouped
-    ``bincount`` reduction emits the entire feature column. No payload
+    for the whole ready batch at once: one sort over ``(width, flow,
+    gram-key)`` recovers every multiplicity and one grouped ``bincount``
+    reduction emits every packed feature column
+    (:func:`~repro.core.entropy.pooled_kgram_entropies`, the reduction
+    the batch extractor's window kernel shares). No payload
     is ever retained, so per-flow state is the counters plus a
     ``max_width - 1`` byte carry, the representation behind the paper's
     ~200 B figure.
@@ -308,15 +311,9 @@ class IncrementalEntropyExtractor(FeatureExtractor):
             k for k in feature_set.widths if k > PACKED_MAX_K
         )
         self._carry_bytes = feature_set.max_width - 1
-        # A width-k packed key occupies only the low 8k bits, so when the
-        # widest packed key leaves headroom the group id rides the high
-        # bits and the pooled reduction sorts ONE uint64 array in place —
-        # an order of magnitude cheaper than a two-key lexsort at
-        # classify-batch sizes. 0 disables the fast path (k = 8 keys
-        # fill the word).
-        max_packed = max(self._packed_widths, default=0)
-        shift = 8 * max_packed
-        self._packed_shift = shift if shift < 64 else 0
+        # Bits the widest packed key occupies: what is left of the word
+        # is the pooled reduction's headroom for its group ids.
+        self._key_bits = 8 * max(self._packed_widths, default=0)
         self._n_packed = len(self._packed_widths)
         self._n_wide = len(self._wide_widths)
 
@@ -480,24 +477,17 @@ class IncrementalEntropyExtractor(FeatureExtractor):
 
     # -- finalizing ---------------------------------------------------------
 
-    def _combined_runs(
+    def _pooled_keys(
         self, states: "list[IncrementalFlowState]"
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """``(group-of-run, multiplicity)`` pairs pooled over all widths.
+        """``(keys, lengths)`` of every packed width of every flow, pooled.
 
-        Group id ``slot * n + flow`` stripes every packed width of every
-        flow into one id space, so a single sort over ``(group,
-        gram-key)`` recovers the multiplicity runs of the whole batch
-        across *all* widths at once — one sort and one boundary scan
-        instead of one per width. (Keys of different widths may collide
-        numerically; the group id keeps their runs apart.) When the
-        widest packed key leaves bit headroom the pair packs into one
-        ``uint64`` per key and sorts in place; otherwise a two-key
-        lexsort does the same job.
+        Group ``slot * n + flow`` stripes all packed widths of the batch
+        into one id space, laid out group after group — the input of
+        :func:`~repro.core.entropy.pooled_kgram_runs`, whose single sort
+        then covers the whole batch across *all* widths at once.
         """
-        n = len(states)
-        n_slots = len(self._packed_widths)
-        n_groups = n_slots * n
+        n_slots = self._n_packed
         lengths = np.fromiter(
             (
                 state.filled[slot]
@@ -505,7 +495,7 @@ class IncrementalEntropyExtractor(FeatureExtractor):
                 for state in states
             ),
             dtype=np.int64,
-            count=n_groups,
+            count=n_slots * len(states),
         )
         parts = [
             run
@@ -513,32 +503,7 @@ class IncrementalEntropyExtractor(FeatureExtractor):
             for state in states
             for run in state.keys[slot]
         ]
-        all_keys = np.concatenate(parts) if parts else _EMPTY_KEYS
-        shift = self._packed_shift
-        if shift and n_groups <= (1 << (64 - shift)):
-            gids = np.repeat(
-                np.arange(n_groups, dtype=np.uint64), lengths
-            )
-            shift = np.uint64(shift)
-            combined = gids
-            combined <<= shift
-            combined |= all_keys
-            combined.sort()
-            boundaries = np.flatnonzero(combined[1:] != combined[:-1])
-            starts = np.concatenate(([0], boundaries + 1))
-            run_counts = np.diff(np.concatenate((starts, [combined.size])))
-            return (combined[starts] >> shift).astype(np.int64), run_counts
-        gids = np.repeat(np.arange(n_groups, dtype=np.int64), lengths)
-        order = np.lexsort((all_keys, gids))
-        sorted_keys = all_keys[order]
-        sorted_gids = gids[order]
-        boundaries = np.flatnonzero(
-            (sorted_gids[1:] != sorted_gids[:-1])
-            | (sorted_keys[1:] != sorted_keys[:-1])
-        )
-        starts = np.concatenate(([0], boundaries + 1))
-        run_counts = np.diff(np.concatenate((starts, [sorted_keys.size])))
-        return sorted_gids[starts], run_counts
+        return (np.concatenate(parts) if parts else _EMPTY_KEYS), lengths
 
     def vector(self, state: IncrementalFlowState) -> np.ndarray:
         """Entropy vector of one flow from its accumulated counters."""
@@ -560,18 +525,18 @@ class IncrementalEntropyExtractor(FeatureExtractor):
         out = np.empty((n, len(self.feature_set.widths)), dtype=np.float64)
         if n == 0:
             return out
-        n_slots = len(self._packed_widths)
+        n_slots = self._n_packed
         if n_slots:
-            # All packed widths in one pooled reduction: the grouped
-            # entropy kernel normalizes each (width, flow) stripe by its
-            # own width, so one lexsort + three bincounts produce every
-            # packed feature column of the batch.
-            run_gids, run_counts = self._combined_runs(states)
+            # All packed widths in one pooled reduction: each
+            # (width, flow) stripe is normalized by its own width, so one
+            # sort + two bincounts produce every packed feature column
+            # of the batch.
+            keys, lengths = self._pooled_keys(states)
             k_per_group = np.repeat(
                 np.asarray(self._packed_widths, dtype=np.float64), n
             )
-            h_packed = entropy_from_grouped_counts(
-                run_gids, run_counts, n_slots * n, k_per_group
+            h_packed = pooled_kgram_entropies(
+                keys, lengths, k_per_group, self._key_bits
             ).reshape(n_slots, n)
         packed_slot = 0
         wide_slot = 0
@@ -627,18 +592,20 @@ class IncrementalEntropyExtractor(FeatureExtractor):
 
         The engine charges every classified flow under exact accounting;
         counting distinct grams one flow at a time would cost a Python
-        loop per width per flow, so the packed widths reuse the same
-        lexsort machinery as :meth:`finalize_batch` and distinct counts
-        come back per flow from one ``bincount``.
+        loop per width per flow, so the packed widths reuse the pooled
+        sort of :meth:`finalize_batch` and distinct counts come back per
+        flow from one ``bincount``.
         """
         states = list(states)
         n = len(states)
         num_counters = np.zeros(n, dtype=np.int64)
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        n_slots = len(self._packed_widths)
+        n_slots = self._n_packed
         if n_slots:
-            run_gids, _ = self._combined_runs(states)
+            run_gids, _ = pooled_kgram_runs(
+                *self._pooled_keys(states), self._key_bits
+            )
             num_counters += (
                 np.bincount(run_gids, minlength=n_slots * n)
                 .reshape(n_slots, n)

@@ -33,26 +33,46 @@ _HEADER_TERMINATOR = b"\r\n\r\n"
 _MAX_HEADER_SCAN = 4096
 
 
-def detect_app_protocol(data: bytes) -> "str | None":
+def _by_first_byte(signatures) -> "dict[int, tuple[tuple[bytes, str], ...]]":
+    """``first byte -> ((prefix, protocol), ...)``, in signature-table order."""
+    table: "dict[int, list]" = {}
+    for name, prefixes in signatures.items():
+        for prefix in prefixes:
+            table.setdefault(prefix[0], []).append((prefix, name))
+    return {first: tuple(entries) for first, entries in table.items()}
+
+
+#: Almost every binary or encrypted payload starts with a byte no
+#: signature starts with, so the sniff is one dict miss for those.
+_SIGNATURES_BY_FIRST_BYTE = _by_first_byte(APP_HEADER_SIGNATURES)
+
+
+def detect_app_protocol(data: "bytes | bytearray | memoryview") -> "str | None":
     """Name of the application protocol ``data`` starts with, or None."""
-    for name, prefixes in APP_HEADER_SIGNATURES.items():
-        if any(data.startswith(prefix) for prefix in prefixes):
+    if not data:
+        return None
+    for prefix, name in _SIGNATURES_BY_FIRST_BYTE.get(data[0], ()):
+        if data[: len(prefix)] == prefix:
             return name
     return None
 
 
-def strip_app_header(data: bytes) -> tuple["str | None", bytes]:
+def strip_app_header(
+    data: "bytes | bytearray | memoryview",
+) -> "tuple[str | None, bytes | bytearray | memoryview]":
     """(detected protocol, payload with the known header removed).
 
     For detected protocols the header runs through the first blank line
     (``\\r\\n\\r\\n``); when no terminator appears within the scan window the
     data is returned unchanged (the flow's header is longer than anything
     we can safely strip). Undetected protocols return ``(None, data)``.
+    The payload comes back as a slice of ``data``, whatever bytes-like
+    that is.
     """
     protocol = detect_app_protocol(data)
     if protocol is None:
         return None, data
-    end = data.find(_HEADER_TERMINATOR, 0, _MAX_HEADER_SCAN)
+    end = bytes(data[:_MAX_HEADER_SCAN]).find(_HEADER_TERMINATOR)
     if end < 0:
         return protocol, data
     return protocol, data[end + len(_HEADER_TERMINATOR) :]

@@ -372,7 +372,6 @@ class FlowPipeline:
                 pending.closed = True
                 return IngestResult(ready=self.drain(reason="close"))
             return IngestResult()
-        self.wheel.schedule(flow_id, now + self.buffer_timeout)
         if pending.raw_bytes >= self.policy.target_bytes or is_close:
             # Buffer full — or the flow is over; classify whatever
             # arrived (or give up).
@@ -381,6 +380,9 @@ class FlowPipeline:
             return IngestResult(
                 ready=self.make_ready(flow_id, pending, now, force=is_close)
             )
+        # Only a flow left pending needs a deadline: one complete on
+        # arrival would cancel it within this same call.
+        self.wheel.schedule(flow_id, now + self.buffer_timeout)
         return IngestResult()
 
     # -- label application ---------------------------------------------------

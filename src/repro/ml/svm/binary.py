@@ -67,6 +67,20 @@ class BinarySVC:
         return self
 
     @property
+    def support_vectors_(self) -> "np.ndarray | None":
+        """The retained support vectors (None until fitted or loaded)."""
+        return self._support_vectors
+
+    @support_vectors_.setter
+    def support_vectors_(self, vectors: "np.ndarray | None") -> None:
+        self._support_vectors = vectors
+        # Fixed from here on: bind the kernel to them once, so a
+        # decision_function call only pays for what depends on X.
+        self._gram_against_support = (
+            None if vectors is None else self.kernel.against(vectors)
+        )
+
+    @property
     def n_support_(self) -> int:
         """Number of retained support vectors."""
         check_fitted(self, "support_vectors_")
@@ -76,8 +90,7 @@ class BinarySVC:
         """Signed margin ``f(x)``; positive means the larger class."""
         features = check_X(X)
         check_fitted(self, "support_vectors_")
-        gram = self.kernel(features, self.support_vectors_)
-        return gram @ self.dual_coef_ + self.bias_
+        return self._gram_against_support(features) @ self.dual_coef_ + self.bias_
 
     def predict(self, X) -> np.ndarray:
         """Predicted labels (the original label values passed to fit)."""

@@ -8,6 +8,8 @@ live in ``[0, 1]``, which is why such large gammas are usable.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 __all__ = ["Kernel", "LinearKernel", "PolynomialKernel", "RbfKernel"]
@@ -18,6 +20,14 @@ class Kernel:
 
     def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def against(self, Y: np.ndarray):
+        """``X -> K(X, Y)`` for a fixed ``Y`` (a machine's support vectors).
+
+        Concrete kernels override this to compute whatever depends on
+        ``Y`` alone once, instead of on every call.
+        """
+        return partial(self, Y=np.asarray(Y, dtype=np.float64))
 
     def diagonal(self, X: np.ndarray) -> np.ndarray:
         """``K(x_i, x_i)`` for each row.
@@ -80,10 +90,19 @@ class RbfKernel(Kernel):
         self.gamma = gamma
 
     def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        left = np.asarray(X, dtype=np.float64)
+        return self.against(Y)(X)
+
+    def against(self, Y: np.ndarray):
         right = np.asarray(Y, dtype=np.float64)
+        return partial(
+            self._gram, right=right, sq_right=(right**2).sum(axis=1)[None, :]
+        )
+
+    def _gram(
+        self, X: np.ndarray, right: np.ndarray, sq_right: np.ndarray
+    ) -> np.ndarray:
+        left = np.asarray(X, dtype=np.float64)
         sq_left = (left**2).sum(axis=1)[:, None]
-        sq_right = (right**2).sum(axis=1)[None, :]
         sq_dist = np.maximum(sq_left + sq_right - 2.0 * left @ right.T, 0.0)
         return np.exp(-self.gamma * sq_dist)
 

@@ -11,6 +11,18 @@ from repro.core.headers import (
 from repro.net.appproto import APP_PROTOCOLS, make_app_header
 
 
+def strided_view(data: bytes) -> memoryview:
+    """A non-contiguous memoryview over ``data``."""
+    spread = bytearray(2 * len(data))
+    spread[::2] = data
+    view = memoryview(spread)[::2]
+    assert not view.contiguous or not data
+    return view
+
+
+BYTES_LIKE = (bytes, bytearray, memoryview, strided_view)
+
+
 class TestDetectAppProtocol:
     def test_detects_every_generated_protocol(self, rng):
         for name in APP_PROTOCOLS:
@@ -29,6 +41,14 @@ class TestDetectAppProtocol:
 
     def test_empty_undetected(self):
         assert detect_app_protocol(b"") is None
+
+    @pytest.mark.parametrize("view", BYTES_LIKE, ids=lambda view: view.__name__)
+    def test_any_bytes_like(self, view):
+        # A pcap-decoded ``Packet.payload`` is a memoryview.
+        assert detect_app_protocol(view(b"HTTP/1.1 200 OK\r\n")) == "http-response"
+        assert detect_app_protocol(view(b"\x89PNG\r\n\x1a\n")) is None
+        assert detect_app_protocol(view(b"HTTP")) is None
+        assert detect_app_protocol(view(b"")) is None
 
 
 class TestStripAppHeader:
@@ -50,6 +70,22 @@ class TestStripAppHeader:
             # Header generators end mid-dialogue; the stripped result must
             # at least lose the first header block.
             assert len(stripped) < len(header) + 2 + len(payload)
+
+    @pytest.mark.parametrize("view", BYTES_LIKE, ids=lambda view: view.__name__)
+    def test_any_bytes_like(self, view):
+        header = b"GET /x HTTP/1.1\r\nHost: example.com\r\n\r\n"
+        protocol, stripped = strip_app_header(view(header + b"\x00\x01payload"))
+        assert protocol == "http-request"
+        assert bytes(stripped) == b"\x00\x01payload"
+        protocol, stripped = strip_app_header(view(b"\x00\x01payload"))
+        assert protocol is None
+        assert bytes(stripped) == b"\x00\x01payload"
+        assert strip_app_header(view(b""))[0] is None
+        # No terminator inside the scan window: detected, left whole.
+        long_header = b"GET /x HTTP/1.1\r\n" + b"A" * 5000 + b"\r\n\r\nbody"
+        protocol, stripped = strip_app_header(view(long_header))
+        assert protocol == "http-request"
+        assert bytes(stripped) == long_header
 
     def test_unknown_protocol_unchanged(self, sample_files):
         data = sample_files["binary"][:256]

@@ -3,36 +3,51 @@
 After a flow is labelled, each later packet is supposed to cost one CDB
 lookup (paper §1.2, §4.5). Streaming a capture through the engine must
 therefore build no header object and take no SHA-1, and mint one
-``FlowKey`` per *flow* — exact counts, so the test cannot flake, and it
-fails the day someone re-adds per-packet work.
+``FlowKey`` per *flow*; and a flow whose first packet completes its
+window must cost no deadline and share its extraction with the rest of
+its batch — exact counts, so the tests cannot flake, and they fail the
+day someone re-adds per-packet (or per-flow) work.
 """
 
 import hashlib
+import math
 from collections import Counter
+
+import pytest
 
 from repro.api import open_engine
 from repro.core.config import EngineConfig
+from repro.engine.deadlines import DeadlineWheel
 from repro.ingest import PcapFileSource
 from repro.net.flow import FlowKey
-from repro.net.packet import Ipv4Header, TcpHeader, UdpHeader
+from repro.net.packet import PROTO_UDP, Ipv4Header, Packet, TcpHeader, UdpHeader
 from repro.net.pcap import write_pcap
 
 
-def test_streamed_capture_parses_no_header_and_hashes_nothing(
-    tmp_path, monkeypatch, trained_svm, small_trace
-):
-    path = tmp_path / "trace.pcap"
-    write_pcap(path, small_trace.packets)
+@pytest.fixture
+def counting(monkeypatch):
+    """``(calls, count)``: ``count(owner, name)`` tallies calls of an attribute."""
     calls = Counter()
 
     def count(owner, name, wrap=lambda function: function):
         original = getattr(owner, name)
+        label = getattr(owner, "__name__", type(owner).__name__)
 
         def counted(*args, **kwargs):
-            calls[f"{owner.__name__}.{name}"] += 1
+            calls[f"{label}.{name}"] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrap(counted))
+
+    return calls, count
+
+
+def test_streamed_capture_parses_no_header_and_hashes_nothing(
+    tmp_path, counting, trained_svm, small_trace
+):
+    path = tmp_path / "trace.pcap"
+    write_pcap(path, small_trace.packets)
+    calls, count = counting
 
     for header in (Ipv4Header, TcpHeader, UdpHeader):
         # ``original`` is already bound to the class: drop the wrapper's ``cls``.
@@ -55,3 +70,66 @@ def test_streamed_capture_parses_no_header_and_hashes_nothing(
     # minted with exactly one key.
     assert calls["FlowKey.__init__"] == stats.classifications + stats.unclassifiable
     assert calls["FlowKey.__init__"] < stats.packets / 4
+
+
+def udp_packet(flow: int, payload: bytes, timestamp: float) -> Packet:
+    ip = Ipv4Header(src=f"10.0.{flow >> 8}.{flow & 255}", dst="192.168.0.1",
+                    protocol=PROTO_UDP)
+    return Packet(ip, UdpHeader(4000, 53, 8 + len(payload)), payload, timestamp)
+
+
+def test_flow_complete_on_arrival_costs_no_deadline(counting, trained_svm):
+    flows, max_batch = 21, 8
+    payload = bytes(range(48))
+    # Well inside one sample interval and one max_delay: only the size
+    # trigger and the end of the stream drain the batcher.
+    packets = [udp_packet(i, payload[i % 8 :], i * 1e-4) for i in range(flows)]
+    calls, count = counting
+    count(DeadlineWheel, "schedule")
+    count(FlowKey, "__init__")
+
+    engine = open_engine(trained_svm, EngineConfig(max_batch=max_batch, max_delay=1.0))
+    count(engine.extractor, "finalize")
+    stats = engine.process_source(packets)
+    engine.close()
+
+    assert stats.classifications == flows
+    assert calls["DeadlineWheel.schedule"] == 0
+    assert len(engine.wheel._heap) == 0
+    assert calls["BatchEntropyExtractor.finalize"] == math.ceil(flows / max_batch)
+    assert calls["FlowKey.__init__"] == flows
+
+
+def test_flow_left_pending_still_gets_its_deadline(counting, trained_svm):
+    flows = 6
+    half = bytes(range(16))
+    # Each flow fills its 32-byte window with its second packet; flow 99
+    # sends one packet and goes silent.
+    packets = [udp_packet(i, half, i * 1e-3) for i in range(flows)]
+    packets.append(udp_packet(99, half, 0.01))
+    packets += [udp_packet(i, half, 0.02 + i * 1e-3) for i in range(flows)]
+    # The clock moves on past the silent flow's buffer timeout.
+    packets += [udp_packet(200 + i, bytes(48), 1.5 + i) for i in range(3)]
+    calls, count = counting
+    count(DeadlineWheel, "schedule")
+
+    engine = open_engine(
+        trained_svm, EngineConfig(max_batch=4, buffer_timeout=0.5)
+    )
+    count(engine, "flush_timeouts")
+    stats = engine.process_source(packets)
+    engine.close()
+
+    # One deadline per packet that left its flow pending: the first half
+    # of every two-packet flow and the silent flow's only packet.
+    assert calls["DeadlineWheel.schedule"] == flows + 1
+    assert calls["StagedEngine.flush_timeouts"] >= 1
+    assert stats.classifications == flows + 1 + 3
+    silent = next(
+        outcome for outcome in stats.classified
+        if outcome.key.src == "10.0.0.99"
+    )
+    assert silent.buffered_bytes == len(half)
+    # Labelled by the timeout sweep, not by the end-of-stream drain.
+    assert silent.classified_at < packets[-1].timestamp
+    assert len(engine.wheel) == 0

@@ -1,0 +1,139 @@
+"""Differential tests: the pooled entropy reduction against the scalar twin.
+
+``entropy_vectors_batch`` (the batch extractor's window kernel) and
+``IncrementalEntropyExtractor.finalize_batch`` both reduce through
+``repro.core.entropy.pooled_kgram_entropies``; the oracle for both is
+``entropy_vector``, one buffer and one width at a time. The five named
+feature sets between them reach every path: the pooled sort with bit
+headroom (widest packed width < 8), the two-key fallback (``full`` holds
+``h_8``), the two-word ``(8, 16]`` kernel (``full``, ``phi_cart``,
+``phi_svm``) and the incremental extractor's wide-gram dicts.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.classifier import IustitiaClassifier
+from repro.core.entropy_vector import entropy_vector, entropy_vectors_batch
+from repro.core.extract import IncrementalEntropyExtractor
+from repro.core.features import FEATURE_SETS, PHI_SVM_PRIME
+from repro.data.corpus import build_corpus
+
+TOLERANCE = 1e-12
+
+#: Computed on the per-width kernels this reduction replaced.
+GOLDEN_LABELS_SHA256 = (
+    "b9aa3a3b47a920a3df4dd62f394c5f7c56be9b361d6eab2e5ef32a823da720d4"
+)
+
+feature_sets = pytest.mark.parametrize("name", sorted(FEATURE_SETS))
+
+
+def oracle(buffers, features) -> np.ndarray:
+    return np.array([entropy_vector(b, features).values for b in buffers])
+
+
+def assert_close(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max(initial=0.0) <= TOLERANCE
+
+
+@st.composite
+def batches(draw, max_width: int):
+    """1-64 buffers: equal lengths or mixed, down to ``max_width`` bytes."""
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        lengths = [draw(st.integers(max_width, 96))] * n
+    else:
+        lengths = draw(
+            st.lists(st.integers(max_width, 48), min_size=n, max_size=n)
+        )
+    # A small alphabet makes repeated grams (runs longer than one) common.
+    alphabet = draw(st.sampled_from((2, 16, 256)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, alphabet, size=m, dtype=np.uint8).tobytes() for m in lengths]
+
+
+class TestBatchKernel:
+    @feature_sets
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_twin(self, name, data):
+        features = FEATURE_SETS[name]
+        buffers = data.draw(batches(features.max_width))
+        assert_close(entropy_vectors_batch(buffers, features), oracle(buffers, features))
+
+    @feature_sets
+    def test_buffers_of_exactly_max_width(self, name):
+        features = FEATURE_SETS[name]
+        rng = np.random.default_rng(5)
+        buffers = [rng.bytes(features.max_width) for _ in range(9)]
+        got = entropy_vectors_batch(buffers, features)
+        assert_close(got, oracle(buffers, features))
+        # One gram of the widest width: a single element, exactly zero.
+        assert (got[:, features.widths.index(features.max_width)] == 0.0).all()
+
+    @feature_sets
+    @settings(deadline=None)
+    @given(value=st.integers(0, 255), length=st.integers(16, 64), n=st.integers(1, 8))
+    def test_constant_rows_are_exactly_zero(self, name, value, length, n):
+        features = FEATURE_SETS[name]
+        rng = np.random.default_rng(value)
+        buffers = [bytes([value]) * length] * n + [rng.bytes(length)]
+        got = entropy_vectors_batch(buffers, features)
+        assert (got[:n] == 0.0).all()
+        assert_close(got, oracle(buffers, features))
+
+    def test_accepts_every_bytes_like(self):
+        raw = [bytes(range(40)), bytes(range(7, 47))]
+        expected = oracle(raw, PHI_SVM_PRIME)
+        for view in (bytearray, memoryview, lambda b: np.frombuffer(b, dtype=np.uint8)):
+            got = entropy_vectors_batch([view(b) for b in raw], PHI_SVM_PRIME)
+            assert_close(got, expected)
+
+
+class TestIncrementalFinalize:
+    @feature_sets
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_finalize_batch_matches_scalar_twin(self, name, data):
+        features = FEATURE_SETS[name]
+        buffers = data.draw(batches(features.max_width))
+        # Fragmentation has its own suite (test_extractor_properties): two
+        # chunks per flow are enough to cross a packet boundary here.
+        cut = data.draw(st.integers(0, features.max_width))
+        extractor = IncrementalEntropyExtractor(features, buffer_size=96)
+        states = []
+        for buffer in buffers:
+            state = extractor.new_state()
+            extractor.fold(state, buffer[:cut])
+            extractor.fold(state, buffer[cut:])
+            states.append(state)
+        assert_close(extractor.finalize_batch(states), oracle(buffers, features))
+
+
+def test_classify_buffers_golden_digest():
+    """Labels of ~1,900 windows through the whole batched path, pinned.
+
+    The tolerance above lets a feature move in its last bits; this pins
+    what must not move at all. The corpus and the model are the
+    benchmark's ``--quick`` ones (``bench/workloads.py``).
+    """
+    corpus = build_corpus(per_class=20, seed=7)
+    classifier = IustitiaClassifier(
+        model="svm", feature_set=PHI_SVM_PRIME, buffer_size=32
+    ).fit_corpus(corpus)
+    windows = [
+        item.data[offset : offset + 32]
+        for item in corpus
+        for offset in range(0, 1024, 32)
+    ]
+    labels = classifier.classify_buffers(windows)
+    digest = hashlib.sha256(bytes(int(label) for label in labels)).hexdigest()
+    assert len(labels) == 1920
+    assert digest == GOLDEN_LABELS_SHA256
