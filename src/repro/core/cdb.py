@@ -55,13 +55,14 @@ DEFAULT_LAMBDA = 0.5
 REMOVAL_REASONS = ("fin", "reclassified")
 
 
-@dataclass
+@dataclass(slots=True)
 class CdbRecord:
     """One CDB entry.
 
     ``classified_at`` supports the Section-4.6 reclassification defense
     (periodically re-examining long-lived flows); it is not part of the
     194-bit baseline accounting, which models the paper's minimal record.
+    Slotted: a gateway holds one per labelled flow.
     """
 
     label: FlowNature
@@ -76,6 +77,17 @@ class CdbRecord:
     def age(self, now: float) -> float:
         """Seconds since this flow was (re)classified."""
         return now - self.classified_at
+
+    def touch(self, now: float) -> None:
+        """Record a packet arrival: lambda becomes the gap since the last.
+
+        A zero or negative gap (same-tick or out-of-order packet) keeps
+        the previous lambda; ``last_arrival`` moves to ``now`` regardless.
+        """
+        gap = now - self.last_arrival
+        if gap > 0:
+            self.last_inter_arrival = gap
+        self.last_arrival = now
 
 
 @dataclass
@@ -106,6 +118,11 @@ class ClassificationDatabase:
             raise ValueError(
                 f"purge_trigger_flows must be >= 0, got {self.purge_trigger_flows}"
             )
+        #: ``record_of(flow_id)``: the full record of a flow, or None when
+        #: unknown. It is the record dict's own bound ``get`` — every
+        #: insert, removal and purge mutates that one dict in place — so
+        #: the engine's per-packet probe costs no Python frame.
+        self.record_of = self._records.get
 
     def __len__(self) -> int:
         return len(self._records)
@@ -128,10 +145,6 @@ class ClassificationDatabase:
         record = self._records.get(flow_id)
         return record.label if record is not None else None
 
-    def record_of(self, flow_id: bytes) -> "CdbRecord | None":
-        """The full record of a flow, or None when unknown."""
-        return self._records.get(flow_id)
-
     def insert(self, flow_id: bytes, label: FlowNature, now: float) -> None:
         """Store a freshly classified flow; may trigger an inactivity sweep."""
         if not isinstance(flow_id, bytes) or not flow_id:
@@ -152,10 +165,7 @@ class ClassificationDatabase:
         record = self._records.get(flow_id)
         if record is None:
             raise KeyError(f"flow {flow_id.hex()} not in CDB")
-        gap = now - record.last_arrival
-        if gap >= 0:
-            record.last_inter_arrival = gap if gap > 0 else record.last_inter_arrival
-        record.last_arrival = now
+        record.touch(now)
 
     def remove(self, flow_id: bytes, reason: str = "fin") -> bool:
         """Remove a flow; returns whether it was present.

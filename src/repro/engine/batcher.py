@@ -21,7 +21,7 @@ from dataclasses import dataclass
 __all__ = ["DRAIN_REASONS", "MicroBatcher", "ReadyFlow"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadyFlow:
     """A flow whose classification window is frozen and awaiting a drain.
 
@@ -65,7 +65,10 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.max_delay = max_delay
         self._queue: list[ReadyFlow] = []
-        self._oldest_enqueued: "float | None" = None
+        #: Packet clock at which the oldest queued flow was pushed; None
+        #: when nothing waits. The runtime reads it on every packet, where
+        #: calling :meth:`due` would cost a frame.
+        self.oldest_enqueued: "float | None" = None
         self._m_drain_size = None
         self._m_drains: "dict[str, object] | None" = None
 
@@ -96,8 +99,8 @@ class MicroBatcher:
     def push(self, item: ReadyFlow, now: float) -> "list[ReadyFlow] | None":
         """Queue a ready flow; returns the batch when the size trigger fires."""
         self._queue.append(item)
-        if self._oldest_enqueued is None:
-            self._oldest_enqueued = now
+        if self.oldest_enqueued is None:
+            self.oldest_enqueued = now
         if len(self._queue) >= self.max_batch:
             return self.drain(reason="size")
         return None
@@ -105,8 +108,8 @@ class MicroBatcher:
     def due(self, now: float) -> bool:
         """Whether the latency bound has elapsed for the oldest queued flow."""
         return (
-            self._oldest_enqueued is not None
-            and now - self._oldest_enqueued >= self.max_delay
+            self.oldest_enqueued is not None
+            and now - self.oldest_enqueued >= self.max_delay
         )
 
     def drain(self, reason: str = "manual") -> "list[ReadyFlow]":
@@ -122,7 +125,7 @@ class MicroBatcher:
             )
         batch = self._queue
         self._queue = []
-        self._oldest_enqueued = None
+        self.oldest_enqueued = None
         if batch and self._m_drains is not None:
             self._m_drain_size.observe(len(batch))
             self._m_drains[reason].inc()

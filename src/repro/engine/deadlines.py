@@ -6,9 +6,16 @@ points. The wheel keeps one heap entry per (flow, deadline) and pops
 expired flows in O(expired · log n), so ``flush_timeouts`` can run as
 often as the caller likes without touching live flows.
 
-Rescheduling is lazy: a new packet for a flow pushes a fresh entry and
+Rescheduling is lazy: scheduling a flow again pushes a fresh entry and
 records the flow's current deadline; stale heap entries are discarded
 when popped (and compacted wholesale when they outnumber live flows).
+The pipeline schedules sparingly — once when a flow is created and left
+pending, and again only when a fired deadline finds the flow still
+active (:meth:`FlowPipeline.pop_expired
+<repro.engine.pipeline.FlowPipeline.pop_expired>` compares the flow's
+``last_arrival`` and re-arms) — so the heap holds about one entry per
+pending flow, not one per pending packet, and a fired deadline is a cue
+to look at the flow, not yet a verdict.
 
 Expiry is *strict*: a flow whose inactivity equals the timeout exactly is
 NOT expired — the paper's condition is ``now - t_last > timeout``, so a
@@ -36,9 +43,11 @@ class DeadlineWheel:
     def bind_metrics(self, registry) -> None:
         """Register this wheel's instruments on a ``MetricsRegistry``.
 
-        Exposes expirations (counter), live heap entries including stale
-        ones (gauge — the cost of lazy rescheduling), and scheduled flows
-        (gauge). The two gauges are pull-based: a registry collector
+        Exposes fired deadlines (counter: expired flows plus flows the
+        pipeline found still active and re-armed), heap entries including
+        stale ones (gauge: entries of cancelled — classified — flows stay
+        until popped or compacted), and scheduled flows (gauge). The two
+        gauges are pull-based: a registry collector
         reads the sizes at scrape time, so ``schedule``/``pop_expired``
         pay nothing for them.
         """

@@ -415,29 +415,19 @@ class StagedEngine:
         for sink in self.sinks:
             sink.on_flow_classified(outcome, packets)
 
-    def emit_packet(self, label, packet) -> None:
-        """Fan one known-flow packet out to every sink."""
-        for sink in self.sinks:
-            sink.on_packet(label, packet)
-
-    def drain_outbox(self) -> None:
-        """Forward the pipeline's queued CDB-hit packets to the sinks."""
-        events = self.pipeline.outbox
-        self.pipeline.outbox = []
-        for label, packet in events:
-            self.emit_packet(label, packet)
-
     # -- packet path ----------------------------------------------------------
 
     def process_packet(self, packet: Packet) -> "FlowNature | None":
         """Run one packet through the stages; returns its flow's label if known."""
-        self._ensure_open()
+        if self._closed:
+            self._ensure_open()
         self._finished = False
         stats = self.stats
         stats.packets += 1
-        if packet.payload:
+        payload = packet.payload
+        if payload:
             stats.data_packets += 1
-            self._payload_bytes += len(packet.payload)
+            self._payload_bytes += len(payload)
         return self.runtime.dispatch(
             packet, packet.flow_tuple, packet.timestamp, packet.is_close
         )
@@ -511,9 +501,10 @@ class StagedEngine:
         next_sample = None
         final = None
         series = self.stats.cdb_size_series
+        process_packet = self.process_packet
         for packet in source:
             try:
-                self.process_packet(packet)
+                process_packet(packet)
             except EngineClosedError:
                 raise
             except Exception as exc:
@@ -521,11 +512,16 @@ class StagedEngine:
                     raise
             final = packet.timestamp
             if next_sample is None:
-                next_sample = packet.timestamp + sample_interval
-            while packet.timestamp >= next_sample:
-                self.flush_timeouts(packet.timestamp)
-                series.append((next_sample, len(self.table)))
-                next_sample += sample_interval
+                next_sample = final + sample_interval
+            elif final >= next_sample:
+                # One flush covers every sample interval an idle gap
+                # crossed: a second flush at the same ``final`` finds
+                # nothing due, nothing expired and nothing queued.
+                self.flush_timeouts(final)
+                size = len(self.table)
+                while final >= next_sample:
+                    series.append((next_sample, size))
+                    next_sample += sample_interval
         if final is not None:
             self.finish(final)
             if series and series[-1][0] == final:

@@ -6,8 +6,8 @@ classifier, all of it keyed by one
 buffers, the :class:`~repro.engine.deadlines.DeadlineWheel` of
 buffer-timeout deadlines, the deferred fold of streaming extractors, and
 the :class:`~repro.engine.batcher.MicroBatcher` of ready flows — behind
-a narrow surface (:meth:`ingest` / :meth:`poll_due` /
-:meth:`pop_expired` / :meth:`apply`).
+a narrow surface (:meth:`ingest` / :meth:`pop_expired` / :meth:`drain` /
+:meth:`apply`).
 
 The split from the engine is along read/write sets:
 
@@ -17,8 +17,8 @@ The split from the engine is along read/write sets:
   reads only frozen windows, so the pipeline never classifies — it
   emits :class:`~repro.engine.batcher.ReadyFlow`\\ s and the runtime
   hands back labels through :meth:`apply`;
-* sink fan-out is the engine's: the pipeline appends forwardable
-  packets to :attr:`outbox`.
+* sink fan-out is the engine's and the runtime's: :meth:`ingest`
+  returns a known flow's label and the caller forwards the packet.
 
 ``stats`` fields written here: ``cdb_hits``, ``classifications``,
 ``unclassifiable``, ``fin_removals``, ``reclassifications``,
@@ -32,6 +32,7 @@ from itertools import count
 from time import perf_counter
 
 from repro.core.headers import skip_threshold, strip_app_header
+from repro.core.labels import ALL_NATURES
 from repro.engine.batcher import MicroBatcher, ReadyFlow
 from repro.engine.deadlines import DeadlineWheel
 from repro.engine.flow_table import FlowTable
@@ -53,7 +54,9 @@ class IngestResult:
 
     ``label`` is the flow's known label (CDB hit) or None; ``ready`` is
     whatever batch the packet drained (empty when nothing classifies
-    yet).
+    yet). :meth:`FlowPipeline.ingest` builds one only for a packet that
+    drained a batch: hits and packets that leave their flow pending get
+    shared instances, so treat a result as read-only.
     """
 
     __slots__ = ("label", "ready")
@@ -61,6 +64,11 @@ class IngestResult:
     def __init__(self, label=None, ready=()) -> None:
         self.label = label
         self.ready = ready
+
+
+#: What :meth:`FlowPipeline.ingest` returns for a packet that neither hit
+#: the CDB nor drained a batch.
+_NOTHING = IngestResult()
 
 
 class WindowPolicy:
@@ -118,9 +126,8 @@ class FlowPipeline:
 
     Owns the deadline wheel and the micro-batcher; reads and writes the
     table's pending dict and CDB. Never classifies: ready flows leave
-    through the return values of :meth:`ingest` / :meth:`poll_due` /
-    :meth:`make_ready` / :meth:`drain`, and labels come back through
-    :meth:`apply`.
+    through the return values of :meth:`ingest` / :meth:`make_ready` /
+    :meth:`drain`, and labels come back through :meth:`apply`.
     """
 
     def __init__(
@@ -139,6 +146,10 @@ class FlowPipeline:
         self.policy = policy
         self.buffer_timeout = buffer_timeout
         self.reclassify_interval = reclassify_interval
+        # Constants of a run, read here once instead of per packet.
+        self._target_bytes = policy.target_bytes
+        self._window_cap = extractor.buffer_size
+        self._hit = {nature: IngestResult(label=nature) for nature in ALL_NATURES}
         #: Mints ``PendingFlow.seq``, the first-arrival order of flows.
         self._next_seq = count().__next__
         self.wheel = DeadlineWheel()
@@ -150,9 +161,6 @@ class FlowPipeline:
         # re-read at readiness, so its state must always be current.
         self._fold_at_drain = not extractor.retains_payload
         self.stats = EngineStats()
-        #: (label, packet) pairs awaiting sink fan-out — the runtime
-        #: drains this after every call.
-        self.outbox: list = []
         self._time_folds = False
         self._m_fold_chunks = None
         self._fold_seconds = 0.0
@@ -299,51 +307,63 @@ class FlowPipeline:
         """Flush the micro-batch."""
         return self.batcher.drain(reason=reason)
 
-    def poll_due(self, now: float) -> "list[ReadyFlow]":
-        """Drain the micro-batch iff its latency bound has elapsed."""
-        if self.batcher.due(now):
-            return self.drain(reason="delay")
-        return []
-
     def pop_expired(self, now: float) -> "list[tuple[bytes, PendingFlow]]":
-        """Pending flows whose buffer-timeout deadline has passed."""
+        """Pending flows silent for longer than ``buffer_timeout``.
+
+        A flow's deadline is armed once, when :meth:`ingest` creates it;
+        later packets only move ``last_arrival``. So a fired deadline is a
+        cue to look: the flow expired iff ``last_arrival + buffer_timeout
+        < now`` — the test an eagerly rescheduled deadline would make —
+        and is otherwise re-armed at that true deadline. On a
+        nondecreasing clock the armed deadline never lies after the true
+        one, so no expiry is late.
+        """
         pending_get = self.table.pending.get
-        return [
-            (flow_id, pending)
-            for flow_id in self.wheel.pop_expired(now)
-            if (pending := pending_get(flow_id)) is not None
-        ]
+        timeout = self.buffer_timeout
+        expired = []
+        for flow_id in self.wheel.pop_expired(now):
+            pending = pending_get(flow_id)
+            if pending is None:
+                continue
+            deadline = pending.last_arrival + timeout
+            if deadline < now:
+                expired.append((flow_id, pending))
+            else:
+                self.wheel.schedule(flow_id, deadline)
+        return expired
 
     # -- packet path ---------------------------------------------------------
 
     def ingest(
         self, packet, flow_id: bytes, now: float, is_close: bool
     ) -> IngestResult:
-        """Run one packet through lookup/buffer/fold/ready."""
+        """Run one packet through lookup/buffer/fold/ready.
+
+        A result with a ``label`` is a CDB hit: the caller forwards the
+        packet to the sinks.
+        """
         table = self.table
         record = table.record_of(flow_id)
-        if record is not None and (
-            self.reclassify_interval
-            and record.age(now) > self.reclassify_interval
-        ):
-            # Section 4.6 defense: long-lived flows are periodically
-            # re-examined, so padding only defrauds the first interval.
-            table.remove(flow_id, reason="reclassified")
-            self.stats.reclassifications += 1
-            record = None
         if record is not None:
-            label = record.label
-            self.stats.cdb_hits += 1
-            table.touch(flow_id, now)
-            if packet.payload:
-                self.outbox.append((label, packet))
-            if is_close:
-                table.remove(flow_id, reason="fin")
-                self.stats.fin_removals += 1
-            return IngestResult(label=label)
+            if (
+                self.reclassify_interval
+                and record.age(now) > self.reclassify_interval
+            ):
+                # Section 4.6 defense: long-lived flows are periodically
+                # re-examined, so padding only defrauds the first interval.
+                table.remove(flow_id, reason="reclassified")
+                self.stats.reclassifications += 1
+            else:
+                self.stats.cdb_hits += 1
+                record.touch(now)
+                if is_close:
+                    table.remove(flow_id, reason="fin")
+                    self.stats.fin_removals += 1
+                return self._hit[record.label]
 
         pending = table.pending.get(flow_id)
-        if pending is None:
+        created = pending is None
+        if created:
             pending = PendingFlow(
                 key=FlowKey.of_packet(packet),
                 seq=self._next_seq(),
@@ -352,18 +372,20 @@ class FlowPipeline:
                 last_arrival=now,
             )
             table.pending[flow_id] = pending
-        pending.last_arrival = now
-        if packet.payload:
+        else:
+            pending.last_arrival = now
+        payload = packet.payload
+        if payload:
             prior_raw = pending.raw_bytes
-            pending.raw_bytes = prior_raw + len(packet.payload)
+            pending.raw_bytes = prior_raw + len(payload)
             if not self._fold_at_drain:
-                self._fold_one(pending.state, packet.payload)
-            elif prior_raw < self.extractor.buffer_size:
+                self._fold_one(pending.state, payload)
+            elif prior_raw < self._window_cap:
                 # Chunks fold in arrival order and each fold caps at the
                 # extractor window, so once the bytes *before* this chunk
                 # already cover the window its fold is provably a no-op —
                 # it is never queued, which also bounds deferred memory.
-                pending.unfolded.append(packet.payload)
+                pending.unfolded.append(payload)
             pending.packets.append(packet)
 
         if pending.queued:
@@ -371,8 +393,8 @@ class FlowPipeline:
             if is_close:
                 pending.closed = True
                 return IngestResult(ready=self.drain(reason="close"))
-            return IngestResult()
-        if pending.raw_bytes >= self.policy.target_bytes or is_close:
+            return _NOTHING
+        if pending.raw_bytes >= self._target_bytes or is_close:
             # Buffer full — or the flow is over; classify whatever
             # arrived (or give up).
             if is_close:
@@ -380,10 +402,13 @@ class FlowPipeline:
             return IngestResult(
                 ready=self.make_ready(flow_id, pending, now, force=is_close)
             )
-        # Only a flow left pending needs a deadline: one complete on
-        # arrival would cancel it within this same call.
-        self.wheel.schedule(flow_id, now + self.buffer_timeout)
-        return IngestResult()
+        if created:
+            # Armed once per flow, and only for a flow left pending (one
+            # complete on arrival would cancel it within this same call);
+            # later packets move ``last_arrival``, which
+            # :meth:`pop_expired` checks when this deadline fires.
+            self.wheel.schedule(flow_id, now + self.buffer_timeout)
+        return _NOTHING
 
     # -- label application ---------------------------------------------------
 

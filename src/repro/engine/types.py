@@ -27,7 +27,7 @@ class EngineClosedError(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingFlow:
     """Per-flow state while its classification window is filling.
 
@@ -38,6 +38,10 @@ class PendingFlow:
     the extractor, never touched directly. ``raw_bytes`` counts every
     payload byte that arrived while pending (the buffer-full trigger and
     the ``buffered_bytes`` the flow reports at classification).
+
+    ``last_arrival`` is the packet clock of the flow's latest packet: the
+    buffer-timeout test (``last_arrival + buffer_timeout < now``) reads it
+    when the flow's armed deadline fires.
 
     ``seq`` is a global first-packet arrival index: drains iterate pending
     flows in ``seq`` order so the staged engine classifies (and draws any

@@ -32,6 +32,8 @@ FLAG_SYN = 0x02
 FLAG_RST = 0x04
 FLAG_PSH = 0x08
 FLAG_ACK = 0x10
+#: Either bit ends the flow (FIN: clean close, RST: abort).
+_CLOSE_FLAGS = FLAG_FIN | FLAG_RST
 
 
 def internet_checksum(data: bytes) -> int:
@@ -255,6 +257,12 @@ _WIRE_FIELDS = {
 _FIVE_TUPLE = struct.Struct("!4sH4sHB")
 
 
+def _bad_five_tuple(*five_tuple) -> ValueError:
+    return ValueError(
+        f"invalid address, port or protocol in 5-tuple {five_tuple}"
+    )
+
+
 def pack_five_tuple(
     src: str, src_port: int, dst: str, dst_port: int, protocol: int
 ) -> bytes:
@@ -265,10 +273,7 @@ def pack_five_tuple(
             protocol,
         )
     except (OSError, struct.error):
-        raise ValueError(
-            "invalid address, port or protocol in 5-tuple "
-            f"{(src, src_port, dst, dst_port, protocol)}"
-        ) from None
+        raise _bad_five_tuple(src, src_port, dst, dst_port, protocol) from None
 
 
 class Packet:
@@ -370,7 +375,7 @@ class Packet:
                 raise ValueError(
                     f"TCP header claims {header_len} bytes, got {body}"
                 )
-            is_close = flags & (FLAG_FIN | FLAG_RST) != 0
+            is_close = flags & _CLOSE_FLAGS != 0
         elif protocol == PROTO_UDP:
             if body < UdpHeader.HEADER_LEN:
                 raise ValueError(f"UDP header needs 8 bytes, got {body}")
@@ -408,16 +413,45 @@ class Packet:
 
     @property
     def flow_tuple(self) -> bytes:
-        """The packed 13-byte 5-tuple, ``FlowKey.of_packet(p).to_bytes()``."""
-        return self._flow_tuple or pack_five_tuple(*self.five_tuple)
+        """The packed 13-byte 5-tuple, ``FlowKey.of_packet(p).to_bytes()``.
+
+        The engine reads this on every packet, so both kinds answer in
+        this one frame: a decoded packet returns the bytes ``from_bytes``
+        packed, a constructed one packs its headers' current fields here
+        (:func:`pack_five_tuple`, inlined) and stores nothing.
+        """
+        packed = self._flow_tuple
+        if packed is not None:
+            return packed
+        ip = self._ip
+        transport = self._transport
+        try:
+            return _FIVE_TUPLE.pack(
+                socket.inet_aton(ip.src), transport.src_port,
+                socket.inet_aton(ip.dst), transport.dst_port, ip.protocol,
+            )
+        except (OSError, struct.error):
+            raise _bad_five_tuple(
+                ip.src, transport.src_port, ip.dst, transport.dst_port,
+                ip.protocol,
+            ) from None
 
     @property
     def is_close(self) -> bool:
-        """Whether this is a TCP segment carrying FIN or RST."""
-        if self._is_close is not None:
-            return self._is_close
+        """Whether this is a TCP segment carrying FIN or RST.
+
+        Snapshotted at decode on a packet from :meth:`from_bytes`; read
+        from the header's *current* ``flags`` on a constructed packet
+        (headers are mutable), in this one frame either way.
+        """
+        close = self._is_close
+        if close is not None:
+            return close
         transport = self._transport
-        return isinstance(transport, TcpHeader) and (transport.fin or transport.rst)
+        return (
+            isinstance(transport, TcpHeader)
+            and transport.flags & _CLOSE_FLAGS != 0
+        )
 
     @property
     def is_tcp(self) -> bool:

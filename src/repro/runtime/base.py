@@ -15,7 +15,8 @@ In exchange the runtime may call back into the engine's coordinator
 surface: ``engine.pipeline``, ``engine.classify_apply(batch, now)``
 (or its parts: ``pipeline.fold_for(batch)`` +
 ``engine.classify_labels(batch, now)`` + ``pipeline.apply(...)`` +
-``engine.emit*``).
+``engine.emit``), and forwards a CDB-hit payload packet to
+``engine.sinks`` itself.
 
 This module also hosts the **runtime registry**: runtimes register a
 name → factory pair via :func:`register` (the built-in serial runtime

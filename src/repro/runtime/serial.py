@@ -9,12 +9,20 @@ reproduced exactly:
 * the delay-due check runs before the packet touches the flow table, a
   FIN/RST drains the queue into one classify call, and drained batches
   classify in push order — readiness order, never re-sorted;
+* a CDB-hit payload packet goes to every sink's ``on_packet`` right
+  after ``ingest`` returns its label (and after a FIN/RST hit has
+  retired the record);
 * timeout expirations freeze in first-arrival (``seq``) order, which is
   the order the monolith's flush used (and what keeps random-skip draws
   aligned);
 * ``engine.classify_apply`` folds each batch's deferred chunks in a
   single vectorized call, then applies labels per ready flow, so the
   CDB purge trigger fires at the same insert index.
+
+``dispatch`` is one of the three frames a packet that needs no
+classification enters (``engine.process_packet`` → ``dispatch`` →
+``pipeline.ingest``), so it calls nothing else on that path: the
+batcher's latency check is inlined and the sink loop is its own.
 """
 
 from __future__ import annotations
@@ -40,25 +48,29 @@ class SerialRuntime:
         pipeline = engine.pipeline
         # The packet clock advanced: drain if the oldest queued flow has
         # waited past the latency bound, before this packet is handled.
-        due = pipeline.poll_due(now)
-        if due:
-            engine.classify_apply(due, now)
+        # This is ``MicroBatcher.due``, inlined (one frame per packet).
+        batcher = pipeline.batcher
+        oldest = batcher.oldest_enqueued
+        if oldest is not None and now - oldest >= batcher.max_delay:
+            engine.classify_apply(pipeline.drain(reason="delay"), now)
 
         result = pipeline.ingest(packet, flow_id, now, is_close)
-        if pipeline.outbox:
-            engine.drain_outbox()
-        if result.label is not None:
-            return result.label
+        label = result.label
+        if label is not None:
+            # CDB hit: the packet is forwarded on its flow's label.
+            if packet.payload:
+                for sink in engine.sinks:
+                    sink.on_packet(label, packet)
+            return label
         if result.ready:
-            return engine.classify_apply(list(result.ready), now).get(flow_id)
+            return engine.classify_apply(result.ready, now).get(flow_id)
         return None
 
     def flush(self, now: float) -> int:
         engine = self._engine
         pipeline = engine.pipeline
-        due = pipeline.poll_due(now)
-        if due:
-            engine.classify_apply(due, now)
+        if pipeline.batcher.due(now):
+            engine.classify_apply(pipeline.drain(reason="delay"), now)
         # The wheel pops in deadline order; freeze in first-arrival
         # order, matching the monolith's expiry sort (keeps any
         # random-skip draws aligned).

@@ -123,6 +123,29 @@ class TestLambdaTracking:
         with pytest.raises(KeyError):
             cdb.touch(_fid(9), now=0.0)
 
+    @pytest.mark.parametrize(
+        "now, expected_lambda",
+        [
+            (10.3, 0.3),            # gap > 0: lambda becomes the gap
+            (10.0, DEFAULT_LAMBDA),  # gap == 0: lambda kept
+            (9.5, DEFAULT_LAMBDA),   # gap < 0: lambda kept ...
+        ],
+    )
+    def test_record_touch_is_the_keyed_touch(self, now, expected_lambda):
+        cdb = ClassificationDatabase()
+        cdb.insert(_fid(1), TEXT, now=10.0)
+        cdb.touch(_fid(1), now=now)
+        alone = CdbRecord(label=TEXT, last_arrival=10.0, classified_at=10.0)
+        alone.touch(now)
+        assert alone == cdb.record_of(_fid(1))
+        assert alone.last_inter_arrival == pytest.approx(expected_lambda)
+        # ... and last_arrival moves even backwards.
+        assert alone.last_arrival == now
+
+    def test_records_carry_no_dict(self):
+        record = CdbRecord(label=TEXT, last_arrival=0.0)
+        assert not hasattr(record, "__dict__")
+
 
 class TestObsolescence:
     def test_staleness_condition(self):

@@ -112,6 +112,14 @@ class TestFlushOrdering:
         )
 
     def test_same_tick_expiry_classifies_in_seq_order(self, trained_svm):
+        """Flows expiring in one flush classify in first-arrival order.
+
+        Asserted on ``stats.classified``. ``wheel.deadline_of`` is no
+        proxy for the true deadline any more: it reports the *armed*
+        deadline — set when the flow was created, moved only when a
+        flush finds the flow still active — so the test uses a flush to
+        put the armed deadlines in reverse arrival order first.
+        """
         engine = StagedEngine(
             trained_svm,
             EngineConfig(
@@ -128,15 +136,20 @@ class TestFlushOrdering:
                 self._packet(b"the quick br", 0.0 + i * 0.001, sport)
             )
         for i, sport in enumerate(reversed(sports)):
-            # Re-arm in reverse: the last flow to arrive expires first.
+            # Second packets in reverse: the last flow to arrive goes
+            # silent first.
             engine.process_packet(
-                self._packet(b"own fox 0124", 1.0 + i * 0.001, sport)
+                self._packet(b"own fox 0124", 4.0 + i * 0.001, sport)
             )
+        # Every armed deadline (5.0 ...) has passed, no flow has been
+        # silent for 5 s: all are re-armed at last arrival + timeout.
+        assert engine.flush_timeouts(now=6.0) == 0
         deadlines = [
             engine.wheel.deadline_of(flow_id)
             for flow_id, _pending in engine.table.pending_items()
         ]
         assert deadlines == sorted(deadlines, reverse=True)
+        assert deadlines[-1] == 4.0 + 5.0
         expired = engine.flush_timeouts(now=50.0)
         assert expired == len(sports)
         classified_ports = [c.key.src_port for c in engine.stats.classified]

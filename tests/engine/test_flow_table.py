@@ -55,6 +55,23 @@ class TestCdbSurface:
         table.touch(_fid(3), now=10.25)
         assert table.record_of(_fid(3)).last_inter_arrival == pytest.approx(0.25)
 
+    def test_a_held_record_of_sees_every_write(self):
+        # The pipeline binds ``table.record_of`` once and probes with it
+        # on every packet: it must be a live view, not a snapshot.
+        table = FlowTable(purge_trigger_flows=0)
+        probe = table.record_of
+        assert probe(_fid(1)) is None
+        table.insert(_fid(1), TEXT, now=0.0)
+        assert probe(_fid(1)).label is TEXT
+        table.remove(_fid(1), reason="fin")
+        assert probe(_fid(1)) is None
+        table.insert(_fid(1), ENCRYPTED, now=1.0)
+        table.remove(_fid(1), reason="reclassified")
+        assert probe(_fid(1)) is None
+        table.insert(_fid(1), ENCRYPTED, now=2.0)
+        assert table.purge_inactive(now=100.0) == 1
+        assert probe(_fid(1)) is None
+
 
 class TestGlobalPurgeTrigger:
     def test_sweep_matches_single_cdb(self):

@@ -7,20 +7,37 @@ therefore build no header object and take no SHA-1, and mint one
 window must cost no deadline and share its extraction with the rest of
 its batch — exact counts, so the tests cannot flake, and they fail the
 day someone re-adds per-packet (or per-flow) work.
+
+The second half counts *frames*: a packet that needs no classification
+enters the three functions the layer boundaries require (engine →
+runtime → pipeline), its own two one-frame properties, the CDB record's
+lambda rule on a hit and one ``on_packet`` per sink — and nothing else;
+a flow's buffer deadline is armed when the flow is created and moved
+only by a flush that finds the flow still active.
 """
 
 import hashlib
 import math
+import sys
 from collections import Counter
 
 import pytest
 
 from repro.api import open_engine
-from repro.core.config import EngineConfig
+from repro.core.config import EngineConfig, IustitiaConfig
 from repro.engine.deadlines import DeadlineWheel
+from repro.engine.sinks import QueueSink
 from repro.ingest import PcapFileSource
 from repro.net.flow import FlowKey
-from repro.net.packet import PROTO_UDP, Ipv4Header, Packet, TcpHeader, UdpHeader
+from repro.net.packet import (
+    FLAG_ACK,
+    PROTO_TCP,
+    PROTO_UDP,
+    Ipv4Header,
+    Packet,
+    TcpHeader,
+    UdpHeader,
+)
 from repro.net.pcap import write_pcap
 
 
@@ -120,8 +137,8 @@ def test_flow_left_pending_still_gets_its_deadline(counting, trained_svm):
     stats = engine.process_source(packets)
     engine.close()
 
-    # One deadline per packet that left its flow pending: the first half
-    # of every two-packet flow and the silent flow's only packet.
+    # One deadline per flow left pending: armed by the first half of every
+    # two-packet flow and by the silent flow's only packet.
     assert calls["DeadlineWheel.schedule"] == flows + 1
     assert calls["StagedEngine.flush_timeouts"] >= 1
     assert stats.classifications == flows + 1 + 3
@@ -132,4 +149,125 @@ def test_flow_left_pending_still_gets_its_deadline(counting, trained_svm):
     assert silent.buffered_bytes == len(half)
     # Labelled by the timeout sweep, not by the end-of-stream drain.
     assert silent.classified_at < packets[-1].timestamp
+    assert len(engine.wheel) == 0
+
+
+# -- frames per packet ----------------------------------------------------------
+
+
+def frames_entered(function, *args) -> Counter:
+    """Qualified names of the Python frames ``function(*args)`` enters."""
+    entered = Counter()
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            entered[frame.f_code.co_qualname] += 1
+
+    sys.setprofile(profiler)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+#: What any packet enters before the pipeline decides what it is.
+LADDER = [
+    "StagedEngine.process_packet",
+    "Packet.flow_tuple",
+    "Packet.is_close",
+    "SerialRuntime.dispatch",
+    "FlowPipeline.ingest",
+]
+
+
+def tcp_packet(flow: int, payload: bytes, timestamp: float) -> Packet:
+    ip = Ipv4Header(src=f"10.1.{flow >> 8}.{flow & 255}", dst="192.168.0.1",
+                    protocol=PROTO_TCP)
+    return Packet(ip, TcpHeader(5000, 443, flags=FLAG_ACK), payload, timestamp)
+
+
+def decoded(packet: Packet) -> Packet:
+    """The same packet as a capture would deliver it."""
+    return Packet.from_bytes(packet.to_bytes(), packet.timestamp)
+
+
+@pytest.mark.parametrize("wire", [False, True], ids=["constructed", "decoded"])
+def test_known_flow_packet_enters_three_engine_frames(trained_svm, wire):
+    make = decoded if wire else (lambda p: p)
+    engine = open_engine(
+        trained_svm, EngineConfig(max_batch=1, max_delay=0.0), sink=QueueSink()
+    )
+    assert len(engine.sinks) == 2  # the QueueSink and the StatsSink riding along
+    for i, build in enumerate((udp_packet, tcp_packet)):
+        engine.process_packet(make(build(7, bytes(range(48)), 0.1 * i)))
+        assert engine.stats.classifications == i + 1
+        hit = make(build(7, b"more payload", 1.0 + i))
+
+        entered = frames_entered(engine.process_packet, hit)
+
+        assert engine.stats.cdb_hits == i + 1
+        assert entered == Counter(
+            LADDER
+            + ["CdbRecord.touch"]  # Section 4.5's lambda rule lives in core/cdb.py
+            + ["QueueSink.on_packet", "ResultSink.on_packet"]
+        )
+
+
+@pytest.mark.parametrize("extractor", ["batch", "incremental"])
+def test_pending_packet_arms_nothing_and_allocates_no_result(
+    trained_svm, extractor
+):
+    engine = open_engine(
+        trained_svm,
+        EngineConfig(
+            extractor=extractor, pipeline=IustitiaConfig(strip_known_headers=False)
+        ),
+    )
+    created = frames_entered(engine.process_packet, udp_packet(1, b"12345678", 0.0))
+    later = frames_entered(engine.process_packet, udp_packet(1, b"12345678", 0.1))
+
+    assert engine.table.pending_count == 1 and engine.stats.classifications == 0
+    # Only the packet that created the flow arms its deadline.
+    assert created["DeadlineWheel.schedule"] == 1
+    assert not [name for name in later if name.startswith("DeadlineWheel.")]
+    assert "IngestResult.__init__" not in created + later
+    if extractor == "incremental":
+        # Nothing folds before the classify drain: the ladder is all of it.
+        assert later == Counter(LADDER)
+
+
+def test_deadline_armed_once_per_flow_and_rearmed_by_a_flush(counting, trained_svm):
+    flows = 6
+    third = bytes(range(11))
+    # Three packets fill a flow's 32-byte window; flow 99 sends two and
+    # goes silent; flow 50 sends one packet a tick, across both flushes.
+    packets = []
+    for round_ in range(3):
+        packets += [udp_packet(i, third, round_ * 0.01 + i * 1e-3) for i in range(flows)]
+    packets += [udp_packet(99, third, 0.04), udp_packet(99, third, 0.05)]
+    packets += [udp_packet(50, b"ab", 0.1 + 0.25 * i) for i in range(10)]
+    packets.sort(key=lambda p: p.timestamp)
+    calls, count = counting
+    count(DeadlineWheel, "schedule")
+
+    engine = open_engine(
+        trained_svm, EngineConfig(max_batch=4, buffer_timeout=0.5)
+    )
+    count(engine, "flush_timeouts")
+    stats = engine.process_source(packets)
+    engine.close()
+
+    assert calls["StagedEngine.flush_timeouts"] == 2  # at 1.1 and 2.1
+    by_source = {outcome.key.src: outcome for outcome in stats.classified}
+    # Silent for 1.05 s at the first flush: expired there.
+    assert by_source["10.0.0.99"].classified_at == pytest.approx(1.1)
+    assert by_source["10.0.0.99"].buffered_bytes == 2 * len(third)
+    # Never silent for 0.5 s: both flushes re-armed it, the end of the
+    # stream classified it.
+    assert by_source["10.0.0.50"].classified_at == packets[-1].timestamp
+    assert by_source["10.0.0.50"].buffered_bytes == 2 * 10
+    # One deadline per flow (8 flows, 30 packets), two re-arms.
+    assert calls["DeadlineWheel.schedule"] == (flows + 2) + 2
+    assert stats.classifications == flows + 2
     assert len(engine.wheel) == 0

@@ -153,6 +153,62 @@ class TestTimeoutPath:
         assert engine.stats.classifications == 1
 
 
+class TestOneProbeLiveView:
+    def test_purge_between_two_packets_of_a_flow_unlabels_it(
+        self, trained_svm, sample_files
+    ):
+        engine = _engine(trained_svm, max_batch=1, max_delay=0.0)
+        data = sample_files["text"]
+        assert engine.process_packet(_udp_packet(data[:40], 0.0)) is not None
+        assert engine.process_packet(_udp_packet(data[:10], 0.1)) is not None
+        assert engine.stats.cdb_hits == 1
+        assert engine.table.purge_inactive(now=100.0) == 1
+        # Not a hit: the flow buffers again, as an unknown one.
+        assert engine.process_packet(_udp_packet(data[:10], 100.1)) is None
+        assert engine.stats.cdb_hits == 1
+        assert engine.table.pending_count == 1
+
+    def test_direct_insert_and_remove_are_seen_by_the_next_packet(
+        self, trained_svm, sample_files
+    ):
+        engine = _engine(trained_svm, max_batch=1, max_delay=0.0)
+        packet = _udp_packet(sample_files["text"][:10], 0.0)
+        engine.table.insert(packet.flow_tuple, ALL_NATURES[0], now=0.0)
+        assert engine.process_packet(packet) is ALL_NATURES[0]
+        for reason in ("fin", "reclassified"):
+            engine.table.remove(packet.flow_tuple, reason=reason)
+            assert engine.process_packet(packet) is None
+            engine.table.insert(packet.flow_tuple, ALL_NATURES[0], now=0.0)
+        assert engine.stats.cdb_hits == 1
+
+
+class TestIdleGap:
+    def test_one_flush_covers_every_sample_an_idle_gap_crosses(
+        self, trained_svm, sample_files
+    ):
+        data = sample_files["binary"]
+        packets = [
+            _udp_packet(data[:40], 0.0, sport=1001),    # classified at once
+            _udp_packet(data[:10], 0.5, sport=1002),    # pending, then silent
+            _udp_packet(data[:40], 3600.25, sport=1003),  # an hour later
+        ]
+        engine = _engine(trained_svm, max_batch=1, max_delay=0.0)
+        flushes = []
+        flush_timeouts = engine.flush_timeouts
+        engine.flush_timeouts = lambda now: flushes.append(now) or flush_timeouts(now)
+
+        stats = engine.process_source(packets, sample_interval=1.0)
+
+        assert flushes == [3600.25]
+        # What a flush per crossed interval recorded: the silent flow
+        # expires in the first, the rest find nothing, every sample reads
+        # the same size.
+        assert stats.cdb_size_series == [
+            (float(second), 3) for second in range(1, 3601)
+        ] + [(3600.25, 3)]
+        assert stats.classifications == 3
+
+
 class TestSinkFanout:
     def test_all_sinks_see_every_outcome(self, trained_svm, sample_files):
         seen = []

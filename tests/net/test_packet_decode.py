@@ -11,6 +11,7 @@ import hashlib
 import pickle
 import struct
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from repro.net.packet import (
     Packet,
     TcpHeader,
     UdpHeader,
+    pack_five_tuple,
 )
 
 
@@ -216,6 +218,45 @@ class TestBothConstructions:
         )
         assert loaded.is_close
         assert_identity_holds(loaded)
+
+
+class TestConstructedPacketKey:
+    """``flow_tuple`` / ``is_close`` of a packet built from header objects.
+
+    Both are derived at read — the headers are mutable dataclasses and
+    nothing packed is stored on the packet — with the errors
+    ``pack_five_tuple`` raises.
+    """
+
+    def build(self, **tcp) -> Packet:
+        return Packet(
+            Ipv4Header("10.0.0.1", "10.0.0.2", PROTO_TCP), TcpHeader(80, 5000, **tcp)
+        )
+
+    def test_reads_follow_header_mutation(self):
+        packet = self.build()
+        assert packet.is_close is False
+        before = packet.flow_tuple
+        packet.transport.flags |= 0x04  # RST
+        packet.transport.src_port = 81
+        packet.ip.dst = "10.0.0.3"
+        assert packet.is_close is True
+        assert packet.flow_tuple == FlowKey.of_packet(packet).to_bytes() != before
+        assert packet._flow_tuple is None and packet._is_close is None
+
+    def test_bad_address_or_port_raises_value_error(self):
+        for spoil in (
+            lambda p: setattr(p.ip, "src", "10.0.0.300"),
+            lambda p: setattr(p.ip, "dst", "not an address"),
+            lambda p: setattr(p.transport, "dst_port", 70000),
+            lambda p: setattr(p.transport, "src_port", -1),
+        ):
+            packet = self.build()
+            spoil(packet)
+            with pytest.raises(ValueError, match="invalid address, port or protocol"):
+                packet.flow_tuple
+            with pytest.raises(ValueError, match="invalid address, port or protocol"):
+                pack_five_tuple(*packet.five_tuple)
 
 
 #: ``pickle.dumps`` of the packet above, written by the commit before
