@@ -13,6 +13,8 @@ engine's per-nature output queues, and reports how much of the priority
 traffic was identified and how quickly (delay relative to packet cadence).
 """
 
+import zlib
+
 import numpy as np
 
 from repro import (
@@ -47,7 +49,8 @@ def main() -> None:
         print(f"\n=== {customer} link ===")
         trace = generate_gateway_trace(
             GatewayTraceConfig(
-                n_flows=250, duration=60.0, seed=hash(customer) % 1000,
+                n_flows=250, duration=60.0,
+                seed=zlib.crc32(customer.encode()) % 1000,
                 nature_weights=mix, app_header_probability=0.0,
             )
         )

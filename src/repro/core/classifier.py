@@ -169,8 +169,7 @@ class IustitiaClassifier:
 
     def predict_vectors(self, X) -> np.ndarray:
         """Predict natures from pre-extracted entropy vectors."""
-        predictions = self._model.predict(np.asarray(X, dtype=np.float64))
-        return _NATURES[predictions]
+        return _NATURES[self._model.predict(X)]
 
     def classify_buffer(self, buffer: bytes) -> FlowNature:
         """Nature of a flow from its buffered payload."""

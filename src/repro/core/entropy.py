@@ -34,6 +34,7 @@ __all__ = [
     "kgram_counts_packed",
     "kgram_entropy",
     "max_normalized_entropy",
+    "PooledLayout",
     "packed_kgram_keys",
     "pooled_kgram_entropies",
     "pooled_kgram_runs",
@@ -127,19 +128,26 @@ def encode_kgram_stream(
     return np.ascontiguousarray(windows).view(np.dtype((np.void, k))).ravel()
 
 
-def _runs(change: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """``(starts, lengths)`` of the runs of a sorted sequence.
+def _run_bounds(ordered: np.ndarray, edges: "np.ndarray | None" = None) -> np.ndarray:
+    """Where the runs of a sorted 1-D sequence begin, plus its end.
 
-    ``change[i]`` says whether element ``i + 1`` differs from element
-    ``i``, so the sequence holds ``change.size + 1`` elements.
+    ``bounds[i]`` is the position of run ``i``'s first element and
+    ``bounds[-1]`` the sequence's size, so ``bounds[1:] - bounds[:-1]``
+    are the run lengths. ``edges`` (``ordered.size + 1`` flags) marks
+    positions that begin a run whatever the neighbouring values say.
     """
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    return starts, np.diff(np.concatenate((starts, [change.size + 1])))
+    n = ordered.size
+    flags = np.empty(n + 1, dtype=bool)
+    flags[0] = flags[n] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=flags[1:n])
+    if edges is not None:
+        flags |= edges
+    return np.flatnonzero(flags)
 
 
 def _counts_from_sorted(keys: np.ndarray) -> np.ndarray:
     """Run lengths of a sorted 1-D key array (counts in key order)."""
-    return _runs(keys[1:] != keys[:-1])[1]
+    return np.diff(_run_bounds(keys))
 
 
 def kgram_counts_packed(
@@ -223,46 +231,80 @@ def entropy_from_counts(counts: "np.ndarray | list[int]", k: int) -> float:
     return min(max(h_k, 0.0), 1.0)
 
 
+class PooledLayout:
+    """What a pooled reduction knows before it sees a key: its shape.
+
+    ``lengths[g]`` keys belong to group ``g`` (the keys arrive group
+    after group), group ``g`` is normalized by feature width
+    ``widths[g]``, and ``key_bits`` are the bits the widest key occupies
+    (``8 * max k``). Everything :func:`pooled_kgram_runs` and
+    :func:`pooled_kgram_entropies` need that depends on those alone is
+    computed here, once: the group id of every key position — also
+    pre-shifted above the key bits when the word leaves room for it, so
+    one ``uint64`` sort groups by ``(group, key)`` — and per group the
+    element count, its logarithm and the ``8 k ln 2`` denominator, plus
+    a ``c log c`` table over every possible multiplicity. A caller
+    whose drains repeat a shape builds its layout once and reuses it
+    (:mod:`repro.core.entropy_vector` does); the arrays are never
+    written after construction and never handed out.
+    """
+
+    __slots__ = (
+        "n_groups", "groups", "shifted", "edges",
+        "n_elements", "log_n", "denominators", "c_log_c",
+    )
+
+    def __init__(
+        self, lengths: np.ndarray, widths: np.ndarray, key_bits: int
+    ) -> None:
+        n_groups = self.n_groups = lengths.size
+        #: Group of every key position — and, keys of one group being
+        #: contiguous before and after the sort, of every sorted position.
+        self.groups = np.repeat(np.arange(n_groups, dtype=np.int64), lengths)
+        if key_bits < 64 and n_groups <= (1 << (64 - key_bits)):
+            self.shifted = self.groups.astype(np.uint64) << np.uint64(key_bits)
+            self.edges = None
+        else:
+            # ``k = 8`` keys fill the word: group and key sort as two
+            # keys, and a group's first position always starts a run.
+            self.shifted = None
+            self.edges = np.zeros(self.groups.size + 1, dtype=bool)
+            self.edges[np.cumsum(lengths)] = True
+        self.n_elements = np.maximum(lengths, 1).astype(np.float64)
+        self.log_n = np.log(self.n_elements)
+        self.denominators = 8.0 * _LN2 * widths
+        multiplicity = np.arange(int(lengths.max(initial=0)) + 1, dtype=np.float64)
+        multiplicity[0] = 1.0
+        self.c_log_c = multiplicity * np.log(multiplicity)
+
+
 def pooled_kgram_runs(
-    keys: np.ndarray, lengths: np.ndarray, key_bits: int
+    keys: np.ndarray, layout: PooledLayout
 ) -> "tuple[np.ndarray, np.ndarray]":
     """``(group-of-run, multiplicity)`` of packed gram keys pooled by group.
 
     ``keys`` is the ``uint64`` concatenation of every group's packed
-    k-gram keys, group after group, ``lengths[g]`` how many of them
-    belong to group ``g``, and ``key_bits`` the bits the widest key
-    occupies (``8 * max k``). One sort over ``(group, key)`` recovers the
-    multiplicity runs of every group at once — a group being whatever
-    the caller stripes together, typically one feature width of one flow
-    (keys of different widths may collide numerically; the group id keeps
-    their runs apart). Runs come back in ``(group, key)`` order. When the
-    keys leave bit headroom the group id rides their high bits and one
-    ``uint64`` array sorts in place — an order of magnitude cheaper than
-    the two-key lexsort that ``k = 8`` keys (they fill the word) need.
+    k-gram keys, group after group as ``layout`` describes. One sort
+    over ``(group, key)`` recovers the multiplicity runs of every group
+    at once — a group being whatever the caller stripes together,
+    typically one feature width of one flow (keys of different widths
+    may collide numerically; the group id keeps their runs apart). Runs
+    come back in ``(group, key)`` order. When the keys leave bit
+    headroom the group id rides their high bits and one ``uint64`` array
+    sorts in place — an order of magnitude cheaper than the two-key
+    lexsort that ``k = 8`` keys (they fill the word) need.
     """
-    n_groups = lengths.size
-    if key_bits < 64 and n_groups <= (1 << (64 - key_bits)):
-        shift = np.uint64(key_bits)
-        combined = np.repeat(np.arange(n_groups, dtype=np.uint64), lengths)
-        combined <<= shift
-        combined |= keys
-        combined.sort()
-        starts, run_counts = _runs(combined[1:] != combined[:-1])
-        return (combined[starts] >> shift).astype(np.int64), run_counts
-    gids = np.repeat(np.arange(n_groups, dtype=np.int64), lengths)
-    order = np.lexsort((keys, gids))
-    sorted_keys = keys[order]
-    sorted_gids = gids[order]
-    starts, run_counts = _runs(
-        (sorted_gids[1:] != sorted_gids[:-1])
-        | (sorted_keys[1:] != sorted_keys[:-1])
-    )
-    return sorted_gids[starts], run_counts
+    if layout.shifted is not None:
+        ordered = keys | layout.shifted
+        ordered.sort()
+    else:
+        ordered = keys[np.lexsort((keys, layout.groups))]
+    bounds = _run_bounds(ordered, layout.edges)
+    starts = bounds[:-1]
+    return layout.groups.take(starts), bounds[1:] - starts
 
 
-def pooled_kgram_entropies(
-    keys: np.ndarray, lengths: np.ndarray, widths: np.ndarray, key_bits: int
-) -> np.ndarray:
+def pooled_kgram_entropies(keys: np.ndarray, layout: PooledLayout) -> np.ndarray:
     """``h_k`` of every group of pooled gram keys: Formula (1), one sort.
 
     The one entropy reduction behind both the batched window kernel
@@ -272,21 +314,19 @@ def pooled_kgram_entropies(
     pooled keys into per-group multiplicities ``m_ik``; two
     ``np.bincount`` reductions (``sum m log m``, distinct grams) then
     emit every group's entropy, group ``g`` normalized by its own width
-    ``widths[g]`` — which is what lets a caller pool *every* feature
-    width of a batch into one call. Arguments as for
-    :func:`pooled_kgram_runs`. A group with a single distinct gram is
-    exactly 0.0, and so is a group with no keys at all — callers
-    validate that every flow holds at least ``k`` bytes.
+    — which is what lets a caller pool *every* feature width of a batch
+    into one call. Arguments as for :func:`pooled_kgram_runs`. A group
+    with a single distinct gram is exactly 0.0, and so is a group with
+    no keys at all — callers validate that every flow holds at least
+    ``k`` bytes.
     """
-    n_groups = lengths.size
-    run_groups, run_counts = pooled_kgram_runs(keys, lengths, key_bits)
-    counts = run_counts.astype(np.float64)
+    n_groups = layout.n_groups
+    run_groups, run_counts = pooled_kgram_runs(keys, layout)
     s_k = np.bincount(
-        run_groups, weights=counts * np.log(counts), minlength=n_groups
+        run_groups, weights=layout.c_log_c.take(run_counts), minlength=n_groups
     )
     distinct = np.bincount(run_groups, minlength=n_groups)
-    n_elements = np.maximum(lengths, 1).astype(np.float64)
-    h = (np.log(n_elements) - s_k / n_elements) / (8.0 * _LN2 * widths)
+    h = (layout.log_n - s_k / layout.n_elements) / layout.denominators
     # One distinct element is exactly zero (avoids ln(N) - ln(N) residue);
     # empty groups are zero too.
     h[distinct <= 1] = 0.0

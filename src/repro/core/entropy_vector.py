@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.core.entropy import (
     PACKED_MAX_K,
+    PooledLayout,
     _as_byte_array,
     entropy_from_counts,
     kgram_count_values,
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+#: Drain shapes whose pooled layout is kept (least recently used goes).
+_LAYOUT_STORE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,21 @@ def _entropies_from_change(
     return h_k
 
 
+@lru_cache(maxsize=_LAYOUT_STORE_SIZE)
+def _packed_layout(n_rows: int, m: int, small: "tuple[int, ...]") -> PooledLayout:
+    """The pooled layout of ``n_rows`` windows of ``m`` bytes over ``small``.
+
+    Group ``(width, row)``, width-major. Classify drains repeat a handful
+    of shapes (``max_batch`` full windows, mostly), so the layout is
+    built at a shape's first drain and kept.
+    """
+    return PooledLayout(
+        np.repeat([m - k + 1 for k in small], n_rows),
+        np.repeat(np.asarray(small, dtype=np.float64), n_rows),
+        8 * max(small),
+    )
+
+
 def _group_entropies(mat: np.ndarray, widths: "tuple[int, ...]") -> np.ndarray:
     """``(n_rows, len(widths))`` entropies of a 2-D uint8 buffer matrix.
 
@@ -135,21 +155,21 @@ def _group_entropies(mat: np.ndarray, widths: "tuple[int, ...]") -> np.ndarray:
         pack_targets.update(k - PACKED_MAX_K for k in two_word)
     packs: dict[int, np.ndarray] = {}
     if pack_targets:
-        keys = mat.astype(np.uint64)
-        packs[1] = keys
+        keys = wide = mat.astype(np.uint64)
+        packs[1] = wide
         for k in range(2, max(pack_targets) + 1):
             n_k = m - k + 1
-            keys = (keys[:, :n_k] << np.uint64(8)) | mat[:, k - 1 : k - 1 + n_k]
+            keys = keys[:, :n_k] << 8
+            keys |= wide[:, k - 1 : k - 1 + n_k]
             if k in pack_targets:
                 packs[k] = keys
     if small:
         pooled = pooled_kgram_entropies(
             np.concatenate([packs[k].ravel() for k in small]),
-            np.repeat([m - k + 1 for k in small], n_rows),
-            np.repeat(np.asarray(small, dtype=np.float64), n_rows),
-            8 * max(small),
+            _packed_layout(n_rows, m, tuple(small)),
         ).reshape(len(small), n_rows)
-        out[:, [column_of[k] for k in small]] = pooled.T
+        for k, column in zip(small, pooled):
+            out[:, column_of[k]] = column
     for k in two_word:
         n_k = m - k + 1
         head = k - PACKED_MAX_K
@@ -200,6 +220,10 @@ def entropy_vectors_batch(
     ]
     require_window_lengths(windows, features.max_width)
     widths = tuple(features.widths)
+    if len(set(map(len, windows))) == 1:
+        # The usual classify drain: every window full, one matrix.
+        mat = np.frombuffer(b"".join(windows), dtype=np.uint8)
+        return _group_entropies(mat.reshape(len(windows), -1), widths)
     by_length: dict[int, list[int]] = {}
     for i, window in enumerate(windows):
         by_length.setdefault(len(window), []).append(i)

@@ -58,6 +58,7 @@ from repro.core.accounting import (
 )
 from repro.core.entropy import (
     PACKED_MAX_K,
+    PooledLayout,
     encode_kgram_stream,
     entropy_from_counts,
     packed_kgram_keys,
@@ -479,13 +480,14 @@ class IncrementalEntropyExtractor(FeatureExtractor):
 
     def _pooled_keys(
         self, states: "list[IncrementalFlowState]"
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """``(keys, lengths)`` of every packed width of every flow, pooled.
+    ) -> "tuple[np.ndarray, PooledLayout]":
+        """``(keys, layout)`` of every packed width of every flow, pooled.
 
         Group ``slot * n + flow`` stripes all packed widths of the batch
         into one id space, laid out group after group — the input of
         :func:`~repro.core.entropy.pooled_kgram_runs`, whose single sort
-        then covers the whole batch across *all* widths at once.
+        then covers the whole batch across *all* widths at once. Flows
+        fill their windows unevenly, so the layout is per drain.
         """
         n_slots = self._n_packed
         lengths = np.fromiter(
@@ -503,7 +505,14 @@ class IncrementalEntropyExtractor(FeatureExtractor):
             for state in states
             for run in state.keys[slot]
         ]
-        return (np.concatenate(parts) if parts else _EMPTY_KEYS), lengths
+        layout = PooledLayout(
+            lengths,
+            np.repeat(
+                np.asarray(self._packed_widths, dtype=np.float64), len(states)
+            ),
+            self._key_bits,
+        )
+        return (np.concatenate(parts) if parts else _EMPTY_KEYS), layout
 
     def vector(self, state: IncrementalFlowState) -> np.ndarray:
         """Entropy vector of one flow from its accumulated counters."""
@@ -531,12 +540,8 @@ class IncrementalEntropyExtractor(FeatureExtractor):
             # (width, flow) stripe is normalized by its own width, so one
             # sort + two bincounts produce every packed feature column
             # of the batch.
-            keys, lengths = self._pooled_keys(states)
-            k_per_group = np.repeat(
-                np.asarray(self._packed_widths, dtype=np.float64), n
-            )
             h_packed = pooled_kgram_entropies(
-                keys, lengths, k_per_group, self._key_bits
+                *self._pooled_keys(states)
             ).reshape(n_slots, n)
         packed_slot = 0
         wide_slot = 0
@@ -603,9 +608,7 @@ class IncrementalEntropyExtractor(FeatureExtractor):
             return np.empty(0, dtype=np.float64)
         n_slots = self._n_packed
         if n_slots:
-            run_gids, _ = pooled_kgram_runs(
-                *self._pooled_keys(states), self._key_bits
-            )
+            run_gids, _ = pooled_kgram_runs(*self._pooled_keys(states))
             num_counters += (
                 np.bincount(run_gids, minlength=n_slots * n)
                 .reshape(n_slots, n)

@@ -23,7 +23,7 @@ collection / classification / export pipelines):
 is the synchronous, classify-on-ready behaviour of the original monolith.
 """
 
-from repro.engine.batcher import MicroBatcher, ReadyFlow
+from repro.engine.batcher import MicroBatcher
 from repro.engine.deadlines import DeadlineWheel
 from repro.engine.engine import StagedEngine
 from repro.engine.flow_table import FlowTable
@@ -55,7 +55,6 @@ __all__ = [
     "MicroBatcher",
     "PendingFlow",
     "QueueSink",
-    "ReadyFlow",
     "ResultSink",
     "StagedEngine",
     "StatsSink",

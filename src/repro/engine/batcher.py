@@ -10,40 +10,20 @@ ready queue here, and the engine drains them through a single
 * ``max_delay`` seconds have passed since the oldest queued flow arrived
   (latency bound, checked against packet timestamps).
 
+What queues is the flow's own
+:class:`~repro.engine.types.PendingFlow`, its ``window`` frozen when it
+became ready: there is no separate ready-flow record, and batching
+changes *when* the model runs, never *what* it sees.
+
 ``max_batch=1`` degenerates to the monolithic engine's behaviour: every
 push returns a singleton batch and nothing ever waits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.engine.types import PendingFlow
 
-__all__ = ["DRAIN_REASONS", "MicroBatcher", "ReadyFlow"]
-
-
-@dataclass(frozen=True, slots=True)
-class ReadyFlow:
-    """A flow whose classification window is frozen and awaiting a drain.
-
-    ``window`` is whatever the engine's extractor hands to
-    :meth:`~repro.core.extract.FeatureExtractor.finalize`: the frozen
-    payload window (``bytes``) for payload-retaining extractors —
-    exactly the bytes the monolithic engine would have classified at
-    that moment — or the flow's accumulated state object (e.g. k-gram
-    count tables) for streaming extractors. Either way it is captured
-    when the flow becomes ready (buffer full, FIN, or timeout), so
-    batching changes *when* the model runs, never *what* it sees.
-
-    ``seq`` / ``first_arrival`` carry enough of the pending flow's
-    identity for the engine to classify the batch (ordering, delay
-    metrics) without touching the flow table.
-    """
-
-    flow_id: bytes
-    window: "bytes | object"
-    protocol: "str | None"
-    seq: int = 0
-    first_arrival: float = 0.0
+__all__ = ["DRAIN_REASONS", "MicroBatcher"]
 
 
 #: Why a batch drained, for the ``batcher_drains_total`` reason split:
@@ -64,7 +44,7 @@ class MicroBatcher:
             raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         self.max_batch = max_batch
         self.max_delay = max_delay
-        self._queue: list[ReadyFlow] = []
+        self._queue: list[PendingFlow] = []
         #: Packet clock at which the oldest queued flow was pushed; None
         #: when nothing waits. The runtime reads it on every packet, where
         #: calling :meth:`due` would cost a frame.
@@ -96,7 +76,7 @@ class MicroBatcher:
     def __len__(self) -> int:
         return len(self._queue)
 
-    def push(self, item: ReadyFlow, now: float) -> "list[ReadyFlow] | None":
+    def push(self, item: PendingFlow, now: float) -> "list[PendingFlow] | None":
         """Queue a ready flow; returns the batch when the size trigger fires."""
         self._queue.append(item)
         if self.oldest_enqueued is None:
@@ -112,7 +92,7 @@ class MicroBatcher:
             and now - self.oldest_enqueued >= self.max_delay
         )
 
-    def drain(self, reason: str = "manual") -> "list[ReadyFlow]":
+    def drain(self, reason: str = "manual") -> "list[PendingFlow]":
         """Take everything queued (empty list when idle).
 
         ``reason`` attributes the drain for telemetry; an unknown reason

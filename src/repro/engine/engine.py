@@ -352,9 +352,9 @@ class StagedEngine:
 
         Pure classification: the flow table is not touched. Observes
         the classify/finalize timers and the delay / state-bytes
-        distributions from the ``ReadyFlow`` metadata alone.
+        distributions from the ready flows' own fields alone.
         """
-        payloads = [ready.window for ready in batch]
+        payloads = [flow.window for flow in batch]
         if self._m_classify is not None:
             with self._m_classify.time():
                 with self._m_finalize.time():
@@ -373,12 +373,12 @@ class StagedEngine:
                     self._state_bytes_batch(payloads)
                 )
             observe_each_state = exact_state and self._state_bytes_batch is None
-            for ready in batch:
-                self._delay_buf.append(now - ready.first_arrival)
+            for flow in batch:
+                self._delay_buf.append(now - flow.first_arrival)
                 if observe_each_state:
                     # O(1) on counter-based state: charge every flow.
                     self._m_state_bytes.observe(
-                        self.extractor.state_bytes(ready.window)
+                        self.extractor.state_bytes(flow.window)
                     )
                 self._state_countdown -= 1
                 if self._state_countdown < 0:
@@ -389,26 +389,34 @@ class StagedEngine:
                     self._state_countdown = STATE_SAMPLE_EVERY - 1
                     if not exact_state:
                         self._m_state_bytes.observe(
-                            self.extractor.state_bytes(ready.window)
+                            self.extractor.state_bytes(flow.window)
                         )
                     self._flush_delay_buf()
         return labels
 
-    def classify_apply(self, batch, now: float) -> "dict[bytes, FlowNature]":
-        """Fold, classify and apply a drained batch inline (serial path)."""
+    def classify_apply(
+        self, batch, now: float, flow_id: "bytes | None" = None
+    ) -> "FlowNature | None":
+        """Fold, classify and apply a drained batch inline (serial path).
+
+        Returns the label ``flow_id``'s flow got, when the batch held it
+        (the packet that drained the batch wants its own flow's label).
+        """
         if not batch:
-            return {}
+            return None
         self.pipeline.fold_for(batch)
         labels = self.classify_labels(batch, now)
-        results: dict[bytes, FlowNature] = {}
-        for ready, label in zip(batch, labels):
-            applied = self.pipeline.apply(ready, label, now)
+        apply = self.pipeline.apply
+        own = None
+        for flow, label in zip(batch, labels):
+            applied = apply(flow, label, now)
             if applied is None:
                 continue
             outcome, packets = applied
             self.emit(outcome, packets)
-            results[ready.flow_id] = label
-        return results
+            if flow.flow_id == flow_id:
+                own = label
+        return own
 
     def emit(self, outcome: ClassifiedFlow, packets) -> None:
         """Fan one classified flow out to every sink."""

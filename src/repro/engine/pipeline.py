@@ -15,8 +15,8 @@ The split from the engine is along read/write sets:
   flow table, so it lives here;
 * classification itself (extractor ``finalize`` + vectorized predict)
   reads only frozen windows, so the pipeline never classifies — it
-  emits :class:`~repro.engine.batcher.ReadyFlow`\\ s and the runtime
-  hands back labels through :meth:`apply`;
+  emits batches of ready :class:`~repro.engine.types.PendingFlow`\\ s
+  and the runtime hands back labels through :meth:`apply`;
 * sink fan-out is the engine's and the runtime's: :meth:`ingest`
   returns a known flow's label and the caller forwards the packet.
 
@@ -33,7 +33,7 @@ from time import perf_counter
 
 from repro.core.headers import skip_threshold, strip_app_header
 from repro.core.labels import ALL_NATURES
-from repro.engine.batcher import MicroBatcher, ReadyFlow
+from repro.engine.batcher import MicroBatcher
 from repro.engine.deadlines import DeadlineWheel
 from repro.engine.flow_table import FlowTable
 from repro.engine.types import ClassifiedFlow, EngineStats, PendingFlow
@@ -214,7 +214,7 @@ class FlowPipeline:
         else:
             self.extractor.fold(state, payload)
 
-    def fold_for(self, batch: "list[ReadyFlow]") -> None:
+    def fold_for(self, batch: "list[PendingFlow]") -> None:
         """Fold the deferred chunks of a batch about to be finalized.
 
         The engine calls this once per classify batch, so the whole
@@ -222,13 +222,7 @@ class FlowPipeline:
         """
         if not self._fold_at_drain:
             return
-        pending_get = self.table.pending.get
-        flows = [
-            pending
-            for ready in batch
-            if (pending := pending_get(ready.flow_id)) is not None
-            and pending.unfolded
-        ]
+        flows = [pending for pending in batch if pending.unfolded]
         if not flows:
             return
         states = [pending.state for pending in flows]
@@ -270,8 +264,13 @@ class FlowPipeline:
         return pending.state, None
 
     def make_ready(
-        self, flow_id: bytes, pending: PendingFlow, now: float, force: bool
-    ) -> "list[ReadyFlow]":
+        self,
+        flow_id: bytes,
+        pending: PendingFlow,
+        now: float,
+        force: bool,
+        armed: bool = True,
+    ) -> "list[PendingFlow]":
         """Freeze a flow's window and hand it to the micro-batcher.
 
         Too-short windows are dropped as unclassifiable on the spot
@@ -279,31 +278,24 @@ class FlowPipeline:
         the flow closed, or its deadline expired). Returns whatever the
         push drained — non-empty when the size trigger fired or
         ``force`` flushed the queue (FIN/RST needs the label *now*).
+        ``armed=False`` says the flow never got a buffer deadline (its
+        first packet made it ready), so there is none to cancel.
         """
+        if armed:
+            self.wheel.cancel(flow_id)
         frozen = self._freeze(flow_id, pending)
         if frozen is None:
             self.stats.unclassifiable += 1
             self.table.pending.pop(flow_id, None)
-            self.wheel.cancel(flow_id)
             return []
-        window, protocol = frozen
+        pending.window, pending.protocol = frozen
         pending.queued = True
-        self.wheel.cancel(flow_id)
-        batch = self.batcher.push(
-            ReadyFlow(
-                flow_id=flow_id,
-                window=window,
-                protocol=protocol,
-                seq=pending.seq,
-                first_arrival=pending.first_arrival,
-            ),
-            now,
-        )
+        batch = self.batcher.push(pending, now)
         if force and batch is None:
             batch = self.batcher.drain(reason="close")
         return batch if batch else []
 
-    def drain(self, reason: str = "manual") -> "list[ReadyFlow]":
+    def drain(self, reason: str = "manual") -> "list[PendingFlow]":
         """Flush the micro-batch."""
         return self.batcher.drain(reason=reason)
 
@@ -364,12 +356,15 @@ class FlowPipeline:
         pending = table.pending.get(flow_id)
         created = pending is None
         if created:
+            # ``flow_id`` is this packet's ``flow_tuple``: the 5-tuple
+            # passed ``struct.pack``'s range check to become it.
             pending = PendingFlow(
-                key=FlowKey.of_packet(packet),
+                key=FlowKey.unchecked(*packet.five_tuple),
                 seq=self._next_seq(),
                 state=self.extractor.new_state(),
                 first_arrival=now,
                 last_arrival=now,
+                flow_id=flow_id,
             )
             table.pending[flow_id] = pending
         else:
@@ -399,9 +394,10 @@ class FlowPipeline:
             # arrived (or give up).
             if is_close:
                 pending.closed = True
-            return IngestResult(
-                ready=self.make_ready(flow_id, pending, now, force=is_close)
+            ready = self.make_ready(
+                flow_id, pending, now, force=is_close, armed=not created
             )
+            return IngestResult(ready=ready) if ready else _NOTHING
         if created:
             # Armed once per flow, and only for a flow left pending (one
             # complete on arrival would cancel it within this same call);
@@ -413,19 +409,18 @@ class FlowPipeline:
     # -- label application ---------------------------------------------------
 
     def apply(
-        self, ready: ReadyFlow, label, now: float
+        self, pending: PendingFlow, label, now: float
     ) -> "tuple[ClassifiedFlow, list] | None":
         """Store a classified flow's label; single writer of the table.
 
-        Pops the pending entry, inserts the CDB record — which fires the
-        CDB's inactivity sweep every ``purge_trigger_flows`` inserts —
-        retiring it at once for flows that closed before their label,
-        and returns the outcome plus the buffered packets for the
-        engine to fan out to sinks.
+        Pops the pending entry (None when the flow is no longer there),
+        inserts the CDB record — which fires the CDB's inactivity sweep
+        every ``purge_trigger_flows`` inserts — retiring it at once for
+        flows that closed before their label, and returns the outcome
+        plus the buffered packets for the engine to fan out to sinks.
         """
-        flow_id = ready.flow_id
-        pending = self.table.pending.pop(flow_id, None)
-        if pending is None:
+        flow_id = pending.flow_id
+        if self.table.pending.pop(flow_id, None) is None:
             return None
         self.table.insert(flow_id, label, now)
         self.stats.classifications += 1
@@ -436,7 +431,7 @@ class FlowPipeline:
             classified_at=now,
             buffering_delay=now - pending.first_arrival,
             buffered_bytes=pending.raw_bytes,
-            stripped_protocol=ready.protocol,
+            stripped_protocol=pending.protocol,
         )
         if pending.closed:
             self.table.remove(flow_id, reason="fin")

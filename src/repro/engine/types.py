@@ -1,12 +1,20 @@
 """Shared datatypes of the staged engine.
 
 The common vocabulary of the engine stages (flow table, deadline wheel,
-micro-batcher, sinks).
+micro-batcher, sinks). A flow costs four small records on its way to a
+label: its :class:`~repro.net.flow.FlowKey`, one :class:`PendingFlow`
+that every stage up to the label passes along, the CDB's
+:class:`~repro.core.cdb.CdbRecord`, and the :class:`ClassifiedFlow`
+handed to the sinks. None of them is built by a frozen dataclass's
+``__init__`` (an ``object.__setattr__`` call per field) or by writing
+into an instance ``__dict__`` (which un-shares the instance's key table
+and costs 64-128 B per object; DESIGN.md, "New-flow path").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.labels import ALL_NATURES, FlowNature
 from repro.net.flow import FlowKey
@@ -29,7 +37,15 @@ class EngineClosedError(RuntimeError):
 
 @dataclass(slots=True)
 class PendingFlow:
-    """Per-flow state while its classification window is filling.
+    """A flow from its first packet to its label: the engine's one record.
+
+    The same object sits in the flow table while the window fills, in
+    the micro-batcher once the window is frozen, and in the batch that
+    ``classify_labels`` / ``fold_for`` / ``apply`` receive — nothing is
+    copied into a second record on the way.
+
+    ``flow_id`` is the packed 5-tuple the table, wheel and batcher key
+    by; ``key`` the same identity as a :class:`FlowKey`, minted once.
 
     ``state`` is whatever the engine's
     :class:`~repro.core.extract.FeatureExtractor` minted for this flow —
@@ -46,9 +62,20 @@ class PendingFlow:
     ``seq`` is a global first-packet arrival index: drains iterate pending
     flows in ``seq`` order so the staged engine classifies (and draws any
     random-skip offsets) in exactly the order the monolithic engine did.
-    ``queued`` marks a flow whose classification window has been handed to
-    the micro-batcher; late packets still append to ``packets`` so they
-    are forwarded once the batch drains, but the flow is not re-enqueued.
+
+    ``window`` / ``protocol`` are set when the flow becomes ready (buffer
+    full, FIN, or timeout) and ``queued`` marks that hand-over to the
+    micro-batcher. ``window`` is whatever the extractor's
+    :meth:`~repro.core.extract.FeatureExtractor.finalize` takes: the
+    frozen payload window (``bytes``) for payload-retaining extractors —
+    exactly the bytes the monolithic engine would have classified at
+    that moment — or ``state`` itself for streaming extractors.
+    ``protocol`` is the application header stripped from it, if any. The
+    window is frozen at readiness and never re-read from ``state``, so
+    batching changes *when* the model runs, never *what* it sees. Late
+    packets still append to ``packets`` so they are forwarded once the
+    batch drains, but the flow is not re-enqueued.
+
     ``closed`` marks a flow whose FIN/RST arrived before its label: the
     classify stage inserts the label and immediately retires the CDB
     record (the monolith's remove-after-classify close path).
@@ -70,11 +97,19 @@ class PendingFlow:
     queued: bool = False
     closed: bool = False
     unfolded: "list[bytes | memoryview]" = field(default_factory=list)
+    flow_id: bytes = b""
+    window: "bytes | object" = None
+    protocol: "str | None" = None
 
 
-@dataclass(frozen=True)
-class ClassifiedFlow:
-    """Outcome of one flow classification."""
+class ClassifiedFlow(NamedTuple):
+    """Outcome of one flow classification (immutable, compared by value).
+
+    A tuple subclass, not a frozen dataclass: one is built per flow and
+    the default ``StatsSink`` keeps every one, and a frozen dataclass
+    pays an ``object.__setattr__`` per field to build and a ``__dict__``
+    to hold.
+    """
 
     key: FlowKey
     label: FlowNature

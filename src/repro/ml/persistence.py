@@ -229,10 +229,12 @@ def _dagsvm_from_dict(payload: dict) -> DagSvmClassifier:
         max_iter=payload["max_iter"],
     )
     clf.classes_ = np.asarray(payload["classes"])
-    clf.pairwise_ = {}
+    machines = {}
     for key, svc_payload in payload["pairwise"].items():
         a, b = key.split(",")
-        clf.pairwise_[(int(a), int(b))] = _binary_svc_from_dict(svc_payload)
+        machines[(int(a), int(b))] = _binary_svc_from_dict(svc_payload)
+    # Assigned whole: the classifier stacks the machines for predict here.
+    clf.pairwise_ = machines
     return clf
 
 

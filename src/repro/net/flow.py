@@ -14,6 +14,9 @@ from repro.net.packet import Packet, pack_five_tuple
 
 __all__ = ["Flow", "FlowKey", "assemble_flows"]
 
+_new = object.__new__
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class FlowKey:
@@ -38,6 +41,28 @@ class FlowKey:
         src, src_port, dst, dst_port, protocol = packet.five_tuple
         return cls(src=src, src_port=src_port, dst=dst, dst_port=dst_port,
                    protocol=protocol)
+
+    @classmethod
+    def unchecked(
+        cls, src: str, src_port: int, dst: str, dst_port: int, protocol: int
+    ) -> "FlowKey":
+        """A key from fields the caller has already range-checked.
+
+        Skips ``__init__`` and ``__post_init__``: for the engine, which
+        mints one key per flow from a 5-tuple that just passed
+        ``struct.pack``'s range check on its way to becoming the flow ID
+        (:attr:`Packet.flow_tuple <repro.net.packet.Packet.flow_tuple>`).
+        Anything else goes through ``FlowKey(...)`` or :meth:`of_packet`.
+        The fields are set with ``object.__setattr__``, not through the
+        instance ``__dict__``, which would un-share its key table.
+        """
+        key = _new(cls)
+        _set(key, "src", src)
+        _set(key, "src_port", src_port)
+        _set(key, "dst", dst)
+        _set(key, "dst_port", dst_port)
+        _set(key, "protocol", protocol)
+        return key
 
     def to_bytes(self) -> bytes:
         """Canonical 13-byte encoding: the engine's flow-table key."""

@@ -2,8 +2,8 @@
 
 A runtime never owns flow state — the engine's
 :class:`~repro.engine.pipeline.FlowPipeline` does. The runtime only
-decides *where* each pipeline call executes and how drained
-``ReadyFlow`` batches reach the engine's classify/apply machinery. The
+decides *where* each pipeline call executes and how drained batches of
+ready flows reach the engine's classify/apply machinery. The
 facade calls exactly four things on the hot path and lifecycle:
 
 * :meth:`Runtime.dispatch` — one packet, with its flow ID;

@@ -63,7 +63,7 @@ class SerialRuntime:
                     sink.on_packet(label, packet)
             return label
         if result.ready:
-            return engine.classify_apply(result.ready, now).get(flow_id)
+            return engine.classify_apply(result.ready, now, flow_id)
         return None
 
     def flush(self, now: float) -> int:

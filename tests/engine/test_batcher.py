@@ -2,11 +2,18 @@
 
 import pytest
 
-from repro.engine.batcher import MicroBatcher, ReadyFlow
+from repro.engine.batcher import MicroBatcher
+from repro.engine.types import PendingFlow
+from repro.net.flow import FlowKey
 
 
-def _ready(i: int) -> ReadyFlow:
-    return ReadyFlow(flow_id=bytes([i]) * 20, window=b"x" * 32, protocol=None)
+def _ready(i: int) -> PendingFlow:
+    """A flow as the pipeline queues it: its window frozen on the record."""
+    return PendingFlow(
+        key=FlowKey("10.0.0.1", 1000 + i, "10.0.0.2", 80, 6),
+        flow_id=bytes([i]) * 13,
+        window=b"x" * 32,
+    )
 
 
 class TestSizeTrigger:

@@ -14,11 +14,19 @@ runtime → pipeline), its own two one-frame properties, the CDB record's
 lambda rule on a hit and one ``on_packet`` per sink — and nothing else;
 a flow's buffer deadline is armed when the flow is created and moved
 only by a flush that finds the flow still active.
+
+The third part guards the new-flow path's per-flow records: one
+``FlowKey`` minted without the dataclass ``__init__``, one
+``PendingFlow`` from first packet to label (no second ready-flow
+record), fewer frames per flow than ``5196104``, and no more retained
+heap per classified flow.
 """
 
+import gc
 import hashlib
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -69,7 +77,7 @@ def test_streamed_capture_parses_no_header_and_hashes_nothing(
     for header in (Ipv4Header, TcpHeader, UdpHeader):
         # ``original`` is already bound to the class: drop the wrapper's ``cls``.
         count(header, "from_bytes", lambda f: classmethod(lambda cls, data: f(data)))
-    count(FlowKey, "__init__")
+    count_minted_keys(count)
     count(hashlib, "sha1")
 
     engine = open_engine(trained_svm, EngineConfig(max_batch=8))
@@ -85,13 +93,25 @@ def test_streamed_capture_parses_no_header_and_hashes_nothing(
     assert calls["hashlib.sha1"] == 0
     # Every pending flow ends labelled or unclassifiable, and each was
     # minted with exactly one key.
-    assert calls["FlowKey.__init__"] == stats.classifications + stats.unclassifiable
-    assert calls["FlowKey.__init__"] < stats.packets / 4
+    assert calls["FlowKey.unchecked"] == stats.classifications + stats.unclassifiable
+    assert calls["FlowKey.unchecked"] < stats.packets / 4
+    assert calls["FlowKey.__init__"] == 0
+
+
+def count_minted_keys(count) -> None:
+    """Tally both ways a ``FlowKey`` comes to be.
+
+    The engine mints through ``FlowKey.unchecked`` (its 5-tuple was
+    range-checked when the packet's ``flow_tuple`` was packed), everyone
+    else through the dataclass ``__init__``.
+    """
+    count(FlowKey, "unchecked", lambda f: classmethod(lambda cls, *a: f(*a)))
+    count(FlowKey, "__init__")
 
 
 def udp_packet(flow: int, payload: bytes, timestamp: float) -> Packet:
-    ip = Ipv4Header(src=f"10.0.{flow >> 8}.{flow & 255}", dst="192.168.0.1",
-                    protocol=PROTO_UDP)
+    ip = Ipv4Header(src=f"10.{flow >> 16}.{(flow >> 8) & 255}.{flow & 255}",
+                    dst="192.168.0.1", protocol=PROTO_UDP)
     return Packet(ip, UdpHeader(4000, 53, 8 + len(payload)), payload, timestamp)
 
 
@@ -103,7 +123,7 @@ def test_flow_complete_on_arrival_costs_no_deadline(counting, trained_svm):
     packets = [udp_packet(i, payload[i % 8 :], i * 1e-4) for i in range(flows)]
     calls, count = counting
     count(DeadlineWheel, "schedule")
-    count(FlowKey, "__init__")
+    count_minted_keys(count)
 
     engine = open_engine(trained_svm, EngineConfig(max_batch=max_batch, max_delay=1.0))
     count(engine.extractor, "finalize")
@@ -114,7 +134,8 @@ def test_flow_complete_on_arrival_costs_no_deadline(counting, trained_svm):
     assert calls["DeadlineWheel.schedule"] == 0
     assert len(engine.wheel._heap) == 0
     assert calls["BatchEntropyExtractor.finalize"] == math.ceil(flows / max_batch)
-    assert calls["FlowKey.__init__"] == flows
+    assert calls["FlowKey.unchecked"] == flows
+    assert calls["FlowKey.__init__"] == 0
 
 
 def test_flow_left_pending_still_gets_its_deadline(counting, trained_svm):
@@ -271,3 +292,90 @@ def test_deadline_armed_once_per_flow_and_rearmed_by_a_flush(counting, trained_s
     assert calls["DeadlineWheel.schedule"] == (flows + 2) + 2
     assert stats.classifications == flows + 2
     assert len(engine.wheel) == 0
+
+
+# -- records per flow -----------------------------------------------------------
+
+
+def test_flow_complete_on_arrival_touches_no_wheel_and_queues_itself(trained_svm):
+    engine = open_engine(trained_svm, EngineConfig(max_batch=4, max_delay=1.0))
+    payload = bytes(range(48))
+    for i in range(4):  # one full drain: every lazy import and cache is warm
+        engine.process_packet(udp_packet(i, payload, i * 1e-4))
+    assert engine.stats.classifications == 4
+    packet = udp_packet(9, payload, 0.01)
+
+    entered = frames_entered(engine.process_packet, packet)
+
+    assert not [name for name in entered if name.startswith("DeadlineWheel.")]
+    # What waits in the batcher is the flow's one record, not a copy of it.
+    pending = engine.table.pending[packet.flow_tuple]
+    assert engine.batcher._queue == [pending] and engine.batcher._queue[0] is pending
+    assert pending.queued and pending.window == payload[:32]
+    assert pending.flow_id == packet.flow_tuple == pending.key.to_bytes()
+    assert not hasattr(sys.modules["repro.engine.batcher"], "ReadyFlow")
+
+
+def frames_of_one_drain(classifier, batch: int) -> int:
+    """Python frames entered while ``batch`` one-packet flows fill one drain."""
+    engine = open_engine(classifier, EngineConfig(max_batch=batch, max_delay=10.0))
+    payload = bytes(range(48))
+    for i in range(batch):  # warm: the first drain pays every one-off
+        engine.process_packet(udp_packet(i, payload, i * 1e-4))
+    packets = [udp_packet(1000 + i, payload, 0.01 + i * 1e-4) for i in range(batch)]
+
+    def feed():
+        for packet in packets:
+            engine.process_packet(packet)
+
+    total = sum(frames_entered(feed).values())
+    assert engine.stats.classifications == 2 * batch
+    return total
+
+
+def test_new_flow_enters_fewer_frames_than_the_parent(trained_svm):
+    """Frames from ``process_packet`` to ``on_flow_classified``, per flow.
+
+    One drain of 16 flows minus one drain of 8, over 8: what a drain
+    costs whatever its size (the kernels' frames, numpy's own) cancels,
+    what each flow adds stays. ``5196104`` enters 31 — five of them the
+    generated ``__init__`` of ``FlowKey`` (plus ``of_packet`` and
+    ``__post_init__``), ``ReadyFlow``, ``ClassifiedFlow``,
+    ``PendingFlow`` and ``CdbRecord``, one a ``DeadlineWheel.cancel`` of
+    a deadline never armed, one an ``IngestResult`` for a packet that
+    drained nothing. This tree enters 26.
+    """
+    per_flow = (
+        frames_of_one_drain(trained_svm, 16) - frames_of_one_drain(trained_svm, 8)
+    ) / 8
+    assert per_flow <= 26
+
+
+def test_retained_heap_per_classified_flow(trained_svm):
+    """``tracemalloc`` around a flow-churn-shaped pass, over flows classified.
+
+    20,000 one-packet flows at 8,000 pkt/s, ``max_batch=32``, the default
+    ``StatsSink`` (it keeps every ``ClassifiedFlow`` and, through it, the
+    flow's ``FlowKey``); the packets exist before tracing starts, so what
+    is counted is what the engine retains: CDB records, outcomes, keys.
+    ``5196104`` reads 390.5 B per flow by this method (404 B by the
+    issue's), this tree 365.2 B. A record built by writing into its
+    ``__dict__`` loses CPython's shared key table — 64 to 128 B more per
+    ``FlowKey`` and per outcome — and fails this.
+    """
+    flows = 20_000
+    payloads = [bytes((i * 7 + j) & 255 for j in range(48)) for i in range(64)]
+    packets = [udp_packet(i, payloads[i % 64], i / 8000.0) for i in range(flows)]
+    engine = open_engine(trained_svm, EngineConfig(max_batch=32))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        stats = engine.process_source(packets)
+        gc.collect()
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    engine.close()
+
+    assert stats.classifications == flows
+    assert retained / flows <= 404

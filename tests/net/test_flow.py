@@ -1,7 +1,12 @@
 """Tests for flow keys and flow assembly."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.api import open_engine
+from repro.core.config import EngineConfig
 from repro.net.flow import Flow, FlowKey, assemble_flows
 from repro.net.packet import (
     FLAG_ACK,
@@ -25,6 +30,16 @@ def _packet(sport, ts=0.0, payload=b"", flags=FLAG_ACK, proto=6):
         payload=payload,
         timestamp=ts,
     )
+
+
+#: ``pickle.dumps(FlowKey("10.1.2.3", 4000, "192.168.0.1", 53, 17), protocol=4)``
+#: as commit ``5196104`` (every key built by the dataclass ``__init__``) wrote it.
+PARENT_COMMIT_PICKLE = (
+    b"\x80\x04\x95s\x00\x00\x00\x00\x00\x00\x00\x8c\x0erepro.net.flow\x94\x8c\x07"
+    b"FlowKey\x94\x93\x94)\x81\x94}\x94(\x8c\x03src\x94\x8c\x0810.1.2.3\x94\x8c\x08"
+    b"src_port\x94M\xa0\x0f\x8c\x03dst\x94\x8c\x0b192.168.0.1\x94\x8c\x08dst_port"
+    b"\x94K5\x8c\x08protocol\x94K\x11ub."
+)
 
 
 class TestFlowKey:
@@ -52,6 +67,43 @@ class TestFlowKey:
     def test_bad_address_in_to_bytes(self):
         with pytest.raises(ValueError, match="invalid address"):
             FlowKey("nonsense", 1, "2.2.2.2", 2, 6).to_bytes()
+
+    @pytest.mark.parametrize(
+        "header, field, value",
+        [("transport", "src_port", 70000), ("ip", "protocol", 300)],
+    )
+    def test_out_of_range_packet_is_rejected_on_every_road(
+        self, trained_svm, header, field, value
+    ):
+        """The engine's unchecked mint is never the first to see a 5-tuple."""
+        packet = _packet(1234, payload=b"x" * 48, proto=17)
+        setattr(getattr(packet, header), field, value)  # headers are mutable
+        with pytest.raises(ValueError):
+            FlowKey.of_packet(packet)
+        with pytest.raises(ValueError):
+            FlowKey(*packet.five_tuple)
+        engine = open_engine(trained_svm, EngineConfig(max_batch=1, max_delay=0.0))
+        with pytest.raises(ValueError, match="invalid address, port or protocol"):
+            engine.process_packet(packet)
+        assert engine.table.pending_count == 0 and len(engine.table) == 0
+
+    def test_unchecked_mint_equals_the_checked_one(self):
+        checked = FlowKey("10.0.0.1", 1234, "10.0.0.2", 80, 6)
+        minted = FlowKey.unchecked("10.0.0.1", 1234, "10.0.0.2", 80, 6)
+        assert minted == checked and hash(minted) == hash(checked)
+        assert minted.to_bytes() == checked.to_bytes()
+        assert repr(minted) == repr(checked)
+        with pytest.raises(AttributeError):
+            minted.src_port = 1  # still frozen
+
+    def test_pickle_written_by_the_dataclass_init_era_still_loads(self):
+        """``bench/.cache`` holds pickled keys; their form must not move."""
+        key = FlowKey("10.1.2.3", 4000, "192.168.0.1", 53, 17)
+        loaded = pickle.loads(PARENT_COMMIT_PICKLE)
+        assert loaded == key and hash(loaded) == hash(key)
+        assert pickle.dumps(key, protocol=4) == PARENT_COMMIT_PICKLE
+        minted = FlowKey.unchecked(*dataclasses.astuple(key))
+        assert pickle.dumps(minted, protocol=4) == PARENT_COMMIT_PICKLE
 
     def test_hashable(self):
         assert len({FlowKey("1.1.1.1", 1, "2.2.2.2", 2, 6)} | {

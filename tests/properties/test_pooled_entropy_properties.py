@@ -18,7 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.classifier import IustitiaClassifier
-from repro.core.entropy_vector import entropy_vector, entropy_vectors_batch
+from repro.core.entropy_vector import (
+    _packed_layout,
+    entropy_vector,
+    entropy_vectors_batch,
+)
 from repro.core.extract import IncrementalEntropyExtractor
 from repro.core.features import FEATURE_SETS, PHI_SVM_PRIME
 from repro.data.corpus import build_corpus
@@ -95,6 +99,68 @@ class TestBatchKernel:
         for view in (bytearray, memoryview, lambda b: np.frombuffer(b, dtype=np.uint8)):
             got = entropy_vectors_batch([view(b) for b in raw], PHI_SVM_PRIME)
             assert_close(got, expected)
+
+
+class TestLayoutStore:
+    """The batch kernel keeps each drain shape's layout; nobody can tell.
+
+    ``_packed_layout`` is a bounded ``lru_cache`` keyed by (rows, window
+    length, packed widths): a hit must give what a cold store gives, the
+    kept arrays must never reach a caller, and the store must stay small
+    whatever shapes arrive.
+    """
+
+    #: (rows, window length) of successive drains; the first shape returns.
+    SHAPES = [(32, 32), (5, 32), (32, 17), (1, 5), (32, 32)]
+
+    @staticmethod
+    def drain(rows: int, length: int, seed: int) -> "list[bytes]":
+        rng = np.random.default_rng(seed)
+        return [
+            rng.integers(0, 16, size=length, dtype=np.uint8).tobytes()
+            for _ in range(rows)
+        ]
+
+    @feature_sets
+    def test_alternating_shapes_equal_a_cold_store(self, name):
+        features = FEATURE_SETS[name]
+        shapes = [
+            (rows, max(length, features.max_width)) for rows, length in self.SHAPES
+        ]
+        drains = [self.drain(*shape, seed=i) for i, shape in enumerate(shapes)]
+        _packed_layout.cache_clear()
+        warm = [entropy_vectors_batch(buffers, features) for buffers in drains]
+        assert _packed_layout.cache_info().hits >= (
+            1 if any(k <= 8 for k in features.widths) else 0
+        )
+        for buffers, got in zip(drains, warm):
+            _packed_layout.cache_clear()
+            cold = entropy_vectors_batch(buffers, features)
+            assert (got == cold).all()
+            assert_close(got, oracle(buffers, features))
+
+    def test_mutating_a_result_does_not_reach_the_next_call(self):
+        buffers = self.drain(32, 32, seed=3)
+        _packed_layout.cache_clear()
+        first = entropy_vectors_batch(buffers, PHI_SVM_PRIME)
+        expected = first.copy()
+        first[:] = -7.0
+        again = entropy_vectors_batch(buffers, PHI_SVM_PRIME)
+        assert (again == expected).all()
+        again[:] = np.nan
+        assert (entropy_vectors_batch(buffers, PHI_SVM_PRIME) == expected).all()
+
+    def test_store_stays_bounded_over_a_thousand_shapes(self):
+        _packed_layout.cache_clear()
+        bound = _packed_layout.cache_info().maxsize
+        assert bound is not None and bound <= 64
+        shapes = [(rows, length) for rows in range(1, 26) for length in range(5, 45)]
+        assert len(set(shapes)) == 1000
+        for rows, length in shapes:
+            buffers = [bytes(length)] * rows
+            assert (entropy_vectors_batch(buffers, PHI_SVM_PRIME) == 0.0).all()
+        info = _packed_layout.cache_info()
+        assert info.misses == 1000 and info.currsize <= bound
 
 
 class TestIncrementalFinalize:
