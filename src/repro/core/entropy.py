@@ -304,8 +304,10 @@ def pooled_kgram_runs(
     return layout.groups.take(starts), bounds[1:] - starts
 
 
-def pooled_kgram_entropies(keys: np.ndarray, layout: PooledLayout) -> np.ndarray:
-    """``h_k`` of every group of pooled gram keys: Formula (1), one sort.
+def pooled_kgram_entropies(
+    keys: np.ndarray, layout: PooledLayout
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``(h_k, distinct grams)`` per group of pooled gram keys: Formula (1), one sort.
 
     The one entropy reduction behind both the batched window kernel
     (:func:`repro.core.entropy_vector.entropy_vectors_batch`) and the
@@ -318,7 +320,9 @@ def pooled_kgram_entropies(keys: np.ndarray, layout: PooledLayout) -> np.ndarray
     into one call. Arguments as for :func:`pooled_kgram_runs`. A group
     with a single distinct gram is exactly 0.0, and so is a group with
     no keys at all — callers validate that every flow holds at least
-    ``k`` bytes.
+    ``k`` bytes. The distinct-gram count per group (the non-zero
+    counters a flow's state holds) is returned beside the entropies, so
+    state accounting needs no sort of its own.
     """
     n_groups = layout.n_groups
     run_groups, run_counts = pooled_kgram_runs(keys, layout)
@@ -330,7 +334,7 @@ def pooled_kgram_entropies(keys: np.ndarray, layout: PooledLayout) -> np.ndarray
     # One distinct element is exactly zero (avoids ln(N) - ln(N) residue);
     # empty groups are zero too.
     h[distinct <= 1] = 0.0
-    return np.clip(h, 0.0, 1.0, out=h)
+    return np.clip(h, 0.0, 1.0, out=h), distinct
 
 
 def kgram_entropy(data: "bytes | bytearray | np.ndarray", k: int) -> float:

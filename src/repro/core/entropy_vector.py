@@ -167,7 +167,7 @@ def _group_entropies(mat: np.ndarray, widths: "tuple[int, ...]") -> np.ndarray:
         pooled = pooled_kgram_entropies(
             np.concatenate([packs[k].ravel() for k in small]),
             _packed_layout(n_rows, m, tuple(small)),
-        ).reshape(len(small), n_rows)
+        )[0].reshape(len(small), n_rows)
         for k, column in zip(small, pooled):
             out[:, column_of[k]] = column
     for k in two_word:

@@ -63,7 +63,6 @@ from repro.core.entropy import (
     entropy_from_counts,
     packed_kgram_keys,
     pooled_kgram_entropies,
-    pooled_kgram_runs,
 )
 from repro.core.features import FeatureSet
 
@@ -230,6 +229,11 @@ class IncrementalFlowState:
     ``max_width - 1`` bytes of the folded stream, so grams spanning a
     packet boundary are counted exactly once; ``folded`` counts window
     bytes absorbed (capped at the extractor's ``buffer_size``).
+    ``distinct`` is the number of distinct grams across all widths —
+    :attr:`num_counters` — as the last
+    :meth:`~IncrementalEntropyExtractor.finalize_batch` counted it on
+    its way to the entropies; ``None`` for a state never finalized, or
+    folded into since.
 
     The *logical* footprint — what :meth:`IncrementalEntropyExtractor.
     state_bytes` charges against the paper's ~200 B claim — is the
@@ -237,7 +241,7 @@ class IncrementalFlowState:
     view-list representation.
     """
 
-    __slots__ = ("keys", "filled", "wide", "carry", "folded")
+    __slots__ = ("keys", "filled", "wide", "carry", "folded", "distinct")
 
     def __init__(self, n_packed: int, n_wide: int) -> None:
         self.keys: "list[list[np.ndarray]]" = [[] for _ in range(n_packed)]
@@ -249,6 +253,7 @@ class IncrementalFlowState:
         )
         self.carry = b""
         self.folded = 0
+        self.distinct: "int | None" = None
 
     @property
     def carry_len(self) -> int:
@@ -258,6 +263,8 @@ class IncrementalFlowState:
     @property
     def num_counters(self) -> int:
         """Non-zero k-gram counters currently held (the paper's alpha)."""
+        if self.distinct is not None:
+            return self.distinct
         total = sum(len(table) for table in self.wide)
         for runs, filled in zip(self.keys, self.filled):
             if filled:
@@ -367,6 +374,7 @@ class IncrementalEntropyExtractor(FeatureExtractor):
             tail = min(self._carry_bytes, ctx.size)
             state.carry = ctx[ctx.size - tail :].tobytes()
         state.folded += chunk.size
+        state.distinct = None
 
     def fold_batch(self, states: list, payloads: list) -> None:
         """One vectorized fold pass over many flows' pending chunks.
@@ -466,6 +474,7 @@ class IncrementalEntropyExtractor(FeatureExtractor):
                 # uint8 view + tobytes round-trip per flow.
                 state.carry = joined[max(end - carry_bytes, start) : end]
             state.folded += end - start - carry_len
+            state.distinct = None
 
     def folded_bytes(self, state: IncrementalFlowState) -> int:
         return state.folded
@@ -485,7 +494,7 @@ class IncrementalEntropyExtractor(FeatureExtractor):
 
         Group ``slot * n + flow`` stripes all packed widths of the batch
         into one id space, laid out group after group — the input of
-        :func:`~repro.core.entropy.pooled_kgram_runs`, whose single sort
+        :func:`~repro.core.entropy.pooled_kgram_entropies`, whose single sort
         then covers the whole batch across *all* widths at once. Flows
         fill their windows unevenly, so the layout is per drain.
         """
@@ -535,14 +544,19 @@ class IncrementalEntropyExtractor(FeatureExtractor):
         if n == 0:
             return out
         n_slots = self._n_packed
+        #: Distinct grams per flow over every width: the reduction counts
+        #: them on its way, state accounting reads them back.
+        totals = [0] * n
         if n_slots:
             # All packed widths in one pooled reduction: each
             # (width, flow) stripe is normalized by its own width, so one
             # sort + two bincounts produce every packed feature column
             # of the batch.
-            h_packed = pooled_kgram_entropies(
+            h_packed, distinct = pooled_kgram_entropies(
                 *self._pooled_keys(states)
-            ).reshape(n_slots, n)
+            )
+            h_packed = h_packed.reshape(n_slots, n)
+            totals = distinct.reshape(n_slots, n).sum(axis=0).tolist()
         packed_slot = 0
         wide_slot = 0
         for column, k in enumerate(self.feature_set.widths):
@@ -552,11 +566,14 @@ class IncrementalEntropyExtractor(FeatureExtractor):
             else:
                 for i, state in enumerate(states):
                     table = state.wide[wide_slot]
+                    totals[i] += len(table)
                     counts = np.fromiter(
                         table.values(), dtype=np.float64, count=len(table)
                     )
                     out[i, column] = entropy_from_counts(counts, k)
                 wide_slot += 1
+        for state, total in zip(states, totals):
+            state.distinct = total
         return out
 
     def finalize(
@@ -593,37 +610,18 @@ class IncrementalEntropyExtractor(FeatureExtractor):
     def state_bytes_batch(
         self, states: "list[IncrementalFlowState]"
     ) -> np.ndarray:
-        """Exact per-flow state bytes of a whole batch, vectorized.
+        """Exact per-flow state bytes of a whole batch.
 
-        The engine charges every classified flow under exact accounting;
-        counting distinct grams one flow at a time would cost a Python
-        loop per width per flow, so the packed widths reuse the pooled
-        sort of :meth:`finalize_batch` and distinct counts come back per
-        flow from one ``bincount``.
+        The engine charges every classified flow under exact accounting,
+        right after :meth:`finalize_batch` — whose pooled reduction left
+        each flow's distinct-gram total on its state, so this is a read
+        per flow and one arithmetic pass, no sort.
         """
         states = list(states)
-        n = len(states)
-        num_counters = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        n_slots = self._n_packed
-        if n_slots:
-            run_gids, _ = pooled_kgram_runs(*self._pooled_keys(states))
-            num_counters += (
-                np.bincount(run_gids, minlength=n_slots * n)
-                .reshape(n_slots, n)
-                .sum(axis=0)
-            )
-        for slot in range(len(self._wide_widths)):
-            num_counters += np.fromiter(
-                (len(state.wide[slot]) for state in states),
-                dtype=np.int64,
-                count=n,
-            )
-        carry_lens = np.fromiter(
-            (len(state.carry) for state in states), dtype=np.int64, count=n
+        return incremental_flow_state_bytes_array(
+            [state.num_counters for state in states],
+            [len(state.carry) for state in states],
         )
-        return incremental_flow_state_bytes_array(num_counters, carry_lens)
 
 
 #: Extractors selectable by name via ``EngineConfig(extractor=...)``.

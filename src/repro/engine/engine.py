@@ -302,9 +302,7 @@ class StagedEngine:
 
     def _flush_delay_buf(self) -> None:
         """Bucket the deferred classification-delay observations."""
-        observe = self._m_delay.observe
-        for delay in self._delay_buf:
-            observe(delay)
+        self._m_delay.observe_many(self._delay_buf)
         self._delay_buf.clear()
 
     def _collect_metrics(self) -> None:
@@ -365,33 +363,31 @@ class StagedEngine:
                 self.extractor.finalize(payloads, self.classifier)
             )
         if self._m_delay is not None:
+            # Per drain, not per flow: each instrument is touched once.
+            self._delay_buf.extend([now - flow.first_arrival for flow in batch])
             exact_state = self.extractor.exact_state_accounting
-            if exact_state and self._state_bytes_batch is not None:
-                # Exact accounting, batched: one vectorized pass charges
-                # the whole drain instead of one state walk per flow.
-                self._m_state_bytes.observe_many(
-                    self._state_bytes_batch(payloads)
+            first_sampled = self._state_countdown
+            self._state_countdown -= len(batch)
+            sample_due = self._state_countdown < 0
+            if exact_state or sample_due:
+                # Exact accounting charges the whole drain; when it costs
+                # an extraction-scale walk, every STATE_SAMPLE_EVERY-th
+                # flow, counted across drains.
+                charged = (
+                    payloads
+                    if exact_state
+                    else payloads[first_sampled::STATE_SAMPLE_EVERY]
                 )
-            observe_each_state = exact_state and self._state_bytes_batch is None
-            for flow in batch:
-                self._delay_buf.append(now - flow.first_arrival)
-                if observe_each_state:
-                    # O(1) on counter-based state: charge every flow.
-                    self._m_state_bytes.observe(
-                        self.extractor.state_bytes(flow.window)
-                    )
-                self._state_countdown -= 1
-                if self._state_countdown < 0:
-                    # One slow-path stop per STATE_SAMPLE_EVERY flows:
-                    # sample the state-size histogram (when accounting
-                    # costs an extraction-scale walk) and bucket the
-                    # deferred delays (bounds the buffer).
-                    self._state_countdown = STATE_SAMPLE_EVERY - 1
-                    if not exact_state:
-                        self._m_state_bytes.observe(
-                            self.extractor.state_bytes(flow.window)
-                        )
-                    self._flush_delay_buf()
+                self._m_state_bytes.observe_many(
+                    self._state_bytes_batch(charged)
+                    if self._state_bytes_batch is not None
+                    else map(self.extractor.state_bytes, charged)
+                )
+            if sample_due:
+                # One slow-path stop per STATE_SAMPLE_EVERY flows: bucket
+                # the deferred delays (bounds the buffer).
+                self._state_countdown %= STATE_SAMPLE_EVERY
+                self._flush_delay_buf()
         return labels
 
     def classify_apply(

@@ -165,7 +165,6 @@ class FlowPipeline:
         self._m_fold_chunks = None
         self._fold_seconds = 0.0
         self._fold_calls = 0
-        self._fold_countdown = 0
 
     # -- telemetry -----------------------------------------------------------
 
@@ -202,23 +201,23 @@ class FlowPipeline:
         if not self._time_folds:
             self.extractor.fold(state, payload)
             return
-        self._fold_calls += 1
-        self._fold_countdown -= 1
-        if self._fold_countdown < 0:
-            self._fold_countdown = FOLD_TIMER_SAMPLE_EVERY - 1
+        calls = self._fold_calls
+        self._fold_calls = calls + 1
+        if calls % FOLD_TIMER_SAMPLE_EVERY:
+            self.extractor.fold(state, payload)
+        else:
             fold_start = perf_counter()
             self.extractor.fold(state, payload)
             self._fold_seconds += (
                 perf_counter() - fold_start
             ) * FOLD_TIMER_SAMPLE_EVERY
-        else:
-            self.extractor.fold(state, payload)
 
     def fold_for(self, batch: "list[PendingFlow]") -> None:
         """Fold the deferred chunks of a batch about to be finalized.
 
         The engine calls this once per classify batch, so the whole
-        batch folds in one vectorized ``fold_batch`` call.
+        batch folds in one vectorized ``fold_batch`` call — one chunk
+        per flow, whatever number of packets it arrived in.
         """
         if not self._fold_at_drain:
             return
@@ -226,18 +225,21 @@ class FlowPipeline:
         if not flows:
             return
         states = [pending.state for pending in flows]
-        chunk_lists = [pending.unfolded for pending in flows]
+        # A chunk list of one, not the bare buffer: whoever counts chunks
+        # takes the length of ``payloads[i]``.
+        chunk_lists = [(pending.unfolded,) for pending in flows]
         if self._time_folds:
             fold_start = perf_counter()
             self.extractor.fold_batch(states, chunk_lists)
             self._fold_seconds += perf_counter() - fold_start
-            chunks = sum(len(chunk_list) for chunk_list in chunk_lists)
+            chunks = sum([pending.unfolded_chunks for pending in flows])
             self._fold_calls += chunks
             self._m_fold_chunks.observe(chunks)
         else:
             self.extractor.fold_batch(states, chunk_lists)
         for pending in flows:
-            pending.unfolded = []
+            pending.unfolded = bytearray()
+            pending.unfolded_chunks = 0
 
     # -- readiness -----------------------------------------------------------
 
@@ -256,8 +258,7 @@ class FlowPipeline:
             # state is read (classify drain), they will have folded,
             # up to the extractor's window cap.
             folded = min(
-                folded + sum(len(chunk) for chunk in pending.unfolded),
-                self.extractor.buffer_size,
+                folded + len(pending.unfolded), self.extractor.buffer_size
             )
         if folded < self.policy.min_window:
             return None
@@ -376,11 +377,12 @@ class FlowPipeline:
             if not self._fold_at_drain:
                 self._fold_one(pending.state, payload)
             elif prior_raw < self._window_cap:
-                # Chunks fold in arrival order and each fold caps at the
+                # Bytes fold in arrival order and the fold caps at the
                 # extractor window, so once the bytes *before* this chunk
                 # already cover the window its fold is provably a no-op —
                 # it is never queued, which also bounds deferred memory.
-                pending.unfolded.append(payload)
+                pending.unfolded.extend(payload)
+                pending.unfolded_chunks += 1
             pending.packets.append(packet)
 
         if pending.queued:

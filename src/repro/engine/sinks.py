@@ -133,7 +133,9 @@ class MetricsSink(ResultSink):
     With ``emit_interval`` set, the sink also emits a full
     ``registry.snapshot()`` every that-many seconds of *packet-clock*
     time: to the ``emit`` callable when given (``emit(timestamp,
-    snapshot)``), onto ``self.snapshots`` otherwise. The registry may be
+    snapshot)``), onto ``self.snapshots`` otherwise. An idle gap that
+    crosses several intervals is scraped once and emits that one
+    snapshot (the same dict) at each of them. The registry may be
     shared with an engine's own instruments, in which case the periodic
     snapshots cover the whole telemetry plane.
     """
@@ -201,8 +203,12 @@ class MetricsSink(ResultSink):
         if self._next_emit is None:
             self._next_emit = now + self.emit_interval
             return
+        if now < self._next_emit:
+            return
+        # Nothing moves between the intervals an idle gap crossed: a
+        # second run of the collectors would read the same values.
+        snapshot = self.registry.snapshot()
         while now >= self._next_emit:
-            snapshot = self.registry.snapshot()
             if self._emit is not None:
                 self._emit(self._next_emit, snapshot)
             else:

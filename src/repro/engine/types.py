@@ -80,11 +80,14 @@ class PendingFlow:
     classify stage inserts the label and immediately retires the CDB
     record (the monolith's remove-after-classify close path).
 
-    ``unfolded`` holds payload chunks whose fold is deferred to the
+    ``unfolded`` holds the payload bytes whose fold is deferred to the
     classify drain (streaming extractors only): arriving payload is
-    appended here instead of folding immediately, and one vectorized
-    ``fold_batch`` call absorbs every queued chunk — in arrival order —
-    before the drain reads the flow's state.
+    copied onto its end instead of folding immediately — at most one
+    packet past the extractor's window, and no payload object is kept
+    alive for it — and one vectorized ``fold_batch`` call absorbs every
+    flow's bytes as one chunk before the drain reads the flow's state.
+    ``unfolded_chunks`` counts the packets that contributed (the
+    ``extractor_folds_total`` telemetry).
     """
 
     key: FlowKey
@@ -96,7 +99,8 @@ class PendingFlow:
     last_arrival: float = 0.0
     queued: bool = False
     closed: bool = False
-    unfolded: "list[bytes | memoryview]" = field(default_factory=list)
+    unfolded: bytearray = field(default_factory=bytearray)
+    unfolded_chunks: int = 0
     flow_id: bytes = b""
     window: "bytes | object" = None
     protocol: "str | None" = None

@@ -217,7 +217,12 @@ class Histogram:
         Equivalent to looping :meth:`observe`, but callers producing a
         whole batch of observations (e.g. per-flow state bytes of a
         classify drain) pay one method call instead of one per value.
+        An array is unboxed with one ``tolist()``, so ``sum`` stays a
+        plain ``float`` and no numpy scalar is made per value.
         """
+        tolist = getattr(values, "tolist", None)
+        if tolist is not None:
+            values = tolist()
         bounds = self._bounds
         counts = self._counts
         bisect_left = bisect.bisect_left

@@ -122,6 +122,51 @@ class TestIncrementalExtractor:
         assert got < batch.state_bytes(window)
 
 
+    @pytest.mark.parametrize(
+        "feature_set", [PHI_SVM_PRIME, FULL_FEATURES], ids=["packed", "wide"]
+    )
+    def test_state_bytes_batch_is_state_bytes_at_every_stage(self, feature_set):
+        """Before finalize, after it, and after a fold drops the cached total."""
+        extractor = IncrementalEntropyExtractor(feature_set, 32)
+        streams = [
+            bytes((13 * i) % 256 for i in range(40)),
+            b"ab" * 20,
+            bytes(40),
+            bytes(range(200, 240)),
+        ]
+        states = [extractor.new_state() for _ in streams]
+        extractor.fold_batch(states, [stream[:12] for stream in streams])
+
+        def cached():
+            return [state.distinct is not None for state in states]
+
+        def check():
+            batched = extractor.state_bytes_batch(states)
+            assert batched.tolist() == [extractor.state_bytes(s) for s in states]
+            # The oracle recounts the gram tables: no cached total involved.
+            assert [state.num_counters for state in states] == [
+                sum(len(table) for table in extractor.counters(state).values())
+                for state in states
+            ]
+
+        assert cached() == [False] * 4
+        check()
+        extractor.finalize_batch(states)
+        assert cached() == [True] * 4
+        check()
+        extractor.fold(states[0], streams[0][12:20])
+        extractor.fold_batch([states[1]], [[streams[1][12:15], streams[1][15:]]])
+        assert cached() == [False, False, True, True]
+        check()
+        extractor.finalize_batch(states)
+        assert cached() == [True] * 4
+        check()
+        # A full window folds nothing more, so its total stands.
+        extractor.fold(states[1], b"past the window")
+        assert cached() == [True] * 4
+        check()
+
+
 class TestMakeExtractor:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown extractor"):

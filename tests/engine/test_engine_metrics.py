@@ -5,8 +5,15 @@ import math
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.engine import MetricsSink, StagedEngine, StatsSink
+from repro.core.labels import TEXT
+from repro.engine import ClassifiedFlow, MetricsSink, StagedEngine, StatsSink
+from repro.net.packet import Ipv4Header, Packet, UdpHeader
 from repro.obs import render_text, validate_text
+
+
+def _udp_packet(timestamp: float) -> Packet:
+    ip = Ipv4Header(src="10.0.0.1", dst="10.0.0.2", protocol=17)
+    return Packet(ip, UdpHeader(src_port=4000, dst_port=53), b"payload", timestamp)
 
 
 def _run(trained_svm, trace, **kwargs):
@@ -194,6 +201,42 @@ class TestMetricsSink:
         assert times == sorted(times)
         # Periodic snapshots carry the whole telemetry plane.
         assert "engine_packets_total" in sink.snapshots[-1][1]
+
+    def test_idle_gap_is_scraped_once_and_emits_every_interval(self):
+        """A one-hour silence at ``emit_interval=1``: 3,600 snapshots, one scrape."""
+
+        class ScrapePerInterval(MetricsSink):
+            """The former ``_tick``, as the oracle for the emitted series."""
+
+            def _tick(self, now):
+                if self._next_emit is None:
+                    self._next_emit = now + self.emit_interval
+                while now >= self._next_emit:
+                    self.snapshots.append((self._next_emit, self.registry.snapshot()))
+                    self._next_emit += self.emit_interval
+
+        def collector_runs(sink):
+            runs = []
+            sink.registry.add_collector(lambda: runs.append(1))
+            # A first flow: an empty delay histogram's mean is NaN != NaN.
+            sink.on_flow_classified(ClassifiedFlow(None, TEXT, 0.0, 0.01, 32, None), [])
+            for timestamp in (0.0, 0.5, 1.0, 3600.25, 3600.5, 3602.0):
+                sink.on_packet(TEXT, _udp_packet(timestamp))
+            return len(runs)
+
+        sink = MetricsSink(emit_interval=1.0)
+        reference = ScrapePerInterval(emit_interval=1.0)
+
+        assert collector_runs(reference) == len(reference.snapshots) == 3602
+        # One scrape per packet that crossed an interval: 1.0, 3600.25, 3602.0.
+        assert collector_runs(sink) == 3
+        assert sink.snapshots == reference.snapshots
+        assert [t for t, _ in sink.snapshots] == [float(t) for t in range(1, 3603)]
+        forwarded = [
+            snap["sink_forwarded_packets_total"]['nature="text"']
+            for _, snap in sink.snapshots
+        ]
+        assert forwarded == [3.0] + [4.0] * 3599 + [6.0] * 2
 
     def test_emit_callback_instead_of_list(self, trained_svm, small_trace):
         seen = []

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.obs.metrics import (
@@ -103,6 +104,28 @@ class TestHistogram:
         assert snap["sum"] == 0.5
         assert snap["mean"] == 0.5
         assert snap["buckets"]["+Inf"] == 1
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+    def test_observe_many_matches_an_observe_loop_and_keeps_plain_floats(
+        self, as_array
+    ):
+        values = [0.25, 1.0, 1.5, 2.0, 7.0, 0.0, 3.999]
+        looped = Histogram("lat", buckets=(1.0, 2.0, 4.0))
+        for value in values:
+            looped.observe(value)
+        batched = Histogram("lat", buckets=(1.0, 2.0, 4.0))
+        batched.observe_many(np.asarray(values) if as_array else values)
+        batched.observe_many(np.empty(0) if as_array else [])
+
+        assert batched.cumulative_counts() == looped.cumulative_counts()
+        assert batched.count == looped.count == len(values)
+        assert batched.sum == looped.sum
+        # A numpy.float64 here would leak into every snapshot and scrape.
+        assert type(batched.sum) is float
+        assert type(batched.mean) is float
+        snap = batched.snapshot()
+        assert type(snap["sum"]) is float and type(snap["mean"]) is float
+        assert all(type(n) is int for n in snap["buckets"].values())
 
     def test_default_buckets_cover_latency_range(self):
         assert DEFAULT_LATENCY_BUCKETS[0] <= 1e-4
