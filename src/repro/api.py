@@ -133,10 +133,11 @@ def open_engine(
     otherwise, unless ``config.telemetry`` is off).
 
     ``EngineConfig(extractor="incremental")`` switches the engine's
-    per-flow feature pipeline from payload buffering to fold-at-arrival
-    k-gram counting (no payload retained — the paper's ~200 B state
-    shape); it requires a pure first-``b``-bytes pipeline (no header
-    stripping/skipping, no random skip, no estimation).
+    per-flow feature pipeline from buffering every payload byte to
+    keeping a flow's first ``b`` bytes only (charged as the paper's
+    ~200 B counter-table model of that window); it requires a pure
+    first-``b``-bytes pipeline (no header stripping/skipping, no random
+    skip, no estimation).
 
     The flow pipeline runs inline on the calling thread (the serial
     runtime, see :mod:`repro.runtime`); a runtime registered through

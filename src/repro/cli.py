@@ -135,8 +135,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     extractor = args.extractor
     pipeline = IustitiaConfig(
         buffer_size=classifier.buffer_size,
-        # The incremental extractor folds counters at arrival and keeps
-        # no payload, so it cannot re-window flows for header stripping.
+        # The incremental extractor keeps a flow's first b bytes and
+        # nothing past them, so it cannot re-window flows for header
+        # stripping.
         strip_known_headers=(extractor == "batch"),
     )
     try:
@@ -274,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--extractor",
         choices=("batch", "incremental"),
         default="batch",
-        help="per-flow feature pipeline: buffer payload and extract at "
-        "drain time (batch, default; enables header stripping) or fold "
-        "k-gram counters at packet arrival with no payload retained "
-        "(incremental)",
+        help="per-flow feature pipeline: buffer all payload, re-window "
+        "and extract at drain time (batch, default; enables header "
+        "stripping) or keep only a flow's first b bytes and extract "
+        "them as they are (incremental)",
     )
     classify.add_argument(
         "--on-error",

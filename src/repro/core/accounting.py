@@ -93,15 +93,19 @@ def incremental_space_bytes(
     carry_bytes: int,
     counter_bytes: int = DEFAULT_COUNTER_BYTES,
 ) -> int:
-    """Per-flow bytes for incremental (fold-at-arrival) exact calculation.
+    """Per-flow bytes of the paper's Section-4.4 fold-at-arrival shape.
 
-    Counters plus the ``max_width - 1`` boundary carry only — the
-    incremental extractor folds each packet into its k-gram count tables
-    on arrival and never retains the payload, so the buffer term of
-    :func:`exact_space_bytes` disappears. ``num_counters`` is the number
-    of *non-zero* counters actually held (the empirical ``alpha``), and
+    Counters plus the ``max_width - 1`` boundary carry only: a flow
+    whose packets fold into k-gram count tables on arrival never retains
+    the payload, so the buffer term of :func:`exact_space_bytes`
+    disappears. ``num_counters`` is the number of *non-zero* counters
+    such tables would hold (the empirical ``alpha``), and
     ``carry_bytes`` the trailing bytes kept to stitch grams across
-    packet boundaries.
+    packet boundaries. This is a *model*: the incremental extractor
+    charges it for each window it classifies, while what the process
+    holds is that window (at most ``b`` bytes, extracted once at the
+    drain — measured faster than folding tables per packet, DESIGN.md
+    "Fold batching").
     """
     if num_counters < 0:
         raise ValueError(f"num_counters must be >= 0, got {num_counters}")
@@ -120,8 +124,8 @@ def incremental_flow_state_bytes(
     """Engine-telemetry view of incremental per-flow state, CDB included.
 
     The exact (not sampled) counterpart of :func:`flow_state_bytes` for
-    the incremental extractor: counter tables + boundary carry + the
-    194-bit CDB record the flow occupies once labelled. Comparable
+    the incremental extractor: modelled counter tables + boundary carry
+    + the 194-bit CDB record the flow occupies once labelled. Comparable
     one-for-one against the paper's ~200 B Table-3 figure and against
     the buffered baseline's :func:`flow_state_bytes`.
     """

@@ -116,12 +116,11 @@ class EngineConfig:
     telemetry: bool = True
     #: Per-flow feature pipeline: ``"batch"`` buffers raw payload and
     #: extracts at drain time (default; required for header stripping /
-    #: skipping and estimation); ``"incremental"`` folds k-gram counters
-    #: at packet arrival and retains no payload (the paper's ~200 B
-    #: state shape). A custom factory callable ``(feature_set,
-    #: buffer_size) -> FeatureExtractor`` plugs in alternative fragment
-    #: features (see :mod:`repro.core.extract`).
-    extractor: "str | object" = "batch"
+    #: skipping and estimation); ``"incremental"`` keeps only the first
+    #: ``b`` bytes of a flow, extracts once at the classify drain and
+    #: charges the paper's ~200 B counter-table model of that window. A
+    #: name registered in :data:`repro.core.extract.EXTRACTORS`.
+    extractor: str = "batch"
     #: Execution runtime driving the flow pipeline (see
     #: :mod:`repro.runtime`): ``"serial"`` (the only built-in) runs
     #: it inline, packet-for-packet equivalent to the fused engine.
@@ -152,19 +151,9 @@ class EngineConfig:
                 "runtime must be a registry name or a factory callable, "
                 f"got {type(self.runtime).__name__}"
             )
-        if isinstance(self.extractor, str):
-            from repro.core.extract import EXTRACTORS
+        from repro.core.extract import extractor_class
 
-            if self.extractor not in EXTRACTORS:
-                raise ValueError(
-                    f"unknown extractor {self.extractor!r}; expected one of "
-                    f"{', '.join(sorted(EXTRACTORS))}"
-                )
-        elif not callable(self.extractor):
-            raise TypeError(
-                "extractor must be a registry name or a factory callable, "
-                f"got {type(self.extractor).__name__}"
-            )
+        extractor_class(self.extractor)
         base = self.pipeline if self.pipeline is not None else IustitiaConfig()
         resolved = replace(
             base,

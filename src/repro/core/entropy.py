@@ -50,14 +50,31 @@ PACKED_MAX_K = 8
 _BINCOUNT_MAX_KEYS = 1 << 16
 
 
-def _as_byte_array(data: "bytes | bytearray | memoryview | np.ndarray") -> np.ndarray:
-    """View ``data`` as a 1-D uint8 array without copying when possible."""
+def _as_bytes_like(
+    data: "bytes | bytearray | memoryview | np.ndarray",
+) -> "bytes | bytearray | memoryview | np.ndarray":
+    """``data`` as one C-contiguous buffer of bytes, uncopied when it is one.
+
+    The payload rule of every entry point that takes bytes: ``bytes`` /
+    ``bytearray``, any other buffer (a ``memoryview``, contiguous or
+    not, included) and ``uint8`` arrays pass; anything else — an array
+    of another dtype, a ``str``, a list of ints — is a ``TypeError``.
+    """
+    if isinstance(data, (bytes, bytearray)):
+        return data
     if isinstance(data, np.ndarray):
         if data.dtype != np.uint8:
             raise TypeError(f"numpy input must be uint8, got {data.dtype}")
         return data.ravel()
-    if isinstance(data, memoryview) and not data.contiguous:
-        data = bytes(data)
+    view = data if isinstance(data, memoryview) else memoryview(data)
+    return view if view.contiguous else bytes(view)
+
+
+def _as_byte_array(data: "bytes | bytearray | memoryview | np.ndarray") -> np.ndarray:
+    """View ``data`` as a 1-D uint8 array without copying when possible."""
+    data = _as_bytes_like(data)
+    if isinstance(data, np.ndarray):
+        return data
     return np.frombuffer(data, dtype=np.uint8)
 
 

@@ -92,8 +92,8 @@ def entropy_vector(
 
 def _entropies_from_change(
     change: np.ndarray, k: int, n_elements: int
-) -> np.ndarray:
-    """Per-row ``h_k`` from a run-start mask over grouped (sorted) k-grams.
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-row ``(h_k, distinct grams)`` from a run-start mask over sorted k-grams.
 
     ``change[r, j]`` is True where row ``r``'s j-th grouped gram starts a
     new run. Run lengths are the k-gram multiplicities ``m_ik``; the
@@ -114,7 +114,7 @@ def _entropies_from_change(
     h_k = np.clip(h_k, 0.0, 1.0)
     # Match entropy_from_counts: a single distinct element is exactly zero.
     h_k[distinct == 1] = 0.0
-    return h_k
+    return h_k, distinct
 
 
 @lru_cache(maxsize=_LAYOUT_STORE_SIZE)
@@ -132,8 +132,14 @@ def _packed_layout(n_rows: int, m: int, small: "tuple[int, ...]") -> PooledLayou
     )
 
 
-def _group_entropies(mat: np.ndarray, widths: "tuple[int, ...]") -> np.ndarray:
-    """``(n_rows, len(widths))`` entropies of a 2-D uint8 buffer matrix.
+def _group_entropies(
+    mat: np.ndarray, widths: "tuple[int, ...]"
+) -> "tuple[np.ndarray, list[np.ndarray]]":
+    """``(entropies, distinct-gram blocks)`` of a 2-D uint8 buffer matrix.
+
+    The entropies are ``(n_rows, len(widths))``; the blocks are what
+    :func:`distinct_totals` sums, handed on as the reductions produced
+    them so that a caller who does not read them pays nothing.
 
     Packed keys are built incrementally (width ``k`` reuses the width
     ``k - 1`` keys). Every width up to ``PACKED_MAX_K`` — ``h_1``
@@ -146,6 +152,7 @@ def _group_entropies(mat: np.ndarray, widths: "tuple[int, ...]") -> np.ndarray:
     """
     n_rows, m = mat.shape
     out = np.empty((n_rows, len(widths)), dtype=np.float64)
+    counted: "list[np.ndarray]" = []
     small = [k for k in widths if k <= PACKED_MAX_K]
     two_word = [k for k in widths if PACKED_MAX_K < k <= 2 * PACKED_MAX_K]
     column_of = {k: column for column, k in enumerate(widths)}
@@ -164,11 +171,12 @@ def _group_entropies(mat: np.ndarray, widths: "tuple[int, ...]") -> np.ndarray:
             if k in pack_targets:
                 packs[k] = keys
     if small:
-        pooled = pooled_kgram_entropies(
+        pooled, distinct = pooled_kgram_entropies(
             np.concatenate([packs[k].ravel() for k in small]),
             _packed_layout(n_rows, m, tuple(small)),
-        )[0].reshape(len(small), n_rows)
-        for k, column in zip(small, pooled):
+        )
+        counted.append(distinct.reshape(len(small), n_rows))
+        for k, column in zip(small, pooled.reshape(len(small), n_rows)):
             out[:, column_of[k]] = column
     for k in two_word:
         n_k = m - k + 1
@@ -183,13 +191,105 @@ def _group_entropies(mat: np.ndarray, widths: "tuple[int, ...]") -> np.ndarray:
         change[:, 1:] = (hi_sorted[:, 1:] != hi_sorted[:, :-1]) | (
             lo_sorted[:, 1:] != lo_sorted[:, :-1]
         )
-        out[:, column_of[k]] = _entropies_from_change(change, k, n_k)
+        out[:, column_of[k]], distinct = _entropies_from_change(change, k, n_k)
+        counted.append(distinct)
     for k in widths:
         if k > 2 * PACKED_MAX_K:
+            multiplicities = [kgram_count_values(row, k) for row in mat]
             out[:, column_of[k]] = [
-                entropy_from_counts(kgram_count_values(row, k), k) for row in mat
+                entropy_from_counts(m_k, k) for m_k in multiplicities
             ]
-    return out
+            counted.append(np.array([m_k.size for m_k in multiplicities]))
+    return out, counted
+
+
+def _uneven_packed_entropies(
+    windows: list, lengths: "list[int]", widths: "tuple[int, ...]"
+) -> "tuple[np.ndarray, list[np.ndarray]]":
+    """:func:`_group_entropies` for windows of mixed lengths, all widths packed.
+
+    The timeout / FIN / end-of-stream drain: one join, one incremental
+    pack over the joined bytes, one layout (flows fill their windows
+    unevenly, so it is per drain) and one pooled sort, however many
+    distinct lengths the drain holds. The pack runs across window
+    boundaries; a gram is kept iff it ends inside the window it starts in.
+    """
+    n = len(windows)
+    sizes = np.asarray(lengths)
+    wide = np.frombuffer(b"".join(windows), dtype=np.uint8).astype(np.uint64)
+    #: Bytes from each position to the end of its own window.
+    room = np.repeat(np.cumsum(sizes), sizes) - np.arange(wide.size)
+    packs: dict[int, np.ndarray] = {}
+    keys = wide
+    for k in range(1, max(widths) + 1):
+        if k > 1:
+            keys = keys[:-1] << 8
+            keys |= wide[k - 1 :]
+        if k in widths:
+            packs[k] = keys[room[: keys.size] >= k]
+    pooled, distinct = pooled_kgram_entropies(
+        np.concatenate([packs[k] for k in widths]),
+        PooledLayout(
+            np.concatenate([sizes - (k - 1) for k in widths]),
+            np.repeat(np.asarray(widths, dtype=np.float64), n),
+            8 * max(widths),
+        ),
+    )
+    return (
+        np.ascontiguousarray(pooled.reshape(len(widths), n).T),
+        [distinct.reshape(len(widths), n)],
+    )
+
+
+def distinct_totals(counted: "list[np.ndarray]", n: int) -> np.ndarray:
+    """Distinct grams of each of ``n`` windows, summed over all widths.
+
+    ``counted`` is the second result of :func:`window_entropies`: blocks
+    of per-window counts, ``(n,)`` for one width or ``(widths, n)`` for
+    several. The total is the number of non-zero counters an exact
+    calculation of the window's vector touches (the paper's ``alpha``).
+    """
+    totals = np.zeros(n, dtype=np.int64)
+    for block in counted:
+        totals += block if block.ndim == 1 else block.sum(axis=0)
+    return totals
+
+
+def window_entropies(
+    windows: list, widths: "tuple[int, ...]"
+) -> "tuple[np.ndarray, list[np.ndarray]]":
+    """``(entropy vectors, distinct-gram blocks)`` of byte windows.
+
+    The one window kernel behind :func:`entropy_vectors_batch` and the
+    incremental extractor's finalize. The vectors are ``(n, d)``; the
+    blocks hold the distinct-gram counts the reductions pass on their
+    way to the entropies — the non-zero counters of the paper's §4.4
+    table, which the incremental extractor's state accounting totals
+    with :func:`distinct_totals` and the batch path leaves unread.
+    ``windows`` are ``bytes`` / ``bytearray``, each at least
+    ``max(widths)`` long. Which path runs follows from the lengths seen:
+    equal-length windows (the usual classify drain: every window full)
+    become one matrix on a cached layout; uneven windows pool into one
+    sort when every width packs, and group by length otherwise.
+    """
+    n = len(windows)
+    lengths = list(map(len, windows))
+    if len(set(lengths)) == 1:
+        mat = np.frombuffer(b"".join(windows), dtype=np.uint8)
+        return _group_entropies(mat.reshape(n, lengths[0]), widths)
+    if n and max(widths) <= PACKED_MAX_K:
+        return _uneven_packed_entropies(windows, lengths, widths)
+    # Some width too wide to pack (or nothing at all): one matrix per length.
+    by_length: dict[int, list[int]] = {}
+    for i, length in enumerate(lengths):
+        by_length.setdefault(length, []).append(i)
+    out = np.empty((n, len(widths)), dtype=np.float64)
+    totals = np.empty(n, dtype=np.int64)
+    for length, rows in by_length.items():
+        mat = np.frombuffer(b"".join([windows[i] for i in rows]), dtype=np.uint8)
+        out[rows], counted = _group_entropies(mat.reshape(len(rows), length), widths)
+        totals[rows] = distinct_totals(counted, len(rows))
+    return out, [totals]
 
 
 def require_window_lengths(windows, max_width: int) -> None:
@@ -212,28 +312,14 @@ def entropy_vectors_batch(
     Row ``i`` equals ``entropy_vector(buffers[i], features).values`` to
     within 1e-12 (summation order differs; everything else is identical).
     Equal-length buffers become one matrix through a single ``b"".join``,
-    and every packed feature width of that matrix shares one pooled sort;
-    mixed-length inputs are grouped by length first.
+    and every packed feature width shares one pooled sort — across
+    mixed-length inputs too (:func:`window_entropies`).
     """
     windows = [
         b if type(b) is bytes else _as_byte_array(b).tobytes() for b in buffers
     ]
     require_window_lengths(windows, features.max_width)
-    widths = tuple(features.widths)
-    if len(set(map(len, windows))) == 1:
-        # The usual classify drain: every window full, one matrix.
-        mat = np.frombuffer(b"".join(windows), dtype=np.uint8)
-        return _group_entropies(mat.reshape(len(windows), -1), widths)
-    by_length: dict[int, list[int]] = {}
-    for i, window in enumerate(windows):
-        by_length.setdefault(len(window), []).append(i)
-    out = np.empty((len(windows), len(widths)), dtype=np.float64)
-    for length, rows in by_length.items():
-        mat = np.frombuffer(
-            b"".join([windows[i] for i in rows]), dtype=np.uint8
-        )
-        out[rows] = _group_entropies(mat.reshape(len(rows), length), widths)
-    return out
+    return window_entropies(windows, tuple(features.widths))[0]
 
 
 def prefix_vector(

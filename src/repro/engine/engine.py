@@ -122,9 +122,6 @@ class StagedEngine:
                     f"disable {', '.join(needs_payload)} or use the 'batch' "
                     "extractor"
                 )
-        self._state_bytes_batch = getattr(
-            self.extractor, "state_bytes_batch", None
-        )
         self.table = FlowTable(
             purge_coefficient=self.config.purge_coefficient,
             purge_trigger_flows=self.config.purge_trigger_flows,
@@ -379,9 +376,7 @@ class StagedEngine:
                     else payloads[first_sampled::STATE_SAMPLE_EVERY]
                 )
                 self._m_state_bytes.observe_many(
-                    self._state_bytes_batch(charged)
-                    if self._state_bytes_batch is not None
-                    else map(self.extractor.state_bytes, charged)
+                    self.extractor.state_bytes_batch(charged)
                 )
             if sample_due:
                 # One slow-path stop per STATE_SAMPLE_EVERY flows: bucket

@@ -154,11 +154,11 @@ class FlowPipeline:
         self._next_seq = count().__next__
         self.wheel = DeadlineWheel()
         self.batcher = MicroBatcher(max_batch=max_batch, max_delay=max_delay)
-        # Streaming extractors (no payload retained, state only read at
+        # Streaming extractors (nothing to re-window, state only read at
         # classify drains) defer every fold to the classify drain, which
-        # absorbs a whole batch's chunks in one vectorized fold_batch
-        # call. The batch extractor folds at arrival — its raw window is
-        # re-read at readiness, so its state must always be current.
+        # absorbs a whole batch's chunks in one fold_batch call. The
+        # batch extractor folds at arrival — its raw window is re-read
+        # at readiness, so its state must always be current.
         self._fold_at_drain = not extractor.retains_payload
         self.stats = EngineStats()
         self._time_folds = False
@@ -216,8 +216,8 @@ class FlowPipeline:
         """Fold the deferred chunks of a batch about to be finalized.
 
         The engine calls this once per classify batch, so the whole
-        batch folds in one vectorized ``fold_batch`` call — one chunk
-        per flow, whatever number of packets it arrived in.
+        batch folds in one ``fold_batch`` call — one chunk per flow,
+        whatever number of packets it arrived in.
         """
         if not self._fold_at_drain:
             return

@@ -49,9 +49,9 @@ class PendingFlow:
 
     ``state`` is whatever the engine's
     :class:`~repro.core.extract.FeatureExtractor` minted for this flow —
-    the raw payload buffer for the batch extractor, k-gram count tables
-    for the incremental one; arriving payload is folded into it through
-    the extractor, never touched directly. ``raw_bytes`` counts every
+    the raw payload buffer for the batch extractor, the window capped at
+    ``b`` bytes for the incremental one; arriving payload is folded into
+    it through the extractor, never touched directly. ``raw_bytes`` counts every
     payload byte that arrived while pending (the buffer-full trigger and
     the ``buffered_bytes`` the flow reports at classification).
 
@@ -84,8 +84,8 @@ class PendingFlow:
     classify drain (streaming extractors only): arriving payload is
     copied onto its end instead of folding immediately — at most one
     packet past the extractor's window, and no payload object is kept
-    alive for it — and one vectorized ``fold_batch`` call absorbs every
-    flow's bytes as one chunk before the drain reads the flow's state.
+    alive for it — and one ``fold_batch`` call hands every flow's bytes
+    to its state as one chunk before the drain reads it.
     ``unfolded_chunks`` counts the packets that contributed (the
     ``extractor_folds_total`` telemetry).
     """

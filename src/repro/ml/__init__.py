@@ -2,8 +2,8 @@
 
 Provides the two classifier families the paper uses — CART decision trees
 (Breiman et al. 1984) and soft-margin SVMs trained by SMO with an RBF
-kernel (Vapnik 1995; Platt's DAGSVM for multi-class) — plus the metrics,
-cross-validation, and model-selection machinery of the evaluation protocol.
+kernel (Vapnik 1995; Platt's DAGSVM for multi-class) — plus the metrics and
+cross-validation machinery of the evaluation protocol.
 """
 
 from repro.ml.metrics import (
@@ -12,7 +12,6 @@ from repro.ml.metrics import (
     misclassification_rates,
     per_class_accuracy,
 )
-from repro.ml.model_selection import GridSearchResult, grid_search
 from repro.ml.persistence import (
     ModelFormatError,
     load_classifier,
@@ -29,14 +28,12 @@ __all__ = [
     "ModelFormatError",
     "DagSvmClassifier",
     "DecisionTreeClassifier",
-    "GridSearchResult",
     "OneVsOneSVC",
     "RbfKernel",
     "StratifiedKFold",
     "accuracy_score",
     "confusion_matrix",
     "cross_validate",
-    "grid_search",
     "load_classifier",
     "load_model",
     "misclassification_rates",

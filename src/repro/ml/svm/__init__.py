@@ -10,21 +10,15 @@ from repro.ml.svm.binary import BinarySVC
 from repro.ml.svm.dagsvm import DagSvmClassifier
 from repro.ml.svm.kernels import LinearKernel, PolynomialKernel, RbfKernel
 from repro.ml.svm.ovo import OneVsOneSVC
-from repro.ml.svm.platt import SigmoidCalibrator, fit_sigmoid
-from repro.ml.svm.scaling import MinMaxScaler, StandardScaler
 from repro.ml.svm.smo import SmoResult, solve_smo
 
 __all__ = [
     "BinarySVC",
     "DagSvmClassifier",
     "LinearKernel",
-    "MinMaxScaler",
     "OneVsOneSVC",
     "PolynomialKernel",
     "RbfKernel",
-    "SigmoidCalibrator",
     "SmoResult",
-    "StandardScaler",
-    "fit_sigmoid",
     "solve_smo",
 ]

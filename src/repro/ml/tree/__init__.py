@@ -1,7 +1,6 @@
 """CART decision trees (Breiman, Friedman, Olshen, Stone; 1984)."""
 
 from repro.ml.tree.cart import DecisionTreeClassifier, TreeNode
-from repro.ml.tree.criteria import entropy_impurity, gini_impurity
 from repro.ml.tree.pruning import (
     cost_complexity_path,
     prune_to_accuracy,
@@ -12,8 +11,6 @@ __all__ = [
     "DecisionTreeClassifier",
     "TreeNode",
     "cost_complexity_path",
-    "entropy_impurity",
-    "gini_impurity",
     "prune_to_accuracy",
     "pruned_copy",
 ]

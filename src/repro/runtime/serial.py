@@ -16,7 +16,7 @@ reproduced exactly:
   the order the monolith's flush used (and what keeps random-skip draws
   aligned);
 * ``engine.classify_apply`` folds each batch's deferred chunks in a
-  single vectorized call, then applies labels per ready flow, so the
+  single call, then applies labels per ready flow, so the
   CDB purge trigger fires at the same insert index.
 
 ``dispatch`` is one of the three frames a packet that needs no

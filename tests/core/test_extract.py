@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.accounting import incremental_flow_state_bytes
+from repro.core.accounting import distinct_counters, incremental_flow_state_bytes
 from repro.core.cdb import RECORD_BYTES
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.entropy_vector import entropy_vector
@@ -101,8 +101,11 @@ class TestIncrementalExtractor:
         extractor = IncrementalEntropyExtractor(PHI_SVM_PRIME, 32)
         state = extractor.new_state()
         extractor.fold(state, b"ab")
-        with pytest.raises(ValueError, match="cannot produce"):
+        assert extractor.folded_bytes(state) == 2
+        with pytest.raises(ValueError, match="has 2 bytes, cannot hold feature h_5"):
             extractor.vector(state)
+        with pytest.raises(ValueError, match="cannot hold feature h_5"):
+            extractor.state_bytes(state)
 
     def test_state_bytes_formula_and_savings(self):
         buffer_size = 32
@@ -111,16 +114,15 @@ class TestIncrementalExtractor:
         state = incremental.new_state()
         incremental.fold(state, window)
         got = incremental.state_bytes(state)
-        assert got == incremental_flow_state_bytes(
-            state.num_counters, len(state.carry)
-        )
-        assert got == 2 * state.num_counters + len(state.carry) + RECORD_BYTES
+        counters = distinct_counters(window, PHI_SVM_PRIME)
+        carry = PHI_SVM_PRIME.max_width - 1
+        assert got == incremental_flow_state_bytes(counters, carry)
+        assert got == 2 * counters + carry + RECORD_BYTES
         batch = make_extractor("batch", PHI_SVM_PRIME, buffer_size)
-        # Same counters, no retained window: the incremental shape saves
+        # Same counters, no retained window: the modelled shape saves
         # b - (max_width - 1) bytes per flow on identical input.
-        assert got == batch.state_bytes(window) - buffer_size + len(state.carry)
+        assert got == batch.state_bytes(window) - buffer_size + carry
         assert got < batch.state_bytes(window)
-
 
     @pytest.mark.parametrize(
         "feature_set", [PHI_SVM_PRIME, FULL_FEATURES], ids=["packed", "wide"]
@@ -136,26 +138,33 @@ class TestIncrementalExtractor:
         ]
         states = [extractor.new_state() for _ in streams]
         extractor.fold_batch(states, [stream[:12] for stream in streams])
+        folded = [12] * 4
 
         def cached():
             return [state.distinct is not None for state in states]
 
         def check():
+            assert [extractor.folded_bytes(state) for state in states] == folded
             batched = extractor.state_bytes_batch(states)
             assert batched.tolist() == [extractor.state_bytes(s) for s in states]
-            # The oracle recounts the gram tables: no cached total involved.
-            assert [state.num_counters for state in states] == [
-                sum(len(table) for table in extractor.counters(state).values())
-                for state in states
+            # The oracle recounts the grams of the window's bytes, one
+            # width at a time: no kernel, no cached total involved.
+            carry = feature_set.max_width - 1
+            assert batched.tolist() == [
+                incremental_flow_state_bytes(
+                    distinct_counters(stream[:size], feature_set), min(carry, size)
+                )
+                for stream, size in zip(streams, folded)
             ]
 
         assert cached() == [False] * 4
-        check()
-        extractor.finalize_batch(states)
+        check()  # charging a state never finalized counts it
         assert cached() == [True] * 4
+        extractor.finalize_batch(states)
         check()
         extractor.fold(states[0], streams[0][12:20])
         extractor.fold_batch([states[1]], [[streams[1][12:15], streams[1][15:]]])
+        folded[:2] = [20, 32]
         assert cached() == [False, False, True, True]
         check()
         extractor.finalize_batch(states)
@@ -166,6 +175,42 @@ class TestIncrementalExtractor:
         assert cached() == [True] * 4
         check()
 
+    @pytest.mark.parametrize("name", ["batch", "incremental"])
+    def test_one_payload_rule_on_both_fold_entry_points(self, name):
+        """uint8 arrays and every bytes-like fold; anything else is a TypeError."""
+        extractor = make_extractor(name, PHI_SVM_PRIME, 32)
+        accepted = [
+            b"abc",
+            bytearray(b"de"),
+            memoryview(b"fgh"),
+            memoryview(b"i-j-k-")[::2],  # not contiguous
+            np.frombuffer(b"lmn", dtype=np.uint8),
+            np.frombuffer(b"o.p.", dtype=np.uint8)[::2],
+        ]
+        one, many = extractor.new_state(), extractor.new_state()
+        for chunk in accepted:
+            extractor.fold(one, chunk)
+        extractor.fold_batch([many], [accepted])
+        for state in (one, many):
+            assert extractor.folded_bytes(state) == 16
+        window = b"abcdefghijklmnop"
+        if extractor.retains_payload:
+            assert extractor.raw_window(one) == extractor.raw_window(many) == window
+        else:
+            np.testing.assert_array_equal(
+                extractor.finalize_batch([one, many]),
+                [entropy_vector(window, PHI_SVM_PRIME).values] * 2,
+            )
+        for rejected in (np.arange(250, 290), np.zeros(4), "text", [1, 2], 7):
+            with pytest.raises(TypeError):
+                extractor.fold(one, rejected)
+            with pytest.raises(TypeError):
+                extractor.fold_batch([many], [[rejected]])
+            with pytest.raises(TypeError):
+                extractor.fold_batch([many], [rejected])
+        for state in (one, many):
+            assert extractor.folded_bytes(state) == 16
+
 
 class TestMakeExtractor:
     def test_unknown_name_rejected(self):
@@ -174,27 +219,8 @@ class TestMakeExtractor:
 
     def test_instance_rejected(self):
         instance = BatchEntropyExtractor(PHI_SVM_PRIME, 32)
-        with pytest.raises(TypeError, match="name or factory"):
+        with pytest.raises(TypeError, match="registered name"):
             make_extractor(instance, PHI_SVM_PRIME, 32)
-
-    def test_class_and_factory_accepted(self):
-        assert isinstance(
-            make_extractor(IncrementalEntropyExtractor, PHI_SVM_PRIME, 32),
-            IncrementalEntropyExtractor,
-        )
-        factory_calls = []
-
-        def factory(feature_set, buffer_size):
-            factory_calls.append((feature_set, buffer_size))
-            return BatchEntropyExtractor(feature_set, buffer_size)
-
-        extractor = make_extractor(factory, PHI_SVM_PRIME, 48)
-        assert isinstance(extractor, BatchEntropyExtractor)
-        assert factory_calls == [(PHI_SVM_PRIME, 48)]
-
-    def test_non_protocol_factory_rejected(self):
-        with pytest.raises(TypeError, match="FeatureExtractor protocol"):
-            make_extractor(lambda fs, b: object(), PHI_SVM_PRIME, 32)
 
     def test_registry_names_are_class_names(self):
         assert set(EXTRACTORS) == {"batch", "incremental"}
@@ -212,12 +238,12 @@ class TestEngineConfigExtractor:
             EngineConfig(extractor="bogus")
 
     def test_non_callable_rejected(self):
-        with pytest.raises(TypeError, match="factory"):
-            EngineConfig(extractor=123)
-
-    def test_factory_accepted(self):
-        config = EngineConfig(extractor=IncrementalEntropyExtractor)
-        assert config.extractor is IncrementalEntropyExtractor
+        # A name only: neither a number nor an extractor class.
+        for spec in (123, IncrementalEntropyExtractor):
+            with pytest.raises(TypeError, match="registered name"):
+                EngineConfig(extractor=spec)
+            with pytest.raises(TypeError, match="registered name"):
+                make_extractor(spec, PHI_SVM_PRIME, 32)
 
 
 class TestEngineIntegration:

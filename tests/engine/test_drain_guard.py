@@ -1,9 +1,10 @@
 """Structural guard on the classify drain of the incremental extractor.
 
 A drain is supposed to do each thing once: one pooled sort serves the
-feature matrix *and* the exact state accounting, every flow hands
-``fold_batch`` one chunk however many packets it arrived in, and the
-instruments are touched per drain, not per flow. Counted with
+feature matrix *and* the exact state accounting — on either extractor,
+whether its windows are all full or each a different length — every
+flow hands ``fold_batch`` one chunk however many packets it arrived in,
+and the instruments are touched per drain, not per flow. Counted with
 ``sys.setprofile`` (the ``test_packet_path_guard.py`` pattern), so the
 tests cannot flake and fail the day per-flow work comes back; the golden
 instrument values were recorded at ``1b69f48``, before the drain was
@@ -89,6 +90,8 @@ def test_a_drain_sorts_once_and_observes_per_drain(trained_cart):
     assert entered["pooled_kgram_runs"] == 1
     assert entered["PooledLayout.__init__"] <= 1
     assert entered["IncrementalEntropyExtractor.fold_batch"] == 1
+    # Folding appends bytes; grams are packed once, in the window kernel.
+    assert entered["packed_kgram_keys"] == 0
     # One chunk per flow: its whole 32-byte window, not its four segments.
     assert len(handed) == 32
     assert all(len(chunks) == 1 and len(chunks[0]) == 32 for chunks in handed)
@@ -96,6 +99,37 @@ def test_a_drain_sorts_once_and_observes_per_drain(trained_cart):
     small, _ = drain_frames(trained_cart, 16)
     assert entered["Histogram.observe"] == small["Histogram.observe"] <= 4
     assert entered["Histogram.observe_many"] == small["Histogram.observe_many"] == 2
+
+
+@pytest.mark.parametrize("extractor", ["batch", "incremental"])
+def test_a_drain_of_uneven_timeout_windows_sorts_once(trained_cart, extractor):
+    """32 flows gone silent at 5-36 bytes: one drain, one pool, one sort."""
+    engine = incremental_engine(
+        trained_cart, extractor, max_batch=32, max_delay=10.0, buffer_timeout=0.5
+    )
+
+    def silent_flows(first_flow: int, start: float):
+        return [
+            udp_packet(first_flow + flow, bytes(range(flow, flow + 5 + flow)), start)
+            for flow in range(32)
+        ]
+
+    for packet in silent_flows(0, 0.0):  # warm: the first drain pays every one-off
+        engine.process_packet(packet)
+    assert engine.flush_timeouts(1.0) == 27  # 5 of the 32 filled their window
+    assert engine.stats.classifications == 32
+    for packet in silent_flows(1000, 2.0):
+        engine.process_packet(packet)
+    assert engine.stats.classifications == 32
+
+    entered = frames_entered(engine.flush_timeouts, 3.0)
+    assert engine.stats.classifications == 64
+    engine.close()
+    assert entered["StagedEngine.classify_labels"] == 1
+    assert entered["pooled_kgram_runs"] == 1
+    assert entered["PooledLayout.__init__"] == 1
+    assert entered["_group_entropies"] == 0
+    assert entered["packed_kgram_keys"] == 0
 
 
 # -- (b) instruments against values recorded at 1b69f48 ---------------------------

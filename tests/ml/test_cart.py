@@ -5,31 +5,6 @@ import pytest
 
 from repro.ml.base import NotFittedError
 from repro.ml.tree.cart import CompiledTree, DecisionTreeClassifier
-from repro.ml.tree.criteria import entropy_impurity, gini_impurity, impurity_function
-
-
-class TestCriteria:
-    def test_gini_pure_zero(self):
-        assert gini_impurity([10, 0, 0]) == 0.0
-
-    def test_gini_uniform_max(self):
-        assert gini_impurity([5, 5]) == pytest.approx(0.5)
-        assert gini_impurity([4, 4, 4]) == pytest.approx(2 / 3)
-
-    def test_entropy_pure_zero(self):
-        assert entropy_impurity([7, 0]) == 0.0
-
-    def test_entropy_uniform(self):
-        assert entropy_impurity([5, 5]) == pytest.approx(1.0)
-
-    def test_empty_counts(self):
-        assert gini_impurity([0, 0]) == 0.0
-        assert entropy_impurity([]) == 0.0
-
-    def test_impurity_function_lookup(self):
-        assert impurity_function("gini") is gini_impurity
-        with pytest.raises(ValueError, match="unknown criterion"):
-            impurity_function("mse")
 
 
 class TestFitPredict:

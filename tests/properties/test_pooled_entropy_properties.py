@@ -1,13 +1,14 @@
 """Differential tests: the pooled entropy reduction against the scalar twin.
 
-``entropy_vectors_batch`` (the batch extractor's window kernel) and
-``IncrementalEntropyExtractor.finalize_batch`` both reduce through
-``repro.core.entropy.pooled_kgram_entropies``; the oracle for both is
-``entropy_vector``, one buffer and one width at a time. The five named
-feature sets between them reach every path: the pooled sort with bit
-headroom (widest packed width < 8), the two-key fallback (``full`` holds
-``h_8``), the two-word ``(8, 16]`` kernel (``full``, ``phi_cart``,
-``phi_svm``) and the incremental extractor's wide-gram dicts.
+``entropy_vectors_batch`` and ``IncrementalEntropyExtractor.finalize_batch``
+are one window kernel (``repro.core.entropy_vector.window_entropies``)
+reducing through ``repro.core.entropy.pooled_kgram_entropies``; the
+oracle is ``entropy_vector``, one buffer and one width at a time. The
+five named feature sets between them reach every path: the pooled sort
+with bit headroom (widest packed width < 8), the two-key fallback
+(``full`` holds ``h_8``), the two-word ``(8, 16]`` kernel (``full``,
+``phi_cart``, ``phi_svm``), and — windows of uneven lengths — the one
+pool of the packed sets against the per-length grouping of the others.
 """
 
 import hashlib
@@ -18,13 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.classifier import IustitiaClassifier
+from repro.core.entropy import PACKED_MAX_K, kgram_count_values
 from repro.core.entropy_vector import (
     _packed_layout,
+    _uneven_packed_entropies,
+    distinct_totals,
     entropy_vector,
     entropy_vectors_batch,
+    window_entropies,
 )
 from repro.core.extract import IncrementalEntropyExtractor
-from repro.core.features import FEATURE_SETS, PHI_SVM_PRIME
+from repro.core.features import FEATURE_SETS, PHI_SVM_PRIME, FeatureSet
 from repro.data.corpus import build_corpus
 
 TOLERANCE = 1e-12
@@ -99,6 +104,80 @@ class TestBatchKernel:
         for view in (bytearray, memoryview, lambda b: np.frombuffer(b, dtype=np.uint8)):
             got = entropy_vectors_batch([view(b) for b in raw], PHI_SVM_PRIME)
             assert_close(got, expected)
+
+
+packed_feature_sets = pytest.mark.parametrize(
+    "name",
+    sorted(n for n, f in FEATURE_SETS.items() if f.max_width <= PACKED_MAX_K),
+)
+
+
+class TestUnevenWindowsPool:
+    """Windows of mixed lengths reduce in one pool; nobody can tell.
+
+    The timeout / FIN / end-of-stream drain. The pool must give, bit
+    for bit, what extracting each length on its own gives (the
+    equal-length matrix path), and count each window's distinct grams.
+    """
+
+    @packed_feature_sets
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_equals_scalar_twin_and_per_length_result(self, name, data):
+        features = FEATURE_SETS[name]
+        widths = tuple(features.widths)
+        lengths = data.draw(
+            st.lists(st.integers(features.max_width, 64), min_size=1, max_size=40)
+        )
+        alphabet = data.draw(st.sampled_from((2, 16, 256)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        raw = [
+            rng.integers(0, alphabet, size=m, dtype=np.uint8).tobytes()
+            for m in lengths
+        ]
+        views = data.draw(
+            st.lists(
+                st.sampled_from((bytes, bytearray, memoryview)),
+                min_size=len(raw), max_size=len(raw),
+            )
+        )
+        windows = [view(b) for view, b in zip(views, raw)]
+
+        got, counted = _uneven_packed_entropies(windows, lengths, widths)
+        counts = distinct_totals(counted, len(raw))
+        assert_close(got, oracle(raw, features))
+        per_length = np.empty_like(got)
+        for length in set(lengths):
+            rows = [i for i, m in enumerate(lengths) if m == length]
+            per_length[rows] = entropy_vectors_batch([raw[i] for i in rows], features)
+        assert (got == per_length).all()
+        assert counts.tolist() == [
+            sum(kgram_count_values(b, k).size for k in widths) for b in raw
+        ]
+        # Whichever path the observed lengths select, the same answer.
+        chosen, chosen_counted = window_entropies(windows, widths)
+        assert (chosen == got).all()
+        assert (distinct_totals(chosen_counted, len(raw)) == counts).all()
+        assert (entropy_vectors_batch(windows, features) == got).all()
+
+    @pytest.mark.parametrize(
+        "features",
+        [*FEATURE_SETS.values(), FeatureSet("void", (1, 17))],
+        ids=lambda features: features.name,
+    )
+    def test_counts_on_every_path(self, features):
+        """Distinct grams per window: matrix, pool and per-length."""
+        widths = tuple(features.widths)
+        rng = np.random.default_rng(11)
+        for lengths in ([24] * 5, [features.max_width, 24, 17, 24, 40]):
+            raw = [
+                rng.integers(0, 4, size=m, dtype=np.uint8).tobytes() for m in lengths
+            ]
+            got, counted = window_entropies(raw, widths)
+            assert_close(got, oracle(raw, features))
+            assert distinct_totals(counted, len(raw)).tolist() == [
+                sum(kgram_count_values(b, k).size for k in widths) for b in raw
+            ]
 
 
 class TestLayoutStore:
