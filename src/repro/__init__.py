@@ -22,10 +22,9 @@ classifies a capture of any size in bounded memory; ``process_source``
 takes any iterable of packets and is the only loop that feeds the
 engine — see :mod:`repro.ingest`.
 
-Subpackages: ``repro.core`` (entropy vectors, estimation, classifier,
-CDB, config), ``repro.engine`` (staged online engine),
-``repro.runtime`` (the serial execution runtime and the registry
-third-party runtimes plug into), ``repro.ingest``
+Subpackages: ``repro.core`` (entropy vectors, the offline (delta,
+epsilon) estimation study, classifier, CDB, config), ``repro.engine``
+(staged online engine and its serial runtime), ``repro.ingest``
 (the streaming pcap source + source supervision),
 ``repro.obs`` (telemetry), ``repro.ml`` (CART, SVM/SMO/DAGSVM),
 ``repro.streaming`` (stream-entropy estimation), ``repro.net``

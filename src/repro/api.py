@@ -55,7 +55,6 @@ import numpy as np
 
 from repro.core.classifier import IustitiaClassifier, TrainingMethod
 from repro.core.config import EngineConfig, IustitiaConfig
-from repro.core.estimation import EntropyEstimator
 from repro.core.features import PHI_SVM_PRIME, FeatureSet
 from repro.engine.engine import StagedEngine
 from repro.engine.sinks import ResultSink, StatsSink
@@ -75,7 +74,6 @@ def train(
     header_threshold: int = 0,
     gamma: float = 50.0,
     C: float = 1000.0,
-    estimator: "EntropyEstimator | None" = None,
     rng: "np.random.Generator | None" = None,
 ) -> IustitiaClassifier:
     """Fit a flow-nature classifier on a labelled corpus.
@@ -94,7 +92,6 @@ def train(
         header_threshold=header_threshold,
         gamma=gamma,
         C=C,
-        estimator=estimator,
         rng=rng,
     )
     return classifier.fit_corpus(corpus)
@@ -137,18 +134,16 @@ def open_engine(
     keeping a flow's first ``b`` bytes only (charged as the paper's
     ~200 B counter-table model of that window); it requires a pure
     first-``b``-bytes pipeline (no header stripping/skipping, no random
-    skip, no estimation).
+    skip).
 
-    The flow pipeline runs inline on the calling thread (the serial
-    runtime, see :mod:`repro.runtime`); a runtime registered through
-    :func:`repro.runtime.register` can be named with
-    ``EngineConfig(runtime=<name>)``.
+    The flow pipeline runs inline on the calling thread
+    (:class:`~repro.engine.engine.SerialRuntime`, the only runtime).
 
     The returned engine is a context manager: ``with
-    repro.open_engine(...) as engine:`` guarantees ``runtime.close()``
-    plus a final flush of every attached sink. ``close()`` is idempotent; processing packets after
-    it — or calling ``finish()`` twice with no packets in between —
-    raises :class:`repro.EngineClosedError`.
+    repro.open_engine(...) as engine:`` guarantees a final flush of
+    every attached sink. ``close()`` is idempotent; processing packets
+    after it — or calling ``finish()`` twice with no packets in between
+    — raises :class:`repro.EngineClosedError`.
 
     For captures that should never be materialized, feed the engine a
     streaming source — ``engine.process_source(PcapFileSource(path))``

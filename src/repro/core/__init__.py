@@ -1,5 +1,6 @@
-"""Iustitia core: entropy vectors, estimation, classification, the CDB,
-and the configuration of the online engine (:mod:`repro.engine`)."""
+"""Iustitia core: entropy vectors, classification, the CDB, the
+configuration of the online engine (:mod:`repro.engine`), and the
+offline (delta, epsilon) estimation study."""
 
 from repro.core.accounting import (
     distinct_counters,
@@ -16,11 +17,7 @@ from repro.core.entropy import (
     kgram_entropy,
     max_normalized_entropy,
 )
-from repro.core.entropy_vector import (
-    EntropyVector,
-    entropy_vector,
-    entropy_vector_estimated,
-)
+from repro.core.entropy_vector import EntropyVector, entropy_vector
 from repro.core.estimation import (
     EntropyEstimator,
     EstimationBudget,
@@ -80,7 +77,6 @@ __all__ = [
     "estimation_space_bytes",
     "exact_space_bytes",
     "flow_state_bytes",
-    "entropy_vector_estimated",
     "estimate_hk",
     "feature_set_coefficient",
     "kgram_counts",

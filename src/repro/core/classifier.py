@@ -22,9 +22,7 @@ from repro.core.entropy_vector import (
     entropy_vectors_batch,
     prefix_vector,
     random_offset_vector,
-    require_window_lengths,
 )
-from repro.core.estimation import EntropyEstimator
 from repro.core.features import PHI_SVM_PRIME, FeatureSet
 from repro.core.labels import ALL_NATURES, FlowNature
 from repro.ml.svm.dagsvm import DagSvmClassifier
@@ -50,7 +48,14 @@ class TrainingMethod(enum.Enum):
 
 
 class IustitiaClassifier:
-    """File/flow-nature classifier over entropy vectors."""
+    """File/flow-nature classifier over entropy vectors.
+
+    Vectors are computed exactly. The Section 4.4.1 (delta, epsilon)
+    estimator is a separate library
+    (:class:`repro.core.estimation.EntropyEstimator`): train on exact
+    vectors, then hand its ``estimate_vector`` rows to
+    :meth:`predict_vectors`.
+    """
 
     def __init__(
         self,
@@ -61,7 +66,6 @@ class IustitiaClassifier:
         header_threshold: int = 0,
         gamma: float = 50.0,
         C: float = 1000.0,
-        estimator: "EntropyEstimator | None" = None,
         rng: "np.random.Generator | None" = None,
     ) -> None:
         if model not in ("svm", "cart"):
@@ -73,16 +77,11 @@ class IustitiaClassifier:
             )
         if header_threshold < 0:
             raise ValueError(f"header_threshold must be >= 0, got {header_threshold}")
-        if estimator is not None and estimator.features is not feature_set:
-            raise ValueError(
-                "estimator's feature set must be the classifier's feature set"
-            )
         self.model_kind = model
         self.feature_set = feature_set
         self.buffer_size = buffer_size
         self.training = training
         self.header_threshold = header_threshold
-        self.estimator = estimator
         self._rng = rng if rng is not None else np.random.default_rng()
         if model == "svm":
             self._model: "DagSvmClassifier | DecisionTreeClassifier" = (
@@ -107,11 +106,10 @@ class IustitiaClassifier:
         ).values
 
     def buffer_vector(self, buffer: bytes) -> np.ndarray:
-        """Classification-time entropy vector of a flow buffer.
+        """Classification-time entropy vector of a flow buffer (exact).
 
-        Uses the ``(delta, epsilon)`` estimator when one was supplied,
-        exact calculation otherwise. The buffer is truncated to
-        ``buffer_size`` bytes first (an online classifier never sees more).
+        The buffer is truncated to ``buffer_size`` bytes first (an online
+        classifier never sees more).
         """
         window = bytes(buffer[: self.buffer_size])
         if len(window) < self.feature_set.max_width:
@@ -119,29 +117,18 @@ class IustitiaClassifier:
                 f"buffer of {len(window)} bytes cannot hold feature "
                 f"h_{self.feature_set.max_width}"
             )
-        if self.estimator is not None:
-            return self.estimator.estimate_vector(window).values
         return entropy_vector(window, self.feature_set).values
 
     def buffer_vectors(self, buffers) -> np.ndarray:
         """Entropy vectors of many flow buffers at once (``(n, d)`` matrix).
 
-        The batched counterpart of :func:`buffer_vector`: exact extraction
-        goes through :func:`entropy_vectors_batch`, where every packed
-        feature width of the whole batch shares one pooled sort. The
-        streaming estimator has per-buffer state, so estimated vectors
-        still run buffer-by-buffer.
+        The batched counterpart of :func:`buffer_vector`, through
+        :func:`entropy_vectors_batch`: every packed feature width of the
+        whole batch shares one pooled sort.
         """
         size = self.buffer_size
         windows = [b if len(b) <= size else b[:size] for b in buffers]
-        if self.estimator is None:
-            return entropy_vectors_batch(windows, self.feature_set)
-        require_window_lengths(windows, self.feature_set.max_width)
-        if not windows:
-            return np.empty((0, len(self.feature_set.widths)), dtype=np.float64)
-        return np.vstack(
-            [self.estimator.estimate_vector(bytes(w)).values for w in windows]
-        )
+        return entropy_vectors_batch(windows, self.feature_set)
 
     # -- training / inference ------------------------------------------------
 

@@ -43,11 +43,6 @@ class IustitiaConfig:
     header_threshold: int = 0
     #: Strip known HTTP/SMTP/POP3/IMAP headers before classification.
     strip_known_headers: bool = True
-    #: Use the (delta, epsilon)-approximation instead of exact calculation.
-    use_estimation: bool = False
-    #: Estimator parameters (only meaningful when ``use_estimation``).
-    epsilon: float = 0.25
-    delta: float = 0.75
     #: CDB purging coefficient ``n`` (paper's optimum: 4).
     purge_coefficient: float = 4.0
     #: Inserts between CDB inactivity sweeps (paper: 5000).
@@ -74,10 +69,6 @@ class IustitiaConfig:
             raise ValueError(
                 f"header_threshold must be >= 0, got {self.header_threshold}"
             )
-        if self.use_estimation and not 0 < self.epsilon:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.use_estimation and not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.buffer_timeout <= 0:
             raise ValueError(
                 f"buffer_timeout must be positive, got {self.buffer_timeout}"
@@ -108,7 +99,7 @@ class EngineConfig:
     buffer_size: "int | None" = None
     #: Give up and classify a partial buffer after this inactivity (seconds).
     buffer_timeout: "float | None" = None
-    #: Ready flows per micro-batched ``classify_buffers`` call.
+    #: Ready flows per micro-batched classify drain.
     max_batch: int = 32
     #: Packet-clock seconds a ready flow may wait for its batch to fill.
     max_delay: float = 0.05
@@ -116,18 +107,14 @@ class EngineConfig:
     telemetry: bool = True
     #: Per-flow feature pipeline: ``"batch"`` buffers raw payload and
     #: extracts at drain time (default; required for header stripping /
-    #: skipping and estimation); ``"incremental"`` keeps only the first
+    #: skipping and random skip); ``"incremental"`` keeps only the first
     #: ``b`` bytes of a flow, extracts once at the classify drain and
     #: charges the paper's ~200 B counter-table model of that window. A
     #: name registered in :data:`repro.core.extract.EXTRACTORS`.
     extractor: str = "batch"
-    #: Execution runtime driving the flow pipeline (see
-    #: :mod:`repro.runtime`): ``"serial"`` (the only built-in) runs
-    #: it inline, packet-for-packet equivalent to the fused engine.
-    #: Any name registered through :func:`repro.runtime.register`
-    #: resolves here, and a callable ``(engine_config) -> Runtime``
-    #: plugs in a custom executor directly.
-    runtime: "str | object" = "serial"
+    #: Execution runtime: ``"serial"``, the only one, runs the flow
+    #: pipeline inline (:class:`repro.engine.engine.SerialRuntime`).
+    runtime: str = "serial"
     #: Template for the remaining pipeline knobs (feature set, header
     #: handling, CDB purging, Section-4.6 defenses).
     pipeline: "IustitiaConfig | None" = None
@@ -137,20 +124,12 @@ class EngineConfig:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_delay < 0:
             raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
-        if isinstance(self.runtime, str):
-            from repro.runtime import available
-
-            if self.runtime not in available():
-                raise ValueError(
-                    f"unknown runtime {self.runtime!r}; expected one of "
-                    f"{', '.join(available())} (third-party runtimes must "
-                    "call repro.runtime.register first)"
-                )
-        elif not callable(self.runtime):
+        if not isinstance(self.runtime, str):
             raise TypeError(
-                "runtime must be a registry name or a factory callable, "
-                f"got {type(self.runtime).__name__}"
+                f"runtime must be 'serial', got {type(self.runtime).__name__}"
             )
+        if self.runtime != "serial":
+            raise ValueError(f"unknown runtime {self.runtime!r}; expected 'serial'")
         from repro.core.extract import extractor_class
 
         extractor_class(self.extractor)

@@ -31,7 +31,6 @@ __all__ = [
     "entropy_from_counts",
     "kgram_count_values",
     "kgram_counts",
-    "kgram_counts_packed",
     "kgram_entropy",
     "max_normalized_entropy",
     "PooledLayout",
@@ -44,10 +43,6 @@ _LN2 = math.log(2.0)
 
 #: Widest k-gram whose big-endian polynomial pack fits a uint64 key.
 PACKED_MAX_K = 8
-
-#: Largest key space counted through ``np.bincount`` instead of a sort
-#: (``2^16`` int64 bins = 512 KiB, cheaper than sorting the keys).
-_BINCOUNT_MAX_KEYS = 1 << 16
 
 
 def _as_bytes_like(
@@ -126,13 +121,12 @@ def encode_kgram_stream(
 ) -> np.ndarray:
     """Encode the k-gram stream of ``data`` as an array of comparable codes.
 
-    The one packing convention shared by exact counting
-    (:func:`kgram_counts_packed`), the batch extractor, and the streaming
-    estimators: for ``k <= PACKED_MAX_K`` each k-gram packs big-endian
-    into a ``uint64`` (sorted keys enumerate grams lexicographically);
-    wider grams fall back to a void-dtype view. Either encoding supports
-    elementwise ``==`` against a scalar, which is all suffix counting
-    needs.
+    What the streaming estimators (:mod:`repro.streaming.entropy_stream`)
+    consume: for ``k <= PACKED_MAX_K`` each k-gram packs big-endian into
+    a ``uint64`` (:func:`packed_kgram_keys`, the keys the pooled kernel
+    sorts); wider grams fall back to a void-dtype view. Either encoding
+    supports elementwise ``==`` against a scalar, which is all suffix
+    counting needs.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -160,42 +154,6 @@ def _run_bounds(ordered: np.ndarray, edges: "np.ndarray | None" = None) -> np.nd
     if edges is not None:
         flags |= edges
     return np.flatnonzero(flags)
-
-
-def _counts_from_sorted(keys: np.ndarray) -> np.ndarray:
-    """Run lengths of a sorted 1-D key array (counts in key order)."""
-    return np.diff(_run_bounds(keys))
-
-
-def kgram_counts_packed(
-    data: "bytes | bytearray | np.ndarray", k: int
-) -> np.ndarray:
-    """Counts of each distinct k-gram via packed ``uint64`` keys.
-
-    The hot-path replacement for :func:`kgram_count_values`: for
-    ``k <= 8`` each k-gram is packed into a single integer key, which is
-    counted with one ``np.bincount`` (small key spaces, ``k <= 2``) or one
-    in-place sort — both far cheaper than the void-dtype ``np.unique``
-    (which must sort k-byte records and first copy the strided window
-    view). Counts come back in lexicographic gram order, bit-identical to
-    :func:`kgram_count_values`; ``k > 8`` falls back to the void view.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    arr = _as_byte_array(data)
-    if arr.size < k:
-        raise ValueError(f"need at least k={k} bytes, got {arr.size}")
-    if k == 1:
-        counts = np.bincount(arr, minlength=256)
-        return counts[counts > 0]
-    if k > PACKED_MAX_K:
-        return kgram_count_values(arr, k)
-    keys = packed_kgram_keys(arr, k)
-    if (1 << (8 * k)) <= _BINCOUNT_MAX_KEYS:
-        counts = np.bincount(keys.astype(np.int64), minlength=1 << (8 * k))
-        return counts[counts > 0]
-    keys.sort()
-    return _counts_from_sorted(keys)
 
 
 def kgram_counts(

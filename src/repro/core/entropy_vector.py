@@ -34,7 +34,6 @@ from repro.core.features import FULL_FEATURES, FeatureSet
 __all__ = [
     "EntropyVector",
     "entropy_vector",
-    "entropy_vector_estimated",
     "entropy_vectors_batch",
     "prefix_vector",
     "random_offset_vector",
@@ -363,27 +362,3 @@ def random_offset_vector(
     offset = int(rng.integers(0, limit + 1))
     window = bytes(data[offset : offset + buffer_size])
     return entropy_vector(window, features)
-
-
-def entropy_vector_estimated(
-    data: "bytes | bytearray | np.ndarray",
-    estimator: "EntropyEstimatorLike",
-) -> EntropyVector:
-    """Entropy vector via the (delta, epsilon)-approximation estimator.
-
-    ``h_1`` is always computed exactly (the estimator's ``|f_k| >> b``
-    assumption fails for single bytes); wider features are estimated. The
-    ``estimator`` carries the feature set and the (delta, epsilon) budget.
-    """
-    return estimator.estimate_vector(data)
-
-
-class EntropyEstimatorLike:
-    """Protocol-ish base for estimators accepted by entropy_vector_estimated.
-
-    Concrete implementation lives in :mod:`repro.core.estimation`; this stub
-    only documents the required interface and avoids a circular import.
-    """
-
-    def estimate_vector(self, data: "bytes | bytearray | np.ndarray") -> EntropyVector:
-        raise NotImplementedError

@@ -17,9 +17,8 @@ Two implementations, one window kernel
 
 * :class:`BatchEntropyExtractor` — the state is the raw byte buffer, all
   of it; the engine re-windows it at readiness (header stripping,
-  threshold skipping, the random-skip defense) and finalize runs the
-  classifier's vector path (the kernel, or its (delta, epsilon)
-  estimator). The default.
+  threshold skipping, the random-skip defense) and finalize hands the
+  windows, cut to ``buffer_size``, to the kernel. The default.
 * :class:`IncrementalEntropyExtractor` — the paper's Section-4.4 shape:
   the state is the flow's first ``buffer_size`` bytes and nothing past
   them, so there is nothing to re-window; finalize hands the windows to
@@ -44,6 +43,7 @@ from repro.core.accounting import (
 from repro.core.entropy import _as_bytes_like
 from repro.core.entropy_vector import (
     distinct_totals,
+    entropy_vectors_batch,
     require_window_lengths,
     window_entropies,
 )
@@ -127,15 +127,12 @@ class FeatureExtractor:
         """The retained raw payload (only when ``retains_payload``)."""
         raise NotImplementedError
 
-    def finalize(self, payloads: list, classifier) -> np.ndarray:
+    def finalize(self, payloads: list) -> np.ndarray:
         """Feature matrix of a ready batch.
 
         ``payloads`` are what the engine queued per flow: frozen windows
         (``bytes``) when ``retains_payload``, otherwise the per-flow
-        state objects themselves. ``classifier`` is the engine's
-        :class:`~repro.core.classifier.IustitiaClassifier`, supplied so
-        payload-retaining extractors can reuse its (possibly estimated)
-        vector path.
+        state objects themselves.
         """
         raise NotImplementedError
 
@@ -163,8 +160,10 @@ class BatchEntropyExtractor(FeatureExtractor):
     The state retains every payload byte (up to the engine's buffering
     target), which is what allows re-windowing at readiness — header
     stripping, threshold skipping, and the random-skip defense all need
-    the raw bytes. Finalize delegates to the classifier's batched vector
-    path, so estimation-mode classifiers keep working unchanged.
+    the raw bytes. Finalize runs the window kernel on each window's
+    first ``buffer_size`` bytes — the engine binds that to the smaller of
+    its own and the classifier's window, so the vectors are the ones
+    ``classifier.buffer_vectors`` computes.
     """
 
     name = "batch"
@@ -190,8 +189,10 @@ class BatchEntropyExtractor(FeatureExtractor):
     def raw_window(self, state: BufferedFlowState) -> bytes:
         return bytes(state.buffer)
 
-    def finalize(self, payloads: "list[bytes]", classifier) -> np.ndarray:
-        return classifier.buffer_vectors(payloads)
+    def finalize(self, payloads: "list[bytes]") -> np.ndarray:
+        size = self.buffer_size
+        windows = [w if len(w) <= size else w[:size] for w in payloads]
+        return entropy_vectors_batch(windows, self.feature_set)
 
     def state_bytes(self, payload: bytes) -> float:
         return flow_state_bytes(payload, self.feature_set)
@@ -232,8 +233,7 @@ class IncrementalEntropyExtractor(FeatureExtractor):
 
     Nothing past the window survives, so this extractor cannot re-window
     at readiness: the engine rejects configurations that need the raw
-    bytes back (header stripping, threshold skipping, random skip, or
-    (delta, epsilon) estimation).
+    bytes back (header stripping, threshold skipping, random skip).
     """
 
     name = "incremental"
@@ -298,9 +298,7 @@ class IncrementalEntropyExtractor(FeatureExtractor):
             state.distinct = total
         return out
 
-    def finalize(
-        self, payloads: "list[IncrementalFlowState]", classifier
-    ) -> np.ndarray:
+    def finalize(self, payloads: "list[IncrementalFlowState]") -> np.ndarray:
         return self.finalize_batch(payloads)
 
     # -- accounting ---------------------------------------------------------

@@ -8,17 +8,17 @@ collection / classification / export pipelines):
   buffers + the CDB, keyed by flow ID;
 * :mod:`~repro.engine.deadlines`  — min-heap deadline wheel for
   O(expired) buffer-timeout flushes;
-* :mod:`~repro.engine.batcher`    — micro-batches ready flows through
-  the vectorized ``classify_buffers`` kernels;
+* :mod:`~repro.engine.batcher`    — micro-batches ready flows into
+  one classify drain (extractor ``finalize`` + vectorized predict);
 * :mod:`~repro.engine.pipeline`   — :class:`FlowPipeline`, the
   lookup/buffer/fold/ready stages over that table;
 * :mod:`~repro.engine.sinks`      — pluggable outcome subscribers
   (stats, per-nature queues, callbacks);
 * :mod:`~repro.engine.engine`     — :class:`StagedEngine`, the thin
-  dispatch/classify/fan-out facade over the pipeline.
+  dispatch/classify/fan-out facade over the pipeline, and the
+  :class:`~repro.engine.engine.SerialRuntime` that drives it inline.
 
-*Who executes the pipeline* is the :mod:`repro.runtime` layer's job
-(``EngineConfig(runtime=...)``). Build an engine with
+Build an engine with
 :func:`repro.open_engine`; ``EngineConfig(max_batch=1, max_delay=0.0)``
 is the synchronous, classify-on-ready behaviour of the original monolith.
 """

@@ -1,10 +1,10 @@
 """Micro-batcher: accumulate ready-to-classify flows, drain in one call.
 
-PR 1 made ``classify_buffers`` 30-80x cheaper per flow than one-at-a-time
-classification, but the fill path still classified each flow the moment
-its buffer filled. The batcher closes that gap: flows whose windows are
-ready queue here, and the engine drains them through a single
-``classify_buffers`` call when either
+Batched extraction and prediction cost far less per flow than
+one-at-a-time classification, so flows whose windows are ready queue
+here, and the engine drains them through one classify drain — one
+extractor ``finalize`` and one vectorized predict
+(``StagedEngine.classify_labels``) — when either
 
 * ``max_batch`` flows have accumulated (size trigger), or
 * ``max_delay`` seconds have passed since the oldest queued flow arrived

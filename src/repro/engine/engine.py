@@ -16,8 +16,7 @@ Figure 1 draws and the original monolithic engine fused together:
 4. **forward** — outcomes fan out to the pluggable
    :class:`~repro.engine.sinks.ResultSink` list (:meth:`emit`).
 
-*Who runs what* is delegated to a :mod:`repro.runtime` runtime: the
-default :class:`~repro.runtime.SerialRuntime` drives the pipeline inline
+:class:`SerialRuntime` drives the pipeline inline, in arrival order,
 and is packet-for-packet equivalent to the fused engine (the equivalence
 suite checks labels, counters, and the CDB size series at
 ``max_batch=1``). The facade keeps dispatch, the classify kernels, sink
@@ -41,9 +40,8 @@ from repro.ingest.supervise import ErrorPolicy
 from repro.net.packet import Packet
 from repro.net.trace import Trace
 from repro.obs import MetricsRegistry
-from repro.runtime import make_runtime
 
-__all__ = ["StagedEngine"]
+__all__ = ["SerialRuntime", "StagedEngine"]
 
 #: Sample per-flow state bytes every Nth classification: the accounting
 #: walk re-counts distinct k-grams (comparable to one extraction), so
@@ -56,6 +54,94 @@ STATE_SAMPLE_EVERY = 512
 STATE_BYTE_BUCKETS = (
     64.0, 128.0, 192.0, 256.0, 384.0, 512.0, 1024.0, 2048.0, 5120.0, 8192.0
 )
+
+
+class SerialRuntime:
+    """Inline, single-threaded execution of an engine's flow pipeline.
+
+    The reference semantics: with ``max_batch=1`` the engine is
+    packet-for-packet equivalent to the fused monolith (labels, counters,
+    CDB size series — the staged-equivalence suite proves it), because
+    every ordering decision the monolith made is reproduced exactly:
+
+    * the delay-due check runs before the packet touches the flow table,
+      a FIN/RST drains the queue into one classify call, and drained
+      batches classify in push order — readiness order, never re-sorted;
+    * a CDB-hit payload packet goes to every sink's ``on_packet`` right
+      after ``ingest`` returns its label (and after a FIN/RST hit has
+      retired the record);
+    * timeout expirations freeze in first-arrival (``seq``) order, which
+      is the order the monolith's flush used (and what keeps random-skip
+      draws aligned);
+    * ``engine.classify_apply`` folds each batch's deferred chunks in a
+      single call, then applies labels per ready flow, so the CDB purge
+      trigger fires at the same insert index.
+
+    ``dispatch`` is one of the three frames a packet that needs no
+    classification enters (``engine.process_packet`` → ``dispatch`` →
+    ``pipeline.ingest``), so it calls nothing else on that path: the
+    batcher's latency check is inlined and the sink loop is its own.
+    """
+
+    def __init__(self, engine: "StagedEngine") -> None:
+        self._engine = engine
+
+    def dispatch(self, packet, flow_id: bytes, now: float, is_close: bool):
+        engine = self._engine
+        pipeline = engine.pipeline
+        # The packet clock advanced: drain if the oldest queued flow has
+        # waited past the latency bound, before this packet is handled.
+        # This is ``MicroBatcher.due``, inlined (one frame per packet).
+        batcher = pipeline.batcher
+        oldest = batcher.oldest_enqueued
+        if oldest is not None and now - oldest >= batcher.max_delay:
+            engine.classify_apply(pipeline.drain(reason="delay"), now)
+
+        result = pipeline.ingest(packet, flow_id, now, is_close)
+        label = result.label
+        if label is not None:
+            # CDB hit: the packet is forwarded on its flow's label.
+            if packet.payload:
+                for sink in engine.sinks:
+                    sink.on_packet(label, packet)
+            return label
+        if result.ready:
+            return engine.classify_apply(result.ready, now, flow_id)
+        return None
+
+    def flush(self, now: float) -> int:
+        """Classify pending flows inactive beyond ``buffer_timeout``.
+
+        Returns how many flows expired.
+        """
+        engine = self._engine
+        pipeline = engine.pipeline
+        if pipeline.batcher.due(now):
+            engine.classify_apply(pipeline.drain(reason="delay"), now)
+        # The wheel pops in deadline order; freeze in first-arrival
+        # order, matching the monolith's expiry sort (keeps any
+        # random-skip draws aligned).
+        expired = pipeline.pop_expired(now)
+        expired.sort(key=lambda item: item[1].seq)
+        for flow_id, pending in expired:
+            batch = pipeline.make_ready(flow_id, pending, now, force=False)
+            if batch:
+                engine.classify_apply(batch, now)
+        engine.classify_apply(pipeline.drain(reason="timeout"), now)
+        return len(expired)
+
+    def finish(self, now: float) -> None:
+        """End of stream: classify everything pending."""
+        engine = self._engine
+        pipeline = engine.pipeline
+        engine.classify_apply(pipeline.drain(reason="final"), now)
+        for flow_id, pending in engine.table.pending_items():
+            if pending.queued:
+                continue
+            batch = pipeline.make_ready(flow_id, pending, now, force=False)
+            if batch:
+                engine.classify_apply(batch, now)
+        engine.classify_apply(pipeline.drain(reason="final"), now)
 
 
 class StagedEngine:
@@ -72,7 +158,7 @@ class StagedEngine:
     for each paper claim (see DESIGN.md's metric map).
 
     Call :meth:`close` (or use the engine as a context manager) when
-    done: it releases whatever the runtime holds and flushes the sinks.
+    done: it flushes the sinks.
     """
 
     def __init__(
@@ -111,7 +197,6 @@ class StagedEngine:
                     ("strip_known_headers", self.config.strip_known_headers),
                     ("header_threshold > 0", self.config.header_threshold > 0),
                     ("random_skip_max > 0", self.config.random_skip_max > 0),
-                    ("estimation", classifier.estimator is not None),
                 )
                 if active
             ]
@@ -170,14 +255,15 @@ class StagedEngine:
             else:
                 registry = MetricsRegistry()
         self.metrics: "MetricsRegistry | None" = registry
-        self.runtime = make_runtime(engine_config)
-        self.runtime.bind(self)
+        #: Kept as an attribute (not inlined into :meth:`process_packet`)
+        #: because the benchmark's tracer wraps ``runtime.dispatch``.
+        self.runtime = SerialRuntime(self)
         self._bind_metrics(registry)
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Close the runtime and flush the sinks (idempotent).
+        """Flush the sinks (idempotent).
 
         After closing, the engine is read-only: counters, metrics, and
         collected outcomes stay available, but processing more packets
@@ -186,13 +272,10 @@ class StagedEngine:
         if self._closed:
             return
         self._closed = True
-        try:
-            self.runtime.close()
-        finally:
-            for sink in self.sinks:
-                flush = getattr(sink, "flush", None)
-                if callable(flush):
-                    flush()
+        for sink in self.sinks:
+            flush = getattr(sink, "flush", None)
+            if callable(flush):
+                flush()
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -340,7 +423,7 @@ class StagedEngine:
         self._m_folds.inc(fold_calls - synced["fold_calls"])
         synced["fold_calls"] = fold_calls
 
-    # -- coordinator surface (called by runtimes) -----------------------------
+    # -- coordinator surface (called by SerialRuntime) -------------------------
 
     def classify_labels(self, batch, now: float):
         """Run the batched finalize + predict kernels over ready flows.
@@ -353,11 +436,11 @@ class StagedEngine:
         if self._m_classify is not None:
             with self._m_classify.time():
                 with self._m_finalize.time():
-                    X = self.extractor.finalize(payloads, self.classifier)
+                    X = self.extractor.finalize(payloads)
                 labels = self.classifier.predict_vectors(X)
         else:
             labels = self.classifier.predict_vectors(
-                self.extractor.finalize(payloads, self.classifier)
+                self.extractor.finalize(payloads)
             )
         if self._m_delay is not None:
             # Per drain, not per flow: each instrument is touched once.

@@ -28,7 +28,7 @@ class EngineClosedError(RuntimeError):
 
     Raised by :class:`~repro.engine.engine.StagedEngine` when packets
     are processed after :meth:`~repro.engine.engine.StagedEngine.close`
-    (the runtime has been released) or when ``finish()`` is called
+    (the sinks have been flushed) or when ``finish()`` is called
     twice with no intervening packets (the stream already drained —
     a double drain would re-run end-of-stream work against an empty
     engine and silently report nothing).
@@ -143,7 +143,8 @@ class EngineStats:
     per_class: dict[FlowNature, int] = field(
         default_factory=lambda: {nature: 0 for nature in ALL_NATURES}
     )
-    #: (timestamp, CDB size) sampled after every packet batch.
+    #: (timestamp, CDB size) sampled every ``sample_interval`` of the
+    #: packet clock by ``process_source``, plus the final timestamp.
     cdb_size_series: list[tuple[float, int]] = field(default_factory=list)
     #: Completed classifications, in order (see class docstring).
     classified: list[ClassifiedFlow] = field(default_factory=list)

@@ -297,15 +297,13 @@ def classifier_to_dict(classifier) -> dict:
     """Serialize a fitted :class:`IustitiaClassifier` to a JSON-able dict.
 
     The same payload :func:`save_classifier` writes to disk (plain
-    types only). The (delta, epsilon) estimator,
-    when present, is recorded by its parameters and rebuilt with a
-    fresh RNG on load.
+    types only).
     """
     from repro.core.classifier import IustitiaClassifier
 
     if not isinstance(classifier, IustitiaClassifier):
         raise TypeError("classifier_to_dict expects an IustitiaClassifier")
-    payload = {
+    return {
         "format": "repro/iustitia",
         "format_version": _VERSION,
         "model_kind": classifier.model_kind,
@@ -316,21 +314,10 @@ def classifier_to_dict(classifier) -> dict:
         "feature_name": classifier.feature_set.name,
         "model": model_to_dict(classifier._model),
     }
-    if classifier.estimator is not None:
-        payload["estimator"] = {
-            "epsilon": classifier.estimator.epsilon,
-            "delta": classifier.estimator.delta,
-            "buffer_size": classifier.estimator.budget.buffer_size,
-        }
-    return payload
 
 
 def save_classifier(classifier, path) -> None:
-    """Write a fitted :class:`IustitiaClassifier` (model + config) as JSON.
-
-    The (delta, epsilon) estimator, when present, is recorded by its
-    parameters and rebuilt with a fresh RNG on load.
-    """
+    """Write a fitted :class:`IustitiaClassifier` (model + config) as JSON."""
     with open(path, "w") as handle:
         json.dump(classifier_to_dict(classifier), handle)
 
@@ -339,10 +326,12 @@ def classifier_from_dict(payload: dict):
     """Reconstruct a classifier from :func:`classifier_to_dict` output.
 
     Raises :class:`ModelFormatError` on an unknown format tag, an
-    unsupported format version, or a payload missing required fields.
+    unsupported format version, a payload missing required fields, or an
+    ``estimator`` block: the online classifier computes exactly, and a
+    model saved to classify with estimated vectors must not silently
+    classify with exact ones.
     """
     from repro.core.classifier import IustitiaClassifier, TrainingMethod
-    from repro.core.estimation import EntropyEstimator
     from repro.core.features import FeatureSet
 
     if not isinstance(payload, dict):
@@ -358,25 +347,21 @@ def classifier_from_dict(payload: dict):
         raise ModelFormatError(
             f"unsupported classifier format version {version!r}"
         )
+    if "estimator" in payload:
+        raise ModelFormatError(
+            "classifier payload carries an 'estimator' block; (delta, epsilon) "
+            "estimation is not part of the online classifier"
+        )
     try:
         feature_set = FeatureSet(
             payload["feature_name"], tuple(payload["feature_widths"])
         )
-        estimator = None
-        if "estimator" in payload:
-            estimator = EntropyEstimator(
-                epsilon=payload["estimator"]["epsilon"],
-                delta=payload["estimator"]["delta"],
-                buffer_size=payload["estimator"]["buffer_size"],
-                features=feature_set,
-            )
         classifier = IustitiaClassifier(
             model=payload["model_kind"],
             feature_set=feature_set,
             buffer_size=payload["buffer_size"],
             training=TrainingMethod(payload["training"]),
             header_threshold=payload["header_threshold"],
-            estimator=estimator,
         )
         model_payload = payload["model"]
     except (KeyError, TypeError) as exc:

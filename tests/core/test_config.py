@@ -13,7 +13,6 @@ class TestIustitiaConfig:
         assert config.feature_set is PHI_SVM_PRIME
         assert config.purge_coefficient == 4.0
         assert config.purge_trigger_flows == 5000
-        assert not config.use_estimation
 
     def test_buffer_must_hold_widest_feature(self):
         with pytest.raises(ValueError, match="widest"):
@@ -22,12 +21,6 @@ class TestIustitiaConfig:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="header_threshold"):
             IustitiaConfig(header_threshold=-5)
-
-    def test_estimation_parameters_validated_when_enabled(self):
-        with pytest.raises(ValueError, match="delta"):
-            IustitiaConfig(use_estimation=True, delta=1.5)
-        # Same values are fine when estimation is off.
-        IustitiaConfig(use_estimation=False, delta=1.5)
 
     def test_buffer_timeout_positive(self):
         with pytest.raises(ValueError, match="buffer_timeout"):

@@ -73,7 +73,7 @@ class TestEngineConfig:
 
 
 class TestRuntimeKnobs:
-    """The runtime field validates eagerly; the worker knobs are gone."""
+    """The runtime field accepts ``"serial"`` only; the worker knobs are gone."""
 
     def test_defaults(self):
         assert EngineConfig().runtime == "serial"
@@ -86,16 +86,12 @@ class TestRuntimeKnobs:
             EngineConfig(runtime="fiber")
         # The deleted built-ins are unknown names like any other.
         for name in ("thread", "process"):
-            with pytest.raises(ValueError, match="expected one of serial"):
+            with pytest.raises(ValueError, match="expected 'serial'"):
                 EngineConfig(runtime=name)
 
     def test_non_callable_runtime_rejected(self):
-        with pytest.raises(TypeError, match="factory callable"):
+        with pytest.raises(TypeError, match="runtime must be 'serial'"):
             EngineConfig(runtime=42)
-
-    def test_factory_callable_accepted(self):
-        factory = lambda engine_config: None  # noqa: E731
-        assert EngineConfig(runtime=factory).runtime is factory
 
     def test_worker_and_queue_fields_removed(self):
         with pytest.raises(TypeError, match="num_workers"):

@@ -54,7 +54,7 @@ class TestBatchExtractor:
         )
         windows = [bytes(range(64)), b"\x00" * 40, bytes(range(255, 215, -1))]
         np.testing.assert_array_equal(
-            extractor.finalize(windows, trained_cart),
+            extractor.finalize(windows),
             trained_cart.buffer_vectors(windows),
         )
 

@@ -1,7 +1,7 @@
 """StagedEngine vs the frozen seed monolith: packet-for-packet equivalence.
 
 The refactor's contract (ISSUE 2, extended by ISSUE 7): the staged
-engine under the default :class:`~repro.runtime.SerialRuntime` with
+engine under its :class:`~repro.engine.engine.SerialRuntime` with
 ``max_batch=1`` (``tests.conftest.sync_engine``) must
 reproduce the seed engine's labels, per-class counts, counters, and CDB
 size series on the reference synthetic traces, even though the engine's
@@ -17,8 +17,8 @@ import pytest
 
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.engine import QueueSink, StagedEngine
+from repro.engine.engine import SerialRuntime
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
-from repro.runtime import SerialRuntime
 
 from tests.conftest import sync_engine
 
@@ -163,7 +163,7 @@ class TestSerialRuntimeExplicit:
     def test_default_runtime_is_serial(self, trained_svm):
         engine = StagedEngine(trained_svm)
         assert isinstance(engine.runtime, SerialRuntime)
-        assert engine.runtime.name == "serial"
+        assert engine.engine_config.runtime == "serial"
 
     def test_explicit_serial_matches_seed(self, trained_svm, reference_traces):
         trace = reference_traces["plain"]

@@ -1,15 +1,15 @@
 """Tests for JSON model persistence (pickle-free round trips)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.classifier import IustitiaClassifier, TrainingMethod
-from repro.core.estimation import EntropyEstimator
-from repro.core.features import PHI_SVM_PRIME
 from repro.ml.persistence import (
     ModelFormatError,
+    classifier_to_dict,
     load_classifier,
     load_model,
     model_from_dict,
@@ -20,6 +20,12 @@ from repro.ml.persistence import (
 from repro.ml.svm.dagsvm import DagSvmClassifier
 from repro.ml.svm.kernels import LinearKernel, PolynomialKernel, RbfKernel
 from repro.ml.tree.cart import DecisionTreeClassifier
+
+#: The SVM and CART models the benchmark workloads train
+#: (``build_corpus(per_class=60, seed=7)``, ``b = 32``, PHI_SVM_PRIME /
+#: PHI_CART_PRIME), written by ``save_model`` of the release whose
+#: classifier still carried a (delta, epsilon) estimator.
+SAVED_MODELS = Path(__file__).parent / "saved_models"
 
 
 @pytest.fixture(scope="module")
@@ -193,19 +199,19 @@ class TestClassifierRoundTrip:
         sample = small_corpus.files[0]
         assert loaded.classify_file(sample.data) == clf.classify_file(sample.data)
 
-    def test_estimator_parameters_survive(self, small_corpus, tmp_path):
-        estimator = EntropyEstimator(
-            epsilon=0.3, delta=0.6, buffer_size=1024, features=PHI_SVM_PRIME
-        )
-        clf = IustitiaClassifier(
-            model="cart", buffer_size=1024, estimator=estimator
-        ).fit_corpus(small_corpus)
-        path = tmp_path / "iustitia-est.json"
-        save_classifier(clf, path)
+    def test_estimator_block_rejected(self, tmp_path):
+        path = tmp_path / "estimated.json"
+        payload = json.loads((SAVED_MODELS / "workload_cart.json").read_text())
+        payload["estimator"] = {"epsilon": 0.3, "delta": 0.6, "buffer_size": 1024}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="'estimator' block"):
+            load_classifier(path)
+
+    @pytest.mark.parametrize("name", ["workload_svm.json", "workload_cart.json"])
+    def test_saved_workload_models_load_unchanged(self, name):
+        path = SAVED_MODELS / name
         loaded = load_classifier(path)
-        assert loaded.estimator is not None
-        assert loaded.estimator.epsilon == 0.3
-        assert loaded.estimator.delta == 0.6
+        assert classifier_to_dict(loaded) == json.loads(path.read_text())
 
     def test_non_classifier_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="IustitiaClassifier"):

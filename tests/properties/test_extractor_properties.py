@@ -223,7 +223,7 @@ class TestFinalizeBatch:
             for i in range(0, len(payload), 7):
                 extractor.fold(state, payload[i : i + 7])
             states.append(state)
-        matrix = extractor.finalize(states, classifier=None)
+        matrix = extractor.finalize(states)
         assert matrix.shape == (len(payloads), len(feature_set.widths))
         for row, payload in zip(matrix, payloads):
             expected = entropy_vector(payload[:32], feature_set).values

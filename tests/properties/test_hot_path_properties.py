@@ -1,7 +1,7 @@
 """Property tests: batched hot paths match their scalar counterparts.
 
-Every vectorized path added for throughput — packed k-gram counting,
-batched entropy-vector extraction, the compiled CART predictor, and the
+Every vectorized path added for throughput — batched entropy-vector
+extraction, the compiled CART predictor, and the
 per-level DAGSVM descent — must agree with the straightforward scalar
 implementation it replaced, on arbitrary inputs.
 """
@@ -13,11 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.entropy import (
-    PACKED_MAX_K,
-    kgram_count_values,
-    kgram_counts_packed,
-)
 from repro.core.entropy_vector import entropy_vector, entropy_vectors_batch
 from repro.core.features import FEATURE_SETS
 from repro.ml.svm.dagsvm import DagSvmClassifier
@@ -30,23 +25,6 @@ unit_rows = st.lists(
     min_size=1,
     max_size=24,
 )
-
-
-class TestPackedCounts:
-    @given(data=byte_blobs, k=st.integers(1, 12))
-    def test_matches_void_view_counts(self, data, k):
-        # Big-endian packing preserves lexicographic gram order, so the
-        # counts come out in the same order as the void-dtype unique path.
-        np.testing.assert_array_equal(
-            kgram_counts_packed(data, k), kgram_count_values(data, k)
-        )
-
-    @given(data=byte_blobs)
-    def test_wide_grams_fall_back(self, data):
-        k = PACKED_MAX_K + 3
-        np.testing.assert_array_equal(
-            kgram_counts_packed(data, k), kgram_count_values(data, k)
-        )
 
 
 class TestBatchedExtraction:
