@@ -20,7 +20,10 @@ Quickstart (the stable facade — see :mod:`repro.api`)::
 Streaming: ``engine.process_source(repro.PcapFileSource(path))``
 classifies a capture of any size in bounded memory; ``process_source``
 takes any iterable of packets and is the only loop that feeds the
-engine — see :mod:`repro.ingest`.
+engine — see :mod:`repro.ingest`. ``repro.SupervisedSource(factory)``
+re-reads a capture through transient ``OSError`` faults, and
+``process_source(..., on_error=callable)`` absorbs per-packet dispatch
+faults instead of raising.
 
 Subpackages: ``repro.core`` (entropy vectors, the offline (delta,
 epsilon) estimation study, classifier, CDB, config), ``repro.engine``
@@ -69,13 +72,7 @@ from repro.engine import (
     StagedEngine,
     StatsSink,
 )
-from repro.ingest import (
-    ErrorPolicy,
-    PacketSource,
-    PcapFileSource,
-    RetryPolicy,
-    SupervisedSource,
-)
+from repro.ingest import PacketSource, PcapFileSource, SupervisedSource
 from repro.ml import DagSvmClassifier, DecisionTreeClassifier
 from repro.net import (
     FlowKey,
@@ -115,7 +112,6 @@ __all__ = [
     "EngineConfig",
     "EntropyEstimator",
     "EntropyVector",
-    "ErrorPolicy",
     "FULL_FEATURES",
     "FeatureSet",
     "FlowKey",
@@ -139,7 +135,6 @@ __all__ = [
     "PcapFileSource",
     "QueueSink",
     "ResultSink",
-    "RetryPolicy",
     "StagedEngine",
     "StatsSink",
     "SupervisedSource",

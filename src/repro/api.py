@@ -20,19 +20,18 @@ To classify a capture without materializing it, stream a
         with repro.PcapFileSource("capture.pcap") as source:
             stats = engine.process_source(source)   # O(live flows) memory
 
-For flaky inputs, wrap the source in a
-:class:`repro.SupervisedSource` (restarts under a
-:class:`repro.RetryPolicy`) and pass ``on_error=`` (an
-:class:`repro.ErrorPolicy` mode) to ``process_source`` so per-packet
-dispatch failures degrade or dead-letter instead of killing the run::
+For flaky inputs, have a :class:`repro.SupervisedSource` re-read the
+capture from a factory on ``OSError`` (already-delivered packets are
+skipped), and pass ``process_source`` an ``on_error`` callable so a
+per-packet dispatch failure is handed over instead of killing the run::
 
     supervised = repro.SupervisedSource(
-        lambda: repro.PcapFileSource("capture.pcap"),
-        policy=repro.RetryPolicy(max_attempts=5),
-        skip_delivered=True,
+        lambda: repro.PcapFileSource("capture.pcap"), max_attempts=5
     )
     with repro.open_engine(clf) as engine, supervised:
-        stats = engine.process_source(supervised, on_error="degrade")
+        stats = engine.process_source(
+            supervised, on_error=lambda packet, exc: None
+        )
 
 * :func:`train` — fit an :class:`IustitiaClassifier` on a labelled
   corpus;
@@ -148,11 +147,10 @@ def open_engine(
     For captures that should never be materialized, feed the engine a
     streaming source — ``engine.process_source(PcapFileSource(path))``
     decodes one record at a time (see :mod:`repro.ingest`).
-    ``process_source`` accepts an ``on_error``
-    :class:`repro.ErrorPolicy` for per-packet dispatch faults, and
-    :class:`repro.SupervisedSource` restarts a failing source under a
-    :class:`repro.RetryPolicy` — see DESIGN.md's "Ingest supervision"
-    for the full fault contract.
+    ``process_source`` accepts an ``on_error`` callable for per-packet
+    dispatch faults, and :class:`repro.SupervisedSource` re-reads a
+    failing capture from a factory — see DESIGN.md's "Ingest
+    supervision" for the full fault contract.
     """
     if isinstance(classifier, (str, os.PathLike)):
         classifier = load_model(classifier)

@@ -22,11 +22,12 @@ through the online engine (:class:`repro.ingest.PcapFileSource` →
 than RAM are fine), printing one line per classified flow and, when
 ground truth is supplied, an accuracy report. ``--metrics`` dumps the
 run's telemetry registry in Prometheus text exposition format.
-``--on-error`` picks the dispatch error policy (fail-fast raises as
-always; degrade counts and continues; dead-letter spools the failing
-packets to stderr and continues) and ``--max-retries N`` supervises the
-pcap source itself, restarting it up to N consecutive times on
-retryable I/O errors with already-delivered packets skipped on replay.
+``--on-error`` picks what a per-packet dispatch error does (fail-fast
+raises as always; degrade drops the packet and continues; dead-letter
+spools the failing packet to stderr and continues) and ``--max-retries
+N`` supervises the pcap source itself, re-reading it up to N
+consecutive times on I/O errors with already-delivered packets skipped
+on replay.
 
 The command implementations go through the stable :mod:`repro.api`
 facade (``train`` / ``save_model`` / ``load_model`` / ``open_engine``),
@@ -43,14 +44,9 @@ from repro.api import load_model, open_engine, save_model, train
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.labels import FlowNature
 from repro.data.corpus import build_corpus
-from repro.ingest import (
-    ErrorPolicy,
-    PcapFileSource,
-    RetryPolicy,
-    SupervisedSource,
-)
+from repro.ingest import PcapFileSource, SupervisedSource
 from repro.net.flow import FlowKey
-from repro.net.pcap import PcapDecodeStats, PcapError, write_pcap
+from repro.net.pcap import PcapError, write_pcap
 from repro.net.trace import Trace
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
 from repro.obs import render_text
@@ -71,6 +67,25 @@ def _str_to_key(text: str) -> FlowKey:
         src=src, src_port=int(src_port), dst=dst, dst_port=int(dst_port),
         protocol=int(protocol),
     )
+
+
+def _spool_dead_letter(packet, exc) -> None:
+    print(f"dead-letter: {packet.five_tuple}: {exc}", file=sys.stderr)
+
+
+#: ``classify --on-error`` → ``process_source(on_error=...)``.
+_ON_ERROR = {
+    "fail-fast": None,
+    "degrade": lambda packet, exc: None,
+    "dead-letter": _spool_dead_letter,
+}
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _cmd_gen_trace(args: argparse.Namespace) -> int:
@@ -149,18 +164,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         print(f"error: cannot use --extractor {extractor}: {exc}",
               file=sys.stderr)
         return 2
-    if args.on_error == "dead-letter":
-        def _spool_dead_letter(packet, exc) -> None:
-            print(f"dead-letter: {packet.five_tuple}: {exc}", file=sys.stderr)
-
-        policy = ErrorPolicy("dead-letter", dead_letter=_spool_dead_letter)
-    else:
-        policy = ErrorPolicy(args.on_error)
+    on_error = _ON_ERROR[args.on_error]
 
     # Stream the capture: one record in memory at a time, never a
     # materialized list[Packet] — memory is O(live flows), not O(pcap).
-    # Decode stats are per pass, so keep every source the run opened
-    # (supervised retries may open several) and total them afterwards.
+    # Every supervised pass re-decodes the file from its first record,
+    # so the last pass opened holds the whole file's decode stats.
     opened: "list[PcapFileSource]" = []
 
     def _open_source() -> PcapFileSource:
@@ -170,8 +179,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.max_retries:
         source = SupervisedSource(
             _open_source,
-            policy=RetryPolicy(max_attempts=args.max_retries),
-            skip_delivered=True,
+            max_attempts=args.max_retries,
             registry=engine.metrics,
             name="classify",
         )
@@ -179,24 +187,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         source = _open_source()
     try:
         with engine, source:
-            stats = engine.process_source(source, on_error=policy)
+            stats = engine.process_source(source, on_error=on_error)
     except (PcapError, OSError) as exc:
         print(f"error: cannot read capture {args.pcap}: {exc}",
               file=sys.stderr)
         return 2
-    decode = PcapDecodeStats()
-    for passed in opened:
-        for field in ("records", "packets", "bytes", "truncated_records",
-                      "skipped_frames", "decode_errors"):
-            setattr(decode, field,
-                    getattr(decode, field) + getattr(passed.stats, field))
-    supervised_restarts = args.max_retries and source.restarts
-    if supervised_restarts:
+    decode = opened[-1].stats
+    if args.max_retries and source.restarts:
         print(f"supervision: {source.restarts} source restarts, "
               f"zero packets replayed downstream", file=sys.stderr)
-    if policy.errors:
-        print(f"supervision: {policy.errors} dispatch errors absorbed "
-              f"({policy.dead_lettered} dead-lettered)", file=sys.stderr)
+    if stats.dispatch_errors:
+        print(f"supervision: {stats.dispatch_errors} dispatch errors "
+              f"absorbed ({args.on_error})", file=sys.stderr)
     if decode.truncated_records or decode.skipped_frames or decode.decode_errors:
         print(
             f"decode: {decode.truncated_records} snaplen-truncated, "
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     classify.add_argument(
         "--on-error",
-        choices=("fail-fast", "degrade", "dead-letter"),
+        choices=tuple(_ON_ERROR),
         default="fail-fast",
         help="per-packet dispatch error policy: raise immediately "
         "(fail-fast, default), count the error and keep classifying "
@@ -291,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     classify.add_argument(
         "--max-retries",
-        type=int,
+        type=_non_negative_int,
         default=0,
-        help="supervise the pcap source: restart it up to N consecutive "
-        "times on retryable I/O errors, skipping already-delivered "
+        help="supervise the pcap source: re-read it up to N consecutive "
+        "times on I/O errors, skipping already-delivered "
         "packets on the replay (0 disables supervision)",
     )
     classify.set_defaults(func=_cmd_classify)

@@ -35,8 +35,6 @@ from repro.engine.flow_table import FlowTable
 from repro.engine.pipeline import FlowPipeline, WindowPolicy
 from repro.engine.sinks import DELAY_BUCKETS, MetricsSink, ResultSink, StatsSink
 from repro.engine.types import ClassifiedFlow, EngineClosedError, EngineStats
-from repro.ingest.metrics import SupervisionMetrics
-from repro.ingest.supervise import ErrorPolicy
 from repro.net.packet import Packet
 from repro.net.trace import Trace
 from repro.obs import MetricsRegistry
@@ -356,6 +354,11 @@ class StagedEngine:
             "engine_reclassifications_total",
             help="CDB records expired by the reclassification defense",
         )
+        self._m_dispatch_errors = registry.counter(
+            "engine_dispatch_errors_total",
+            help="Packets whose dispatch raised and process_source's "
+            "on_error callable absorbed",
+        )
         self._m_classified = {
             nature: registry.counter(
                 "engine_classifications_total",
@@ -374,6 +377,7 @@ class StagedEngine:
             "cdb_hits": 0,
             "unclassifiable": 0,
             "reclassifications": 0,
+            "dispatch_errors": 0,
             "fold_seconds": 0.0,
             "fold_calls": 0,
         }
@@ -414,6 +418,10 @@ class StagedEngine:
             stats.reclassifications - synced["reclassifications"]
         )
         synced["reclassifications"] = stats.reclassifications
+        self._m_dispatch_errors.inc(
+            stats.dispatch_errors - synced["dispatch_errors"]
+        )
+        synced["dispatch_errors"] = stats.dispatch_errors
         # Fold timing accumulates in plain floats/ints on the packet
         # path; level the labeled counters up to them here.
         fold_seconds = self.pipeline.fold_seconds
@@ -552,33 +560,31 @@ class StagedEngine:
         """Run any packet iterable through the engine in bounded memory.
 
         ``source`` is anything yielding :class:`Packet` in timestamp
-        order — a list, a generator, or a :class:`repro.ingest`
-        :class:`~repro.ingest.PacketSource` such as
-        :class:`~repro.ingest.PcapFileSource` (which never materializes
-        the capture). Memory stays O(live flows), independent of stream
+        order — a list, a generator, or a packet source such as
+        :class:`repro.PcapFileSource` (which never materializes the
+        capture). Memory stays O(live flows), independent of stream
         length. Timeout flushes and the Figure-8 CDB size series tick on
         the packet clock every ``sample_interval`` seconds, and the
         stream is drained (:meth:`finish`) at the final packet's
         timestamp — packet for packet what :meth:`process_trace` does.
 
-        ``on_error`` decides what a per-packet dispatch failure does: a
-        :class:`~repro.ingest.supervise.ErrorPolicy` (or one of its mode
-        strings). The default, fail-fast, raises exactly as before;
-        ``"degrade"`` counts the error on the policy (and in the
-        supervision metrics when telemetry is on) and keeps the stream
-        alive; ``"dead-letter"`` additionally hands ``(packet, exc)`` to
-        the policy's callback. Errors raised by the *source iterator*
-        are never absorbed here — wrap the source in a
-        :class:`~repro.ingest.supervise.SupervisedSource` for restart
-        semantics — and :class:`~repro.engine.types.EngineClosedError`
-        is always fatal (it is a usage bug, not a stream fault).
+        ``on_error`` decides what a per-packet dispatch failure does:
+        ``None`` (the default) raises it; a callable ``(packet, exc)``
+        is handed the failing packet, the packet is counted in
+        ``stats.dispatch_errors`` (``engine_dispatch_errors_total``)
+        and the stream goes on — a no-op callable drops it, a spool
+        dead-letters it. An exception from the callable propagates.
+        Errors raised by the *source iterator* are never absorbed here
+        (wrap the source in a :class:`repro.SupervisedSource`),
+        and :class:`~repro.engine.types.EngineClosedError` is always
+        fatal: it is a usage bug, not a stream fault.
         """
         if sample_interval <= 0:
             raise ValueError(f"sample_interval must be positive, got {sample_interval}")
-        policy = ErrorPolicy.coerce(on_error)
-        if policy.mode != "fail-fast" and self.metrics is not None:
-            policy.bind_metrics(
-                SupervisionMetrics(self.metrics, source="engine")
+        if on_error is not None and not callable(on_error):
+            raise TypeError(
+                "on_error must be None or a callable (packet, exc), got "
+                f"{type(on_error).__name__}"
             )
         next_sample = None
         final = None
@@ -590,8 +596,10 @@ class StagedEngine:
             except EngineClosedError:
                 raise
             except Exception as exc:
-                if not policy.absorb(exc, packet):
+                if on_error is None:
                     raise
+                on_error(packet, exc)
+                self.stats.dispatch_errors += 1
             final = packet.timestamp
             if next_sample is None:
                 next_sample = final + sample_interval

@@ -140,6 +140,9 @@ class EngineStats:
     unclassifiable: int = 0
     fin_removals: int = 0
     reclassifications: int = 0
+    #: Packets whose dispatch raised and ``process_source``'s
+    #: ``on_error`` callable absorbed (counted in ``packets`` too).
+    dispatch_errors: int = 0
     per_class: dict[FlowNature, int] = field(
         default_factory=lambda: {nature: 0 for nature in ALL_NATURES}
     )

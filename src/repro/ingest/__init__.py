@@ -2,28 +2,23 @@
 
 Everything upstream of ``StagedEngine.process_source`` lives here — the
 :class:`PacketSource` protocol (a closable iterable of packets — what
-``process_source`` consumes and supervision wraps),
-:class:`PcapFileSource` (incremental capture-file decode), the
-supervision layer (:class:`SupervisedSource`
-restarts a failing source under a :class:`RetryPolicy`; an
-:class:`ErrorPolicy` decides whether per-packet dispatch errors fail
-fast, degrade, or dead-letter), and the shared ingest metrics
-instruments. The package imports nothing from :mod:`repro.engine`: it
-sits strictly below the engine, whose ``process_source`` is the only
-loop that feeds packets in. See DESIGN.md's "Ingest layer" and "Ingest
+``process_source`` consumes), :class:`PcapFileSource` (incremental
+capture-file decode), :class:`SupervisedSource` (re-reads a capture
+from a factory through transient ``OSError`` faults, exactly once), and
+the shared ingest metrics instruments. Per-packet dispatch faults are
+the engine's ``process_source(on_error=...)``, not this package's. The
+package imports nothing from :mod:`repro.engine`: it sits strictly
+below the engine. See DESIGN.md's "Ingest layer" and "Ingest
 supervision" sections for the memory, equivalence, and fault contracts.
 """
 
-from repro.ingest.metrics import IngestMetrics, SupervisionMetrics
+from repro.ingest.metrics import IngestMetrics
 from repro.ingest.sources import PacketSource, PcapFileSource
-from repro.ingest.supervise import ErrorPolicy, RetryPolicy, SupervisedSource
+from repro.ingest.supervise import SupervisedSource
 
 __all__ = [
-    "ErrorPolicy",
     "IngestMetrics",
     "PacketSource",
     "PcapFileSource",
-    "RetryPolicy",
     "SupervisedSource",
-    "SupervisionMetrics",
 ]

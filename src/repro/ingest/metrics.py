@@ -12,19 +12,9 @@ scrape alongside the engine's own instruments:
 * ``ingest_decode_errors_total`` — records that failed to parse as
   IPv4/TCP/UDP.
 
-The supervision layer (:mod:`repro.ingest.supervise`) adds a second
-bundle, :class:`SupervisionMetrics`, covering the fault paths:
-
-* ``ingest_restarts_total`` — inner-source restarts performed by a
-  :class:`~repro.ingest.supervise.SupervisedSource`;
-* ``ingest_retry_backoff_seconds`` — the backoff scheduled before each
-  restart (histogram over :data:`repro.obs.DEFAULT_BACKOFF_BUCKETS`);
-* ``ingest_consecutive_failures`` — current consecutive-failure streak
-  (gauge; resets to 0 on the first successful delivery);
-* ``ingest_dispatch_errors_total`` — per-packet dispatch errors absorbed
-  by a degrade/dead-letter :class:`~repro.ingest.supervise.ErrorPolicy`;
-* ``ingest_dead_letters_total`` — packets handed to a dead-letter
-  callback instead of the engine.
+A :class:`~repro.ingest.supervise.SupervisedSource` given a registry
+adds its own two: ``ingest_restarts_total`` and the
+``ingest_consecutive_failures`` gauge.
 
 File-backed sources level their counters from decode stats inside the
 iteration loop (plain int adds).
@@ -32,9 +22,7 @@ iteration loop (plain int adds).
 
 from __future__ import annotations
 
-from repro.obs import DEFAULT_BACKOFF_BUCKETS
-
-__all__ = ["IngestMetrics", "SupervisionMetrics"]
+__all__ = ["IngestMetrics"]
 
 
 class IngestMetrics:
@@ -94,46 +82,3 @@ class IngestMetrics:
             counter.inc(current - synced.get(attribute, 0))
             synced[attribute] = current
 
-
-class SupervisionMetrics:
-    """Fault-path instruments for one supervised source or engine run."""
-
-    __slots__ = (
-        "restarts",
-        "backoff",
-        "consecutive_failures",
-        "dispatch_errors",
-        "dead_letters",
-    )
-
-    def __init__(self, registry, source: str) -> None:
-        self.restarts = registry.counter(
-            "ingest_restarts_total",
-            help="Inner-source restarts performed by the supervisor after "
-            "a retryable failure",
-            source=source,
-        )
-        self.backoff = registry.histogram(
-            "ingest_retry_backoff_seconds",
-            buckets=DEFAULT_BACKOFF_BUCKETS,
-            help="Backoff delay scheduled before each supervised restart",
-            source=source,
-        )
-        self.consecutive_failures = registry.gauge(
-            "ingest_consecutive_failures",
-            help="Current consecutive-failure streak of the supervised "
-            "source (0 after a successful delivery)",
-            source=source,
-        )
-        self.dispatch_errors = registry.counter(
-            "ingest_dispatch_errors_total",
-            help="Per-packet dispatch errors absorbed by a degrade or "
-            "dead-letter error policy",
-            source=source,
-        )
-        self.dead_letters = registry.counter(
-            "ingest_dead_letters_total",
-            help="Packets handed to a dead-letter callback instead of "
-            "the engine",
-            source=source,
-        )

@@ -18,7 +18,6 @@ engine's sink plumbing).
 
 from repro.obs.exposition import render_text, validate_text
 from repro.obs.metrics import (
-    DEFAULT_BACKOFF_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
@@ -29,7 +28,6 @@ from repro.obs.metrics import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_BACKOFF_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",

@@ -34,7 +34,6 @@ import time
 
 __all__ = [
     "Counter",
-    "DEFAULT_BACKOFF_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",
@@ -47,14 +46,6 @@ __all__ = [
 #: delays (the paper's buffer_timeout default is 10 s).
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0
-)
-
-#: Default histogram buckets for retry/backoff delays, in seconds.
-#: Coarser than the latency buckets: backoffs are scheduled waits
-#: (exponential ramps from tens of milliseconds to minutes), not
-#: measured hot-path durations.
-DEFAULT_BACKOFF_BUCKETS: tuple[float, ...] = (
-    0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0
 )
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")

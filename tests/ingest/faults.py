@@ -6,11 +6,9 @@ Every retry path in :mod:`repro.ingest.supervise` is proven by raising
 and asserting the recovery bookkeeping afterwards.
 
 * :class:`FlakySource` — a packet source that raises scripted
-  exceptions at chosen global packet indices. By default it keeps its
-  cursor across re-iteration (reconnect semantics: the stream resumes
-  where it broke, each fault fires once); ``resume=False`` restarts
-  every pass from packet 0 (pcap-file semantics), which is what
-  ``SupervisedSource(skip_delivered=True)`` exists for.
+  exceptions at chosen packet indices. Like a pcap file, every pass
+  starts from packet 0; each scripted fault fires once, so a
+  supervisor that skips what it already delivered loses nothing.
 * :class:`RecordingSleep` — a ``sleep`` double that records requested
   delays instead of sleeping.
 """
@@ -33,33 +31,27 @@ def _script_map(fail_at) -> "dict[int, deque]":
 
 
 class FlakySource:
-    """Yields ``packets``, raising scripted exceptions at chosen indices.
+    """Yields ``packets`` from the first on every pass, raising scripted
+    exceptions at chosen indices.
 
-    ``fail_at`` maps a global packet index to one exception instance or
-    a list of them; each entry fires once, *before* the packet at that
-    index is delivered, so a supervisor that restarts the source loses
-    nothing. Multiple exceptions at one index fire on consecutive
-    attempts (a consecutive-failure streak).
+    ``fail_at`` maps a packet index to one exception instance or a list
+    of them; each entry fires once, *before* the packet at that index
+    is yielded. Multiple exceptions at one index fire on consecutive
+    passes (a consecutive-failure streak).
     """
 
-    def __init__(self, packets, fail_at=None, *, resume: bool = True) -> None:
+    def __init__(self, packets, fail_at=None) -> None:
         self.packets = list(packets)
-        self.resume = resume
-        self.cursor = 0
         self.passes = 0
         self.closes = 0
         self._script = _script_map(fail_at)
 
     def __iter__(self):
         self.passes += 1
-        if not self.resume:
-            self.cursor = 0
-        while self.cursor < len(self.packets):
-            pending = self._script.get(self.cursor)
+        for index, packet in enumerate(self.packets):
+            pending = self._script.get(index)
             if pending:
                 raise pending.popleft()
-            packet = self.packets[self.cursor]
-            self.cursor += 1
             yield packet
 
     def close(self) -> None:

@@ -22,7 +22,9 @@ class TestProtocol:
         path = tmp_path / "p.pcap"
         write_pcap(path, [])
         assert isinstance(PcapFileSource(path), PacketSource)
-        assert isinstance(SupervisedSource(PcapFileSource(path)), PacketSource)
+        assert isinstance(
+            SupervisedSource(lambda: PcapFileSource(path)), PacketSource
+        )
         # A plain generator qualifies: __iter__ and close() are the contract.
         assert isinstance((p for p in small_trace.packets), PacketSource)
 

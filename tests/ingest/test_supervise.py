@@ -1,4 +1,4 @@
-"""Tests for the ingest supervision layer (retry/error policies, wrapper).
+"""Tests for ingest supervision and ``process_source(on_error=...)``.
 
 Every fault in this file is scripted through ``tests/ingest/faults.py``
 and every backoff goes through an injected recorder — no wall-clock
@@ -8,122 +8,12 @@ sleeps, fully deterministic.
 import pytest
 
 from repro.api import open_engine
+from repro.cli import _ON_ERROR, build_parser
 from repro.engine import EngineClosedError
-from repro.ingest import (
-    ErrorPolicy,
-    RetryPolicy,
-    SupervisedSource,
-)
-from repro.obs import DEFAULT_BACKOFF_BUCKETS, MetricsRegistry
+from repro.ingest import SupervisedSource
+from repro.net.pcap import PcapError
+from repro.obs import MetricsRegistry
 from tests.ingest.faults import FlakySource, RecordingSleep
-
-
-class TestRetryPolicy:
-    def test_backoff_is_exponential_with_cap(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0,
-                             backoff_cap=0.5)
-        delays = [policy.backoff(n) for n in range(1, 6)]
-        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5])
-
-    def test_jitter_is_injectable_and_deterministic(self):
-        seen = []
-
-        def jitter(attempt, delay):
-            seen.append((attempt, delay))
-            return 0.01 * attempt
-
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=1.0,
-                             jitter=jitter)
-        assert policy.backoff(1) == pytest.approx(0.11)
-        assert policy.backoff(3) == pytest.approx(0.13)
-        assert seen == [(1, 0.1), (3, 0.1)]
-
-    def test_negative_jitter_clamps_to_zero(self):
-        policy = RetryPolicy(backoff_base=0.1, jitter=lambda n, d: -1.0)
-        assert policy.backoff(1) == 0.0
-
-    def test_backoff_attempt_is_one_based(self):
-        with pytest.raises(ValueError, match="1-based"):
-            RetryPolicy().backoff(0)
-
-    def test_default_classification_only_retries_oserror(self):
-        policy = RetryPolicy()
-        assert policy.is_retryable(OSError("flap"))
-        assert policy.is_retryable(ConnectionResetError("reset"))
-        assert policy.is_retryable(TimeoutError("slow"))
-        # Unknown exception types are bugs, not faults: never retried.
-        assert not policy.is_retryable(ValueError("bug"))
-        assert not policy.is_retryable(KeyError("bug"))
-
-    def test_fatal_wins_over_retryable(self):
-        policy = RetryPolicy(fatal=(ConnectionRefusedError,))
-        assert policy.is_retryable(OSError("flap"))
-        assert not policy.is_retryable(ConnectionRefusedError("down"))
-
-    def test_custom_retryable_types(self):
-        policy = RetryPolicy(retryable=(ValueError,))
-        assert policy.is_retryable(ValueError("transient here"))
-        assert not policy.is_retryable(OSError("not configured"))
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"max_attempts": 0}, "max_attempts"),
-            ({"backoff_base": -0.1}, "backoff_base"),
-            ({"backoff_factor": 0.5}, "backoff_factor"),
-            ({"backoff_base": 1.0, "backoff_cap": 0.5}, "backoff_cap"),
-        ],
-    )
-    def test_validation(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
-            RetryPolicy(**kwargs)
-
-
-class TestErrorPolicy:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown error-policy mode"):
-            ErrorPolicy("explode")
-
-    def test_dead_letter_requires_callback(self):
-        with pytest.raises(ValueError, match="requires a dead_letter"):
-            ErrorPolicy("dead-letter")
-
-    def test_callback_only_valid_in_dead_letter_mode(self):
-        with pytest.raises(ValueError, match="only meaningful"):
-            ErrorPolicy("degrade", dead_letter=lambda p, e: None)
-
-    def test_fail_fast_absorbs_nothing(self):
-        policy = ErrorPolicy()
-        exc = ValueError("boom")
-        assert policy.absorb(exc, "pkt") is False
-        assert policy.errors == 0
-        assert policy.last_error is exc
-
-    def test_degrade_counts_and_continues(self):
-        policy = ErrorPolicy("degrade")
-        assert policy.absorb(ValueError("a")) is True
-        assert policy.absorb(ValueError("b")) is True
-        assert policy.errors == 2
-        assert policy.dead_lettered == 0
-
-    def test_dead_letter_invokes_callback(self):
-        letters = []
-        policy = ErrorPolicy(
-            "dead-letter", dead_letter=lambda p, e: letters.append((p, e))
-        )
-        exc = ValueError("boom")
-        assert policy.absorb(exc, "pkt") is True
-        assert letters == [("pkt", exc)]
-        assert policy.errors == 1
-        assert policy.dead_lettered == 1
-
-    def test_coerce(self):
-        assert ErrorPolicy.coerce(None).mode == "fail-fast"
-        assert ErrorPolicy.coerce("degrade").mode == "degrade"
-        policy = ErrorPolicy("degrade")
-        assert ErrorPolicy.coerce(policy) is policy
-        with pytest.raises(TypeError, match="on_error"):
-            ErrorPolicy.coerce(123)
 
 
 def _ints(n: int):
@@ -131,14 +21,115 @@ def _ints(n: int):
     return list(range(n))
 
 
+def _supervise(inner, **kwargs) -> SupervisedSource:
+    """Supervise one re-iterable FlakySource (each pass restarts at 0)."""
+    return SupervisedSource(lambda: inner, **kwargs)
+
+
+def _fail_dispatch(engine, at, exc_type=ValueError):
+    """Make ``engine.runtime.dispatch`` raise on the given 1-based calls.
+
+    The fault fires after ``process_packet`` counted the packet, the
+    way a real dispatch fault would.
+    """
+    real = engine.runtime.dispatch
+    calls = {"n": 0}
+
+    def flaky(*args):
+        calls["n"] += 1
+        if calls["n"] in at:
+            raise exc_type("poisoned packet")
+        return real(*args)
+
+    engine.runtime.dispatch = flaky
+
+
+class TestRetryPolicy:
+    """The one retry policy: ``OSError`` restarts, anything else is
+    fatal, and restart *n* of a streak waits ``min(5, 0.05 * 2**(n-1))``."""
+
+    def test_backoff_is_exponential_with_cap(self):
+        sleep = RecordingSleep()
+        inner = FlakySource(_ints(2), fail_at={1: [OSError()] * 9})
+        supervised = _supervise(inner, max_attempts=9, sleep=sleep)
+        assert list(supervised) == _ints(2)
+        assert sleep.calls == pytest.approx(
+            [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 5.0]
+        )
+
+    def test_backoff_attempt_is_one_based(self):
+        # Every streak starts over at the base delay, not half of it.
+        sleep = RecordingSleep()
+        inner = FlakySource(_ints(6), fail_at={2: OSError(), 4: OSError()})
+        assert list(_supervise(inner, sleep=sleep)) == _ints(6)
+        assert sleep.calls == pytest.approx([0.05, 0.05])
+
+    def test_default_classification_only_retries_oserror(self):
+        for exc in (OSError("flap"), ConnectionResetError("reset"),
+                    TimeoutError("slow")):
+            supervised = _supervise(
+                FlakySource(_ints(3), fail_at={1: exc}), sleep=RecordingSleep()
+            )
+            assert list(supervised) == _ints(3)
+            assert supervised.restarts == 1
+        # Unknown exception types are bugs, not faults: never retried,
+        # and a damaged capture (a ValueError) is not a transient fault.
+        for exc in (ValueError("bug"), KeyError("bug"),
+                    PcapError("damaged capture")):
+            supervised = _supervise(FlakySource(_ints(3), fail_at={1: exc}))
+            with pytest.raises(type(exc)):
+                list(supervised)
+            assert supervised.restarts == 0
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"max_attempts": 0}, "max_attempts"),
+         ({"max_attempts": -1}, "max_attempts")],
+    )
+    def test_validation(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SupervisedSource(lambda: FlakySource([]), **kwargs)
+
+
+class TestErrorPolicy:
+    """The three ``classify --on-error`` modes and their callables."""
+
+    def test_fail_fast_absorbs_nothing(self):
+        assert _ON_ERROR["fail-fast"] is None
+
+    def test_degrade_counts_and_continues(self, trained_cart, small_trace):
+        with open_engine(trained_cart) as engine:
+            _fail_dispatch(engine, at=(2,))
+            stats = engine.process_source(
+                small_trace.packets, on_error=_ON_ERROR["degrade"]
+            )
+        assert stats.dispatch_errors == 1
+        assert stats.packets == len(small_trace.packets)
+
+    def test_dead_letter_invokes_callback(self, small_trace, capsys):
+        packet = small_trace.packets[0]
+        _ON_ERROR["dead-letter"](packet, ValueError("boom"))
+        err = capsys.readouterr().err
+        assert err == f"dead-letter: {packet.five_tuple}: boom\n"
+
+    def test_rejects_unknown_mode(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["classify", "m.json", "x.pcap", "--on-error", "explode"]
+            )
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 class TestSupervisedSource:
     def test_rejects_non_source(self):
-        with pytest.raises(TypeError, match="PacketSource"):
-            SupervisedSource(42)
+        # A source object is not a factory: there is no live-source form.
+        with pytest.raises(TypeError, match="factory"):
+            SupervisedSource(FlakySource(_ints(3)))
 
     def test_clean_stream_passes_through(self):
         inner = FlakySource(_ints(5))
-        supervised = SupervisedSource(inner)
+        supervised = _supervise(inner)
         assert list(supervised) == _ints(5)
         assert supervised.restarts == 0
         assert supervised.delivered == 5
@@ -150,12 +141,8 @@ class TestSupervisedSource:
         inner = FlakySource(
             _ints(10), fail_at={3: OSError("flap"), 7: OSError("flap")}
         )
-        supervised = SupervisedSource(
-            inner,
-            policy=RetryPolicy(backoff_base=0.1, backoff_factor=2.0),
-            sleep=sleep,
-            registry=registry,
-            name="test",
+        supervised = _supervise(
+            inner, sleep=sleep, registry=registry, name="test"
         )
         assert list(supervised) == _ints(10)
         assert supervised.restarts == 2
@@ -163,16 +150,11 @@ class TestSupervisedSource:
         assert supervised.consecutive_failures == 0
         # Isolated faults: the streak resets between them, so both
         # restarts back off at attempt 1.
-        assert sleep.calls == pytest.approx([0.1, 0.1])
-        assert inner.closes == 2  # broken source closed before each restart
+        assert sleep.calls == pytest.approx([0.05, 0.05])
+        assert inner.passes == 3
+        assert inner.closes == 2  # broken pass closed before each restart
         counter = registry.counter("ingest_restarts_total", source="test")
         assert counter.value == 2
-        histogram = registry.histogram(
-            "ingest_retry_backoff_seconds",
-            buckets=DEFAULT_BACKOFF_BUCKETS,
-            source="test",
-        )
-        assert histogram.count == 2
         gauge = registry.gauge("ingest_consecutive_failures", source="test")
         assert gauge.value == 0
 
@@ -180,94 +162,59 @@ class TestSupervisedSource:
         sleep = RecordingSleep()
         faults = [OSError("1"), OSError("2"), OSError("3")]
         inner = FlakySource(_ints(4), fail_at={2: faults})
-        supervised = SupervisedSource(
-            inner,
-            policy=RetryPolicy(max_attempts=3, backoff_base=0.1,
-                               backoff_factor=2.0),
-            sleep=sleep,
-        )
+        supervised = _supervise(inner, max_attempts=3, sleep=sleep)
         assert list(supervised) == _ints(4)
         assert supervised.restarts == 3
         # One streak of three: backoff escalates across the streak.
-        assert sleep.calls == pytest.approx([0.1, 0.2, 0.4])
+        assert sleep.calls == pytest.approx([0.05, 0.1, 0.2])
 
     def test_exhausted_streak_raises_the_last_error(self):
         last = OSError("third strike")
         inner = FlakySource(
             _ints(4), fail_at={2: [OSError("1"), OSError("2"), last]}
         )
-        supervised = SupervisedSource(
-            inner, policy=RetryPolicy(max_attempts=2, backoff_base=0.0)
-        )
+        supervised = _supervise(inner, max_attempts=2, sleep=RecordingSleep())
         with pytest.raises(OSError) as exc_info:
             list(supervised)
         assert exc_info.value is last
         assert supervised.restarts == 2
         assert supervised.consecutive_failures == 3
-        assert supervised.last_error is last
 
     def test_fatal_error_raises_immediately(self):
         bug = ValueError("a bug, not a fault")
         inner = FlakySource(_ints(4), fail_at={2: bug})
-        supervised = SupervisedSource(inner)
+        supervised = _supervise(inner)
         with pytest.raises(ValueError) as exc_info:
             list(supervised)
         assert exc_info.value is bug
         assert supervised.restarts == 0
         assert supervised.delivered == 2
 
-    def test_zero_backoff_never_calls_sleep(self):
-        sleep = RecordingSleep()
-        inner = FlakySource(_ints(3), fail_at={1: OSError("flap")})
-        supervised = SupervisedSource(
-            inner, policy=RetryPolicy(backoff_base=0.0), sleep=sleep
-        )
-        assert list(supervised) == _ints(3)
-        assert sleep.calls == []
-
-    def test_skip_delivered_makes_restart_from_start_exactly_once(self):
-        # resume=False models a pcap file: every pass starts from packet 0.
-        inner = FlakySource(_ints(6), fail_at={3: OSError("flap")},
-                            resume=False)
-        supervised = SupervisedSource(
-            inner, policy=RetryPolicy(backoff_base=0.0), skip_delivered=True
-        )
+    def test_restart_from_start_is_exactly_once(self):
+        # Every pass replays from packet 0; the supervisor drops the
+        # prefix it already delivered, so nothing is yielded twice.
+        inner = FlakySource(_ints(6), fail_at={3: OSError("flap")})
+        supervised = _supervise(inner, sleep=RecordingSleep())
         assert list(supervised) == _ints(6)
         assert supervised.delivered == 6
         assert inner.passes == 2
-
-    def test_without_skip_delivered_replays_duplicate(self):
-        # The hazard skip_delivered exists for, pinned as a test.
-        inner = FlakySource(_ints(6), fail_at={3: OSError("flap")},
-                            resume=False)
-        supervised = SupervisedSource(
-            inner, policy=RetryPolicy(backoff_base=0.0)
-        )
-        assert list(supervised) == _ints(3) + _ints(6)
 
     def test_factory_reconnects_with_a_fresh_source(self):
         scripts = [{3: OSError("flap")}, None]
         created = []
 
         def factory():
-            created.append(
-                FlakySource(_ints(6), scripts[len(created)], resume=False)
-            )
+            created.append(FlakySource(_ints(6), scripts[len(created)]))
             return created[-1]
 
-        supervised = SupervisedSource(
-            factory,
-            policy=RetryPolicy(backoff_base=0.0),
-            skip_delivered=True,
-        )
+        supervised = SupervisedSource(factory, sleep=RecordingSleep())
         assert list(supervised) == _ints(6)
         assert len(created) == 2
         assert created[0].closes == 1  # the broken one was closed
-        assert supervised.inner is created[1]
 
     def test_close_is_terminal(self):
         inner = FlakySource(_ints(5))
-        supervised = SupervisedSource(inner)
+        supervised = _supervise(inner)
         iterator = iter(supervised)
         assert next(iterator) == 0
         supervised.close()
@@ -279,7 +226,7 @@ class TestSupervisedSource:
 
     def test_context_manager_closes(self):
         inner = FlakySource(_ints(2))
-        with SupervisedSource(inner) as supervised:
+        with _supervise(inner) as supervised:
             assert list(supervised) == _ints(2)
         assert inner.closes == 1
 
@@ -305,10 +252,10 @@ class TestEngineProcessSourceOnError:
         faults = {10: OSError("flap"), 60: OSError("flap"),
                   110: OSError("flap")}
         sleep = RecordingSleep()
+        inner = FlakySource(small_trace.packets, fail_at=faults)
         with open_engine(trained_cart) as engine:
             supervised = SupervisedSource(
-                FlakySource(small_trace.packets, fail_at=faults),
-                policy=RetryPolicy(max_attempts=3, backoff_base=0.05),
+                lambda: inner,
                 sleep=sleep,
                 registry=engine.metrics,
                 name="acceptance",
@@ -320,61 +267,47 @@ class TestEngineProcessSourceOnError:
             restarts = engine.metrics.counter(
                 "ingest_restarts_total", source="acceptance"
             ).value
-        # Zero loss, identical labels and counters, one restart per fault.
+        # Zero loss, nothing twice, identical labels and counters, one
+        # restart per fault.
         assert labels == labels_clean
         assert counters == counters_clean
         assert supervised.restarts == len(faults)
         assert restarts == len(faults)
         assert supervised.delivered == len(small_trace.packets)
-        assert len(sleep.calls) == len(faults)
+        assert stats.dispatch_errors == 0
+        assert sleep.calls == pytest.approx([0.05] * len(faults))
 
     def test_degrade_counts_dispatch_errors_and_continues(
         self, trained_cart, small_trace
     ):
         with open_engine(trained_cart) as engine:
-            real = engine.process_packet
-            calls = {"n": 0}
-
-            def flaky(packet):
-                calls["n"] += 1
-                if calls["n"] in (5, 17):
-                    raise ValueError("poisoned packet")
-                return real(packet)
-
-            engine.process_packet = flaky
-            policy = ErrorPolicy("degrade")
+            _fail_dispatch(engine, at=(5, 17))
             stats = engine.process_source(
-                small_trace.packets, on_error=policy
+                small_trace.packets, on_error=lambda packet, exc: None
             )
-            assert policy.errors == 2
-            assert stats.packets == len(small_trace.packets) - 2
-            assert engine.metrics.counter(
-                "ingest_dispatch_errors_total", source="engine"
-            ).value == 2
+            assert stats.packets == len(small_trace.packets)
+            assert stats.dispatch_errors == 2
+            # The collector levels the counter at scrape time.
+            snapshot = engine.metrics.snapshot()
+            assert snapshot["engine_dispatch_errors_total"] == 2
 
     def test_dead_letter_receives_the_failing_packets(
         self, trained_cart, small_trace
     ):
         letters = []
+        faults = (3, 40, 41)
         with open_engine(trained_cart) as engine:
-            real = engine.process_packet
-            calls = {"n": 0}
-
-            def flaky(packet):
-                calls["n"] += 1
-                if calls["n"] == 3:
-                    raise ValueError("poisoned packet")
-                return real(packet)
-
-            engine.process_packet = flaky
-            policy = ErrorPolicy(
-                "dead-letter",
-                dead_letter=lambda p, e: letters.append((p, e)),
+            _fail_dispatch(engine, at=faults)
+            stats = engine.process_source(
+                small_trace.packets,
+                on_error=lambda packet, exc: letters.append((packet, exc)),
             )
-            engine.process_source(small_trace.packets, on_error=policy)
-        assert len(letters) == 1
-        assert letters[0][0] is small_trace.packets[2]
-        assert policy.dead_lettered == 1
+        assert [packet for packet, _ in letters] == [
+            small_trace.packets[n - 1] for n in faults
+        ]
+        assert all(str(exc) == "poisoned packet" for _, exc in letters)
+        assert stats.packets == len(small_trace.packets)
+        assert stats.dispatch_errors == len(faults)
 
     def test_fail_fast_raises_first_dispatch_error(
         self, trained_cart, small_trace
@@ -392,31 +325,37 @@ class TestEngineProcessSourceOnError:
     def test_engine_closed_error_is_never_absorbed(
         self, trained_cart, small_trace
     ):
+        letters = []
         with open_engine(trained_cart) as engine:
-            def flaky(packet):
-                raise EngineClosedError("engine is closed")
-
-            engine.process_packet = flaky
-            policy = ErrorPolicy("degrade")
+            _fail_dispatch(engine, at=(1,), exc_type=EngineClosedError)
             with pytest.raises(EngineClosedError):
                 engine.process_source(
-                    small_trace.packets, on_error=policy
+                    small_trace.packets,
+                    on_error=lambda packet, exc: letters.append(exc),
                 )
-            assert policy.errors == 0  # a usage bug, not a stream fault
+            # A usage bug, not a stream fault.
+            assert letters == []
+            assert engine.stats.dispatch_errors == 0
 
     def test_source_iterator_errors_are_not_absorbed(
         self, trained_cart, small_trace
     ):
         flap = OSError("source died")
+        letters = []
         with open_engine(trained_cart) as engine:
             source = FlakySource(small_trace.packets, fail_at={5: flap})
-            policy = ErrorPolicy("degrade")
             with pytest.raises(OSError) as exc_info:
-                engine.process_source(source, on_error=policy)
+                engine.process_source(
+                    source, on_error=lambda packet, exc: letters.append(exc)
+                )
             assert exc_info.value is flap
-            assert policy.errors == 0
+            assert letters == []
 
     def test_rejects_bad_on_error(self, trained_cart, small_trace):
+        # A mode string is not a callable: the policy names are the CLI's.
         with open_engine(trained_cart) as engine:
-            with pytest.raises(TypeError, match="on_error"):
-                engine.process_source(small_trace.packets, on_error=123)
+            for on_error in (123, "degrade"):
+                with pytest.raises(TypeError, match="on_error"):
+                    engine.process_source(
+                        small_trace.packets, on_error=on_error
+                    )

@@ -1,14 +1,18 @@
 """Tests for the command-line interface (gen-trace / train / classify)."""
 
 import json
+import struct
 
 import pytest
 
+import repro.cli
 from repro.cli import _key_to_str, _str_to_key, build_parser, main
 from repro.core.classifier import IustitiaClassifier
+from repro.ingest import PcapFileSource
 from repro.ml.persistence import load_classifier
+from repro.net.ethernet import EthernetHeader
 from repro.net.flow import FlowKey
-from repro.net.pcap import read_pcap
+from repro.net.pcap import LINKTYPE_ETHERNET, read_pcap, write_pcap
 
 
 class TestKeySerialization:
@@ -190,6 +194,52 @@ class TestTrainAndClassify:
         assert supervised.out == plain.out
         assert supervised.err == plain.err  # no restarts, nothing absorbed
 
+    def test_classify_restart_reports_decode_stats_once(
+        self, artifacts, tmp_path, capsys, monkeypatch
+    ):
+        # An Ethernet capture whose first record is an ARP frame: every
+        # pass re-decodes (and skips) it, and a restart must not report
+        # it twice.
+        model, pcap, _ = artifacts
+        capture = tmp_path / "arp-first.pcap"
+        write_pcap(capture, read_pcap(pcap), linktype=LINKTYPE_ETHERNET)
+        arp = EthernetHeader(ethertype=0x0806).to_bytes() + bytes(28)
+        raw = capture.read_bytes()
+        capture.write_bytes(
+            raw[:24] + struct.pack("!IIII", 0, 0, len(arp), len(arp)) + arp
+            + raw[24:]
+        )
+        assert main(["classify", str(model), str(capture)]) == 0
+        plain = capsys.readouterr()
+
+        class FailsOnceMidFile(PcapFileSource):
+            failed = False
+
+            def __iter__(self):
+                for index, packet in enumerate(super().__iter__()):
+                    if index == 50 and not FailsOnceMidFile.failed:
+                        FailsOnceMidFile.failed = True
+                        raise OSError("flap")
+                    yield packet
+
+        monkeypatch.setattr(repro.cli, "PcapFileSource", FailsOnceMidFile)
+        assert main(["classify", str(model), str(capture),
+                     "--max-retries", "1"]) == 0
+        supervised = capsys.readouterr()
+        assert FailsOnceMidFile.failed
+        assert supervised.out == plain.out
+
+        def decode_line(err):
+            return [line for line in err.splitlines()
+                    if line.startswith("decode:")]
+
+        assert decode_line(plain.err) == [
+            "decode: 0 snaplen-truncated, 1 non-IPv4 frames skipped, "
+            "0 undecodable"
+        ]
+        assert decode_line(supervised.err) == decode_line(plain.err)
+        assert "supervision: 1 source restarts" in supervised.err
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -221,6 +271,18 @@ class TestParser:
                 )
             assert excinfo.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("value", ["-1", "two"])
+    def test_max_retries_must_be_a_non_negative_int(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["classify", "m.json", "x.pcap", "--max-retries", value]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --max-retries" in err
+        assert "Traceback" not in err
 
 
 class TestConsoleEntryPoint:
