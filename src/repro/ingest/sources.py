@@ -52,7 +52,9 @@ class PcapFileSource:
     """Incremental packet source over a classic pcap file.
 
     Decodes one record at a time out of fixed-size read chunks — memory
-    stays O(chunk + one record), not O(capture) — and exposes decode
+    stays O(chunk + one record), not O(capture). Each record is read in
+    place in its chunk and its packet keeps owned bytes (header and
+    payload), so a packet held past the pass pins no chunk. Exposes decode
     accounting on :attr:`stats` (truncated records, skipped non-IPv4
     frames, bytes consumed). Each ``iter()`` starts a fresh pass over
     the file with fresh per-pass :attr:`stats` (multi-pass reads never

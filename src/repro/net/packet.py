@@ -19,6 +19,7 @@ __all__ = [
     "Packet",
     "TcpHeader",
     "UdpHeader",
+    "decode_packet",
     "internet_checksum",
     "pack_five_tuple",
 ]
@@ -34,6 +35,9 @@ FLAG_PSH = 0x08
 FLAG_ACK = 0x10
 #: Either bit ends the flow (FIN: clean close, RST: abort).
 _CLOSE_FLAGS = FLAG_FIN | FLAG_RST
+
+#: The IPv4 total-length field is 16 bits wide.
+_MAX_TOTAL_LENGTH = 0xFFFF
 
 
 def internet_checksum(data: bytes) -> int:
@@ -253,8 +257,14 @@ _WIRE_FIELDS = {
     for ihl_bytes in range(20, 64, 4)
 }
 
+#: The common case, read before any field-by-field check: an optionless
+#: header (version 4, IHL 5) on a record that holds all 34 bytes.
+_UNPACK_IHL5 = _WIRE_FIELDS[20].unpack_from
+_IHL5_SIZE = _WIRE_FIELDS[20].size
+
 #: The packed 5-tuple: ``src4 sport2 dst4 dport2 proto1``.
 _FIVE_TUPLE = struct.Struct("!4sH4sHB")
+_PACK_FIVE_TUPLE = _FIVE_TUPLE.pack
 
 
 def _bad_five_tuple(*five_tuple) -> ValueError:
@@ -281,19 +291,20 @@ class Packet:
 
     Built one of two ways. ``Packet(ip, transport, payload, timestamp)``
     holds the header objects a generator or a test made. A packet decoded
-    by :meth:`from_bytes` holds what the engine reads on every packet —
-    the packed 5-tuple (:attr:`flow_tuple`), the FIN/RST bit
-    (:attr:`is_close`), the payload view and the timestamp — and parses
-    :attr:`ip` / :attr:`transport` from the wire bytes the first time
-    they are asked for. Both kinds answer every attribute alike, compare
-    equal when headers, payload and timestamp agree, and pickle as the
-    four constructor fields.
+    by :func:`decode_packet` (or :meth:`from_bytes`) holds what the
+    engine reads on every packet — the packed 5-tuple
+    (:attr:`flow_tuple`), the FIN/RST bit (:attr:`is_close`), the payload
+    and the timestamp — plus its IP and TCP/UDP header bytes, from which
+    :attr:`ip` / :attr:`transport` are parsed the first time they are
+    asked for. Both kinds answer every attribute alike, compare equal
+    when headers, payload and timestamp agree, and pickle as the four
+    constructor fields.
 
-    ``payload`` may be ``bytes`` or a ``memoryview``: the pcap ingest
-    path hands out zero-copy views over the capture record, which the
-    extractor fold path consumes without ever materializing intermediate
-    ``bytes``. Views compare equal to equivalent ``bytes`` and serialize
-    identically.
+    ``payload`` is ``bytes`` for a packet decoded from ``bytes`` — the
+    pcap reader's case: owned bytes, so a retained packet keeps its own
+    payload alive, never the capture chunk it was read from. A caller
+    that decodes a ``memoryview`` gets views, which compare equal to
+    equivalent ``bytes`` and serialize identically.
     """
 
     __slots__ = (
@@ -328,71 +339,11 @@ class Packet:
     ) -> "Packet":
         """Parse a serialized IPv4 packet (TCP or UDP); IP options skipped.
 
-        One ``unpack_from`` reads every field the packet path needs; no
-        header object is built until :attr:`ip` / :attr:`transport` is
-        read. The payload is a zero-copy ``memoryview`` slice of
-        ``data``: no byte of the packet body is copied between the
-        capture buffer and the extractor fold path. Callers that outlive
-        ``data`` (or mutate it) should ``bytes()`` the payload
-        themselves.
+        ``decode_packet(data, 0, len(data), timestamp)``: the payload is
+        owned ``bytes`` when ``data`` is ``bytes``, a view of it when
+        ``data`` is a ``memoryview``.
         """
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        size = len(view)
-        if size < Ipv4Header.HEADER_LEN:
-            raise ValueError(f"IPv4 header needs 20 bytes, got {size}")
-        version_ihl = view[0]
-        if version_ihl >> 4 != 4:
-            raise ValueError(f"not an IPv4 packet (version {version_ihl >> 4})")
-        ihl_bytes = (version_ihl & 0x0F) * 4
-        if ihl_bytes < Ipv4Header.HEADER_LEN:
-            raise ValueError(f"invalid IPv4 IHL {ihl_bytes}")
-        if size < ihl_bytes:
-            raise ValueError(f"IPv4 header claims {ihl_bytes} bytes, got {size}")
-        fields = _WIRE_FIELDS[ihl_bytes]
-        if size >= fields.size:
-            source = view
-        else:
-            # Too short for a TCP header (a UDP datagram under 6 payload
-            # bytes, or a stub): read a zero-extended copy. Every length
-            # check below uses the true size, so the filler is never
-            # taken for packet content.
-            source = bytes(view).ljust(fields.size, b"\x00")
-        (
-            total_length, protocol, src_raw, dst_raw,
-            src_port, dst_port, offset_byte, flags,
-        ) = fields.unpack_from(source)
-        # Ethernet pads short frames: the IP total length, when set and
-        # inside the record, ends the packet.
-        end = total_length if 0 < total_length < size else size
-        body = max(end - ihl_bytes, 0)
-        if protocol == PROTO_TCP:
-            if body < TcpHeader.HEADER_LEN:
-                raise ValueError(f"TCP header needs 20 bytes, got {body}")
-            header_len = (offset_byte >> 4) * 4
-            if header_len < TcpHeader.HEADER_LEN:
-                raise ValueError(f"invalid TCP data offset {header_len}")
-            if body < header_len:
-                raise ValueError(
-                    f"TCP header claims {header_len} bytes, got {body}"
-                )
-            is_close = flags & _CLOSE_FLAGS != 0
-        elif protocol == PROTO_UDP:
-            if body < UdpHeader.HEADER_LEN:
-                raise ValueError(f"UDP header needs 8 bytes, got {body}")
-            header_len = UdpHeader.HEADER_LEN
-            is_close = False
-        else:
-            raise ValueError(f"unsupported IP protocol {protocol}")
-        packet = cls.__new__(cls)
-        packet._ip = packet._transport = None
-        packet._wire = view
-        packet._flow_tuple = _FIVE_TUPLE.pack(
-            src_raw, src_port, dst_raw, dst_port, protocol
-        )
-        packet._is_close = is_close
-        packet.payload = view[ihl_bytes + header_len : end]
-        packet.timestamp = timestamp
-        return packet
+        return decode_packet(data, 0, len(data), timestamp)
 
     @property
     def ip(self) -> Ipv4Header:
@@ -406,9 +357,11 @@ class Packet:
         transport = self._transport
         if transport is None:
             ip = self.ip
-            body = self._wire[ip.ihl_bytes : ip.total_length or len(self._wire)]
+            # A decoded packet's header bytes end where its payload starts.
             parse = TcpHeader if ip.protocol == PROTO_TCP else UdpHeader
-            transport = self._transport = parse.from_bytes(body)
+            transport = self._transport = parse.from_bytes(
+                self._wire[ip.ihl_bytes :]
+            )
         return transport
 
     @property
@@ -478,6 +431,11 @@ class Packet:
         """Serialize the whole packet (IP total length fixed up)."""
         transport_bytes = self.transport.to_bytes()
         total = Ipv4Header.HEADER_LEN + len(transport_bytes) + len(self.payload)
+        if total > _MAX_TOTAL_LENGTH:
+            raise ValueError(
+                f"IPv4 packet of {total} bytes exceeds the "
+                f"{_MAX_TOTAL_LENGTH}-byte total length"
+            )
         header = Ipv4Header(
             src=self.ip.src,
             dst=self.ip.dst,
@@ -521,3 +479,88 @@ class Packet:
             f"Packet(ip={self.ip!r}, transport={self.transport!r}, "
             f"payload={self.payload!r}, timestamp={self.timestamp!r})"
         )
+
+
+_new_packet = object.__new__
+
+
+def decode_packet(buf, start: int, end: int, timestamp: float = 0.0) -> Packet:
+    """Decode the IPv4 TCP/UDP packet in ``buf[start:end]``, read in place.
+
+    The one decoder: :meth:`Packet.from_bytes` and the pcap reader both
+    call it, the reader on the chunk it holds, so a record is never
+    copied out whole. An optionless header (IHL 5) on a record of at
+    least 34 bytes — nearly every packet — is read by one
+    ``unpack_from`` at ``start``; anything else is checked field by
+    field, IP options located by the header length, and a record too
+    short for a TCP header read from a zero-extended copy. No byte
+    outside ``[start, end)`` is read. A record that is not an IPv4
+    TCP/UDP packet raises ``ValueError``.
+
+    The packet keeps two slices of ``buf`` and nothing else: the IP plus
+    TCP/UDP header bytes (for the :attr:`Packet.ip` /
+    :attr:`Packet.transport` parse on demand) and the payload — owned
+    ``bytes`` when ``buf`` is ``bytes``, views when it is a
+    ``memoryview``.
+    """
+    size = end - start
+    if size >= _IHL5_SIZE and buf[start] == 0x45:
+        ihl_bytes = 20
+        fields = _UNPACK_IHL5(buf, start)
+    else:
+        if size < Ipv4Header.HEADER_LEN:
+            raise ValueError(f"IPv4 header needs 20 bytes, got {size}")
+        version_ihl = buf[start]
+        if version_ihl >> 4 != 4:
+            raise ValueError(f"not an IPv4 packet (version {version_ihl >> 4})")
+        ihl_bytes = (version_ihl & 0x0F) * 4
+        if ihl_bytes < Ipv4Header.HEADER_LEN:
+            raise ValueError(f"invalid IPv4 IHL {ihl_bytes}")
+        if size < ihl_bytes:
+            raise ValueError(f"IPv4 header claims {ihl_bytes} bytes, got {size}")
+        wire_fields = _WIRE_FIELDS[ihl_bytes]
+        if size >= wire_fields.size:
+            fields = wire_fields.unpack_from(buf, start)
+        else:
+            # Too short for a TCP header (a UDP datagram under 6 payload
+            # bytes, or a stub): read a zero-extended copy. Every length
+            # check below uses the true size, so the filler is never
+            # taken for packet content.
+            fields = wire_fields.unpack(
+                bytes(buf[start:end]).ljust(wire_fields.size, b"\x00")
+            )
+    (
+        total_length, protocol, src_raw, dst_raw,
+        src_port, dst_port, offset_byte, flags,
+    ) = fields
+    # Ethernet pads short frames: the IP total length, when set and
+    # inside the record, ends the packet.
+    stop = total_length if 0 < total_length < size else size
+    body = stop - ihl_bytes
+    if protocol == PROTO_TCP:
+        if body < TcpHeader.HEADER_LEN:
+            raise ValueError(f"TCP header needs 20 bytes, got {max(body, 0)}")
+        header_len = (offset_byte >> 4) * 4
+        if header_len < TcpHeader.HEADER_LEN:
+            raise ValueError(f"invalid TCP data offset {header_len}")
+        if body < header_len:
+            raise ValueError(f"TCP header claims {header_len} bytes, got {body}")
+        is_close = flags & _CLOSE_FLAGS != 0
+    elif protocol == PROTO_UDP:
+        if body < UdpHeader.HEADER_LEN:
+            raise ValueError(f"UDP header needs 8 bytes, got {max(body, 0)}")
+        header_len = UdpHeader.HEADER_LEN
+        is_close = False
+    else:
+        raise ValueError(f"unsupported IP protocol {protocol}")
+    split = start + ihl_bytes + header_len
+    packet = _new_packet(Packet)
+    packet._ip = packet._transport = None
+    packet._wire = buf[start:split]
+    packet._flow_tuple = _PACK_FIVE_TUPLE(
+        src_raw, src_port, dst_raw, dst_port, protocol
+    )
+    packet._is_close = is_close
+    packet.payload = buf[split : start + stop]
+    packet.timestamp = timestamp
+    return packet

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetHeader
-from repro.net.packet import Packet
+from repro.net.packet import Packet, decode_packet
 
 __all__ = [
     "LINKTYPE_ETHERNET",
@@ -65,8 +65,15 @@ LINKTYPE_ETHERNET = 1
 #: records actually carry is tolerated up to this size.
 _MAX_SNAPLEN = 262144
 
+#: A record's seconds field is an unsigned 32-bit integer.
+_MAX_SECONDS = 1 << 32
+
 #: Bytes :func:`iter_pcap` asks the file for at a time.
 _READ_CHUNK = 1 << 18
+
+#: An Ethernet II frame header; its EtherType is the last two bytes.
+_FRAME_LEN = EthernetHeader.HEADER_LEN
+_unpack_ethertype = struct.Struct("!H").unpack_from
 
 
 class PcapError(ValueError):
@@ -112,6 +119,11 @@ def write_pcap(
     memory. ``linktype`` selects raw IP (default) or Ethernet II; with
     Ethernet, a synthetic broadcast frame header is prepended to each
     packet. Returns the number of records written.
+
+    A packet the format cannot hold — a timestamp outside ``[0, 2**32)``
+    seconds, more than 65,535 bytes, a header that does not serialize —
+    raises ``ValueError`` naming its record index, before any byte of
+    that record is written (earlier records stay in the file).
     """
     if linktype not in (LINKTYPE_RAW, LINKTYPE_ETHERNET):
         raise ValueError(f"unsupported link type {linktype}")
@@ -130,17 +142,33 @@ def write_pcap(
                 linktype,
             )
         )
-        for packet in packets:
-            data = frame + packet.to_bytes()
-            seconds = int(packet.timestamp)
-            micros = int(round((packet.timestamp - seconds) * 1_000_000))
-            if micros >= 1_000_000:
-                seconds += 1
-                micros -= 1_000_000
-            handle.write(struct.pack("!IIII", seconds, micros, len(data), len(data)))
+        for index, packet in enumerate(packets):
+            try:
+                data = frame + packet.to_bytes()
+            except (ValueError, struct.error) as exc:
+                raise ValueError(f"record {index}: {exc}") from None
+            stamp = _record_stamp(packet.timestamp)
+            if stamp is None:
+                raise ValueError(
+                    f"record {index}: timestamp {packet.timestamp!r} is outside "
+                    "the pcap range [0, 2**32) seconds"
+                )
+            handle.write(struct.pack("!IIII", *stamp, len(data), len(data)))
             handle.write(data)
             written += 1
     return written
+
+
+def _record_stamp(timestamp: float) -> "tuple[int, int] | None":
+    """``(seconds, microseconds)`` of a record, ``None`` if out of range."""
+    if not 0 <= timestamp < _MAX_SECONDS:  # NaN and infinities too
+        return None
+    seconds = int(timestamp)
+    micros = int(round((timestamp - seconds) * 1_000_000))
+    if micros >= 1_000_000:
+        seconds += 1
+        micros -= 1_000_000
+    return (seconds, micros) if seconds < _MAX_SECONDS else None
 
 
 def iter_pcap(
@@ -151,9 +179,11 @@ def iter_pcap(
 
     Incremental decode: the file is read in ``_READ_CHUNK``-byte chunks
     and records are walked inside the chunk, so memory stays O(chunk +
-    one record) no matter how large the capture is. Each record is
-    copied out of the chunk into its own ``bytes`` before it is parsed:
-    a packet the engine retains pins one record, never a chunk. Handles
+    one record) no matter how large the capture is. Each record is read
+    in place — :func:`repro.net.packet.decode_packet` parses it where it
+    sits in the chunk, an Ethernet frame's EtherType included — and its
+    packet keeps owned bytes (its header and payload slices): a packet
+    the engine retains pins its own bytes, never a chunk. Handles
     both byte orders and both microsecond and nanosecond timestamp
     magics (normalized to float seconds); Ethernet frames are stripped
     (non-IPv4 frames are skipped); snaplen-truncated records
@@ -195,6 +225,7 @@ def iter_pcap(
                 f"{LINKTYPE_RAW} or Ethernet {LINKTYPE_ETHERNET})"
             )
         unpack_record_header = struct.Struct(order + "IIII").unpack_from
+        ethernet = linktype == LINKTYPE_ETHERNET
         position = 24
         while True:
             body = position + 16
@@ -236,21 +267,21 @@ def iter_pcap(
                 # and move on.
                 stats.truncated_records += 1
                 continue
-            # One allocation per record (its copy out of the chunk);
-            # everything downstream — frame strip, header parse, payload
-            # — slices this view, so packet payloads reach the extractor
-            # fold path without a single intermediate copy, and a
-            # retained payload keeps its own record alive, not the chunk.
-            data = memoryview(chunk[body:position])
+            if ethernet:
+                if captured < _FRAME_LEN:
+                    stats.decode_errors += 1  # too short for a frame header
+                    continue
+                if _unpack_ethertype(chunk, body + 12)[0] != ETHERTYPE_IPV4:
+                    stats.skipped_frames += 1
+                    continue  # ARP/IPv6/etc.: not Iustitia traffic
+                body += _FRAME_LEN
             try:
-                if linktype == LINKTYPE_ETHERNET:
-                    frame = EthernetHeader.from_bytes(data)
-                    if not frame.is_ipv4:
-                        stats.skipped_frames += 1
-                        continue  # ARP/IPv6/etc.: not Iustitia traffic
-                    data = data[EthernetHeader.HEADER_LEN :]
-                packet = Packet.from_bytes(
-                    data, timestamp=seconds + ticks / ticks_per_second
+                # Read in place: the decoder parses the record where it
+                # sits in the chunk and slices out the header and payload
+                # bytes it keeps, so a retained packet owns its bytes and
+                # pins no chunk.
+                packet = decode_packet(
+                    chunk, body, position, seconds + ticks / ticks_per_second
                 )
             except ValueError:
                 # The record is intact but its body is not an IPv4

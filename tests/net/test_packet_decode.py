@@ -1,10 +1,12 @@
-"""Differential and fuzz tests for ``Packet.from_bytes``.
+"""Differential and fuzz tests for ``decode_packet`` / ``Packet.from_bytes``.
 
 The decoder reads the fields the packet path needs in one unpack and
 leaves the header objects unparsed. The reference here is the composed
 decode it replaced — ``Ipv4Header.from_bytes`` then ``TcpHeader`` /
 ``UdpHeader.from_bytes`` on the same bytes — which must agree with it
 field for field, and error message for error message, on any input.
+Decoding a record in place, at an offset inside a larger buffer, must
+give what decoding a copy of the record gives, whatever surrounds it.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ from repro.net.packet import (
     Packet,
     TcpHeader,
     UdpHeader,
+    decode_packet,
     pack_five_tuple,
 )
 
@@ -177,6 +180,58 @@ class TestAgainstHeaderParsers:
             return
         assert Packet.from_bytes(memoryview(framed)[14:]) == expected
         assert Packet.from_bytes(bytearray(data)) == expected
+
+
+def decoded_fields(decode):
+    """Everything a decoded packet answers, or the ``ValueError`` message."""
+    try:
+        packet = decode()
+    except ValueError as exc:
+        return str(exc)
+    return (
+        packet.flow_tuple, packet.is_close, type(packet.payload),
+        bytes(packet.payload), packet.timestamp, packet.ip, packet.transport,
+    )
+
+
+def flipped(data: bytes) -> bytes:
+    return bytes(byte ^ 0xFF for byte in data)
+
+
+class TestDecodeInPlace:
+    """``decode_packet(buf, start, end, ts)`` reads ``buf[start:end]`` only."""
+
+    @given(
+        record=st.one_of(
+            wire_packets(),
+            wire_packets().flatmap(
+                lambda data: st.integers(0, len(data)).map(lambda cut: data[:cut])
+            ),
+            st.binary(max_size=96),
+        ),
+        prefix=st.binary(max_size=40),
+        suffix=st.binary(max_size=40),
+    )
+    def test_offset_decode_equals_decoding_a_copy(self, record, prefix, suffix):
+        start, end = len(prefix), len(prefix) + len(record)
+        expected = decoded_fields(lambda: Packet.from_bytes(bytes(record), 2.25))
+        # Every byte outside the record differs between the two buffers,
+        # so a read before ``start`` or past ``end`` changes the result.
+        for buf in (prefix + record + suffix, flipped(prefix) + record + flipped(suffix)):
+            assert decoded_fields(lambda: decode_packet(buf, start, end, 2.25)) == expected
+
+    @given(record=wire_packets(), prefix=st.binary(max_size=40), suffix=st.binary(max_size=40))
+    def test_bytes_give_owned_slices_and_views_give_views(self, record, prefix, suffix):
+        buf = prefix + record + suffix
+        start, end = len(prefix), len(prefix) + len(record)
+        try:
+            owned = decode_packet(buf, start, end)
+        except ValueError:
+            return
+        viewed = decode_packet(memoryview(buf), start, end)
+        assert type(owned.payload) is bytes
+        assert type(viewed.payload) is memoryview
+        assert viewed == owned
 
 
 class TestBothConstructions:

@@ -308,6 +308,26 @@ class TestStreamingWrite:
         assert written == 2
         assert len(read_pcap(path)) == 2
 
+    @pytest.mark.parametrize("timestamp", [-0.5, 2**32 + 0.1])
+    def test_timestamp_out_of_range_names_the_record(self, tmp_path, timestamp):
+        bad = _packets()[1]
+        bad.timestamp = timestamp
+        self._assert_rejected_whole(tmp_path, bad, "timestamp .* outside the pcap range")
+
+    def test_oversize_packet_names_the_record(self, tmp_path):
+        template = _packets()[1]
+        bad = Packet(template.ip, template.transport, bytes(70_000), 2.0)
+        self._assert_rejected_whole(tmp_path, bad, "IPv4 packet of 70028 bytes exceeds")
+
+    def _assert_rejected_whole(self, tmp_path, bad, message):
+        """A ``ValueError`` for record 1, and not one byte of it written."""
+        path = tmp_path / "bad.pcap"
+        good = tmp_path / "good.pcap"
+        with pytest.raises(ValueError, match=f"^record 1: {message}"):
+            write_pcap(path, [_packets()[0], bad, _packets()[0]])
+        write_pcap(good, [_packets()[0]])
+        assert path.read_bytes() == good.read_bytes()
+
     def test_iter_to_write_round_trip(self, tmp_path):
         src = tmp_path / "src.pcap"
         dst = tmp_path / "dst.pcap"

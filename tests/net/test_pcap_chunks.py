@@ -27,6 +27,7 @@ from repro.net.pcap import (
     PcapError,
     iter_pcap,
 )
+from tests.engine.test_packet_path_guard import frames_entered
 
 REAL_CHUNK = pcap._READ_CHUNK
 SMALL_CHUNK = 64
@@ -264,17 +265,38 @@ class TestLargeRecords:
         assert peak < 1 << 20
 
     def test_retained_payload_pins_one_record_never_a_chunk(self, path, chunk):
+        sizes = (0, 1, 63, 64, 700, 1400)
         for linktype in LINKTYPES:
             frame = frame_of(linktype)
-            bodies = [frame + tcp(size) for size in (0, 1, 63, 64, 700, 1400)] * 50
+            bodies = [frame + tcp(size) for size in sizes] * 50
             records = [(body, len(body)) for body in bodies]
             path.write_bytes(capture("!", False, linktype, records))
             with mock.patch.object(pcap, "_READ_CHUNK", chunk):
                 retained = list(iter_pcap(path))
             assert len(retained) == len(bodies)
-            for packet, body in zip(retained, bodies):
-                assert bytes(packet.payload.obj) == body
+            for packet, body, size in zip(retained, bodies, sizes * 50):
+                # Owned bytes, exactly the record's payload: nothing
+                # references the chunk it was read from.
+                assert type(packet.payload) is bytes
+                assert packet.payload == body[len(body) - size :]
                 assert packet.to_bytes() == body[len(frame):]
+
+
+class TestReadInPlace:
+    """Counts, not timings: what one pass enters per record."""
+
+    @pytest.mark.parametrize("linktype", LINKTYPES, ids=["raw", "ethernet"])
+    def test_one_decoder_frame_per_record_and_no_frame_header(self, path, linktype):
+        frame = frame_of(linktype)
+        bodies = [frame + (tcp(size) if size % 3 else udp(size)) for size in range(60)]
+        path.write_bytes(capture("!", False, linktype, [(b, len(b)) for b in bodies]))
+        entered = frames_entered(list, iter_pcap(path))
+        assert entered["decode_packet"] == len(bodies)
+        assert entered["Packet.from_bytes"] == 0
+        assert not [
+            name for name in entered
+            if name.startswith("EthernetHeader.") or name == "_bytes_to_mac"
+        ]
 
 
 chunks = st.sampled_from([24, 25, SMALL_CHUNK, 4096, REAL_CHUNK])
