@@ -66,7 +66,6 @@ from repro.engine import (
     CallbackSink,
     ClassifiedFlow,
     EngineClosedError,
-    MetricsSink,
     QueueSink,
     ResultSink,
     StagedEngine,
@@ -123,7 +122,6 @@ __all__ = [
     "IustitiaConfig",
     "LabeledFile",
     "MetricsRegistry",
-    "MetricsSink",
     "PHI_CART",
     "PHI_CART_PRIME",
     "PHI_SVM",

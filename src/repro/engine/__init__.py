@@ -28,13 +28,7 @@ from repro.engine.deadlines import DeadlineWheel
 from repro.engine.engine import StagedEngine
 from repro.engine.flow_table import FlowTable
 from repro.engine.pipeline import FlowPipeline, IngestResult, WindowPolicy
-from repro.engine.sinks import (
-    CallbackSink,
-    MetricsSink,
-    QueueSink,
-    ResultSink,
-    StatsSink,
-)
+from repro.engine.sinks import CallbackSink, QueueSink, ResultSink, StatsSink
 from repro.engine.types import (
     ClassifiedFlow,
     EngineClosedError,
@@ -51,7 +45,6 @@ __all__ = [
     "FlowPipeline",
     "FlowTable",
     "IngestResult",
-    "MetricsSink",
     "MicroBatcher",
     "PendingFlow",
     "QueueSink",

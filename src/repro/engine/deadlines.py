@@ -37,8 +37,6 @@ class DeadlineWheel:
         self._current: dict[bytes, float] = {}
         self._seq = 0
         self._m_expirations = None
-        self._m_heap_entries = None
-        self._m_scheduled = None
 
     def bind_metrics(self, registry) -> None:
         """Register this wheel's instruments on a ``MetricsRegistry``.
@@ -47,28 +45,23 @@ class DeadlineWheel:
         pipeline found still active and re-armed), heap entries including
         stale ones (gauge: entries of cancelled — classified — flows stay
         until popped or compacted), and scheduled flows (gauge). The two
-        gauges are pull-based: a registry collector
-        reads the sizes at scrape time, so ``schedule``/``pop_expired``
-        pay nothing for them.
+        gauges read the sizes when scraped, so ``schedule`` /
+        ``pop_expired`` pay nothing for them.
         """
         self._m_expirations = registry.counter(
             "wheel_expirations_total",
             help="Buffer-timeout deadlines fired by the deadline wheel",
         )
-        self._m_heap_entries = registry.gauge(
+        registry.gauge(
             "wheel_heap_entries",
             help="Heap entries held by the wheel (live + stale)",
+            reader=lambda: len(self._heap),
         )
-        self._m_scheduled = registry.gauge(
+        registry.gauge(
             "wheel_scheduled_flows",
             help="Flows with an active buffer-timeout deadline",
+            reader=self.__len__,
         )
-        registry.add_collector(self._collect)
-
-    def _collect(self) -> None:
-        """Refresh the pull-based size gauges (scrape-time only)."""
-        self._m_heap_entries.set(len(self._heap))
-        self._m_scheduled.set(len(self._current))
 
     def __len__(self) -> int:
         """Number of flows with an active deadline (not heap entries)."""

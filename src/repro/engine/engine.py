@@ -20,10 +20,12 @@ Figure 1 draws and the original monolithic engine fused together:
 and is packet-for-packet equivalent to the fused engine (the equivalence
 suite checks labels, counters, and the CDB size series at
 ``max_batch=1``). The facade keeps dispatch, the classify kernels, sink
-fan-out, and the metrics collector.
+fan-out, and the readers that put its counts on the metrics registry.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from repro.core.extract import make_extractor
 from repro.core.labels import ALL_NATURES, FlowNature
 from repro.engine.flow_table import FlowTable
 from repro.engine.pipeline import FlowPipeline, WindowPolicy
-from repro.engine.sinks import DELAY_BUCKETS, MetricsSink, ResultSink, StatsSink
+from repro.engine.sinks import ResultSink, StatsSink
 from repro.engine.types import ClassifiedFlow, EngineClosedError, EngineStats
 from repro.net.packet import Packet
 from repro.net.trace import Trace
@@ -51,6 +53,26 @@ STATE_SAMPLE_EVERY = 512
 #: (b=32) and 5.1 KB (b=1024) Table-3 figures.
 STATE_BYTE_BUCKETS = (
     64.0, 128.0, 192.0, 256.0, 384.0, 512.0, 1024.0, 2048.0, 5120.0, 8192.0
+)
+
+#: Buckets for the classification-delay histogram: from sub-millisecond
+#: single-packet fills up to the 10 s buffer timeout.
+DELAY_BUCKETS = (
+    0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0
+)
+
+#: ``EngineStats`` fields the registry reads as counters (scrape time).
+_STATS_COUNTERS = (
+    ("engine_packets_total", "packets", "Packets ingested"),
+    ("engine_cdb_hits_total", "cdb_hits",
+     "Packets forwarded via an existing CDB label"),
+    ("engine_unclassifiable_total", "unclassifiable",
+     "Flows dropped with too little payload to classify"),
+    ("engine_reclassifications_total", "reclassifications",
+     "CDB records expired by the reclassification defense"),
+    ("engine_dispatch_errors_total", "dispatch_errors",
+     "Packets whose dispatch raised and process_source's on_error "
+     "callable absorbed"),
 )
 
 
@@ -243,15 +265,7 @@ class StagedEngine:
         self._closed = False
         self._finished = False
         if registry is None and engine_config.telemetry:
-            # Adopt an attached MetricsSink's registry so the whole
-            # telemetry plane (stage instruments + sink outcomes) lands
-            # in one place; otherwise the engine gets its own.
-            for sink in self.sinks:
-                if isinstance(sink, MetricsSink):
-                    registry = sink.registry
-                    break
-            else:
-                registry = MetricsRegistry()
+            registry = MetricsRegistry()
         self.metrics: "MetricsRegistry | None" = registry
         #: Kept as an attribute (not inlined into :meth:`process_packet`)
         #: because the benchmark's tracer wraps ``runtime.dispatch``.
@@ -291,14 +305,19 @@ class StagedEngine:
     # -- telemetry -----------------------------------------------------------
 
     def _bind_metrics(self, registry: "MetricsRegistry | None") -> None:
-        """Create this engine's instruments (every stage binds too)."""
+        """Create this engine's instruments (every stage binds too).
+
+        The counts the engine keeps anyway (``stats``, payload bytes)
+        are registered as readers, read at scrape time; the per-flow
+        distributions are histograms observed once per drain.
+        """
+        self._delay_buf: list[float] = []
+        self._state_countdown = 0
         if registry is None:
             self._m_delay = None
             self._m_classify = None
             self._m_finalize = None
             self._m_state_bytes = None
-            self._state_countdown = 0
-            self._delay_buf = []
             return
         self.table.bind_metrics(registry)
         self.pipeline.bind_metrics(registry)
@@ -318,17 +337,6 @@ class StagedEngine:
             "(feature-matrix construction inside the classify call)",
             extractor=self.extractor.name,
         )
-        self._m_fold_seconds = registry.counter(
-            "extractor_fold_seconds_total",
-            help="Cumulative wall-clock seconds folding arriving payload "
-            "into per-flow feature state",
-            extractor=self.extractor.name,
-        )
-        self._m_folds = registry.counter(
-            "extractor_folds_total",
-            help="Payload chunks folded into per-flow feature state",
-            extractor=self.extractor.name,
-        )
         self._m_state_bytes = registry.histogram(
             "engine_flow_state_bytes",
             buckets=STATE_BYTE_BUCKETS,
@@ -336,100 +344,31 @@ class StagedEngine:
             "record; the paper's ~200 B claim at b=32) — exact per flow "
             "when the extractor affords it, sampled otherwise",
         )
-        self._m_packets = registry.counter(
-            "engine_packets_total", help="Packets ingested"
+        stats = self.stats
+        for name, field, help_text in _STATS_COUNTERS:
+            registry.counter(
+                name, help=help_text, reader=partial(getattr, stats, field)
+            )
+        registry.counter(
+            "engine_payload_bytes_total",
+            help="Payload bytes ingested",
+            reader=lambda: self._payload_bytes,
         )
-        self._m_payload_bytes = registry.counter(
-            "engine_payload_bytes_total", help="Payload bytes ingested"
-        )
-        self._m_cdb_hits = registry.counter(
-            "engine_cdb_hits_total",
-            help="Packets forwarded via an existing CDB label",
-        )
-        self._m_unclassifiable = registry.counter(
-            "engine_unclassifiable_total",
-            help="Flows dropped with too little payload to classify",
-        )
-        self._m_reclassified = registry.counter(
-            "engine_reclassifications_total",
-            help="CDB records expired by the reclassification defense",
-        )
-        self._m_dispatch_errors = registry.counter(
-            "engine_dispatch_errors_total",
-            help="Packets whose dispatch raised and process_source's "
-            "on_error callable absorbed",
-        )
-        self._m_classified = {
-            nature: registry.counter(
+        for nature in ALL_NATURES:
+            registry.counter(
                 "engine_classifications_total",
                 help="Flows classified, by assigned nature",
+                reader=partial(stats.per_class.__getitem__, nature),
                 nature=str(nature),
             )
-            for nature in ALL_NATURES
-        }
-        self._state_countdown = 0
-        self._delay_buf: list[float] = []
-        # Last stats values pushed into the counters: deltas are tracked
-        # per engine, so engines sharing a registry still aggregate.
-        self._synced_counts = {
-            "packets": 0,
-            "payload_bytes": 0,
-            "cdb_hits": 0,
-            "unclassifiable": 0,
-            "reclassifications": 0,
-            "dispatch_errors": 0,
-            "fold_seconds": 0.0,
-            "fold_calls": 0,
-        }
-        self._synced_classified = {nature: 0 for nature in ALL_NATURES}
-        registry.add_collector(self._collect_metrics)
+        # The delays of a drain are bucketed in bulk: every scrape first
+        # empties what the classify loop deferred.
+        registry.add_collector(self._flush_delay_buf)
 
     def _flush_delay_buf(self) -> None:
         """Bucket the deferred classification-delay observations."""
         self._m_delay.observe_many(self._delay_buf)
         self._delay_buf.clear()
-
-    def _collect_metrics(self) -> None:
-        """Sync the engine's pull-based instruments (scrape-time only).
-
-        The classify loop runs per flow and the CDB hit path per packet,
-        so the hot path keeps plain ints and a deferred delay list, and
-        this collector levels the counters up to them when the registry
-        is scraped.
-        """
-        self._flush_delay_buf()
-        stats = self.stats
-        for nature, counter in self._m_classified.items():
-            current = stats.per_class[nature]
-            counter.inc(current - self._synced_classified[nature])
-            self._synced_classified[nature] = current
-        synced = self._synced_counts
-        self._m_packets.inc(stats.packets - synced["packets"])
-        synced["packets"] = stats.packets
-        self._m_payload_bytes.inc(self._payload_bytes - synced["payload_bytes"])
-        synced["payload_bytes"] = self._payload_bytes
-        self._m_cdb_hits.inc(stats.cdb_hits - synced["cdb_hits"])
-        synced["cdb_hits"] = stats.cdb_hits
-        self._m_unclassifiable.inc(
-            stats.unclassifiable - synced["unclassifiable"]
-        )
-        synced["unclassifiable"] = stats.unclassifiable
-        self._m_reclassified.inc(
-            stats.reclassifications - synced["reclassifications"]
-        )
-        synced["reclassifications"] = stats.reclassifications
-        self._m_dispatch_errors.inc(
-            stats.dispatch_errors - synced["dispatch_errors"]
-        )
-        synced["dispatch_errors"] = stats.dispatch_errors
-        # Fold timing accumulates in plain floats/ints on the packet
-        # path; level the labeled counters up to them here.
-        fold_seconds = self.pipeline.fold_seconds
-        fold_calls = self.pipeline.fold_calls
-        self._m_fold_seconds.inc(fold_seconds - synced["fold_seconds"])
-        synced["fold_seconds"] = fold_seconds
-        self._m_folds.inc(fold_calls - synced["fold_calls"])
-        synced["fold_calls"] = fold_calls
 
     # -- coordinator surface (called by SerialRuntime) -------------------------
 

@@ -32,38 +32,29 @@ class FlowTable(ClassificationDatabase):
         )
         #: Flows still buffering toward classification, by flow ID.
         self.pending: dict[bytes, PendingFlow] = {}
-        self._m_pending = None
-        self._m_cdb_flows = None
-        self._m_cdb_bytes = None
 
     def bind_metrics(self, registry) -> None:
-        """Register this table's instruments on a ``MetricsRegistry``.
+        """Register this table's occupancy on a ``MetricsRegistry``.
 
-        Exposes pending-flow occupancy and the CDB's occupancy in flows
-        and 194-bit-record bytes (the paper's Figure 8 size series,
-        live). All three are pull-based gauges: a registry collector
-        reads the sizes at scrape time, so the packet path pays nothing.
+        Pending flows, and the CDB's occupancy in flows and in 194-bit
+        record bytes (the paper's Figure 8 size series, live), are gauges
+        that read the sizes when scraped, so the packet path pays nothing.
         """
-        self._m_pending = registry.gauge(
+        registry.gauge(
             "engine_pending_flows",
             help="Flows currently buffering toward classification",
+            reader=self.pending.__len__,
         )
-        self._m_cdb_flows = registry.gauge(
+        registry.gauge(
             "cdb_flows",
             help="Classified flows resident in the CDB",
+            reader=self.__len__,
         )
-        self._m_cdb_bytes = registry.gauge(
+        registry.gauge(
             "cdb_record_bytes",
             help="CDB storage under the paper's 194-bit record model",
+            reader=lambda: len(self) * RECORD_BYTES,
         )
-        registry.add_collector(self._collect)
-
-    def _collect(self) -> None:
-        """Refresh the occupancy gauges (scrape-time only)."""
-        self._m_pending.set(len(self.pending))
-        occupancy = len(self)
-        self._m_cdb_flows.set(occupancy)
-        self._m_cdb_bytes.set(occupancy * RECORD_BYTES)
 
     @property
     def pending_count(self) -> int:

@@ -171,11 +171,24 @@ class FlowPipeline:
     def bind_metrics(self, registry) -> None:
         """Bind the wheel's, the batcher's and the fold stage's instruments.
 
-        Counter-shaped stats stay plain ints on :attr:`stats` and are
-        levelled by the engine's collector.
+        Fold time and chunks stay plain numbers here, read by their
+        counters at scrape time (the engine registers :attr:`stats`).
         """
         self.wheel.bind_metrics(registry)
         self.batcher.bind_metrics(registry)
+        registry.counter(
+            "extractor_fold_seconds_total",
+            help="Cumulative wall-clock seconds folding arriving payload "
+            "into per-flow feature state",
+            reader=lambda: self._fold_seconds,
+            extractor=self.extractor.name,
+        )
+        registry.counter(
+            "extractor_folds_total",
+            help="Payload chunks folded into per-flow feature state",
+            reader=lambda: self._fold_calls,
+            extractor=self.extractor.name,
+        )
         if self._fold_at_drain:
             self._m_fold_chunks = registry.histogram(
                 "fold_batch_chunks",
@@ -183,16 +196,6 @@ class FlowPipeline:
                 help="Payload chunks folded per vectorized fold_batch drain",
             )
         self._time_folds = True
-
-    @property
-    def fold_seconds(self) -> float:
-        """Cumulative sampled wall-clock seconds spent folding."""
-        return self._fold_seconds
-
-    @property
-    def fold_calls(self) -> int:
-        """Payload chunks folded into per-flow feature state."""
-        return self._fold_calls
 
     # -- fold stage ----------------------------------------------------------
 

@@ -14,25 +14,39 @@ the one that hides a format:
 
 It is a context manager; iterating it after ``close()`` stops cleanly.
 Metrics are opt-in: pass a :class:`repro.obs.MetricsRegistry` and the
-source fills the shared ingest instruments
-(:mod:`repro.ingest.metrics`).
+source registers readers of its decode counts on the ``ingest_*``
+counters, labeled ``source="pcap:<file name>"``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Protocol, runtime_checkable
 
-from repro.ingest.metrics import IngestMetrics
 from repro.net.packet import Packet
 from repro.net.pcap import PcapDecodeStats, iter_pcap
 
 __all__ = ["PacketSource", "PcapFileSource"]
 
-#: Level ingest counters from decode stats every this many packets (and
-#: once more when iteration ends), keeping the per-packet path free of
-#: metric calls without letting scrapes drift far behind.
-_METRICS_EVERY = 256
+#: ``PcapDecodeStats`` field -> the counter that reads it, and its help.
+_COUNTERS = {
+    "packets": ("ingest_packets_total", "Packets yielded by ingest sources"),
+    "bytes": ("ingest_bytes_total", "Capture bytes consumed by ingest sources"),
+    "truncated_records": (
+        "ingest_truncated_records_total",
+        "Snaplen-truncated pcap records skipped (captured < original) "
+        "instead of misparsed",
+    ),
+    "skipped_frames": (
+        "ingest_skipped_frames_total",
+        "Non-IPv4 link-layer frames skipped during decode",
+    ),
+    "decode_errors": (
+        "ingest_decode_errors_total",
+        "Records that failed IPv4/TCP/UDP decode",
+    ),
+}
 
 
 @runtime_checkable
@@ -56,26 +70,37 @@ class PcapFileSource:
     place in its chunk and its packet keeps owned bytes (header and
     payload), so a packet held past the pass pins no chunk. Exposes decode
     accounting on :attr:`stats` (truncated records, skipped non-IPv4
-    frames, bytes consumed). Each ``iter()`` starts a fresh pass over
-    the file with fresh per-pass :attr:`stats` (multi-pass reads never
-    mix passes; the registry counters stay cumulative across passes).
-    :meth:`close` is **terminal**: it ends the active pass and every
-    later pass yields nothing — build a new source to re-read a closed
-    file. Yields exactly the packets ``read_pcap`` would return, in the
-    same order.
+    frames, bytes consumed). Each ``iter()`` returns a fresh
+    :func:`~repro.net.pcap.iter_pcap` generator over the file — the pass
+    itself, no wrapper — with fresh per-pass :attr:`stats` (multi-pass
+    reads never mix passes). With a ``registry``, five ``ingest_*``
+    counters read the finished passes' totals plus the live
+    :attr:`stats`, so they stay cumulative across passes, sum over
+    sources sharing a label (a supervisor's re-opens), and are exact
+    mid-pass. :meth:`close` is **terminal**: it ends the active pass and
+    every later pass yields nothing — build a new source to re-read a
+    closed file. Yields exactly the packets ``read_pcap`` would return,
+    in the same order.
     """
 
     def __init__(self, path: "str | Path", *, registry=None) -> None:
         self.path = Path(path)
         self.stats = PcapDecodeStats()
-        self._metrics = (
-            IngestMetrics(registry, source=f"pcap:{self.path.name}")
-            if registry is not None
-            else None
-        )
-        self._synced: dict = {}
+        #: The finished passes' counts, by ``_COUNTERS`` field.
+        self._earlier = dict.fromkeys(_COUNTERS, 0)
         self._active: "Iterator[Packet] | None" = None
         self._closed = False
+        if registry is not None:
+            for field, (name, help_text) in _COUNTERS.items():
+                registry.counter(
+                    name,
+                    help=help_text,
+                    reader=partial(self._total, field),
+                    source=f"pcap:{self.path.name}",
+                )
+
+    def _total(self, field: str) -> int:
+        return self._earlier[field] + getattr(self.stats, field)
 
     def __enter__(self) -> "PcapFileSource":
         return self
@@ -86,30 +111,14 @@ class PcapFileSource:
 
     def __iter__(self) -> Iterator[Packet]:
         if self._closed:
-            return
+            return iter(())
         # Fresh per-pass accounting: `stats` always describes the pass
-        # being (or last) iterated. The metrics sync map resets with it,
-        # so the registry counters keep accumulating monotonically.
+        # being (or last) iterated; the pass before joins the totals.
+        for field in self._earlier:
+            self._earlier[field] += getattr(self.stats, field)
         self.stats = PcapDecodeStats()
-        self._synced = {}
-        records = iter_pcap(self.path, stats=self.stats)
-        self._active = records
-        try:
-            countdown = _METRICS_EVERY
-            for packet in records:
-                yield packet
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = _METRICS_EVERY
-                    self._level_metrics()
-        finally:
-            self._level_metrics()
-            if self._active is records:
-                self._active = None
-
-    def _level_metrics(self) -> None:
-        if self._metrics is not None:
-            self._metrics.observe_decode(self.stats, self._synced)
+        self._active = iter_pcap(self.path, stats=self.stats)
+        return self._active
 
     def close(self) -> None:
         """Stop the active pass (the underlying file handle closes too)."""

@@ -4,11 +4,12 @@ The streaming layer is fail-fast at every seam — a source raises, the
 stream ends. :class:`SupervisedSource` is the one exception, sized to
 the one source that exists: a zero-argument factory that re-reads a
 capture from the start (a :class:`~repro.ingest.PcapFileSource` over a
-file). On an ``OSError`` it closes the broken pass, backs off, opens a
-fresh pass and discards the packets it already delivered, so the
-supervised stream is exactly-once end to end. Anything that is not an
-``OSError`` — a :class:`~repro.net.pcap.PcapError` included — is a bug
-or damaged input, never retried.
+file). On an ``OSError`` — raised by the pass or by the factory opening
+it — it closes the broken pass, backs off, opens a fresh pass and
+discards the packets it already delivered, so the supervised stream is
+exactly-once end to end. Anything that is not an ``OSError`` — a
+:class:`~repro.net.pcap.PcapError` included — is a bug or damaged
+input, never retried.
 
 Per-packet dispatch faults are the engine's business, not this
 module's: see ``StagedEngine.process_source(on_error=...)``.
@@ -36,8 +37,9 @@ class SupervisedSource:
     *consecutive* failure streak: the failure after it re-raises, and
     any delivery resets the streak, so a long stream absorbs any number
     of isolated faults. ``sleep`` is the backoff seam for tests. With a
-    ``registry``, ``ingest_restarts_total`` and the
-    ``ingest_consecutive_failures`` gauge are labeled ``source=name``.
+    ``registry``, ``ingest_restarts_total`` reads :attr:`restarts` and
+    the ``ingest_consecutive_failures`` gauge reads
+    :attr:`consecutive_failures`, both labeled ``source=name``.
 
     :meth:`close` is terminal, like the concrete sources: a closed
     supervisor yields nothing forever.
@@ -67,19 +69,20 @@ class SupervisedSource:
         self._sleep = sleep
         self._inner = None
         self._closed = False
-        self._m_restarts = self._m_streak = None
         if registry is not None:
             source = name or "supervised"
-            self._m_restarts = registry.counter(
+            registry.counter(
                 "ingest_restarts_total",
                 help="Source restarts performed by the supervisor after an "
                 "I/O error",
+                reader=lambda: self.restarts,
                 source=source,
             )
-            self._m_streak = registry.gauge(
+            registry.gauge(
                 "ingest_consecutive_failures",
                 help="Current consecutive-failure streak of the supervised "
                 "source (0 after a successful delivery)",
+                reader=lambda: self.consecutive_failures,
                 source=source,
             )
 
@@ -92,42 +95,35 @@ class SupervisedSource:
 
     def __iter__(self) -> Iterator:
         while not self._closed:
-            self._inner = self._factory()
             skip = self.delivered
             try:
+                self._inner = self._factory()
                 for packet in self._inner:
                     if skip:
                         skip -= 1
                         continue
                     self.delivered += 1
-                    if self.consecutive_failures:
-                        self._set_streak(0)
+                    self.consecutive_failures = 0
                     yield packet
                     if self._closed:
                         return
                 return  # clean end of stream
             except Exception as exc:
-                self._set_streak(self.consecutive_failures + 1)
+                self.consecutive_failures += 1
                 if (not isinstance(exc, OSError)
                         or self.consecutive_failures > self.max_attempts):
                     raise
                 self._restart()
 
-    def _set_streak(self, value: int) -> None:
-        self.consecutive_failures = value
-        if self._m_streak is not None:
-            self._m_streak.set(value)
-
     def _restart(self) -> None:
-        """Close the broken pass and back off before the next one."""
+        """Close the broken pass (if one opened) and back off."""
         broken, self._inner = self._inner, None
-        try:
-            broken.close()
-        except Exception:
-            pass  # the source already failed; closing is best effort
+        if broken is not None:
+            try:
+                broken.close()
+            except Exception:
+                pass  # the source already failed; closing is best effort
         self.restarts += 1
-        if self._m_restarts is not None:
-            self._m_restarts.inc()
         self._sleep(
             min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (self.consecutive_failures - 1))
         )

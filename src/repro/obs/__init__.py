@@ -10,10 +10,10 @@ The staged engine instruments every stage with it by default — packet
 ingest, deadline-wheel expirations, micro-batch drains, per-batch
 classify latency, per-flow classification delay (the paper's Section 5
 metric), and CDB occupancy / per-flow state bytes (the ~200 B claim).
-Snapshots come three ways: ``registry.snapshot()`` (plain dict),
-``render_text(registry)`` (scrape format), and
-:class:`repro.engine.sinks.MetricsSink` (periodic snapshots riding the
-engine's sink plumbing).
+A count the code already keeps reaches its counter or gauge as a
+*reader*, called when the instrument is read; events are pushed once
+per drain. Snapshots come two ways: ``registry.snapshot()`` (plain
+dict) and ``render_text(registry)`` (scrape format).
 """
 
 from repro.obs.exposition import render_text, validate_text

@@ -59,10 +59,11 @@ def render_text(registry: MetricsRegistry) -> str:
 
 _HELP_RE = re.compile(r"^# HELP [a-zA-Z_:][a-zA-Z0-9_:]* .*$")
 _TYPE_RE = re.compile(r"^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram|summary|untyped)$")
+#: ``name="value"``, the value with ``\\``, ``\"`` and ``\n`` escapes.
+_LABEL = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"'
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\""
-    r"(?:,[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"]*\")*)\})?"
+    rf"(?:\{{(?P<labels>{_LABEL}(?:,{_LABEL})*)\}})?"
     r" (?P<value>[+-]?(?:Inf|NaN|[0-9.eE+-]+))$"
 )
 

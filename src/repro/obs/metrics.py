@@ -22,7 +22,20 @@ Design constraints, in priority order:
 
 Instruments are get-or-create: asking the registry twice for the same
 ``(name, labels)`` returns the same object, so independent components
-(engine stages, sinks, user code) can share one registry safely.
+(engine stages, sources, user code) can share one registry safely.
+
+Two rules decide how a number reaches an instrument:
+
+* **Kept counts are read.** A counter or gauge that mirrors a count the
+  code already keeps (packets seen, CDB occupancy, restarts) is given
+  *readers* — zero-arg callables — and its :attr:`Counter.value` is the
+  sum of what they return at the moment it is read. Nothing is copied
+  on the hot path, a scrape mid-pass is exact, and a second component
+  registering on the same ``(name, labels)`` adds its reader to the
+  sum, so engines sharing a registry aggregate.
+* **Events are pushed.** Histograms, timers and event counters (drains,
+  deadline expirations) are observed or incremented where the event
+  happens — once per drain or flush, never per packet.
 """
 
 from __future__ import annotations
@@ -67,9 +80,15 @@ def _label_items(labels: dict) -> tuple[tuple[str, str], ...]:
     return tuple(items)
 
 
+def _escape(value: str) -> str:
+    """A label value with backslash, double quote and newline escaped
+    (text format 0.0.4)."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def render_labels(labels: "tuple[tuple[str, str], ...]") -> str:
     """``key="value"`` pairs joined by commas (empty string when unlabeled)."""
-    return ",".join(f'{key}="{value}"' for key, value in labels)
+    return ",".join(f'{key}="{_escape(value)}"' for key, value in labels)
 
 
 class Timer:
@@ -96,21 +115,29 @@ class Timer:
         return False
 
 
-class Counter:
-    """Monotonically increasing count (events, packets, bytes)."""
+class _Scalar:
+    """A pushed value plus the sum of its readers (see the module rules)."""
 
-    __slots__ = ("name", "labels", "_value")
-
-    kind = "counter"
+    __slots__ = ("name", "labels", "_value", "readers")
 
     def __init__(self, name: str, labels: "tuple[tuple[str, str], ...]" = ()) -> None:
         self.name = name
         self.labels = labels
         self._value = 0.0
+        #: Zero-arg callables whose results are added to the pushed value.
+        self.readers: list = []
 
     @property
     def value(self) -> float:
-        return self._value
+        return self._value + sum(reader() for reader in self.readers)
+
+
+class Counter(_Scalar):
+    """Monotonically increasing count (events, packets, bytes)."""
+
+    __slots__ = ()
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be >= 0: counters never go down)."""
@@ -119,21 +146,12 @@ class Counter:
         self._value += amount
 
 
-class Gauge:
+class Gauge(_Scalar):
     """A value that can go up and down (occupancy, depth, sizes)."""
 
-    __slots__ = ("name", "labels", "_value")
+    __slots__ = ()
 
     kind = "gauge"
-
-    def __init__(self, name: str, labels: "tuple[tuple[str, str], ...]" = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
 
     def set(self, value: float) -> None:
         self._value = float(value)
@@ -276,6 +294,11 @@ class MetricsRegistry:
     Label values are passed as keyword arguments::
 
         registry.counter("batcher_drains_total", reason="size").inc()
+
+    A count the caller already keeps is registered as a reader instead
+    of being copied in; every call with a ``reader`` adds one::
+
+        registry.gauge("cdb_flows", reader=table.__len__)
     """
 
     def __init__(self) -> None:
@@ -289,11 +312,10 @@ class MetricsRegistry:
     def add_collector(self, callback) -> None:
         """Register a zero-arg callback run before every scrape.
 
-        Collectors make *pull-based* instruments: a component registers
-        a callback that refreshes its gauges from live state, and pays
-        nothing on the hot path — occupancy is read only when someone
-        actually looks (:meth:`snapshot`, :meth:`families`,
-        ``render_text``).
+        For work a reader cannot do: the engine buckets its deferred
+        classification delays into their histogram here, so a scrape
+        sees every classified flow. A mirrored count wants a reader
+        (``counter(..., reader=...)``), not a collector.
         """
         self._collectors.append(callback)
 
@@ -302,13 +324,15 @@ class MetricsRegistry:
         for callback in self._collectors:
             callback()
 
-    def counter(self, name: str, help: str = "", **labels) -> Counter:
-        """Get or create a counter."""
-        return self._instrument(Counter, name, help, None, labels)
+    def counter(
+        self, name: str, help: str = "", *, reader=None, **labels
+    ) -> Counter:
+        """Get or create a counter, adding ``reader`` to its readers."""
+        return self._instrument(Counter, name, help, None, labels, reader)
 
-    def gauge(self, name: str, help: str = "", **labels) -> Gauge:
-        """Get or create a gauge."""
-        return self._instrument(Gauge, name, help, None, labels)
+    def gauge(self, name: str, help: str = "", *, reader=None, **labels) -> Gauge:
+        """Get or create a gauge, adding ``reader`` to its readers."""
+        return self._instrument(Gauge, name, help, None, labels, reader)
 
     def histogram(
         self,
@@ -324,7 +348,7 @@ class MetricsRegistry:
         """Shorthand: a :class:`Timer` into ``histogram(name, ...)``."""
         return self.histogram(name, help=help, **labels).time()
 
-    def _instrument(self, cls, name, help_text, buckets, labels):
+    def _instrument(self, cls, name, help_text, buckets, labels, reader=None):
         _check_name(name)
         family = self._families.get(name)
         if family is None:
@@ -348,12 +372,14 @@ class MetricsRegistry:
             else:
                 instrument = cls(name, key)
             family.instruments[key] = instrument
+        if reader is not None:
+            instrument.readers.append(reader)
         return instrument
 
     def families(self):
         """``(name, kind, help, [instruments])`` in name order, for scrapes.
 
-        Runs :meth:`collect` first, so pull-based gauges are fresh.
+        Runs :meth:`collect` first, so deferred observations are in.
         """
         self.collect()
         for name in sorted(self._families):

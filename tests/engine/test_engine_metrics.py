@@ -1,19 +1,17 @@
 """Tests for the staged engine's telemetry plane (repro.obs wiring)."""
 
-import math
-
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.labels import TEXT
-from repro.engine import ClassifiedFlow, MetricsSink, StagedEngine, StatsSink
+from repro.engine import StagedEngine
 from repro.net.packet import Ipv4Header, Packet, UdpHeader
-from repro.obs import render_text, validate_text
+from repro.obs import MetricsRegistry, render_text, validate_text
 
 
-def _udp_packet(timestamp: float) -> Packet:
-    ip = Ipv4Header(src="10.0.0.1", dst="10.0.0.2", protocol=17)
-    return Packet(ip, UdpHeader(src_port=4000, dst_port=53), b"payload", timestamp)
+def _short_udp_flow(port: int, timestamp: float) -> Packet:
+    """A one-packet flow too short to fill its window: it stays pending."""
+    ip = Ipv4Header(src="10.9.0.1", dst="10.9.0.2", protocol=17)
+    return Packet(ip, UdpHeader(src_port=port, dst_port=53), b"abc", timestamp)
 
 
 def _run(trained_svm, trace, **kwargs):
@@ -106,8 +104,6 @@ class TestEngineTelemetry:
         assert engine.stats.classifications > 0  # behaviour unaffected
 
     def test_explicit_registry_shared(self, trained_svm, small_trace):
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
         engine = StagedEngine(
             trained_svm, EngineConfig(max_batch=8), registry=registry
@@ -121,9 +117,7 @@ class TestEngineTelemetry:
     def test_shared_registry_aggregates_engines(
         self, trained_svm, small_trace
     ):
-        """Two engines on one registry sum, not fight, on shared counters."""
-        from repro.obs import MetricsRegistry
-
+        """Two engines on one registry sum on every counter and gauge."""
         registry = MetricsRegistry()
         engines = [
             StagedEngine(
@@ -131,9 +125,17 @@ class TestEngineTelemetry:
             )
             for _ in range(2)
         ]
-        for engine in engines:
-            engine.process_trace(small_trace)
-            registry.snapshot()  # interleaved scrapes must not double-count
+        # The second engine stops a third into the trace with five short
+        # flows pending (deadlines armed), and its table differs in size.
+        engines[0].process_trace(small_trace)
+        registry.snapshot()  # interleaved scrapes must not double-count
+        head = small_trace.packets[: len(small_trace.packets) // 3]
+        for packet in head:
+            engines[1].process_packet(packet)
+        for port in range(5):
+            engines[1].process_packet(
+                _short_udp_flow(40000 + port, head[-1].timestamp)
+            )
         snap = registry.snapshot()
         assert snap["engine_cdb_hits_total"] == sum(
             e.stats.cdb_hits for e in engines
@@ -144,108 +146,23 @@ class TestEngineTelemetry:
         assert snap["engine_packets_total"] == sum(
             e.stats.packets for e in engines
         )
-
-
-class TestMetricsSink:
-    def test_counts_match_stats_sink(self, trained_svm, small_trace):
-        stats_sink = StatsSink()
-        metrics_sink = MetricsSink()
-        engine = StagedEngine(
-            trained_svm,
-            EngineConfig(max_batch=8),
-            sinks=[stats_sink, metrics_sink],
+        assert snap["cdb_flows"] == sum(len(e.table) for e in engines)
+        assert snap["engine_pending_flows"] == sum(
+            e.table.pending_count for e in engines
         )
-        engine.process_trace(small_trace)
-        snap = metrics_sink.snapshot()
-        per_class = {
-            label.split('"')[1]: int(count)
-            for label, count in snap["sink_flows_classified_total"].items()
-        }
-        expected = {
-            str(nature): count
-            for nature, count in stats_sink.per_class.items()
-            if count
-        }
-        assert {k: v for k, v in per_class.items() if v} == expected
-
-        delay = snap["sink_classification_delay_seconds"]
-        assert delay["count"] == len(stats_sink.classified)
-        assert delay["sum"] == pytest.approx(
-            math.fsum(stats_sink.buffering_delays()), rel=1e-9
+        assert snap["wheel_scheduled_flows"] == sum(
+            len(e.wheel) for e in engines
         )
+        assert len(engines[0].table) != len(engines[1].table)
+        assert snap["engine_pending_flows"] >= 5
+        assert snap["wheel_scheduled_flows"] >= 5
 
-    def test_engine_adopts_sink_registry(self, trained_svm, small_trace):
-        sink = MetricsSink()
-        engine = StagedEngine(
-            trained_svm, EngineConfig(max_batch=8), sinks=[sink]
-        )
-        engine.process_trace(small_trace)
-        assert engine.metrics is sink.registry
-        # One registry carries both planes: engine stages and sink.
-        snap = sink.snapshot()
-        assert "engine_packets_total" in snap
-        assert "sink_flows_classified_total" in snap
-
-    def test_periodic_emission_on_packet_clock(self, trained_svm, small_trace):
-        sink = MetricsSink(emit_interval=5.0)
-        engine = StagedEngine(
-            trained_svm, EngineConfig(max_batch=8), sinks=[sink]
-        )
-        engine.process_trace(small_trace)
-        span = (
-            small_trace.packets[-1].timestamp
-            - small_trace.packets[0].timestamp
-        )
-        assert len(sink.snapshots) >= int(span / 5.0) - 1
-        times = [t for t, _ in sink.snapshots]
-        assert times == sorted(times)
-        # Periodic snapshots carry the whole telemetry plane.
-        assert "engine_packets_total" in sink.snapshots[-1][1]
-
-    def test_idle_gap_is_scraped_once_and_emits_every_interval(self):
-        """A one-hour silence at ``emit_interval=1``: 3,600 snapshots, one scrape."""
-
-        class ScrapePerInterval(MetricsSink):
-            """The former ``_tick``, as the oracle for the emitted series."""
-
-            def _tick(self, now):
-                if self._next_emit is None:
-                    self._next_emit = now + self.emit_interval
-                while now >= self._next_emit:
-                    self.snapshots.append((self._next_emit, self.registry.snapshot()))
-                    self._next_emit += self.emit_interval
-
-        def collector_runs(sink):
-            runs = []
-            sink.registry.add_collector(lambda: runs.append(1))
-            # A first flow: an empty delay histogram's mean is NaN != NaN.
-            sink.on_flow_classified(ClassifiedFlow(None, TEXT, 0.0, 0.01, 32, None), [])
-            for timestamp in (0.0, 0.5, 1.0, 3600.25, 3600.5, 3602.0):
-                sink.on_packet(TEXT, _udp_packet(timestamp))
-            return len(runs)
-
-        sink = MetricsSink(emit_interval=1.0)
-        reference = ScrapePerInterval(emit_interval=1.0)
-
-        assert collector_runs(reference) == len(reference.snapshots) == 3602
-        # One scrape per packet that crossed an interval: 1.0, 3600.25, 3602.0.
-        assert collector_runs(sink) == 3
-        assert sink.snapshots == reference.snapshots
-        assert [t for t, _ in sink.snapshots] == [float(t) for t in range(1, 3603)]
-        forwarded = [
-            snap["sink_forwarded_packets_total"]['nature="text"']
-            for _, snap in sink.snapshots
-        ]
-        assert forwarded == [3.0] + [4.0] * 3599 + [6.0] * 2
-
-    def test_emit_callback_instead_of_list(self, trained_svm, small_trace):
-        seen = []
-        sink = MetricsSink(
-            emit_interval=5.0, emit=lambda t, snap: seen.append(t)
-        )
-        engine = StagedEngine(
-            trained_svm, EngineConfig(max_batch=8), sinks=[sink]
-        )
-        engine.process_trace(small_trace)
-        assert seen
-        assert not sink.snapshots
+    def test_scrape_mid_pass_reads_live_state(self, trained_svm, small_trace):
+        """Readers need no collector run: every read is the live count."""
+        engine = StagedEngine(trained_svm, EngineConfig(max_batch=8))
+        packets = engine.metrics.counter("engine_packets_total")
+        cdb = engine.metrics.gauge("cdb_flows")
+        for n, packet in enumerate(small_trace.packets[:500], start=1):
+            engine.process_packet(packet)
+            assert packets.value == n
+        assert cdb.value == len(engine.table) > 0

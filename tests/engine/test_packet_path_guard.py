@@ -184,11 +184,17 @@ def frames_entered(function, *args) -> Counter:
         if event == "call":
             entered[frame.f_code.co_qualname] += 1
 
+    # A collection mid-call would add the frames of whatever gc callbacks
+    # are installed (hypothesis installs one): not frames of ``function``.
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         function(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return entered
 
 

@@ -98,3 +98,22 @@ class TestMultiPassState:
             "ingest_packets_total", source=f"pcap:{path.name}"
         )
         assert counter.value == 10
+
+    def test_counters_read_live_and_sum_over_reopens(self, tmp_path):
+        path = tmp_path / "reopen.pcap"
+        write_pcap(path, [_packet(i) for i in range(6)])
+        registry = MetricsRegistry()
+        counter = registry.counter(
+            "ingest_packets_total", source=f"pcap:{path.name}"
+        )
+        first = PcapFileSource(path, registry=registry)
+        iterator = iter(first)
+        for n in range(1, 4):
+            next(iterator)
+            assert counter.value == n  # exact mid-pass, nothing pushed
+        first.close()
+        # A re-open under the same label (what a supervisor's factory
+        # does) adds its own reader to the same counter.
+        with PcapFileSource(path, registry=registry) as second:
+            assert len(list(second)) == 6
+        assert counter.value == 3 + 6

@@ -10,8 +10,9 @@ import pytest
 from repro.api import open_engine
 from repro.cli import _ON_ERROR, build_parser
 from repro.engine import EngineClosedError
-from repro.ingest import SupervisedSource
-from repro.net.pcap import PcapError
+from repro.ingest import PcapFileSource, SupervisedSource
+from repro.net.packet import Ipv4Header, Packet, UdpHeader
+from repro.net.pcap import PcapError, write_pcap
 from repro.obs import MetricsRegistry
 from tests.ingest.faults import FlakySource, RecordingSleep
 
@@ -19,6 +20,18 @@ from tests.ingest.faults import FlakySource, RecordingSleep
 def _ints(n: int):
     """Stand-in packets: supervision never looks inside what it yields."""
     return list(range(n))
+
+
+def _udp_packets(n: int) -> "list[Packet]":
+    return [
+        Packet(
+            ip=Ipv4Header(src="10.0.0.1", dst="10.0.0.2", protocol=17),
+            transport=UdpHeader(src_port=1000 + i, dst_port=53),
+            payload=b"abcdefgh",
+            timestamp=float(i),
+        )
+        for i in range(n)
+    ]
 
 
 def _supervise(inner, **kwargs) -> SupervisedSource:
@@ -212,6 +225,43 @@ class TestSupervisedSource:
         assert len(created) == 2
         assert created[0].closes == 1  # the broken one was closed
 
+    def test_factory_oserror_is_retried(self, tmp_path):
+        """A capture that cannot be opened yet is backed off and re-opened."""
+        path = tmp_path / "rotating.pcap"
+        packets = _udp_packets(12)
+        write_pcap(path, packets)
+        sleep = RecordingSleep()
+        calls = []
+
+        def factory():
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError("capture rotating")
+            return PcapFileSource(path)
+
+        supervised = SupervisedSource(factory, sleep=sleep)
+        delivered = list(supervised)
+        assert [p.five_tuple for p in delivered] == [
+            p.five_tuple for p in packets
+        ]
+        assert supervised.restarts == 1
+        assert supervised.consecutive_failures == 0
+        assert sleep.calls == pytest.approx([0.05])
+
+    def test_factory_bug_raises_at_once(self):
+        bug = TypeError("factory bug")
+
+        def factory():
+            raise bug
+
+        sleep = RecordingSleep()
+        supervised = SupervisedSource(factory, sleep=sleep)
+        with pytest.raises(TypeError) as exc_info:
+            list(supervised)
+        assert exc_info.value is bug
+        assert supervised.restarts == 0
+        assert sleep.calls == []
+
     def test_close_is_terminal(self):
         inner = FlakySource(_ints(5))
         supervised = _supervise(inner)
@@ -287,7 +337,7 @@ class TestEngineProcessSourceOnError:
             )
             assert stats.packets == len(small_trace.packets)
             assert stats.dispatch_errors == 2
-            # The collector levels the counter at scrape time.
+            # The counter reads stats.dispatch_errors at scrape time.
             snapshot = engine.metrics.snapshot()
             assert snapshot["engine_dispatch_errors_total"] == 2
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.ingest import PcapFileSource
 from repro.net import pcap
 from repro.net.ethernet import EthernetHeader
 from repro.net.packet import Ipv4Header, Packet, TcpHeader, UdpHeader
@@ -27,6 +28,7 @@ from repro.net.pcap import (
     PcapError,
     iter_pcap,
 )
+from repro.obs import MetricsRegistry, exposition, metrics
 from tests.engine.test_packet_path_guard import frames_entered
 
 REAL_CHUNK = pcap._READ_CHUNK
@@ -297,6 +299,26 @@ class TestReadInPlace:
             name for name in entered
             if name.startswith("EthernetHeader.") or name == "_bytes_to_mac"
         ]
+
+    def test_a_metered_source_adds_nothing_per_record(self, path):
+        """The pass is the ``iter_pcap`` generator: no wrapper resumes per
+        record, and the registry is read at scrape time, never pushed."""
+        bodies = [tcp(size) if size % 3 else udp(size) for size in range(600)]
+        path.write_bytes(capture("!", False, LINKTYPE_RAW, [(b, len(b)) for b in bodies]))
+        registry = MetricsRegistry()
+        source = PcapFileSource(path, registry=registry)
+        entered = frames_entered(list, source)
+        assert entered["PcapFileSource.__iter__"] == 1
+        assert entered["decode_packet"] == len(bodies)
+        obs_names = {
+            name
+            for module in (metrics, exposition)
+            for name, obj in vars(module).items()
+            if getattr(obj, "__module__", "").startswith("repro.obs")
+        }
+        assert not [name for name in entered if name.split(".")[0] in obs_names]
+        counter = registry.counter("ingest_packets_total", source=f"pcap:{path.name}")
+        assert counter.value == source.stats.packets == len(bodies)
 
 
 chunks = st.sampled_from([24, 25, SMALL_CHUNK, 4096, REAL_CHUNK])

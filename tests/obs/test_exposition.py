@@ -54,6 +54,17 @@ class TestRenderText:
     def test_ends_with_newline(self):
         assert render_text(_demo_registry()).endswith("\n")
 
+    def test_label_values_are_escaped(self):
+        """A quote, a backslash and a newline, per text format 0.0.4."""
+        reg = MetricsRegistry()
+        reg.counter("ingest_packets_total", source='pcap:cap"1\\x\n.pcap').inc(50)
+        text = render_text(reg)
+        assert (
+            'ingest_packets_total{source="pcap:cap\\"1\\\\x\\n.pcap"} 50\n'
+            in text
+        )
+        assert validate_text(text) == 1
+
 
 class TestValidateText:
     def test_round_trip(self):
@@ -75,6 +86,14 @@ class TestValidateText:
     def test_rejects_bad_label_syntax(self):
         with pytest.raises(ValueError, match="line 1"):
             validate_text('metric{unquoted=3} 1\n')
+
+    @pytest.mark.parametrize(
+        "labels", ['a="x"y"', 'a="x\\"', 'a="x\\t"'],
+        ids=["bare-quote", "dangling-backslash", "unknown-escape"],
+    )
+    def test_rejects_unescaped_label_values(self, labels):
+        with pytest.raises(ValueError, match="malformed sample"):
+            validate_text(f"metric{{{labels}}} 1\n")
 
     def test_rejects_non_numeric_value(self):
         with pytest.raises(ValueError, match="malformed sample"):

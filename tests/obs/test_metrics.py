@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.obs.exposition import render_text
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -216,6 +217,36 @@ class TestMetricsRegistry:
         assert reg.snapshot()["depth"] == 7.0
         state["depth"] = 3
         assert reg.snapshot()["depth"] == 3.0
+
+    def test_readers_sum_at_read_time_with_no_collector(self):
+        reg = MetricsRegistry()
+        state = {"packets": 3, "depth": 2}
+        counter = reg.counter("packets_total", reader=lambda: state["packets"])
+        gauge = reg.gauge("depth", reader=lambda: state["depth"], q="a")
+        assert counter.value == 3 and gauge.value == 2
+        state["packets"], state["depth"] = 10, 7
+        assert counter.value == 10 and gauge.value == 7
+        assert reg.snapshot() == {"packets_total": 10.0, "depth": {'q="a"': 7.0}}
+        assert 'packets_total 10\n' in render_text(reg)
+        assert 'depth{q="a"} 7\n' in render_text(reg)
+
+    def test_second_reader_on_same_instrument_adds(self):
+        reg = MetricsRegistry()
+        first = reg.gauge("cdb_flows", reader=lambda: 82)
+        second = reg.gauge("cdb_flows", reader=lambda: 38)
+        assert first is second
+        assert first.value == 120
+        # A pushed amount adds to the readers' sum.
+        counter = reg.counter("hits_total", reader=lambda: 4)
+        counter.inc(2)
+        assert counter.value == 6
+
+    def test_lookup_without_reader_adds_none(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("hits_total", reader=lambda: 5, shard=0)
+        assert reg.counter("hits_total", shard=0) is counter
+        assert len(counter.readers) == 1
+        assert counter.value == 5
 
     def test_len_counts_instruments(self):
         reg = MetricsRegistry()

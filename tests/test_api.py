@@ -70,9 +70,11 @@ class TestPublicApi:
         for name in ("train", "save_model", "load_model", "open_engine"):
             assert name in repro.__all__
             assert callable(getattr(repro, name))
-        for name in ("MetricsRegistry", "MetricsSink", "EngineConfig",
+        for name in ("MetricsRegistry", "EngineConfig",
                      "render_text", "validate_text"):
             assert name in repro.__all__
+        # Telemetry is the engine's registry, not a sink.
+        assert not hasattr(repro, "MetricsSink")
 
     def test_subpackages_have_docstrings(self):
         import repro.analysis
@@ -202,13 +204,3 @@ class TestFacade:
     def test_open_engine_rejects_bad_config(self, trained_svm):
         with pytest.raises(TypeError, match="EngineConfig"):
             repro.open_engine(trained_svm, config={"max_batch": 4})
-
-    def test_metrics_sink_constructible_from_facade(
-        self, trained_svm, small_trace
-    ):
-        sink = repro.MetricsSink()
-        engine = repro.open_engine(trained_svm, sink=sink)
-        engine.process_trace(small_trace)
-        # The engine adopted the sink's registry: one telemetry plane.
-        assert engine.metrics is sink.registry
-        assert repro.validate_text(repro.render_text(engine.metrics)) > 0
