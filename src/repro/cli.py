@@ -59,14 +59,19 @@ def _key_to_str(key: FlowKey) -> str:
 
 
 def _str_to_key(text: str) -> FlowKey:
-    endpoints, protocol = text.rsplit("/", 1)
-    src_part, dst_part = endpoints.split(">")
-    src, src_port = src_part.rsplit(":", 1)
-    dst, dst_port = dst_part.rsplit(":", 1)
-    return FlowKey(
-        src=src, src_port=int(src_port), dst=dst, dst_port=int(dst_port),
-        protocol=int(protocol),
-    )
+    try:
+        endpoints, protocol = text.rsplit("/", 1)
+        src_part, dst_part = endpoints.split(">")
+        src, src_port = src_part.rsplit(":", 1)
+        dst, dst_port = dst_part.rsplit(":", 1)
+        return FlowKey(
+            src=src, src_port=int(src_port), dst=dst, dst_port=int(dst_port),
+            protocol=int(protocol),
+        )
+    except ValueError as exc:
+        raise ValueError(
+            f"flow key {text!r} is not src:port>dst:port/proto ({exc})"
+        ) from exc
 
 
 def _spool_dead_letter(packet, exc) -> None:
@@ -138,14 +143,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         try:
             with open(args.labels) as handle:
                 raw = json.load(handle)
+            if not isinstance(raw, dict):
+                raise ValueError(f"holds {type(raw).__name__}, expected an object")
+            labels = {
+                _str_to_key(text): FlowNature.from_name(str(name))
+                for text, name in raw.items()
+            }
         except (OSError, ValueError) as exc:
             print(f"error: cannot read labels {args.labels}: {exc}",
                   file=sys.stderr)
             return 2
-        labels = {
-            _str_to_key(text): FlowNature.from_name(name)
-            for text, name in raw.items()
-        }
 
     extractor = args.extractor
     pipeline = IustitiaConfig(

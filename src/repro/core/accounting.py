@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cdb import RECORD_BYTES
-from repro.core.entropy import kgram_count_values
+from repro.core.entropy_vector import require_window_lengths, window_entropies
 from repro.core.estimation import EstimationBudget
 from repro.core.features import FeatureSet
 
@@ -44,15 +44,13 @@ def distinct_counters(buffer: "bytes | bytearray", features: FeatureSet) -> int:
 
     This is the empirical ``alpha`` of Formula (3): one counter per
     distinct observed k-gram, summed over the feature set (``h_1``
-    included — exact calculation counts single bytes too).
+    included — exact calculation counts single bytes too), as the window
+    kernel counts them on its way to the vector.
     """
-    buf = bytes(buffer)
-    if len(buf) < features.max_width:
-        raise ValueError(
-            f"buffer of {len(buf)} bytes cannot hold feature "
-            f"h_{features.max_width}"
-        )
-    return int(sum(kgram_count_values(buf, k).size for k in features.widths))
+    windows = [bytes(buffer)]
+    require_window_lengths(windows, features.max_width)
+    _, distinct = window_entropies(windows, tuple(features.widths))
+    return int(distinct.sum())
 
 
 def exact_space_bytes(

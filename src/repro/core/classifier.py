@@ -17,12 +17,7 @@ import enum
 
 import numpy as np
 
-from repro.core.entropy_vector import (
-    entropy_vector,
-    entropy_vectors_batch,
-    prefix_vector,
-    random_offset_vector,
-)
+from repro.core.entropy_vector import entropy_vectors_batch, training_windows
 from repro.core.features import PHI_SVM_PRIME, FeatureSet
 from repro.core.labels import ALL_NATURES, FlowNature
 from repro.ml.svm.dagsvm import DagSvmClassifier
@@ -92,39 +87,20 @@ class IustitiaClassifier:
 
     # -- feature extraction --------------------------------------------------
 
-    def _training_vector(self, data: bytes) -> np.ndarray:
-        if self.training == TrainingMethod.WHOLE_FILE:
-            return entropy_vector(data, self.feature_set).values
-        if self.training == TrainingMethod.FIRST_B:
-            return prefix_vector(data, self.buffer_size, self.feature_set).values
-        return random_offset_vector(
-            data,
-            self.buffer_size,
-            self.header_threshold,
-            self._rng,
-            self.feature_set,
-        ).values
-
     def buffer_vector(self, buffer: bytes) -> np.ndarray:
-        """Classification-time entropy vector of a flow buffer (exact).
+        """Classification-time entropy vector of one flow buffer (exact).
 
         The buffer is truncated to ``buffer_size`` bytes first (an online
         classifier never sees more).
         """
-        window = bytes(buffer[: self.buffer_size])
-        if len(window) < self.feature_set.max_width:
-            raise ValueError(
-                f"buffer of {len(window)} bytes cannot hold feature "
-                f"h_{self.feature_set.max_width}"
-            )
-        return entropy_vector(window, self.feature_set).values
+        return self.buffer_vectors([buffer])[0]
 
     def buffer_vectors(self, buffers) -> np.ndarray:
         """Entropy vectors of many flow buffers at once (``(n, d)`` matrix).
 
         The batched counterpart of :func:`buffer_vector`, through
-        :func:`entropy_vectors_batch`: every packed feature width of the
-        whole batch shares one pooled sort.
+        :func:`entropy_vectors_batch`: every feature width of the whole
+        batch shares one pooled sort — the kernel training runs too.
         """
         size = self.buffer_size
         windows = [b if len(b) <= size else b[:size] for b in buffers]
@@ -133,7 +109,11 @@ class IustitiaClassifier:
     # -- training / inference ------------------------------------------------
 
     def fit_files(self, files, labels) -> "IustitiaClassifier":
-        """Train on an iterable of byte blobs with aligned nature labels."""
+        """Train on an iterable of byte blobs with aligned nature labels.
+
+        Each file's window (:class:`TrainingMethod`) goes through the
+        same kernel as a flow buffer at classification time.
+        """
         data_list = list(files)
         label_list = [FlowNature(l) for l in labels]
         if len(data_list) != len(label_list):
@@ -142,7 +122,15 @@ class IustitiaClassifier:
             )
         if not data_list:
             raise ValueError("training set must be non-empty")
-        X = np.vstack([self._training_vector(bytes(d)) for d in data_list])
+        windows = training_windows(
+            data_list,
+            None if self.training is TrainingMethod.WHOLE_FILE else self.buffer_size,
+            self.header_threshold
+            if self.training is TrainingMethod.RANDOM_OFFSET
+            else None,
+            self._rng,
+        )
+        X = entropy_vectors_batch(windows, self.feature_set)
         y = np.array([int(l) for l in label_list], dtype=np.int64)
         self._model.fit(X, y)
         return self

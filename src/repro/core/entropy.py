@@ -139,20 +139,21 @@ def encode_kgram_stream(
     return np.ascontiguousarray(windows).view(np.dtype((np.void, k))).ravel()
 
 
-def _run_bounds(ordered: np.ndarray, edges: "np.ndarray | None" = None) -> np.ndarray:
-    """Where the runs of a sorted 1-D sequence begin, plus its end.
+def _run_bounds(words: "tuple[np.ndarray, ...]") -> np.ndarray:
+    """Where the runs of a sorted sequence of multi-word keys begin, plus its end.
 
-    ``bounds[i]`` is the position of run ``i``'s first element and
-    ``bounds[-1]`` the sequence's size, so ``bounds[1:] - bounds[:-1]``
-    are the run lengths. ``edges`` (``ordered.size + 1`` flags) marks
-    positions that begin a run whatever the neighbouring values say.
+    ``words`` are the keys' words, sorted together; a run ends where any
+    word changes. ``bounds[i]`` is the position of run ``i``'s first
+    element and ``bounds[-1]`` the sequence's size, so
+    ``bounds[1:] - bounds[:-1]`` are the run lengths.
     """
-    n = ordered.size
+    n = words[0].size
     flags = np.empty(n + 1, dtype=bool)
     flags[0] = flags[n] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=flags[1:n])
-    if edges is not None:
-        flags |= edges
+    inner = flags[1:n]
+    np.not_equal(words[0][1:], words[0][:-1], out=inner)
+    for word in words[1:]:
+        inner |= word[1:] != word[:-1]
     return np.flatnonzero(flags)
 
 
@@ -212,20 +213,21 @@ class PooledLayout:
     ``lengths[g]`` keys belong to group ``g`` (the keys arrive group
     after group), group ``g`` is normalized by feature width
     ``widths[g]``, and ``key_bits`` are the bits the widest key occupies
-    (``8 * max k``). Everything :func:`pooled_kgram_runs` and
-    :func:`pooled_kgram_entropies` need that depends on those alone is
-    computed here, once: the group id of every key position — also
-    pre-shifted above the key bits when the word leaves room for it, so
-    one ``uint64`` sort groups by ``(group, key)`` — and per group the
-    element count, its logarithm and the ``8 k ln 2`` denominator, plus
-    a ``c log c`` table over every possible multiplicity. A caller
-    whose drains repeat a shape builds its layout once and reuses it
+    (``8 * max k``, past 64 for multi-word keys). Everything
+    :func:`pooled_kgram_runs` and :func:`pooled_kgram_entropies` need
+    that depends on those alone is computed here, once: the group id of
+    every key position — also pre-shifted above the key bits when a
+    one-word key leaves room for it, so one ``uint64`` sort groups by
+    ``(group, key)`` — and per group the element count, its logarithm
+    and the ``8 k ln 2`` denominator, plus a ``c log c`` table over
+    every possible multiplicity. A caller whose drains repeat a shape
+    builds its layout once and reuses it
     (:mod:`repro.core.entropy_vector` does); the arrays are never
     written after construction and never handed out.
     """
 
     __slots__ = (
-        "n_groups", "groups", "shifted", "edges",
+        "n_groups", "groups", "shifted",
         "n_elements", "log_n", "denominators", "c_log_c",
     )
 
@@ -235,16 +237,16 @@ class PooledLayout:
         n_groups = self.n_groups = lengths.size
         #: Group of every key position — and, keys of one group being
         #: contiguous before and after the sort, of every sorted position.
-        self.groups = np.repeat(np.arange(n_groups, dtype=np.int64), lengths)
+        #: The narrowest dtype that holds them: a stable sort on 8 or 16
+        #: bits is a radix sort.
+        self.groups = np.repeat(
+            np.arange(n_groups, dtype=np.min_scalar_type(max(n_groups - 1, 0))),
+            lengths,
+        )
         if key_bits < 64 and n_groups <= (1 << (64 - key_bits)):
             self.shifted = self.groups.astype(np.uint64) << np.uint64(key_bits)
-            self.edges = None
         else:
-            # ``k = 8`` keys fill the word: group and key sort as two
-            # keys, and a group's first position always starts a run.
             self.shifted = None
-            self.edges = np.zeros(self.groups.size + 1, dtype=bool)
-            self.edges[np.cumsum(lengths)] = True
         self.n_elements = np.maximum(lengths, 1).astype(np.float64)
         self.log_n = np.log(self.n_elements)
         self.denominators = 8.0 * _LN2 * widths
@@ -254,45 +256,54 @@ class PooledLayout:
 
 
 def pooled_kgram_runs(
-    keys: np.ndarray, layout: PooledLayout
+    keys: "tuple[np.ndarray, ...]", layout: PooledLayout
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """``(group-of-run, multiplicity)`` of packed gram keys pooled by group.
+    """``(group-of-run, multiplicity)`` of gram keys pooled by group.
 
-    ``keys`` is the ``uint64`` concatenation of every group's packed
-    k-gram keys, group after group as ``layout`` describes. One sort
-    over ``(group, key)`` recovers the multiplicity runs of every group
-    at once — a group being whatever the caller stripes together,
-    typically one feature width of one flow (keys of different widths
-    may collide numerically; the group id keeps their runs apart). Runs
-    come back in ``(group, key)`` order. When the keys leave bit
-    headroom the group id rides their high bits and one ``uint64`` array
-    sorts in place — an order of magnitude cheaper than the two-key
-    lexsort that ``k = 8`` keys (they fill the word) need.
+    ``keys`` are the words of every group's gram keys, most significant
+    first: ``ceil(k / 8)`` ``uint64`` words hold a width-``k`` gram
+    big-endian, so word order is byte order. Each word is the
+    concatenation over groups, group after group as ``layout``
+    describes. One sort over ``(group, key)`` recovers the multiplicity
+    runs of every group at once — a group being whatever the caller
+    stripes together, typically one feature width of one flow (keys of
+    different widths may collide numerically; the group id keeps their
+    runs apart). Runs come back in ``(group, key)`` order. A one-word
+    key with bit headroom carries the group id in its high bits and
+    sorts in place — an order of magnitude cheaper than the
+    group-primary lexsort that ``k >= 8`` keys need.
     """
     if layout.shifted is not None:
-        ordered = keys | layout.shifted
+        ordered = keys[0] | layout.shifted
         ordered.sort()
+        words = (ordered,)
     else:
-        ordered = keys[np.lexsort((keys, layout.groups))]
-    bounds = _run_bounds(ordered, layout.edges)
+        # ``np.lexsort((*keys[::-1], groups))``'s order, one stable pass
+        # per key from the least significant — bar the first: keys tied
+        # on every word are one run, whatever their order.
+        order = np.argsort(keys[-1])
+        for key in (*keys[-2::-1], layout.groups):
+            order = order.take(np.argsort(key.take(order), kind="stable"))
+        words = (layout.groups, *(word.take(order) for word in keys))
+    bounds = _run_bounds(words)
     starts = bounds[:-1]
     return layout.groups.take(starts), bounds[1:] - starts
 
 
 def pooled_kgram_entropies(
-    keys: np.ndarray, layout: PooledLayout
+    keys: "tuple[np.ndarray, ...]", layout: PooledLayout
 ) -> "tuple[np.ndarray, np.ndarray]":
     """``(h_k, distinct grams)`` per group of pooled gram keys: Formula (1), one sort.
 
-    The one entropy reduction behind both the batched window kernel
-    (:func:`repro.core.entropy_vector.entropy_vectors_batch`) and the
-    incremental extractor's finalize — the batched counterpart of
-    :func:`entropy_from_counts`. :func:`pooled_kgram_runs` turns the
-    pooled keys into per-group multiplicities ``m_ik``; two
-    ``np.bincount`` reductions (``sum m log m``, distinct grams) then
-    emit every group's entropy, group ``g`` normalized by its own width
-    — which is what lets a caller pool *every* feature width of a batch
-    into one call. Arguments as for :func:`pooled_kgram_runs`. A group
+    The one entropy reduction behind the window kernel
+    (:func:`repro.core.entropy_vector.window_entropies`), and so behind
+    every vector the classifier trains on or classifies — the batched
+    counterpart of :func:`entropy_from_counts`, any feature width.
+    :func:`pooled_kgram_runs` turns the pooled keys into per-group
+    multiplicities ``m_ik``; two ``np.bincount`` reductions
+    (``sum m log m``, distinct grams) then emit every group's entropy,
+    group ``g`` normalized by its own width — which is what lets a
+    caller pool *every* feature width of a batch into one call. Arguments as for :func:`pooled_kgram_runs`. A group
     with a single distinct gram is exactly 0.0, and so is a group with
     no keys at all — callers validate that every flow holds at least
     ``k`` bytes. The distinct-gram count per group (the non-zero

@@ -42,7 +42,6 @@ from repro.core.accounting import (
 )
 from repro.core.entropy import _as_bytes_like
 from repro.core.entropy_vector import (
-    distinct_totals,
     entropy_vectors_batch,
     require_window_lengths,
     window_entropies,
@@ -292,8 +291,8 @@ class IncrementalEntropyExtractor(FeatureExtractor):
         states = list(states)
         windows = [state.window for state in states]
         require_window_lengths(windows, self.feature_set.max_width)
-        out, counted = window_entropies(windows, tuple(self.feature_set.widths))
-        totals = distinct_totals(counted, len(states)).tolist()
+        out, distinct = window_entropies(windows, tuple(self.feature_set.widths))
+        totals = distinct.sum(axis=0).tolist()
         for state, total in zip(states, totals):
             state.distinct = total
         return out

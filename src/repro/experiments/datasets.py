@@ -17,7 +17,8 @@ import functools
 
 import numpy as np
 
-from repro.core.entropy import kgram_entropy
+from repro.core.entropy_vector import entropy_vectors_batch, training_windows
+from repro.core.features import FeatureSet
 from repro.core.labels import FlowNature
 from repro.data.corpus import Corpus, build_corpus
 from repro.net.trace import Trace
@@ -77,21 +78,14 @@ def _cached_features(
     offset_cap: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     corpus = standard_corpus(per_class, seed, min_size, max_size)
-    rng = np.random.default_rng(seed + 1)
-    rows = []
-    labels = []
-    for labeled in corpus:
-        data = labeled.data
-        if prefix is not None:
-            if offset_cap > 0:
-                limit = max(0, min(offset_cap, len(data) - prefix))
-                start = int(rng.integers(0, limit + 1))
-                data = data[start : start + prefix]
-            else:
-                data = data[:prefix]
-        rows.append([kgram_entropy(data, k) for k in widths])
-        labels.append(int(labeled.nature))
-    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+    windows = training_windows(
+        [labeled.data for labeled in corpus],
+        prefix,
+        offset_cap if offset_cap > 0 else None,
+        np.random.default_rng(seed + 1),
+    )
+    X = entropy_vectors_batch(windows, FeatureSet("matrix", widths))
+    return X, np.array([int(labeled.nature) for labeled in corpus], dtype=np.int64)
 
 
 def feature_matrix(

@@ -254,7 +254,9 @@ def model_from_dict(payload: dict):
     """Reconstruct a fitted model from :func:`model_to_dict` output.
 
     Raises :class:`ModelFormatError` on an unknown format tag, an
-    unsupported format version, or a payload missing required fields.
+    unsupported format version, a payload missing required fields, or a
+    value the estimator rejects (an unknown kernel, ragged support
+    vectors, a missing pairwise machine).
     """
     if not isinstance(payload, dict):
         raise ModelFormatError(
@@ -276,6 +278,8 @@ def model_from_dict(payload: dict):
         raise ModelFormatError(
             f"{fmt} payload is missing or malformed at field {exc}"
         ) from exc
+    except ValueError as exc:  # a value no estimator accepts
+        raise ModelFormatError(f"{fmt} payload is malformed: {exc}") from exc
 
 
 def save_model(model, path) -> None:
@@ -326,7 +330,9 @@ def classifier_from_dict(payload: dict):
     """Reconstruct a classifier from :func:`classifier_to_dict` output.
 
     Raises :class:`ModelFormatError` on an unknown format tag, an
-    unsupported format version, a payload missing required fields, or an
+    unsupported format version, a payload missing required fields, a
+    setting the classifier rejects (an unknown training method or model
+    kind, bad feature widths, a buffer too small for them), or an
     ``estimator`` block: the online classifier computes exactly, and a
     model saved to classify with estimated vectors must not silently
     classify with exact ones.
@@ -368,6 +374,8 @@ def classifier_from_dict(payload: dict):
         raise ModelFormatError(
             f"classifier payload is missing or malformed at field {exc}"
         ) from exc
+    except ValueError as exc:  # a setting the classifier rejects
+        raise ModelFormatError(f"classifier payload is malformed: {exc}") from exc
     classifier._model = model_from_dict(model_payload)
     return classifier
 

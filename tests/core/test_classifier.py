@@ -7,6 +7,7 @@ from repro.core.classifier import IustitiaClassifier, TrainingMethod
 from repro.core.estimation import EntropyEstimator
 from repro.core.features import PHI_SVM_PRIME
 from repro.core.labels import BINARY, ENCRYPTED, TEXT, FlowNature
+from repro.data.corpus import build_corpus
 
 
 class TestConstruction:
@@ -68,6 +69,43 @@ class TestTraining:
         ).fit_corpus(small_corpus)
         sample = small_corpus.by_nature(TEXT)[0]
         assert isinstance(clf.classify_file(sample.data), FlowNature)
+
+
+class TestTrainingEqualsServing:
+    """The matrix ``fit_files`` hands the model is what serving computes.
+
+    Training windows and flow buffers go through one kernel, so a
+    training vector equals, bit for bit, the vector ``buffer_vectors``
+    computes for the same bytes at classification time.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return build_corpus(per_class=60, seed=7)
+
+    @pytest.mark.parametrize(
+        "training", [TrainingMethod.FIRST_B, TrainingMethod.RANDOM_OFFSET]
+    )
+    def test_fit_matrix_equals_buffer_vectors(self, corpus, training):
+        clf = IustitiaClassifier(
+            model="cart", buffer_size=32, training=training, header_threshold=64,
+            rng=np.random.default_rng(5),
+        )
+        handed = []
+        fit = clf._model.fit
+        clf._model.fit = lambda X, y: (handed.append(X), fit(X, y))[1]
+        files = [item.data for item in corpus]
+        clf.fit_files(files, [item.nature for item in corpus])
+        (X,) = handed
+        if training is TrainingMethod.FIRST_B:
+            windows = [data[:32] for data in files]
+        else:
+            draws = np.random.default_rng(5)
+            offsets = [
+                int(draws.integers(0, min(64, len(data) - 32) + 1)) for data in files
+            ]
+            windows = [data[o : o + 32] for data, o in zip(files, offsets)]
+        assert np.array_equal(X, clf.buffer_vectors(windows))
 
 
 class TestBufferClassification:

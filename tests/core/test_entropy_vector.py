@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.classifier import IustitiaClassifier, TrainingMethod
 from repro.core.entropy import kgram_entropy
 from repro.core.entropy_vector import (
     EntropyVector,
     entropy_vector,
     entropy_vectors_batch,
-    prefix_vector,
-    random_offset_vector,
+    training_windows,
 )
 from repro.core.features import (
     FEATURE_SETS,
@@ -49,52 +49,71 @@ class TestEntropyVector:
 
 
 class TestPrefixVector:
+    """``H_b`` windows: the first ``b`` bytes of every file."""
+
     def test_uses_only_first_b_bytes(self, sample_files):
         data = sample_files["encrypted"]
-        vector = prefix_vector(data, 64, PHI_SVM_PRIME)
-        direct = entropy_vector(data[:64], PHI_SVM_PRIME)
-        np.testing.assert_allclose(vector.values, direct.values)
+        (window,) = training_windows([data], 64)
+        assert window == data[:64]
+        np.testing.assert_allclose(
+            entropy_vectors_batch([window], PHI_SVM_PRIME)[0],
+            entropy_vector(data[:64], PHI_SVM_PRIME).values,
+        )
 
     def test_short_data_uses_everything(self):
         data = b"short text data here"
-        vector = prefix_vector(data, 4096, PHI_SVM_PRIME)
-        direct = entropy_vector(data, PHI_SVM_PRIME)
-        np.testing.assert_allclose(vector.values, direct.values)
+        assert training_windows([data], 4096) == [data]
 
     def test_buffer_smaller_than_widest_feature_rejected(self):
         with pytest.raises(ValueError, match="widest feature"):
-            prefix_vector(b"x" * 100, 4, PHI_SVM_PRIME)
+            IustitiaClassifier(feature_set=PHI_SVM_PRIME, buffer_size=4)
 
 
 class TestRandomOffsetVector:
+    """``H_b'`` windows: ``b`` bytes at an offset drawn in ``[0, T]``."""
+
     def test_zero_max_header_is_prefix(self, sample_files, rng):
         data = sample_files["binary"]
-        vector = random_offset_vector(data, 64, 0, rng, PHI_SVM_PRIME)
-        direct = prefix_vector(data, 64, PHI_SVM_PRIME)
-        np.testing.assert_allclose(vector.values, direct.values)
+        assert training_windows([data], 64, 0, rng) == training_windows([data], 64)
 
     def test_offset_stays_within_bounds(self, rng):
         # With max_header much larger than the file, the window must clip.
         data = bytes(range(64)) * 2
-        vector = random_offset_vector(data, 64, 10_000, rng, PHI_SVM_PRIME)
-        assert len(vector) == len(PHI_SVM_PRIME)
+        for window in training_windows([data] * 50, 64, 10_000, rng):
+            assert len(window) == 64
+            assert window in data
 
     def test_varies_with_rng(self, sample_files):
         data = sample_files["text"]
-        seen = set()
-        for seed in range(8):
-            gen = np.random.default_rng(seed)
-            vector = random_offset_vector(data, 64, 512, gen, PHI_SVM_PRIME)
-            seen.add(round(float(vector.values[0]), 10))
+        seen = {
+            training_windows([data], 64, 512, np.random.default_rng(seed))[0]
+            for seed in range(8)
+        }
         assert len(seen) > 1
 
     def test_negative_max_header_rejected(self, sample_files, rng):
         with pytest.raises(ValueError, match="max_header"):
-            random_offset_vector(sample_files["text"], 64, -1, rng)
+            training_windows([sample_files["text"]], 64, -1, rng)
 
     def test_buffer_validation(self, sample_files, rng):
-        with pytest.raises(ValueError, match="widest feature"):
-            random_offset_vector(sample_files["text"], 4, 0, rng, PHI_SVM_PRIME)
+        with pytest.raises(ValueError, match="header_threshold"):
+            IustitiaClassifier(
+                feature_set=PHI_SVM_PRIME,
+                training=TrainingMethod.RANDOM_OFFSET,
+                header_threshold=-1,
+            )
+        with pytest.raises(ValueError, match="cannot hold feature h_5"):
+            entropy_vectors_batch(
+                training_windows([sample_files["text"]], 4, 0, rng), PHI_SVM_PRIME
+            )
+
+    def test_one_draw_per_file_in_order(self, sample_files):
+        files = list(sample_files.values())
+        windows = training_windows(files, 32, 100, np.random.default_rng(9))
+        draws = np.random.default_rng(9)
+        for data, window in zip(files, windows):
+            offset = int(draws.integers(0, min(100, len(data) - 32) + 1))
+            assert window == data[offset : offset + 32]
 
 
 class TestBatchExtraction:
@@ -114,8 +133,8 @@ class TestBatchExtraction:
                 assert np.abs(row - scalar).max() <= 1e-12
 
     def test_mixed_lengths_grouped_and_reordered(self, sample_files):
-        # Different lengths take different stacking groups; the output must
-        # still line up with the input order.
+        # Mixed lengths share one pool; the output must still line up with
+        # the input order.
         data = sample_files["binary"]
         buffers = [data[:48], data[:200], data[:48], data[:131], data[:200]]
         batched = entropy_vectors_batch(buffers, PHI_SVM_PRIME)
@@ -124,7 +143,7 @@ class TestBatchExtraction:
             assert np.abs(row - scalar).max() <= 1e-12
 
     def test_wider_than_two_words_falls_back(self, sample_files):
-        # k = 17 exceeds the two-word packed limit (2 * 8 bytes).
+        # k = 17 takes three key words, in the same pooled reduction.
         features = FeatureSet("wide", (1, 17))
         buffers = [data[:64] for data in sample_files.values()]
         batched = entropy_vectors_batch(buffers, features)

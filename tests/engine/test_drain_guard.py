@@ -128,7 +128,7 @@ def test_a_drain_of_uneven_timeout_windows_sorts_once(trained_cart, extractor):
     assert entered["StagedEngine.classify_labels"] == 1
     assert entered["pooled_kgram_runs"] == 1
     assert entered["PooledLayout.__init__"] == 1
-    assert entered["_group_entropies"] == 0
+    assert entered["_gram_words"] == 1
     assert entered["packed_kgram_keys"] == 0
 
 

@@ -163,8 +163,19 @@ class TestTrainAndClassify:
             ("model", lambda path: None),  # never created
             ("labels", lambda path: None),
             ("labels", lambda path: path.write_text("{not json")),
+            ("labels", lambda path: path.write_text('["a"]')),
+            ("labels", lambda path: path.write_text('{"10.0.0.1:80": "text"}')),
+            (
+                "labels",
+                lambda path: path.write_text(
+                    '{"10.0.0.1:1234>10.0.0.2:80/6": "compressed"}'
+                ),
+            ),
         ],
-        ids=["missing-model", "missing-labels", "labels-not-json"],
+        ids=[
+            "missing-model", "missing-labels", "labels-not-json",
+            "labels-not-object", "labels-bad-key", "labels-unknown-nature",
+        ],
     )
     def test_classify_rejects_unreadable_model_or_labels(
         self, artifacts, tmp_path, capsys, what, damage

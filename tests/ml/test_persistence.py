@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.core.classifier import IustitiaClassifier, TrainingMethod
 from repro.ml.persistence import (
     ModelFormatError,
@@ -179,6 +180,31 @@ class TestModelFormatError:
         broken.write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match="missing or malformed"):
             load_classifier(broken)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p.update(training="sideways"),
+            lambda p: p.update(model_kind="forest"),
+            lambda p: p["model"]["kernel"].update(kind="sigmoid"),
+            lambda p: p.update(feature_widths=[0, 2]),
+            lambda p: p.update(buffer_size=4),
+            lambda p: p["model"]["pairwise"]["0,1"]["support_vectors"][0].pop(),
+            lambda p: p["model"].update(pairwise={}),
+        ],
+        ids=[
+            "unknown-training", "unknown-model-kind", "unknown-kernel",
+            "zero-width", "buffer-below-widest", "ragged-support-vectors",
+            "empty-pairwise",
+        ],
+    )
+    def test_rejected_settings_raise_model_format_error(self, tmp_path, damage):
+        payload = json.loads((SAVED_MODELS / "workload_svm.json").read_text())
+        damage(payload)
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="malformed"):
+            repro.load_model(path)
 
     def test_model_format_error_is_value_error(self):
         # Callers with existing `except ValueError` handling keep working.

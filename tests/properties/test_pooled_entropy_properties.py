@@ -4,11 +4,11 @@
 are one window kernel (``repro.core.entropy_vector.window_entropies``)
 reducing through ``repro.core.entropy.pooled_kgram_entropies``; the
 oracle is ``entropy_vector``, one buffer and one width at a time. The
-five named feature sets between them reach every path: the pooled sort
-with bit headroom (widest packed width < 8), the two-key fallback
-(``full`` holds ``h_8``), the two-word ``(8, 16]`` kernel (``full``,
-``phi_cart``, ``phi_svm``), and — windows of uneven lengths — the one
-pool of the packed sets against the per-length grouping of the others.
+five named feature sets and the drawn width sets up to ``h_20`` reach
+every key shape: one word with bit headroom (widest width < 8) and the
+in-place sort, one full word (``h_8``) and two or three words with the
+group-first lexsort — each on equal windows (the cached matrix layout)
+and on uneven ones (joined bytes, one layout per call).
 """
 
 import hashlib
@@ -19,11 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.classifier import IustitiaClassifier
-from repro.core.entropy import PACKED_MAX_K, kgram_count_values
+from repro.core.entropy import kgram_count_values, kgram_entropy
 from repro.core.entropy_vector import (
     _packed_layout,
-    _uneven_packed_entropies,
-    distinct_totals,
     entropy_vector,
     entropy_vectors_batch,
     window_entropies,
@@ -106,21 +104,20 @@ class TestBatchKernel:
             assert_close(got, expected)
 
 
-packed_feature_sets = pytest.mark.parametrize(
-    "name",
-    sorted(n for n, f in FEATURE_SETS.items() if f.max_width <= PACKED_MAX_K),
-)
+def distinct_grams(buffers, widths) -> "list[int]":
+    return [sum(kgram_count_values(b, k).size for k in widths) for b in buffers]
 
 
 class TestUnevenWindowsPool:
     """Windows of mixed lengths reduce in one pool; nobody can tell.
 
-    The timeout / FIN / end-of-stream drain. The pool must give, bit
-    for bit, what extracting each length on its own gives (the
-    equal-length matrix path), and count each window's distinct grams.
+    The timeout / FIN / end-of-stream drain, and whole-file training
+    windows. The pool must give, bit for bit, what extracting each
+    length on its own gives (the equal-length matrix path), and count
+    each window's distinct grams.
     """
 
-    @packed_feature_sets
+    @feature_sets
     @settings(deadline=None)
     @given(data=st.data())
     def test_equals_scalar_twin_and_per_length_result(self, name, data):
@@ -143,21 +140,15 @@ class TestUnevenWindowsPool:
         )
         windows = [view(b) for view, b in zip(views, raw)]
 
-        got, counted = _uneven_packed_entropies(windows, lengths, widths)
-        counts = distinct_totals(counted, len(raw))
+        got, distinct = window_entropies(windows, widths)
         assert_close(got, oracle(raw, features))
+        # Whichever path the observed lengths select, the same answer.
         per_length = np.empty_like(got)
         for length in set(lengths):
             rows = [i for i, m in enumerate(lengths) if m == length]
             per_length[rows] = entropy_vectors_batch([raw[i] for i in rows], features)
         assert (got == per_length).all()
-        assert counts.tolist() == [
-            sum(kgram_count_values(b, k).size for k in widths) for b in raw
-        ]
-        # Whichever path the observed lengths select, the same answer.
-        chosen, chosen_counted = window_entropies(windows, widths)
-        assert (chosen == got).all()
-        assert (distinct_totals(chosen_counted, len(raw)) == counts).all()
+        assert distinct.sum(axis=0).tolist() == distinct_grams(raw, widths)
         assert (entropy_vectors_batch(windows, features) == got).all()
 
     @pytest.mark.parametrize(
@@ -166,18 +157,54 @@ class TestUnevenWindowsPool:
         ids=lambda features: features.name,
     )
     def test_counts_on_every_path(self, features):
-        """Distinct grams per window: matrix, pool and per-length."""
+        """Distinct grams per window: equal windows and uneven ones."""
         widths = tuple(features.widths)
         rng = np.random.default_rng(11)
         for lengths in ([24] * 5, [features.max_width, 24, 17, 24, 40]):
             raw = [
                 rng.integers(0, 4, size=m, dtype=np.uint8).tobytes() for m in lengths
             ]
-            got, counted = window_entropies(raw, widths)
+            got, distinct = window_entropies(raw, widths)
             assert_close(got, oracle(raw, features))
-            assert distinct_totals(counted, len(raw)).tolist() == [
-                sum(kgram_count_values(b, k).size for k in widths) for b in raw
-            ]
+            assert distinct.sum(axis=0).tolist() == distinct_grams(raw, widths)
+
+
+class TestAnyWidth:
+    """Every width through the one reduction, up to three key words.
+
+    ``h_9`` / ``h_16`` / ``h_17`` sit on the word boundaries: a gram one
+    byte into its second word, a full second word, one byte into a third.
+    """
+
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        widths=st.lists(
+            st.one_of(st.sampled_from((8, 9, 16, 17)), st.integers(1, 20)),
+            min_size=1, max_size=6, unique=True,
+        ),
+        equal=st.booleans(),
+    )
+    def test_matches_oracle_and_counts(self, data, widths, equal):
+        widths = tuple(widths)
+        widest = max(widths)
+        n = data.draw(st.integers(1, 24))
+        if equal:
+            lengths = [data.draw(st.integers(widest, widest + 60))] * n
+        else:
+            lengths = data.draw(
+                st.lists(st.integers(widest, widest + 60), min_size=n, max_size=n)
+            )
+        alphabet = data.draw(st.sampled_from((2, 16, 256)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        raw = [
+            rng.integers(0, alphabet, size=m, dtype=np.uint8).tobytes()
+            for m in lengths
+        ]
+        got, distinct = window_entropies(raw, widths)
+        expected = np.array([[kgram_entropy(b, k) for k in widths] for b in raw])
+        assert_close(got, expected)
+        assert distinct.sum(axis=0).tolist() == distinct_grams(raw, widths)
 
 
 class TestLayoutStore:
