@@ -28,7 +28,7 @@ _PADDING = 64
 def _run(classifier, trace, config, seed=3):
     engine = open_engine(
         classifier,
-        EngineConfig(max_batch=1, max_delay=0.0, pipeline=config),
+        EngineConfig(max_batch=1, pipeline=config),
         rng=np.random.default_rng(seed),
     )
     engine.process_trace(trace)

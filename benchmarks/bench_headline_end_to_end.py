@@ -30,7 +30,7 @@ def test_headline_end_to_end(benchmark, bench_trace):
     ).fit_corpus(corpus)
 
     engine = open_engine(
-        classifier, EngineConfig(buffer_size=32, max_batch=1, max_delay=0.0)
+        classifier, EngineConfig(buffer_size=32, max_batch=1)
     )
     engine.process_trace(bench_trace)
     report = engine.evaluate_against(bench_trace)

@@ -55,7 +55,7 @@ def main() -> None:
     corpus = build_corpus(per_class=80, seed=53)
     classifier = train(corpus, model="svm", buffer_size=32)
     engine = open_engine(
-        classifier, EngineConfig(buffer_size=32, max_batch=1, max_delay=0.0)
+        classifier, EngineConfig(buffer_size=32, max_batch=1)
     )
     engine.process_trace(replay)
     labels = {c.key: c.label for c in engine.stats.classified}

@@ -85,7 +85,7 @@ def main() -> None:
     print(f"  {len(flows)} flows, {len(planted)} with planted signatures")
 
     engine = open_engine(
-        classifier, EngineConfig(buffer_size=32, max_batch=1, max_delay=0.0)
+        classifier, EngineConfig(buffer_size=32, max_batch=1)
     )
     engine.process_trace(trace)
     labels = {c.key: c.label for c in engine.stats.classified}

@@ -57,7 +57,7 @@ def main() -> None:
         queues = QueueSink()
         engine = open_engine(
             classifier,
-            EngineConfig(buffer_size=32, max_batch=1, max_delay=0.0),
+            EngineConfig(buffer_size=32, max_batch=1),
             sink=queues,
         )
         stats = engine.process_trace(trace)

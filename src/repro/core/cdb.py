@@ -102,7 +102,9 @@ class ClassificationDatabase:
     purge_coefficient: float = 4.0
     purge_trigger_flows: int = 5000
     _records: dict[bytes, CdbRecord] = field(default_factory=dict)
-    _inserts_since_purge: int = 0
+    #: Inserts since the last sweep; the engine reads it to know which
+    #: ready flow's insert fires the next one.
+    inserts_since_purge: int = 0
     #: Lifetime counters for reporting (Figure 8).
     total_inserted: int = 0
     total_removed_fin: int = 0
@@ -147,18 +149,27 @@ class ClassificationDatabase:
 
     def insert(self, flow_id: bytes, label: FlowNature, now: float) -> None:
         """Store a freshly classified flow; may trigger an inactivity sweep."""
+        self.insert_record(
+            flow_id, CdbRecord(label=label, last_arrival=now, classified_at=now)
+        )
+
+    def insert_record(self, flow_id: bytes, record: CdbRecord) -> None:
+        """Store a classified flow's record as it was stamped.
+
+        The record's ``classified_at`` is the packet clock of the insert:
+        when it is the ``purge_trigger_flows``-th since the last sweep,
+        the inactivity sweep runs at that time.
+        """
         if not isinstance(flow_id, bytes) or not flow_id:
             raise ValueError(f"flow_id must be non-empty bytes, got {flow_id!r}")
-        self._records[flow_id] = CdbRecord(
-            label=label, last_arrival=now, classified_at=now
-        )
+        self._records[flow_id] = record
         self.total_inserted += 1
-        self._inserts_since_purge += 1
+        self.inserts_since_purge += 1
         if (
             self.purge_trigger_flows
-            and self._inserts_since_purge >= self.purge_trigger_flows
+            and self.inserts_since_purge >= self.purge_trigger_flows
         ):
-            self.purge_inactive(now)
+            self.purge_inactive(record.classified_at)
 
     def touch(self, flow_id: bytes, now: float) -> None:
         """Record a packet arrival for a known flow (updates lambda)."""
@@ -207,5 +218,5 @@ class ClassificationDatabase:
         for flow_id in stale:
             del self._records[flow_id]
         self.total_removed_inactive += len(stale)
-        self._inserts_since_purge = 0
+        self.inserts_since_purge = 0
         return len(stale)

@@ -6,8 +6,8 @@ Two config objects, one nesting the other:
   ``b``, feature set, header handling, CDB purging, the Section-4.6
   defenses);
 * :class:`EngineConfig` — the staged engine's operational knobs
-  (micro-batch size and latency bound, telemetry) plus the pipeline
-  knobs users actually sweep (``buffer_size``, ``buffer_timeout``),
+  (micro-batch size, telemetry) plus the pipeline knobs users
+  actually sweep (``buffer_size``, ``buffer_timeout``),
   consolidated from what used to be scattered keyword arguments across
   ``StagedEngine`` and the classifier.
 
@@ -99,10 +99,10 @@ class EngineConfig:
     buffer_size: "int | None" = None
     #: Give up and classify a partial buffer after this inactivity (seconds).
     buffer_timeout: "float | None" = None
-    #: Ready flows per micro-batched classify drain.
+    #: Ready flows per micro-batched classify drain, at most. A smaller
+    #: batch drains once its oldest flow has waited a few drain costs of
+    #: wall time (:data:`repro.engine.batcher.DRAIN_WAIT_COSTS`).
     max_batch: int = 32
-    #: Packet-clock seconds a ready flow may wait for its batch to fill.
-    max_delay: float = 0.05
     #: Instrument the engine with a :class:`repro.obs.MetricsRegistry`.
     telemetry: bool = True
     #: Per-flow feature pipeline: ``"batch"`` buffers raw payload and
@@ -122,8 +122,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
         if not isinstance(self.runtime, str):
             raise TypeError(
                 f"runtime must be 'serial', got {type(self.runtime).__name__}"

@@ -19,8 +19,9 @@ collection / classification / export pipelines):
   :class:`~repro.engine.engine.SerialRuntime` that drives it inline.
 
 Build an engine with
-:func:`repro.open_engine`; ``EngineConfig(max_batch=1, max_delay=0.0)``
-is the synchronous, classify-on-ready behaviour of the original monolith.
+:func:`repro.open_engine`; ``EngineConfig(max_batch=1)`` is the
+synchronous, classify-on-ready behaviour of the original monolith, and
+any larger batch emits the same labels and counters, later.
 """
 
 from repro.engine.batcher import MicroBatcher

@@ -33,6 +33,7 @@ from repro.core.classifier import IustitiaClassifier
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.extract import make_extractor
 from repro.core.labels import ALL_NATURES, FlowNature
+from repro.engine import batcher as batching
 from repro.engine.flow_table import FlowTable
 from repro.engine.pipeline import FlowPipeline, WindowPolicy
 from repro.engine.sinks import ResultSink, StatsSink
@@ -84,9 +85,8 @@ class SerialRuntime:
     CDB size series — the staged-equivalence suite proves it), because
     every ordering decision the monolith made is reproduced exactly:
 
-    * the delay-due check runs before the packet touches the flow table,
-      a FIN/RST drains the queue into one classify call, and drained
-      batches classify in push order — readiness order, never re-sorted;
+    * drained batches classify in push order — readiness order, never
+      re-sorted — and a FIN/RST drains the queue into one classify call;
     * a CDB-hit payload packet goes to every sink's ``on_packet`` right
       after ``ingest`` returns its label (and after a FIN/RST hit has
       retired the record);
@@ -97,10 +97,19 @@ class SerialRuntime:
       single call, then applies labels per ready flow, so the CDB purge
       trigger fires at the same insert index.
 
+    With a larger ``max_batch`` the labels, counters and size series are
+    still those of ``max_batch=1`` whenever the queue drains: the
+    pipeline stamps every flow at readiness
+    (:meth:`~repro.engine.pipeline.FlowPipeline.make_ready`). So the
+    batcher's wait rule can run on the wall clock: before each packet,
+    the queue drains once its oldest flow has waited
+    :data:`~repro.engine.batcher.DRAIN_WAIT_COSTS` times the last
+    :meth:`StagedEngine.classify_apply`.
+
     ``dispatch`` is one of the three frames a packet that needs no
     classification enters (``engine.process_packet`` → ``dispatch`` →
     ``pipeline.ingest``), so it calls nothing else on that path: the
-    batcher's latency check is inlined and the sink loop is its own.
+    wait rule is inlined and the sink loop is its own.
     """
 
     def __init__(self, engine: "StagedEngine") -> None:
@@ -109,13 +118,10 @@ class SerialRuntime:
     def dispatch(self, packet, flow_id: bytes, now: float, is_close: bool):
         engine = self._engine
         pipeline = engine.pipeline
-        # The packet clock advanced: drain if the oldest queued flow has
-        # waited past the latency bound, before this packet is handled.
-        # This is ``MicroBatcher.due``, inlined (one frame per packet).
-        batcher = pipeline.batcher
-        oldest = batcher.oldest_enqueued
-        if oldest is not None and now - oldest >= batcher.max_delay:
-            engine.classify_apply(pipeline.drain(reason="delay"), now)
+        # The wait rule, before this packet is handled.
+        drain_at = pipeline.batcher.drain_at
+        if drain_at is not None and batching.clock() > drain_at:
+            engine.classify_apply(pipeline.drain(reason="wait"))
 
         result = pipeline.ingest(packet, flow_id, now, is_close)
         label = result.label
@@ -126,18 +132,17 @@ class SerialRuntime:
                     sink.on_packet(label, packet)
             return label
         if result.ready:
-            return engine.classify_apply(result.ready, now, flow_id)
+            return engine.classify_apply(result.ready, flow_id)
         return None
 
     def flush(self, now: float) -> int:
         """Classify pending flows inactive beyond ``buffer_timeout``.
 
-        Returns how many flows expired.
+        Returns how many flows expired. The queue drains whole at the
+        end, so the wait rule is not consulted here.
         """
         engine = self._engine
         pipeline = engine.pipeline
-        if pipeline.batcher.due(now):
-            engine.classify_apply(pipeline.drain(reason="delay"), now)
         # The wheel pops in deadline order; freeze in first-arrival
         # order, matching the monolith's expiry sort (keeps any
         # random-skip draws aligned).
@@ -146,22 +151,22 @@ class SerialRuntime:
         for flow_id, pending in expired:
             batch = pipeline.make_ready(flow_id, pending, now, force=False)
             if batch:
-                engine.classify_apply(batch, now)
-        engine.classify_apply(pipeline.drain(reason="timeout"), now)
+                engine.classify_apply(batch)
+        engine.classify_apply(pipeline.drain(reason="timeout"))
         return len(expired)
 
     def finish(self, now: float) -> None:
         """End of stream: classify everything pending."""
         engine = self._engine
         pipeline = engine.pipeline
-        engine.classify_apply(pipeline.drain(reason="final"), now)
+        engine.classify_apply(pipeline.drain(reason="final"))
         for flow_id, pending in engine.table.pending_items():
             if pending.queued:
                 continue
             batch = pipeline.make_ready(flow_id, pending, now, force=False)
             if batch:
-                engine.classify_apply(batch, now)
-        engine.classify_apply(pipeline.drain(reason="final"), now)
+                engine.classify_apply(batch)
+        engine.classify_apply(pipeline.drain(reason="final"))
 
 
 class StagedEngine:
@@ -242,7 +247,6 @@ class StagedEngine:
                 rng=self._rng,
             ),
             max_batch=engine_config.max_batch,
-            max_delay=engine_config.max_delay,
             buffer_timeout=self.config.buffer_timeout,
             reclassify_interval=self.config.reclassify_interval,
         )
@@ -372,7 +376,7 @@ class StagedEngine:
 
     # -- coordinator surface (called by SerialRuntime) -------------------------
 
-    def classify_labels(self, batch, now: float):
+    def classify_labels(self, batch):
         """Run the batched finalize + predict kernels over ready flows.
 
         Pure classification: the flow table is not touched. Observes
@@ -391,7 +395,9 @@ class StagedEngine:
             )
         if self._m_delay is not None:
             # Per drain, not per flow: each instrument is touched once.
-            self._delay_buf.extend([now - flow.first_arrival for flow in batch])
+            self._delay_buf.extend(
+                [flow.ready_at - flow.first_arrival for flow in batch]
+            )
             exact_state = self.extractor.exact_state_accounting
             first_sampled = self._state_countdown
             self._state_countdown -= len(batch)
@@ -416,27 +422,28 @@ class StagedEngine:
         return labels
 
     def classify_apply(
-        self, batch, now: float, flow_id: "bytes | None" = None
+        self, batch, flow_id: "bytes | None" = None
     ) -> "FlowNature | None":
         """Fold, classify and apply a drained batch inline (serial path).
 
         Returns the label ``flow_id``'s flow got, when the batch held it
         (the packet that drained the batch wants its own flow's label).
+        Its wall time, sink fan-out included, sets the batcher's wait
+        rule.
         """
         if not batch:
             return None
+        start = batching.clock()
         self.pipeline.fold_for(batch)
-        labels = self.classify_labels(batch, now)
+        labels = self.classify_labels(batch)
         apply = self.pipeline.apply
         own = None
         for flow, label in zip(batch, labels):
-            applied = apply(flow, label, now)
-            if applied is None:
-                continue
-            outcome, packets = applied
+            outcome, packets = apply(flow, label)
             self.emit(outcome, packets)
             if flow.flow_id == flow_id:
                 own = label
+        self.batcher.record_drain_cost(batching.clock() - start)
         return own
 
     def emit(self, outcome: ClassifiedFlow, packets) -> None:

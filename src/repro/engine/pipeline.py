@@ -31,6 +31,7 @@ from __future__ import annotations
 from itertools import count
 from time import perf_counter
 
+from repro.core.cdb import CdbRecord
 from repro.core.headers import skip_threshold, strip_app_header
 from repro.core.labels import ALL_NATURES
 from repro.engine.batcher import MicroBatcher
@@ -137,7 +138,6 @@ class FlowPipeline:
         extractor,
         policy: WindowPolicy,
         max_batch: int,
-        max_delay: float,
         buffer_timeout: float,
         reclassify_interval: float,
     ) -> None:
@@ -153,7 +153,7 @@ class FlowPipeline:
         #: Mints ``PendingFlow.seq``, the first-arrival order of flows.
         self._next_seq = count().__next__
         self.wheel = DeadlineWheel()
-        self.batcher = MicroBatcher(max_batch=max_batch, max_delay=max_delay)
+        self.batcher = MicroBatcher(max_batch=max_batch)
         # Streaming extractors (nothing to re-window, state only read at
         # classify drains) defer every fold to the classify drain, which
         # absorbs a whole batch's chunks in one fold_batch call. The
@@ -275,15 +275,20 @@ class FlowPipeline:
         force: bool,
         armed: bool = True,
     ) -> "list[PendingFlow]":
-        """Freeze a flow's window and hand it to the micro-batcher.
+        """Freeze a flow's window, stamp it, and hand it to the batcher.
 
         Too-short windows are dropped as unclassifiable on the spot
         (the window cannot improve: readiness means the buffer is full,
-        the flow closed, or its deadline expired). Returns whatever the
-        push drained — non-empty when the size trigger fired or
-        ``force`` flushed the queue (FIN/RST needs the label *now*).
-        ``armed=False`` says the flow never got a buffer deadline (its
-        first packet made it ready), so there is none to cancel.
+        the flow closed, or its deadline expired). Everything a label
+        is stamped with is fixed here, at ``now`` — the outcome's
+        ``classified_at`` and the CDB record's first arrival, and so
+        the time of the inactivity sweep its insert may fire — so no
+        label or counter depends on when the batch drains. Returns
+        whatever the push drained — non-empty when the size trigger
+        fired, this flow's insert fires the sweep, or ``force`` flushed
+        the queue (FIN/RST needs the label *now*). ``armed=False`` says
+        the flow never got a buffer deadline (its first packet made it
+        ready), so there is none to cancel.
         """
         if armed:
             self.wheel.cancel(flow_id)
@@ -294,7 +299,13 @@ class FlowPipeline:
             return []
         pending.window, pending.protocol = frozen
         pending.queued = True
-        batch = self.batcher.push(pending, now)
+        pending.ready_at = now
+        pending.record = CdbRecord(label=None, last_arrival=now, classified_at=now)
+        table = self.table
+        trigger = table.purge_trigger_flows
+        batch = self.batcher.push(
+            pending, trigger - table.inserts_since_purge if trigger else 0
+        )
         if force and batch is None:
             batch = self.batcher.drain(reason="close")
         return batch if batch else []
@@ -358,6 +369,27 @@ class FlowPipeline:
                 return self._hit[record.label]
 
         pending = table.pending.get(flow_id)
+        if pending is not None and pending.queued:
+            # Ready, stamped, its label waiting in the batcher: this is
+            # the CDB hit it would be had the batch drained at readiness.
+            record = pending.record
+            reclassify = self.reclassify_interval
+            if reclassify and record.age(now) > reclassify:
+                # The defense expires the record before it lands: the
+                # queued flow keeps its label, this packet starts over.
+                pending.retire = "reclassified"
+                self.stats.reclassifications += 1
+                pending = None
+            else:
+                self.stats.cdb_hits += 1
+                record.touch(now)
+                if packet.payload:
+                    pending.packets.append(packet)
+                if is_close:
+                    # Retired when its label lands; the close needs it now.
+                    pending.retire = "fin"
+                    return IngestResult(ready=self.drain(reason="close"))
+                return _NOTHING
         created = pending is None
         if created:
             # ``flow_id`` is this packet's ``flow_tuple``: the 5-tuple
@@ -388,17 +420,11 @@ class FlowPipeline:
                 pending.unfolded_chunks += 1
             pending.packets.append(packet)
 
-        if pending.queued:
-            # Window already with the batcher; a close needs the label now.
-            if is_close:
-                pending.closed = True
-                return IngestResult(ready=self.drain(reason="close"))
-            return _NOTHING
         if pending.raw_bytes >= self._target_bytes or is_close:
             # Buffer full — or the flow is over; classify whatever
             # arrived (or give up).
             if is_close:
-                pending.closed = True
+                pending.retire = "fin"
             ready = self.make_ready(
                 flow_id, pending, now, force=is_close, armed=not created
             )
@@ -413,32 +439,40 @@ class FlowPipeline:
 
     # -- label application ---------------------------------------------------
 
-    def apply(
-        self, pending: PendingFlow, label, now: float
-    ) -> "tuple[ClassifiedFlow, list] | None":
+    def apply(self, pending: PendingFlow, label) -> "tuple[ClassifiedFlow, list]":
         """Store a classified flow's label; single writer of the table.
 
-        Pops the pending entry (None when the flow is no longer there),
-        inserts the CDB record — which fires the CDB's inactivity sweep
-        every ``purge_trigger_flows`` inserts — retiring it at once for
-        flows that closed before their label, and returns the outcome
+        Takes the flow out of the pending table, inserts the CDB record
+        stamped at readiness — which fires the CDB's inactivity sweep
+        every ``purge_trigger_flows`` inserts, at that flow's
+        ``ready_at`` — removing it at once for a flow with a ``retire``
+        reason, and returns the outcome (timed at readiness)
         plus the buffered packets for the engine to fan out to sinks.
         """
         flow_id = pending.flow_id
-        if self.table.pending.pop(flow_id, None) is None:
-            return None
-        self.table.insert(flow_id, label, now)
-        self.stats.classifications += 1
-        self.stats.per_class[label] += 1
+        table = self.table
+        if table.pending.get(flow_id) is pending:
+            # Not so for a flow reclassified while queued: its successor
+            # already buffers under the same ID.
+            del table.pending[flow_id]
+        record = pending.record
+        record.label = label
+        table.insert_record(flow_id, record)
+        stats = self.stats
+        stats.classifications += 1
+        stats.per_class[label] += 1
+        ready_at = pending.ready_at
         outcome = ClassifiedFlow(
             key=pending.key,
             label=label,
-            classified_at=now,
-            buffering_delay=now - pending.first_arrival,
+            classified_at=ready_at,
+            buffering_delay=ready_at - pending.first_arrival,
             buffered_bytes=pending.raw_bytes,
             stripped_protocol=pending.protocol,
         )
-        if pending.closed:
-            self.table.remove(flow_id, reason="fin")
-            self.stats.fin_removals += 1
+        retire = pending.retire
+        if retire is not None:
+            table.remove(flow_id, reason=retire)
+            if retire == "fin":
+                stats.fin_removals += 1
         return outcome, pending.packets

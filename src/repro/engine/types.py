@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from repro.core.cdb import CdbRecord
 from repro.core.labels import ALL_NATURES, FlowNature
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
@@ -72,12 +73,20 @@ class PendingFlow:
     that moment — or ``state`` itself for streaming extractors.
     ``protocol`` is the application header stripped from it, if any. The
     window is frozen at readiness and never re-read from ``state``, so
-    batching changes *when* the model runs, never *what* it sees. Late
-    packets still append to ``packets`` so they are forwarded once the
-    batch drains, but the flow is not re-enqueued.
+    batching changes *when* the model runs, never *what* it sees.
 
-    ``closed`` marks a flow whose FIN/RST arrived before its label: the
-    classify stage inserts the label and immediately retires the CDB
+    ``ready_at`` is the packet clock at readiness, and ``record`` the
+    flow's :class:`~repro.core.cdb.CdbRecord`, stamped then and
+    inserted, label filled in, when the batch drains. A packet that
+    arrives while the flow is queued is the CDB hit it would be had the
+    flow drained at readiness: it touches ``record`` (lambda) and
+    appends to ``packets``, forwarded with the flow's outcome, but
+    neither folds nor counts toward ``raw_bytes``.
+
+    ``retire`` is the CDB removal reason (``"fin"`` / ``"reclassified"``)
+    of a flow whose record is gone before its label lands: its FIN/RST
+    arrived, or the reclassification defense expired it while queued.
+    The classify stage inserts the label and immediately removes the
     record (the monolith's remove-after-classify close path).
 
     ``unfolded`` holds the payload bytes whose fold is deferred to the
@@ -98,16 +107,22 @@ class PendingFlow:
     first_arrival: float = 0.0
     last_arrival: float = 0.0
     queued: bool = False
-    closed: bool = False
+    retire: "str | None" = None
     unfolded: bytearray = field(default_factory=bytearray)
     unfolded_chunks: int = 0
     flow_id: bytes = b""
     window: "bytes | object" = None
     protocol: "str | None" = None
+    ready_at: float = 0.0
+    record: "CdbRecord | None" = None
 
 
 class ClassifiedFlow(NamedTuple):
     """Outcome of one flow classification (immutable, compared by value).
+
+    ``classified_at`` is the packet clock at which the flow became ready
+    (and ``buffering_delay`` runs from its first packet to then), not
+    when its batch drained.
 
     A tuple subclass, not a frozen dataclass: one is built per flow and
     the default ``StatsSink`` keeps every one, and a frozen dataclass

@@ -7,6 +7,8 @@ artifacts rather than mocks.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -18,6 +20,7 @@ from repro.data.binarygen import generate_binary_file
 from repro.data.corpus import Corpus, LabeledFile, build_corpus
 from repro.data.cryptogen import generate_encrypted_file
 from repro.data.textgen import generate_text_file
+from repro.engine import batcher
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
 
 
@@ -32,15 +35,27 @@ settings.register_profile("ci", max_examples=1000, deadline=None, derandomize=Tr
 def sync_engine(classifier, config=None, **kwargs):
     """``open_engine`` with the seed monolith's synchronous behaviour.
 
-    ``max_batch=1, max_delay=0.0`` classifies each flow the instant it
-    is ready; ``config`` is the :class:`IustitiaConfig` to nest and
-    ``kwargs`` (``sink=``, ``rng=``, ``registry=``) pass through.
+    ``max_batch=1`` classifies each flow the instant it is ready;
+    ``config`` is the :class:`IustitiaConfig` to nest and ``kwargs``
+    (``sink=``, ``rng=``, ``registry=``) pass through.
     """
     return open_engine(
         classifier,
-        EngineConfig(max_batch=1, max_delay=0.0, pipeline=config),
+        EngineConfig(max_batch=1, pipeline=config),
         **kwargs,
     )
+
+
+@pytest.fixture
+def still_clock(monkeypatch):
+    """Stop the wall clock the batcher's wait rule reads.
+
+    Every drain is then a size, close, purge, timeout or final one, so a
+    test that counts drains (or the frames and observations they cost)
+    counts the same on any host. A C callable: it adds no Python frame
+    to what ``sys.setprofile`` counts.
+    """
+    monkeypatch.setattr(batcher, "clock", itertools.repeat(0.0).__next__)
 
 
 @pytest.fixture

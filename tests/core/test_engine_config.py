@@ -14,7 +14,6 @@ class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
         assert config.max_batch == 32
-        assert config.max_delay == 0.05
         assert config.telemetry is True
         # Pipeline resolves to a full IustitiaConfig with its defaults.
         assert isinstance(config.pipeline, IustitiaConfig)
@@ -49,8 +48,6 @@ class TestEngineConfig:
     def test_staging_knob_validation(self):
         with pytest.raises(ValueError, match="max_batch"):
             EngineConfig(max_batch=0)
-        with pytest.raises(ValueError, match="max_delay"):
-            EngineConfig(max_delay=-1.0)
 
     def test_frozen(self):
         config = EngineConfig()
@@ -67,7 +64,7 @@ class TestEngineConfig:
         # One flow table, one fold cadence: a new knob must be argued
         # for here, not slipped in.
         assert {field.name for field in dataclasses.fields(EngineConfig)} == {
-            "buffer_size", "buffer_timeout", "max_batch", "max_delay",
+            "buffer_size", "buffer_timeout", "max_batch",
             "telemetry", "extractor", "runtime", "pipeline",
         }
 

@@ -311,13 +311,16 @@ class TestEngineIntegration:
 
     def test_incremental_reports_raw_buffered_bytes(self, trained_cart):
         engine = StagedEngine(trained_cart, self._pure_config("incremental"))
-        engine.process_packet(_udp_packet(2, bytes(range(40)), 0.0))
+        engine.process_packet(_udp_packet(2, bytes(range(20)), 0.0))
         engine.process_packet(_udp_packet(2, bytes(range(40)), 0.001))
-        engine.finish(0.002)
+        # Ready and queued: this one is a CDB hit in all but the drain.
+        engine.process_packet(_udp_packet(2, bytes(range(40)), 0.002))
+        engine.finish(0.003)
         (outcome,) = engine.stats.classified
-        # All raw payload counts toward buffered_bytes even though only
-        # the first 32 bytes were folded.
-        assert outcome.buffered_bytes == 80
+        # All raw payload up to readiness counts toward buffered_bytes
+        # even though only the first 32 bytes were folded.
+        assert outcome.buffered_bytes == 60
+        assert engine.stats.cdb_hits == 1
 
     def test_fold_telemetry_accumulates(self, trained_cart, small_trace):
         engine = StagedEngine(

@@ -124,7 +124,6 @@ class TestFlushOrdering:
             trained_svm,
             EngineConfig(
                 max_batch=64,
-                max_delay=60.0,
                 pipeline=IustitiaConfig(buffer_size=32, buffer_timeout=5.0),
             ),
         )

@@ -44,7 +44,7 @@ def drain_frames(classifier, flows: int) -> "tuple[Counter, list]":
 
     Returns them with the per-flow chunk lists ``fold_batch`` was handed.
     """
-    engine = incremental_engine(classifier, max_batch=flows, max_delay=10.0)
+    engine = incremental_engine(classifier, max_batch=flows)
     handed = []
     fold_batch = engine.extractor.fold_batch
 
@@ -83,7 +83,7 @@ def drain_frames(classifier, flows: int) -> "tuple[Counter, list]":
     return entered, handed
 
 
-def test_a_drain_sorts_once_and_observes_per_drain(trained_cart):
+def test_a_drain_sorts_once_and_observes_per_drain(trained_cart, still_clock):
     entered, handed = drain_frames(trained_cart, 32)
 
     # One sort for features and state accounting, on one layout.
@@ -102,10 +102,12 @@ def test_a_drain_sorts_once_and_observes_per_drain(trained_cart):
 
 
 @pytest.mark.parametrize("extractor", ["batch", "incremental"])
-def test_a_drain_of_uneven_timeout_windows_sorts_once(trained_cart, extractor):
+def test_a_drain_of_uneven_timeout_windows_sorts_once(
+    trained_cart, extractor, still_clock
+):
     """32 flows gone silent at 5-36 bytes: one drain, one pool, one sort."""
     engine = incremental_engine(
-        trained_cart, extractor, max_batch=32, max_delay=10.0, buffer_timeout=0.5
+        trained_cart, extractor, max_batch=32, buffer_timeout=0.5
     )
 
     def silent_flows(first_flow: int, start: float):
@@ -133,13 +135,18 @@ def test_a_drain_of_uneven_timeout_windows_sorts_once(trained_cart, extractor):
 
 
 # -- (b) instruments against values recorded at 1b69f48 ---------------------------
+#
+# State bytes were recorded at 1b69f48. Delay, CDB hits and batch folds are
+# what a ``max_batch=1`` run of 6dd33d4 reads: flows are stamped at
+# readiness, so no drain schedule moves them. The fold-drain count is that
+# of a stopped wall clock.
 
 DELAY = {
     "count": 600,
-    "sum": 34.08016651916651,
+    "sum": 17.134478670967113,
     "buckets": {
-        "0.001": 16, "0.005": 72, "0.01": 125, "0.05": 437, "0.1": 566,
-        "0.25": 579, "0.5": 584, "1.0": 597, "2.5": 600, "5.0": 600,
+        "0.001": 501, "0.005": 514, "0.01": 522, "0.05": 559, "0.1": 571,
+        "0.25": 581, "0.5": 584, "1.0": 597, "2.5": 600, "5.0": 600,
         "10.0": 600, "30.0": 600, "+Inf": 600,
     },
 }
@@ -156,7 +163,7 @@ GOLDEN = {
                 "8192.0": 2, "+Inf": 2,
             },
         },
-        "folds": 865.0,
+        "folds": 686.0,
         "fold_batch_chunks": None,
     },
     "incremental": {
@@ -170,7 +177,7 @@ GOLDEN = {
             },
         },
         "folds": 686.0,
-        "fold_batch_chunks": {"count": 196, "sum": 686.0},
+        "fold_batch_chunks": {"count": 130, "sum": 686.0},
     },
 }
 
@@ -186,7 +193,9 @@ def seeded_trace():
 
 
 @pytest.mark.parametrize("extractor", ["batch", "incremental"])
-def test_instruments_equal_the_parents(trained_cart, seeded_trace, extractor):
+def test_instruments_equal_the_parents(
+    trained_cart, seeded_trace, extractor, still_clock
+):
     engine = incremental_engine(
         trained_cart, extractor, max_batch=32, buffer_timeout=0.5
     )
@@ -196,7 +205,7 @@ def test_instruments_equal_the_parents(trained_cart, seeded_trace, extractor):
     golden = GOLDEN[extractor]
 
     concluded = (stats.classifications, stats.unclassifiable, stats.cdb_hits)
-    assert concluded == (600, 0, 402)
+    assert concluded == (600, 0, 672)
     state = snap["engine_flow_state_bytes"]
     assert {key: state[key] for key in golden["state"]} == golden["state"]
     assert type(state["sum"]) is float
@@ -252,7 +261,7 @@ def segmented_streams(draw):
 
 def run_segmented(classifier, per_flow_segments, max_batch: int):
     """Feed every flow's segments round-robin; what the run concluded."""
-    engine = incremental_engine(classifier, max_batch=max_batch, max_delay=10.0)
+    engine = incremental_engine(classifier, max_batch=max_batch)
     queues = [list(segments) for segments in per_flow_segments]
     clock = 0.0
     while any(queues):

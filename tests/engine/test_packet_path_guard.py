@@ -115,17 +115,19 @@ def udp_packet(flow: int, payload: bytes, timestamp: float) -> Packet:
     return Packet(ip, UdpHeader(4000, 53, 8 + len(payload)), payload, timestamp)
 
 
-def test_flow_complete_on_arrival_costs_no_deadline(counting, trained_svm):
+def test_flow_complete_on_arrival_costs_no_deadline(
+    counting, trained_svm, still_clock
+):
     flows, max_batch = 21, 8
     payload = bytes(range(48))
-    # Well inside one sample interval and one max_delay: only the size
-    # trigger and the end of the stream drain the batcher.
+    # Well inside one sample interval, on a stopped wall clock: only the
+    # size trigger and the end of the stream drain the batcher.
     packets = [udp_packet(i, payload[i % 8 :], i * 1e-4) for i in range(flows)]
     calls, count = counting
     count(DeadlineWheel, "schedule")
     count_minted_keys(count)
 
-    engine = open_engine(trained_svm, EngineConfig(max_batch=max_batch, max_delay=1.0))
+    engine = open_engine(trained_svm, EngineConfig(max_batch=max_batch))
     count(engine.extractor, "finalize")
     stats = engine.process_source(packets)
     engine.close()
@@ -223,7 +225,7 @@ def decoded(packet: Packet) -> Packet:
 def test_known_flow_packet_enters_three_engine_frames(trained_svm, wire):
     make = decoded if wire else (lambda p: p)
     engine = open_engine(
-        trained_svm, EngineConfig(max_batch=1, max_delay=0.0), sink=QueueSink()
+        trained_svm, EngineConfig(max_batch=1), sink=QueueSink()
     )
     assert len(engine.sinks) == 2  # the QueueSink and the StatsSink riding along
     for i, build in enumerate((udp_packet, tcp_packet)):
@@ -303,8 +305,10 @@ def test_deadline_armed_once_per_flow_and_rearmed_by_a_flush(counting, trained_s
 # -- records per flow -----------------------------------------------------------
 
 
-def test_flow_complete_on_arrival_touches_no_wheel_and_queues_itself(trained_svm):
-    engine = open_engine(trained_svm, EngineConfig(max_batch=4, max_delay=1.0))
+def test_flow_complete_on_arrival_touches_no_wheel_and_queues_itself(
+    trained_svm, still_clock
+):
+    engine = open_engine(trained_svm, EngineConfig(max_batch=4))
     payload = bytes(range(48))
     for i in range(4):  # one full drain: every lazy import and cache is warm
         engine.process_packet(udp_packet(i, payload, i * 1e-4))
@@ -324,7 +328,7 @@ def test_flow_complete_on_arrival_touches_no_wheel_and_queues_itself(trained_svm
 
 def frames_of_one_drain(classifier, batch: int) -> int:
     """Python frames entered while ``batch`` one-packet flows fill one drain."""
-    engine = open_engine(classifier, EngineConfig(max_batch=batch, max_delay=10.0))
+    engine = open_engine(classifier, EngineConfig(max_batch=batch))
     payload = bytes(range(48))
     for i in range(batch):  # warm: the first drain pays every one-off
         engine.process_packet(udp_packet(i, payload, i * 1e-4))
@@ -339,7 +343,7 @@ def frames_of_one_drain(classifier, batch: int) -> int:
     return total
 
 
-def test_new_flow_enters_fewer_frames_than_the_parent(trained_svm):
+def test_new_flow_enters_fewer_frames_than_the_parent(trained_svm, still_clock):
     """Frames from ``process_packet`` to ``on_flow_classified``, per flow.
 
     One drain of 16 flows minus one drain of 8, over 8: what a drain

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.labels import ALL_NATURES
+from repro.engine import batcher as batching
 from repro.engine import (
     CallbackSink,
     EngineClosedError,
@@ -20,6 +21,7 @@ from repro.net.packet import (
     TcpHeader,
     UdpHeader,
 )
+from tests.engine.test_batcher import ManualClock
 
 
 def _udp_packet(payload, timestamp, sport=5555):
@@ -40,18 +42,18 @@ def _tcp_packet(payload, timestamp, flags=FLAG_ACK, sport=6666):
     )
 
 
-def _engine(trained_svm, max_batch, max_delay=10.0, **kwargs):
+def _engine(trained_svm, max_batch, **kwargs):
     return StagedEngine(
         trained_svm,
         EngineConfig(
             max_batch=max_batch,
-            max_delay=max_delay,
             pipeline=IustitiaConfig(buffer_size=32),
         ),
         **kwargs,
     )
 
 
+@pytest.mark.usefixtures("still_clock")
 class TestBatchAccumulation:
     def test_full_buffers_wait_for_the_batch(self, trained_svm, sample_files):
         engine = _engine(trained_svm, max_batch=3)
@@ -66,14 +68,84 @@ class TestBatchAccumulation:
         assert engine.stats.classifications == 3
         assert len(engine.batcher) == 0
 
-    def test_packet_clock_drains_overdue_batch(self, trained_svm, sample_files):
-        engine = _engine(trained_svm, max_batch=100, max_delay=0.5)
+    def test_wall_clock_drains_overdue_batch(
+        self, trained_svm, sample_files, monkeypatch
+    ):
+        wall = ManualClock()
+        monkeypatch.setattr(batching, "clock", wall)
+        engine = _engine(trained_svm, max_batch=100)
+        engine.batcher.record_drain_cost(0.001)
         data = sample_files["binary"]
         engine.process_packet(_udp_packet(data[:40], 0.0, sport=1001))
+        # An hour of packet clock drains nothing: the wait is wall time.
+        engine.process_packet(_udp_packet(b"x", 3600.0, sport=2000))
+        wall.now = batching.DRAIN_WAIT_COSTS * 0.001
+        engine.process_packet(_udp_packet(b"x", 3600.1, sport=2000))
         assert engine.stats.classifications == 0
-        # An unrelated packet 0.6s later advances the clock past max_delay.
-        engine.process_packet(_udp_packet(b"x", 0.6, sport=2000))
+        # Past the wait: the next packet drains the queue first.
+        wall.now += 1e-6
+        engine.process_packet(_udp_packet(b"x", 3600.2, sport=2000))
         assert engine.stats.classifications == 1
+        drains = engine.metrics.snapshot()["batcher_drains_total"]
+        assert drains['reason="wait"'] == 1
+        # Stamped at readiness, not at the drain's packet clock.
+        assert engine.stats.classified[0].classified_at == 0.0
+
+    def test_packet_of_a_queued_flow_is_a_cdb_hit(self, trained_svm, sample_files):
+        data = sample_files["text"]
+        packets = [
+            _udp_packet(data[:40], 0.0, sport=1001),    # ready, queued
+            _udp_packet(data[40:60], 0.1, sport=1001),  # a hit, had it drained
+            _udp_packet(data[40:60], 0.3, sport=1001),
+        ]
+        runs = {}
+        for max_batch in (1, 100):
+            engine = _engine(trained_svm, max_batch=max_batch)
+            for packet in packets:
+                engine.process_packet(packet)
+            engine.finish(now=0.3)
+            record = engine.table.record_of(packets[0].flow_tuple)
+            runs[max_batch] = (
+                engine.stats.cdb_hits,
+                engine.stats.classified,
+                (record.last_arrival, record.last_inter_arrival, record.classified_at),
+            )
+        assert runs[100] == runs[1]
+        assert runs[1][0] == 2
+        # Buffered bytes are the window's, not what arrived while queued.
+        assert runs[1][1][0].buffered_bytes == 40
+        assert runs[1][2] == (0.3, pytest.approx(0.2), 0.0)
+
+    def test_reclassified_while_queued_keeps_both_labels(
+        self, trained_svm, sample_files
+    ):
+        data = sample_files["encrypted"]
+        packets = [
+            _udp_packet(data[:40], 0.0, sport=1001),    # ready at 0.0, queued
+            _udp_packet(data[:40], 5.0, sport=1001),    # record older than 2 s
+            _udp_packet(data[40:80], 6.0, sport=1001),  # a hit on the new label
+        ]
+        runs = {}
+        for max_batch in (1, 100):
+            engine = StagedEngine(
+                trained_svm,
+                EngineConfig(
+                    max_batch=max_batch,
+                    pipeline=IustitiaConfig(buffer_size=32, reclassify_interval=2.0),
+                ),
+            )
+            for packet in packets:
+                engine.process_packet(packet)
+            engine.finish(now=6.0)
+            stats = engine.stats
+            runs[max_batch] = (
+                stats.classified,
+                (stats.reclassifications, stats.cdb_hits, stats.classifications),
+                engine.table.removal_counts,
+            )
+        assert runs[100] == runs[1]
+        assert runs[1][1] == (1, 1, 2)
+        assert [outcome.classified_at for outcome in runs[1][0]] == [0.0, 5.0]
 
     def test_late_packets_of_queued_flow_are_forwarded(
         self, trained_svm, sample_files
@@ -125,7 +197,7 @@ class TestBatchAccumulation:
 
 class TestTimeoutPath:
     def test_flush_timeouts_is_wheel_driven(self, trained_svm, sample_files):
-        engine = _engine(trained_svm, max_batch=1, max_delay=0.0)
+        engine = _engine(trained_svm, max_batch=1)
         engine.process_packet(_udp_packet(sample_files["text"][:20], 0.0))
         assert len(engine.wheel) == 1
         assert engine.flush_timeouts(now=100.0) == 1
@@ -135,7 +207,7 @@ class TestTimeoutPath:
     def test_boundary_inactivity_does_not_expire(self, trained_svm, sample_files):
         # Inactivity EXACTLY equal to buffer_timeout (10s default) must
         # not expire the flow — the paper's test is strictly greater.
-        engine = _engine(trained_svm, max_batch=1, max_delay=0.0)
+        engine = _engine(trained_svm, max_batch=1)
         engine.process_packet(_udp_packet(sample_files["text"][:20], 0.0))
         assert engine.flush_timeouts(now=10.0) == 0
         assert engine.stats.classifications == 0
@@ -149,7 +221,7 @@ class TestTimeoutPath:
         # cannot double-classify it...
         assert len(engine.wheel) == 0
         assert engine.flush_timeouts(now=100.0) == 0
-        # ...but the flush's latency check drained the overdue batch.
+        # ...and the flush drains the queue whole.
         assert engine.stats.classifications == 1
 
 
@@ -157,7 +229,7 @@ class TestOneProbeLiveView:
     def test_purge_between_two_packets_of_a_flow_unlabels_it(
         self, trained_svm, sample_files
     ):
-        engine = _engine(trained_svm, max_batch=1, max_delay=0.0)
+        engine = _engine(trained_svm, max_batch=1)
         data = sample_files["text"]
         assert engine.process_packet(_udp_packet(data[:40], 0.0)) is not None
         assert engine.process_packet(_udp_packet(data[:10], 0.1)) is not None
@@ -171,7 +243,7 @@ class TestOneProbeLiveView:
     def test_direct_insert_and_remove_are_seen_by_the_next_packet(
         self, trained_svm, sample_files
     ):
-        engine = _engine(trained_svm, max_batch=1, max_delay=0.0)
+        engine = _engine(trained_svm, max_batch=1)
         packet = _udp_packet(sample_files["text"][:10], 0.0)
         engine.table.insert(packet.flow_tuple, ALL_NATURES[0], now=0.0)
         assert engine.process_packet(packet) is ALL_NATURES[0]
@@ -192,7 +264,7 @@ class TestIdleGap:
             _udp_packet(data[:10], 0.5, sport=1002),    # pending, then silent
             _udp_packet(data[:40], 3600.25, sport=1003),  # an hour later
         ]
-        engine = _engine(trained_svm, max_batch=1, max_delay=0.0)
+        engine = _engine(trained_svm, max_batch=1)
         flushes = []
         flush_timeouts = engine.flush_timeouts
         engine.flush_timeouts = lambda now: flushes.append(now) or flush_timeouts(now)
@@ -215,7 +287,6 @@ class TestSinkFanout:
         engine = _engine(
             trained_svm,
             max_batch=1,
-            max_delay=0.0,
             sinks=[
                 StatsSink(),
                 CallbackSink(on_classified=lambda o, p: seen.append(o.label)),
@@ -229,7 +300,7 @@ class TestSinkFanout:
         self, trained_svm, sample_files
     ):
         engine = _engine(
-            trained_svm, max_batch=1, max_delay=0.0, sinks=[QueueSink()]
+            trained_svm, max_batch=1, sinks=[QueueSink()]
         )
         engine.process_packet(_udp_packet(sample_files["text"][:40], 0.0))
         assert engine.stats.classifications == 1
@@ -240,7 +311,6 @@ class TestSinkFanout:
         engine = _engine(
             trained_svm,
             max_batch=1,
-            max_delay=0.0,
             sinks=[CallbackSink(on_packet=lambda lbl, p: forwarded.append(lbl))],
         )
         data = sample_files["binary"]
@@ -259,7 +329,6 @@ class TestTraceAccuracy:
             trained_svm,
             EngineConfig(
                 max_batch=max_batch,
-                max_delay=0.1,
                 pipeline=IustitiaConfig(buffer_size=32),
             ),
         )

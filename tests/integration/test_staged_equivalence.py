@@ -148,7 +148,7 @@ class TestBatchedLabelEquivalence:
         seed = SeedEngine(trained_svm, config)
         staged = StagedEngine(
             trained_svm,
-            EngineConfig(max_batch=max_batch, max_delay=0.25, pipeline=config),
+            EngineConfig(max_batch=max_batch, pipeline=config),
         )
         seed_stats = seed.process_trace(trace)
         staged_stats = staged.process_trace(trace)
@@ -172,7 +172,7 @@ class TestSerialRuntimeExplicit:
         staged = StagedEngine(
             trained_svm,
             EngineConfig(
-                runtime="serial", max_batch=1, max_delay=0.0, pipeline=config
+                runtime="serial", max_batch=1, pipeline=config
             ),
         )
         seed_stats = seed.process_trace(trace, sample_interval=1.0)

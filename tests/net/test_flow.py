@@ -82,7 +82,7 @@ class TestFlowKey:
             FlowKey.of_packet(packet)
         with pytest.raises(ValueError):
             FlowKey(*packet.five_tuple)
-        engine = open_engine(trained_svm, EngineConfig(max_batch=1, max_delay=0.0))
+        engine = open_engine(trained_svm, EngineConfig(max_batch=1))
         with pytest.raises(ValueError, match="invalid address, port or protocol"):
             engine.process_packet(packet)
         assert engine.table.pending_count == 0 and len(engine.table) == 0

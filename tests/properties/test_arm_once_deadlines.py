@@ -93,7 +93,6 @@ def engine_for(classifier, extractor: str):
         classifier,
         EngineConfig(
             max_batch=1,
-            max_delay=0.0,
             extractor=extractor,
             pipeline=IustitiaConfig(
                 buffer_size=WINDOW,
