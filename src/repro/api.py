@@ -121,7 +121,8 @@ def open_engine(
     :class:`EngineConfig` (an :class:`IustitiaConfig` is accepted and
     wrapped; None means defaults). ``sink`` attaches one result sink or
     a sequence of them — anything implementing the ``ResultSink``
-    protocol (``on_flow_classified`` / ``on_packet``). A ``StatsSink``
+    protocol (``on_flow_classified`` / ``on_packet``, and optionally
+    ``on_flows_classified``, which gets each drain in one call). A ``StatsSink``
     always rides along (added when ``sink`` doesn't include one), so
     ``engine.stats.classified`` and ``engine.evaluate_against`` work
     regardless of what else is attached. ``registry`` shares a metrics

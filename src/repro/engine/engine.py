@@ -13,8 +13,9 @@ Figure 1 draws and the original monolithic engine fused together:
 3. **extract + classify** — ready flows drain through one extractor
    ``finalize`` + vectorized predict call per batch
    (:meth:`classify_labels`), then apply back to the table;
-4. **forward** — outcomes fan out to the pluggable
-   :class:`~repro.engine.sinks.ResultSink` list (:meth:`emit`).
+4. **forward** — each drain's outcomes fan out to the pluggable
+   :class:`~repro.engine.sinks.ResultSink` list, one
+   ``on_flows_classified`` call per sink (:meth:`classify_apply`).
 
 :class:`SerialRuntime` drives the pipeline inline, in arrival order,
 and is packet-for-packet equivalent to the fused engine (the equivalence
@@ -37,7 +38,7 @@ from repro.engine import batcher as batching
 from repro.engine.flow_table import FlowTable
 from repro.engine.pipeline import FlowPipeline, WindowPolicy
 from repro.engine.sinks import ResultSink, StatsSink
-from repro.engine.types import ClassifiedFlow, EngineClosedError, EngineStats
+from repro.engine.types import EngineClosedError, EngineStats
 from repro.net.packet import Packet
 from repro.net.trace import Trace
 from repro.obs import MetricsRegistry
@@ -94,8 +95,10 @@ class SerialRuntime:
       is the order the monolith's flush used (and what keeps random-skip
       draws aligned);
     * ``engine.classify_apply`` folds each batch's deferred chunks in a
-      single call, then applies labels per ready flow, so the CDB purge
-      trigger fires at the same insert index.
+      single call, then applies the drain's labels in one
+      ``pipeline.apply`` loop in readiness order, so the CDB purge
+      trigger fires at the same insert index, and hands every sink the
+      drain in one ``on_flows_classified`` call.
 
     With a larger ``max_batch`` the labels, counters and size series are
     still those of ``max_batch=1`` whenever the queue drains: the
@@ -241,7 +244,6 @@ class StagedEngine:
             self.table,
             extractor=self.extractor,
             policy=WindowPolicy(
-                extractor=self.extractor,
                 config=self.config,
                 min_window=classifier.feature_set.max_width,
                 rng=self._rng,
@@ -434,22 +436,28 @@ class StagedEngine:
         if not batch:
             return None
         start = batching.clock()
-        self.pipeline.fold_for(batch)
+        pipeline = self.pipeline
+        pipeline.fold_for(batch)
         labels = self.classify_labels(batch)
-        apply = self.pipeline.apply
+        outcomes, packets = pipeline.apply(batch, labels)
+        for sink in self.sinks:
+            on_flows = getattr(sink, "on_flows_classified", None)
+            if on_flows is not None:
+                on_flows(outcomes, packets)
+            else:
+                # A duck-typed sink with the per-flow method only.
+                on_flow = sink.on_flow_classified
+                for outcome, buffered in zip(outcomes, packets):
+                    on_flow(outcome, buffered)
         own = None
-        for flow, label in zip(batch, labels):
-            outcome, packets = apply(flow, label)
-            self.emit(outcome, packets)
-            if flow.flow_id == flow_id:
-                own = label
+        if flow_id is not None:
+            # The drain's last flow of that ID is the one now pending.
+            for index in range(len(batch) - 1, -1, -1):
+                if batch[index].flow_id == flow_id:
+                    own = labels[index]
+                    break
         self.batcher.record_drain_cost(batching.clock() - start)
         return own
-
-    def emit(self, outcome: ClassifiedFlow, packets) -> None:
-        """Fan one classified flow out to every sink."""
-        for sink in self.sinks:
-            sink.on_flow_classified(outcome, packets)
 
     # -- packet path ----------------------------------------------------------
 

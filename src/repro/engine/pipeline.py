@@ -31,7 +31,7 @@ from __future__ import annotations
 from itertools import count
 from time import perf_counter
 
-from repro.core.cdb import CdbRecord
+from repro.core.cdb import DEFAULT_LAMBDA, CdbRecord
 from repro.core.headers import skip_threshold, strip_app_header
 from repro.core.labels import ALL_NATURES
 from repro.engine.batcher import MicroBatcher
@@ -81,10 +81,9 @@ class WindowPolicy:
     keeps the staged engine's draws aligned with the monolith's.
     """
 
-    __slots__ = ("extractor", "config", "min_window", "rng")
+    __slots__ = ("config", "min_window", "rng")
 
-    def __init__(self, extractor, config, min_window: int, rng) -> None:
-        self.extractor = extractor
+    def __init__(self, config, min_window: int, rng) -> None:
         self.config = config
         self.min_window = min_window
         self.rng = rng
@@ -246,27 +245,6 @@ class FlowPipeline:
 
     # -- readiness -----------------------------------------------------------
 
-    def _freeze(self, flow_id: bytes, pending: PendingFlow):
-        """Freeze the flow's window; None when too short to classify."""
-        if not self._fold_at_drain:
-            window, protocol = self.policy.classification_window(
-                self.extractor.raw_window(pending.state)
-            )
-            if len(window) < self.policy.min_window:
-                return None
-            return window, protocol
-        folded = self.extractor.folded_bytes(pending.state)
-        if pending.unfolded:
-            # Deferred chunks count toward readiness: by the time the
-            # state is read (classify drain), they will have folded,
-            # up to the extractor's window cap.
-            folded = min(
-                folded + len(pending.unfolded), self.extractor.buffer_size
-            )
-        if folded < self.policy.min_window:
-            return None
-        return pending.state, None
-
     def make_ready(
         self,
         flow_id: bytes,
@@ -292,15 +270,29 @@ class FlowPipeline:
         """
         if armed:
             self.wheel.cancel(flow_id)
-        frozen = self._freeze(flow_id, pending)
-        if frozen is None:
+        if self._fold_at_drain:
+            # A streaming state is its own window. Its deferred chunks
+            # count toward readiness: by the time the classify drain
+            # reads the state they will have folded, up to the cap.
+            window, protocol = pending.state, None
+            usable = min(
+                self.extractor.folded_bytes(window) + len(pending.unfolded),
+                self._window_cap,
+            )
+        else:
+            window, protocol = self.policy.classification_window(
+                self.extractor.raw_window(pending.state)
+            )
+            usable = len(window)
+        if usable < self.policy.min_window:
             self.stats.unclassifiable += 1
             self.table.pending.pop(flow_id, None)
             return []
-        pending.window, pending.protocol = frozen
+        pending.window = window
+        pending.protocol = protocol
         pending.queued = True
         pending.ready_at = now
-        pending.record = CdbRecord(label=None, last_arrival=now, classified_at=now)
+        pending.record = CdbRecord(None, now, DEFAULT_LAMBDA, now)
         table = self.table
         trigger = table.purge_trigger_flows
         batch = self.batcher.push(
@@ -395,12 +387,11 @@ class FlowPipeline:
             # ``flow_id`` is this packet's ``flow_tuple``: the 5-tuple
             # passed ``struct.pack``'s range check to become it.
             pending = PendingFlow(
-                key=FlowKey.unchecked(*packet.five_tuple),
-                seq=self._next_seq(),
-                state=self.extractor.new_state(),
-                first_arrival=now,
-                last_arrival=now,
-                flow_id=flow_id,
+                FlowKey.unchecked(*packet.five_tuple),
+                self._next_seq(),
+                self.extractor.new_state(),
+                now,
+                flow_id,
             )
             table.pending[flow_id] = pending
         else:
@@ -425,9 +416,7 @@ class FlowPipeline:
             # arrived (or give up).
             if is_close:
                 pending.retire = "fin"
-            ready = self.make_ready(
-                flow_id, pending, now, force=is_close, armed=not created
-            )
+            ready = self.make_ready(flow_id, pending, now, is_close, not created)
             return IngestResult(ready=ready) if ready else _NOTHING
         if created:
             # Armed once per flow, and only for a flow left pending (one
@@ -439,40 +428,63 @@ class FlowPipeline:
 
     # -- label application ---------------------------------------------------
 
-    def apply(self, pending: PendingFlow, label) -> "tuple[ClassifiedFlow, list]":
-        """Store a classified flow's label; single writer of the table.
+    def apply(
+        self, batch: "list[PendingFlow]", labels
+    ) -> "tuple[list[ClassifiedFlow], list[list]]":
+        """Store a drain's labels; single writer of the table.
 
-        Takes the flow out of the pending table, inserts the CDB record
-        stamped at readiness — which fires the CDB's inactivity sweep
-        every ``purge_trigger_flows`` inserts, at that flow's
-        ``ready_at`` — removing it at once for a flow with a ``retire``
-        reason, and returns the outcome (timed at readiness)
-        plus the buffered packets for the engine to fan out to sinks.
+        One loop over the drain, in readiness order: each flow leaves the
+        pending table, and its CDB record — stamped at readiness — is
+        inserted, which fires the CDB's inactivity sweep every
+        ``purge_trigger_flows`` inserts, at that flow's ``ready_at``; a
+        flow with a ``retire`` reason is removed at once. Returns the
+        outcomes (timed at readiness) and, beside them, each flow's
+        buffered packets, for the engine to hand every sink in one call.
         """
-        flow_id = pending.flow_id
         table = self.table
-        if table.pending.get(flow_id) is pending:
-            # Not so for a flow reclassified while queued: its successor
-            # already buffers under the same ID.
-            del table.pending[flow_id]
-        record = pending.record
-        record.label = label
-        table.insert_record(flow_id, record)
+        pending = table.pending
+        pending_get = pending.get
+        # The CDB's own dict, written here as ``insert_record`` would:
+        # the countdown reaches zero at the insert that fires the sweep.
+        records = table._records
+        trigger = table.purge_trigger_flows
+        until_sweep = trigger - table.inserts_since_purge
         stats = self.stats
-        stats.classifications += 1
-        stats.per_class[label] += 1
-        ready_at = pending.ready_at
-        outcome = ClassifiedFlow(
-            key=pending.key,
-            label=label,
-            classified_at=ready_at,
-            buffering_delay=ready_at - pending.first_arrival,
-            buffered_bytes=pending.raw_bytes,
-            stripped_protocol=pending.protocol,
-        )
-        retire = pending.retire
-        if retire is not None:
-            table.remove(flow_id, reason=retire)
-            if retire == "fin":
-                stats.fin_removals += 1
-        return outcome, pending.packets
+        per_class = stats.per_class
+        new_outcome = tuple.__new__
+        outcomes = []
+        packets = []
+        for flow, label in zip(batch, labels):
+            flow_id = flow.flow_id
+            if pending_get(flow_id) is flow:
+                # Not so for a flow reclassified while queued: its
+                # successor already buffers under the same ID.
+                del pending[flow_id]
+            record = flow.record
+            record.label = label
+            records[flow_id] = record
+            until_sweep -= 1
+            if until_sweep <= 0 and trigger:
+                table.purge_inactive(record.classified_at)
+                until_sweep = trigger
+            per_class[label] += 1
+            ready_at = flow.ready_at
+            outcomes.append(new_outcome(ClassifiedFlow, (
+                flow.key,
+                label,
+                ready_at,
+                ready_at - flow.first_arrival,
+                flow.raw_bytes,
+                flow.protocol,
+            )))
+            packets.append(flow.packets)
+            retire = flow.retire
+            if retire is not None:
+                table.remove(flow_id, reason=retire)
+                if retire == "fin":
+                    stats.fin_removals += 1
+        landed = len(outcomes)
+        table.total_inserted += landed
+        table.inserts_since_purge = trigger - until_sweep
+        stats.classifications += landed
+        return outcomes, packets

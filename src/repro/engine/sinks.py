@@ -16,12 +16,20 @@ subscribers:
 Telemetry is not a sink: the engine's own registry reads the outcome
 counts it already keeps (``engine.metrics``).
 
-Sinks see two events: ``on_flow_classified`` (once per flow, with the
-packets buffered while it awaited classification) and ``on_packet``
-(every later payload packet forwarded via a CDB hit).
+Sinks see two events: the flows a classify drain labelled, and
+``on_packet`` (every later payload packet forwarded via a CDB hit).
+The engine makes one ``on_flows_classified(outcomes, packets)`` call
+per sink per drain — ``outcomes`` the drain's
+:class:`~repro.engine.types.ClassifiedFlow` tuples in readiness order,
+``packets[i]`` the packets ``outcomes[i]``'s flow buffered while it
+awaited its label. That method is optional: :class:`ResultSink`'s
+default, and the engine's fallback for a sink without it, loops over
+``on_flow_classified(outcome, packets)`` once per flow, looked up at
+call time (so a wrapper set on the instance sees every flow).
 
-The ``ResultSink`` protocol is public API: any object with these two
-methods (both may be no-ops) can subscribe to an engine via
+The ``ResultSink`` protocol is public API: any object with
+``on_flow_classified`` and ``on_packet`` (both may be no-ops), and
+optionally ``on_flows_classified``, can subscribe to an engine via
 ``repro.api.open_engine(..., sink=...)``.
 """
 
@@ -43,6 +51,20 @@ class ResultSink:
     events are no-ops, so sinks stay cheap to write.
     """
 
+    def on_flows_classified(
+        self,
+        outcomes: "list[ClassifiedFlow]",
+        packets: "list[list[Packet]]",
+    ) -> None:
+        """A drain labelled these flows, in readiness order.
+
+        ``packets[i]`` were buffered awaiting ``outcomes[i]``'s label.
+        The default calls :meth:`on_flow_classified` once per flow.
+        """
+        on_flow_classified = self.on_flow_classified
+        for outcome, buffered in zip(outcomes, packets):
+            on_flow_classified(outcome, buffered)
+
     def on_flow_classified(
         self, outcome: ClassifiedFlow, packets: "list[Packet]"
     ) -> None:
@@ -63,6 +85,16 @@ class StatsSink(ResultSink):
     per_class: dict[FlowNature, int] = field(
         default_factory=lambda: {nature: 0 for nature in ALL_NATURES}
     )
+
+    def on_flows_classified(
+        self,
+        outcomes: "list[ClassifiedFlow]",
+        packets: "list[list[Packet]]",
+    ) -> None:
+        self.classified.extend(outcomes)
+        per_class = self.per_class
+        for outcome in outcomes:
+            per_class[outcome.label] += 1
 
     def on_flow_classified(
         self, outcome: ClassifiedFlow, packets: "list[Packet]"

@@ -8,7 +8,9 @@ that every stage up to the label passes along, the CDB's
 handed to the sinks. None of them is built by a frozen dataclass's
 ``__init__`` (an ``object.__setattr__`` call per field) or by writing
 into an instance ``__dict__`` (which un-shares the instance's key table
-and costs 64-128 B per object; DESIGN.md, "New-flow path").
+and costs 64-128 B per object; DESIGN.md, "New-flow path"), and the
+engine builds each with one positional call (DESIGN.md, "Apply per
+drain").
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.core.cdb import CdbRecord
 from repro.core.labels import ALL_NATURES, FlowNature
 from repro.net.flow import FlowKey
-from repro.net.packet import Packet
 
 __all__ = ["ClassifiedFlow", "EngineClosedError", "EngineStats", "PendingFlow"]
 
@@ -36,7 +36,6 @@ class EngineClosedError(RuntimeError):
     """
 
 
-@dataclass(slots=True)
 class PendingFlow:
     """A flow from its first packet to its label: the engine's one record.
 
@@ -97,24 +96,44 @@ class PendingFlow:
     to its state as one chunk before the drain reads it.
     ``unfolded_chunks`` counts the packets that contributed (the
     ``extractor_folds_total`` telemetry).
+
+    Built by one positional call, ``PendingFlow(key, seq, state,
+    arrival, flow_id)``, once per new flow: a hand-written slotted
+    ``__init__`` parses no keywords and calls no per-field default
+    factory, at half a slotted dataclass's cost (DESIGN.md, "Apply per
+    drain"). Every other field starts empty.
     """
 
-    key: FlowKey
-    seq: int = 0
-    state: object = None
-    raw_bytes: int = 0
-    packets: list[Packet] = field(default_factory=list)
-    first_arrival: float = 0.0
-    last_arrival: float = 0.0
-    queued: bool = False
-    retire: "str | None" = None
-    unfolded: bytearray = field(default_factory=bytearray)
-    unfolded_chunks: int = 0
-    flow_id: bytes = b""
-    window: "bytes | object" = None
-    protocol: "str | None" = None
-    ready_at: float = 0.0
-    record: "CdbRecord | None" = None
+    __slots__ = (
+        "key", "seq", "state", "raw_bytes", "packets", "first_arrival",
+        "last_arrival", "queued", "retire", "unfolded", "unfolded_chunks",
+        "flow_id", "window", "protocol", "ready_at", "record",
+    )
+
+    def __init__(
+        self,
+        key: FlowKey,
+        seq: int = 0,
+        state: object = None,
+        arrival: float = 0.0,
+        flow_id: bytes = b"",
+    ) -> None:
+        self.key = key
+        self.seq = seq
+        self.state = state
+        self.raw_bytes = 0
+        self.packets = []
+        self.first_arrival = arrival
+        self.last_arrival = arrival
+        self.queued = False
+        self.retire = None
+        self.unfolded = bytearray()
+        self.unfolded_chunks = 0
+        self.flow_id = flow_id
+        self.window = None
+        self.protocol = None
+        self.ready_at = 0.0
+        self.record = None
 
 
 class ClassifiedFlow(NamedTuple):
@@ -127,7 +146,9 @@ class ClassifiedFlow(NamedTuple):
     A tuple subclass, not a frozen dataclass: one is built per flow and
     the default ``StatsSink`` keeps every one, and a frozen dataclass
     pays an ``object.__setattr__`` per field to build and a ``__dict__``
-    to hold.
+    to hold. The engine builds it with ``tuple.__new__(ClassifiedFlow,
+    fields)``, which enters no Python frame; the generated ``__new__``
+    costs three times as much (DESIGN.md, "Apply per drain").
     """
 
     key: FlowKey

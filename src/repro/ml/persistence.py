@@ -12,12 +12,18 @@ under ``version`` and still load). Loading validates both tags and
 reconstructs fitted estimators; any malformed input — truncated file,
 non-JSON bytes, wrong format/version, missing fields — raises
 :class:`ModelFormatError` rather than a bare ``KeyError`` or JSON
-traceback.
+traceback. A payload that parses but could not serve — a non-finite
+parameter (Python's ``json`` reads ``NaN`` and ``Infinity``), a split
+on a feature the model does not have, classes that are not distinct
+integers, or, for a classifier, a model whose width, classes or scores
+do not fit the entropy vectors it will be handed — is the same error,
+raised at load rather than at the first predict.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -64,7 +70,8 @@ def _read_json(path, what: str) -> dict:
     try:
         with open(path) as handle:
             payload = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or UTF-8, or an over-long integer literal.
         raise ModelFormatError(
             f"{what} file {path!s} is truncated or not JSON: {exc}"
         ) from exc
@@ -74,6 +81,41 @@ def _read_json(path, what: str) -> dict:
             "expected a JSON object"
         )
     return payload
+
+
+def _integer(value, what: str) -> int:
+    """``value`` if it is an ``int`` (a JSON ``1.5`` or ``true`` is not)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float, which must be finite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _finite_array(value, what: str, ndim: int) -> np.ndarray:
+    """A non-empty ``ndim``-D float array with finite entries only."""
+    array = np.asarray(value, dtype=np.float64)
+    if array.ndim != ndim or not array.size or not np.isfinite(array).all():
+        raise ValueError(f"{what} must be a non-empty finite {ndim}-D array")
+    return array
+
+
+def _classes(value, count: "int | None" = None) -> np.ndarray:
+    """Class labels: distinct integers (exactly ``count`` of them if given)."""
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"classes must be a non-empty list, got {value!r}")
+    for label in value:
+        _integer(label, "a class label")
+    if len(set(value)) != len(value) or (count and len(value) != count):
+        wanted = f"{count} distinct" if count else "distinct"
+        raise ValueError(f"classes {value!r} are not {wanted} labels")
+    return np.asarray(value, dtype=np.int64)
 
 
 # -- kernels -----------------------------------------------------------------
@@ -97,12 +139,14 @@ def _kernel_to_dict(kernel) -> dict:
 def _kernel_from_dict(payload: dict):
     kind = payload.get("kind")
     if kind == "rbf":
-        return RbfKernel(gamma=payload["gamma"])
+        return RbfKernel(gamma=_finite(payload["gamma"], "kernel gamma"))
     if kind == "linear":
         return LinearKernel()
     if kind == "poly":
         return PolynomialKernel(
-            degree=payload["degree"], gamma=payload["gamma"], coef0=payload["coef0"]
+            degree=_integer(payload["degree"], "kernel degree"),
+            gamma=_finite(payload["gamma"], "kernel gamma"),
+            coef0=_finite(payload["coef0"], "kernel coef0"),
         )
     raise ValueError(f"unknown kernel kind {kind!r}")
 
@@ -125,18 +169,29 @@ def _node_to_dict(node: TreeNode) -> dict:
     return payload
 
 
-def _node_from_dict(payload: dict) -> TreeNode:
+def _node_from_dict(payload: dict, n_classes: int, n_features: int) -> TreeNode:
+    counts = _finite_array(payload["counts"], "node counts", 1)
+    if counts.size != n_classes or (counts < 0).any():
+        raise ValueError(
+            f"node counts must be {n_classes} non-negative numbers, "
+            f"got {counts.tolist()}"
+        )
     node = TreeNode(
-        class_counts=np.asarray(payload["counts"], dtype=np.float64),
+        class_counts=counts,
         depth=int(payload["depth"]),
         node_id=int(payload["id"]),
         impurity=float(payload["impurity"]),
     )
     if "feature" in payload:
-        node.feature = int(payload["feature"])
-        node.threshold = float(payload["threshold"])
-        node.left = _node_from_dict(payload["left"])
-        node.right = _node_from_dict(payload["right"])
+        feature = _integer(payload["feature"], "split feature")
+        if not 0 <= feature < n_features:
+            raise ValueError(
+                f"split on feature {feature} of a {n_features}-feature tree"
+            )
+        node.feature = feature
+        node.threshold = _finite(payload["threshold"], "split threshold")
+        node.left = _node_from_dict(payload["left"], n_classes, n_features)
+        node.right = _node_from_dict(payload["right"], n_classes, n_features)
     return node
 
 
@@ -161,9 +216,13 @@ def _cart_to_dict(clf: DecisionTreeClassifier) -> dict:
 
 def _cart_from_dict(payload: dict) -> DecisionTreeClassifier:
     clf = DecisionTreeClassifier(**payload["params"])
-    clf.classes_ = np.asarray(payload["classes"])
-    clf.n_features_ = int(payload["n_features"])
-    clf.root_ = _node_from_dict(payload["root"])
+    clf.classes_ = _classes(payload["classes"])
+    clf.n_features_ = _integer(payload["n_features"], "n_features")
+    if clf.n_features_ < 1:
+        raise ValueError(f"n_features must be >= 1, got {clf.n_features_}")
+    clf.root_ = _node_from_dict(
+        payload["root"], clf.classes_.size, clf.n_features_
+    )
     return clf
 
 
@@ -189,15 +248,22 @@ def _binary_svc_to_dict(svc: BinarySVC) -> dict:
 
 def _binary_svc_from_dict(payload: dict) -> BinarySVC:
     svc = BinarySVC(
-        C=payload["C"],
+        C=_finite(payload["C"], "C"),
         kernel=_kernel_from_dict(payload["kernel"]),
         tol=payload["tol"],
         max_iter=payload["max_iter"],
     )
-    svc.classes_ = np.asarray(payload["classes"])
-    svc.support_vectors_ = np.asarray(payload["support_vectors"], dtype=np.float64)
-    svc.dual_coef_ = np.asarray(payload["dual_coef"], dtype=np.float64)
-    svc.bias_ = float(payload["bias"])
+    svc.classes_ = _classes(payload["classes"], 2)
+    svc.support_vectors_ = _finite_array(
+        payload["support_vectors"], "support vectors", 2
+    )
+    svc.dual_coef_ = _finite_array(payload["dual_coef"], "dual coefficients", 1)
+    if svc.dual_coef_.size != svc.support_vectors_.shape[0]:
+        raise ValueError(
+            f"{svc.dual_coef_.size} dual coefficients for "
+            f"{svc.support_vectors_.shape[0]} support vectors"
+        )
+    svc.bias_ = _finite(payload["bias"], "bias")
     svc.converged_ = bool(payload["converged"])
     svc.iterations_ = int(payload["iterations"])
     return svc
@@ -223,12 +289,14 @@ def _dagsvm_to_dict(clf: DagSvmClassifier) -> dict:
 
 def _dagsvm_from_dict(payload: dict) -> DagSvmClassifier:
     clf = DagSvmClassifier(
-        C=payload["C"],
+        C=_finite(payload["C"], "C"),
         kernel=_kernel_from_dict(payload["kernel"]),
         tol=payload["tol"],
         max_iter=payload["max_iter"],
     )
-    clf.classes_ = np.asarray(payload["classes"])
+    clf.classes_ = _classes(payload["classes"])
+    if clf.classes_.size < 2:
+        raise ValueError("a DAGSVM needs at least two classes")
     machines = {}
     for key, svc_payload in payload["pairwise"].items():
         a, b = key.split(",")
@@ -278,7 +346,7 @@ def model_from_dict(payload: dict):
         raise ModelFormatError(
             f"{fmt} payload is missing or malformed at field {exc}"
         ) from exc
-    except ValueError as exc:  # a value no estimator accepts
+    except (ValueError, OverflowError) as exc:  # a value no estimator accepts
         raise ModelFormatError(f"{fmt} payload is malformed: {exc}") from exc
 
 
@@ -360,14 +428,20 @@ def classifier_from_dict(payload: dict):
         )
     try:
         feature_set = FeatureSet(
-            payload["feature_name"], tuple(payload["feature_widths"])
+            payload["feature_name"],
+            tuple(
+                _integer(width, "a feature width")
+                for width in payload["feature_widths"]
+            ),
         )
         classifier = IustitiaClassifier(
             model=payload["model_kind"],
             feature_set=feature_set,
-            buffer_size=payload["buffer_size"],
+            buffer_size=_integer(payload["buffer_size"], "buffer_size"),
             training=TrainingMethod(payload["training"]),
-            header_threshold=payload["header_threshold"],
+            header_threshold=_integer(
+                payload["header_threshold"], "header_threshold"
+            ),
         )
         model_payload = payload["model"]
     except (KeyError, TypeError) as exc:
@@ -376,8 +450,79 @@ def classifier_from_dict(payload: dict):
         ) from exc
     except ValueError as exc:  # a setting the classifier rejects
         raise ModelFormatError(f"classifier payload is malformed: {exc}") from exc
-    classifier._model = model_from_dict(model_payload)
+    model = model_from_dict(model_payload)
+    try:
+        _check_serves(model, classifier)
+    except ValueError as exc:
+        raise ModelFormatError(f"classifier payload is malformed: {exc}") from exc
+    classifier._model = model
     return classifier
+
+
+def _check_serves(model, classifier) -> None:
+    """Raise ``ValueError`` unless ``model`` labels every entropy vector.
+
+    A loaded classifier is handed ``(n, d)`` matrices of normalized
+    entropies — ``d`` its feature count, every entry in ``[0, 1]`` —
+    and maps each predicted class to a flow nature. So the model must
+    be the kind the classifier names, take ``d`` features, predict only
+    nature indices, and, for a DAGSVM, keep every pairwise score finite
+    on that domain: its support vectors (training entropy vectors) lie
+    in ``[0, 1]`` and the kernel bound times ``sum |dual_coef|`` plus
+    ``|bias|`` does not overflow.
+    """
+    from repro.core.labels import ALL_NATURES
+
+    kind = "cart" if isinstance(model, DecisionTreeClassifier) else "svm"
+    if kind != classifier.model_kind:
+        raise ValueError(
+            f"model_kind {classifier.model_kind!r} holds a {kind} model"
+        )
+    classes = model.classes_
+    if classes.min() < 0 or classes.max() >= len(ALL_NATURES):
+        raise ValueError(
+            f"classes {classes.tolist()} are not flow natures "
+            f"0..{len(ALL_NATURES) - 1}"
+        )
+    width = len(classifier.feature_set)
+    if kind == "cart":
+        if model.n_features_ != width:
+            raise ValueError(
+                f"the tree takes {model.n_features_} features, the feature "
+                f"set has {width}"
+            )
+        return
+    bound = _gram_bound(model.kernel, width)
+    for svc in model.pairwise_.values():
+        vectors = svc.support_vectors_
+        if vectors.shape[1] != width:
+            raise ValueError(
+                f"support vectors have {vectors.shape[1]} features, the "
+                f"feature set has {width}"
+            )
+        if vectors.min() < 0.0 or vectors.max() > 1.0:
+            raise ValueError("support vectors lie outside [0, 1]")
+        weight = sum(map(abs, svc.dual_coef_.tolist()))
+        if not math.isfinite(bound * weight + abs(svc.bias_)):
+            raise ValueError("a pairwise score can overflow on [0, 1] inputs")
+
+
+def _gram_bound(kernel, width: int) -> float:
+    """Largest ``|K(x, s)|`` over ``x, s`` in ``[0, 1]^width`` (inf: overflows).
+
+    Also inf when computing the gram itself can overflow: the RBF
+    exponent multiplies ``gamma`` by a squared distance of at most
+    ``2 * width`` as computed.
+    """
+    if isinstance(kernel, RbfKernel):
+        return 1.0 if math.isfinite(kernel.gamma * 2.0 * width) else math.inf
+    if isinstance(kernel, LinearKernel):
+        return float(width)
+    base = max(abs(kernel.coef0), abs(kernel.gamma * width + kernel.coef0))
+    try:
+        return base**kernel.degree
+    except OverflowError:
+        return math.inf
 
 
 def load_classifier(path):

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.markov import MarkovTextModel
-
 __all__ = [
     "APP_PROTOCOLS",
     "PROTOCOL_SIGNATURES",
     "make_app_header",
     "random_app_header",
 ]
-
-_MODEL = MarkovTextModel()
 
 _USER_AGENTS = (
     "Mozilla/4.0 (compatible; MSIE 7.0; Windows NT 5.1)",

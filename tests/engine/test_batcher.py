@@ -11,11 +11,11 @@ from repro.obs import MetricsRegistry
 
 def _ready(i: int) -> PendingFlow:
     """A flow as the pipeline queues it: its window frozen on the record."""
-    return PendingFlow(
-        key=FlowKey("10.0.0.1", 1000 + i, "10.0.0.2", 80, 6),
-        flow_id=bytes([i]) * 13,
-        window=b"x" * 32,
+    flow = PendingFlow(
+        FlowKey("10.0.0.1", 1000 + i, "10.0.0.2", 80, 6), flow_id=bytes([i]) * 13
     )
+    flow.window = b"x" * 32
+    return flow
 
 
 class ManualClock:

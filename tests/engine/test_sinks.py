@@ -1,5 +1,7 @@
 """Tests for the pluggable result sinks."""
 
+from repro.api import open_engine
+from repro.core.config import EngineConfig
 from repro.core.labels import ALL_NATURES, BINARY, TEXT
 from repro.engine.sinks import CallbackSink, QueueSink, ResultSink, StatsSink
 from repro.engine.types import ClassifiedFlow
@@ -81,3 +83,79 @@ class TestBaseSink:
         sink = ResultSink()
         sink.on_flow_classified(_outcome(), [_packet()])
         sink.on_packet(TEXT, _packet())
+
+
+class TestPerDrainProtocol:
+    """The engine makes one ``on_flows_classified`` call per sink per drain."""
+
+    def _feed(self, engine):
+        """Two size drains of three; returns the first drain's flows.
+
+        ``e`` arrives first but fills its window after ``a``; ``a`` gets
+        a second packet while queued. So the first drain, in readiness
+        order, is ``a`` (two packets), ``e`` (two), ``b`` (one).
+        """
+        a1, a2 = _packet(bytes(48), 0.001, 1), _packet(bytes(20), 0.002, 1)
+        e1, e2 = _packet(bytes(10), 0.000, 5), _packet(bytes(30), 0.003, 5)
+        b1 = _packet(bytes(48), 0.004, 2)
+        for packet in sorted([a1, a2, e1, e2, b1], key=lambda p: p.timestamp):
+            engine.process_packet(packet)
+        for sport in (3, 4, 6):
+            engine.process_packet(_packet(bytes(48), 0.01 + sport * 1e-3, sport))
+        return [(0.001, 1, [a1, a2]), (0.003, 5, [e1, e2]), (0.004, 2, [b1])]
+
+    def test_overriding_sink_gets_one_call_per_drain(self, trained_svm, still_clock):
+        class DrainSink(ResultSink):
+            def __init__(self):
+                self.calls = []
+
+            def on_flows_classified(self, outcomes, packets):
+                self.calls.append((list(outcomes), [list(p) for p in packets]))
+
+            def on_flow_classified(self, outcome, packets):
+                raise AssertionError("a per-drain sink got a per-flow call")
+
+        sink = DrainSink()
+        engine = open_engine(trained_svm, EngineConfig(max_batch=3), sink=sink)
+        first = self._feed(engine)
+
+        assert [len(outcomes) for outcomes, _ in sink.calls] == [3, 3]
+        outcomes, packets = sink.calls[0]
+        assert [(o.classified_at, o.key.src_port) for o in outcomes] == [
+            (ready, sport) for ready, sport, _ in first
+        ]
+        assert packets == [buffered for _, _, buffered in first]
+        assert [o for outcomes, _ in sink.calls for o in outcomes] == (
+            engine.stats.classified
+        )
+
+    def test_per_flow_sinks_see_every_flow_in_order(self, trained_svm, still_clock):
+        class DuckSink:
+            """No base class and no ``on_flows_classified``."""
+
+            def __init__(self):
+                self.seen = []
+
+            def on_flow_classified(self, outcome, packets):
+                self.seen.append((outcome, list(packets)))
+
+            def on_packet(self, label, packet):
+                pass
+
+        duck = DuckSink()
+        wrapped = ResultSink()
+        seen = []
+        wrapped.on_flow_classified = lambda outcome, packets: seen.append(
+            (outcome, list(packets))
+        )
+        engine = open_engine(
+            trained_svm, EngineConfig(max_batch=3), sink=[duck, wrapped]
+        )
+        first = self._feed(engine)
+
+        assert [outcome for outcome, _ in duck.seen] == engine.stats.classified
+        assert len(engine.stats.classified) == 6
+        assert seen == duck.seen
+        assert [packets for _, packets in duck.seen[:3]] == [
+            buffered for _, _, buffered in first
+        ]

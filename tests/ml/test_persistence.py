@@ -27,6 +27,8 @@ from repro.ml.tree.cart import DecisionTreeClassifier
 #: PHI_CART_PRIME), written by ``save_model`` of the release whose
 #: classifier still carried a (delta, epsilon) estimator.
 SAVED_MODELS = Path(__file__).parent / "saved_models"
+SVM = "workload_svm.json"
+CART = "workload_cart.json"
 
 
 @pytest.fixture(scope="module")
@@ -182,26 +184,68 @@ class TestModelFormatError:
             load_classifier(broken)
 
     @pytest.mark.parametrize(
-        "damage",
+        "name, damage",
         [
-            lambda p: p.update(training="sideways"),
-            lambda p: p.update(model_kind="forest"),
-            lambda p: p["model"]["kernel"].update(kind="sigmoid"),
-            lambda p: p.update(feature_widths=[0, 2]),
-            lambda p: p.update(buffer_size=4),
-            lambda p: p["model"]["pairwise"]["0,1"]["support_vectors"][0].pop(),
-            lambda p: p["model"].update(pairwise={}),
-        ],
-        ids=[
-            "unknown-training", "unknown-model-kind", "unknown-kernel",
-            "zero-width", "buffer-below-widest", "ragged-support-vectors",
-            "empty-pairwise",
+            pytest.param(SVM, lambda p: p.update(training="sideways"),
+                         id="unknown-training"),
+            pytest.param(SVM, lambda p: p.update(model_kind="forest"),
+                         id="unknown-model-kind"),
+            pytest.param(SVM, lambda p: p["model"]["kernel"].update(kind="sigmoid"),
+                         id="unknown-kernel"),
+            pytest.param(SVM, lambda p: p.update(feature_widths=[0, 2]),
+                         id="zero-width"),
+            pytest.param(SVM, lambda p: p.update(buffer_size=4),
+                         id="buffer-below-widest"),
+            pytest.param(
+                SVM,
+                lambda p: p["model"]["pairwise"]["0,1"]["support_vectors"][0].pop(),
+                id="ragged-support-vectors",
+            ),
+            pytest.param(SVM, lambda p: p["model"].update(pairwise={}),
+                         id="empty-pairwise"),
+            # Each of these loaded before, then crashed or mislabelled at
+            # the first predict.
+            pytest.param(CART, lambda p: p["model"].update(n_features=2),
+                         id="cart-n-features-below-widths"),
+            pytest.param(CART, lambda p: p["model"]["root"].update(feature=7),
+                         id="cart-split-feature-out-of-range"),
+            pytest.param(CART, lambda p: p["model"]["root"].update(feature=1.5),
+                         id="cart-split-feature-not-integer"),
+            pytest.param(SVM, lambda p: p["model"].update(classes=[0, 1, 9]),
+                         id="svm-class-not-a-nature"),
+            pytest.param(CART, lambda p: p["model"].update(classes=[0.5, 1, 2]),
+                         id="cart-class-not-integer"),
+            pytest.param(CART, lambda p: p["model"].update(classes=[0, 1, 7]),
+                         id="cart-class-not-a-nature"),
+            pytest.param(
+                SVM,
+                lambda p: p["model"]["pairwise"]["0,1"]["support_vectors"][0]
+                .__setitem__(0, float("nan")),
+                id="nan-support-vector",
+            ),
+            pytest.param(
+                SVM,
+                lambda p: p["model"]["pairwise"]["0,2"]["dual_coef"]
+                .__setitem__(0, float("inf")),
+                id="infinite-dual-coef",
+            ),
+            pytest.param(
+                SVM, lambda p: p["model"]["pairwise"]["1,2"].update(bias=float("nan")),
+                id="nan-bias",
+            ),
+            pytest.param(
+                CART, lambda p: p["model"]["root"].update(threshold=float("-inf")),
+                id="infinite-threshold",
+            ),
         ],
     )
-    def test_rejected_settings_raise_model_format_error(self, tmp_path, damage):
-        payload = json.loads((SAVED_MODELS / "workload_svm.json").read_text())
+    def test_rejected_settings_raise_model_format_error(
+        self, tmp_path, name, damage
+    ):
+        payload = json.loads((SAVED_MODELS / name).read_text())
         damage(payload)
         path = tmp_path / "damaged.json"
+        # ``json.dumps`` writes NaN / Infinity tokens, which ``json`` reads.
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match="malformed"):
             repro.load_model(path)
