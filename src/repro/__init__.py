@@ -34,9 +34,14 @@ epsilon) estimation study, classifier, CDB, config), ``repro.engine``
 (packets, flows, pcap, trace generation), ``repro.data`` (synthetic
 corpus), ``repro.analysis`` (KL/JSD divergences), ``repro.experiments``
 (benchmark harness).
+
+``import repro`` loads only the modules a classify pass runs
+(``load_model`` → ``open_engine`` → ``process_source``); the training,
+trace-generation, scrape and paper-study names above (``build_corpus``,
+``generate_gateway_trace``, ``render_text``, ...) resolve on first use.
 """
 
-from repro.analysis import jensen_shannon_divergence, kl_divergence
+from repro._lazy import lazy_exports
 from repro.api import load_model, open_engine, save_model, train
 from repro.core import (
     BINARY,
@@ -44,7 +49,6 @@ from repro.core import (
     TEXT,
     ClassificationDatabase,
     EngineConfig,
-    EntropyEstimator,
     EntropyVector,
     FeatureSet,
     FlowNature,
@@ -61,7 +65,6 @@ from repro.core.features import (
     PHI_SVM,
     PHI_SVM_PRIME,
 )
-from repro.data import Corpus, LabeledFile, build_corpus
 from repro.engine import (
     CallbackSink,
     ClassifiedFlow,
@@ -71,29 +74,36 @@ from repro.engine import (
     StagedEngine,
     StatsSink,
 )
-from repro.ingest import PacketSource, PcapFileSource, SupervisedSource
-from repro.ml import DagSvmClassifier, DecisionTreeClassifier
+from repro.ingest import PacketSource, PcapFileSource
+from repro.ml import DecisionTreeClassifier
 from repro.net import (
     FlowKey,
-    GatewayTraceConfig,
     Packet,
     PcapDecodeStats,
     PcapError,
-    Trace,
-    generate_gateway_trace,
     iter_pcap,
     read_pcap,
     write_pcap,
 )
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-    render_text,
-    validate_text,
-)
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, Timer
+
+# Training, trace generation and the paper-study libraries: nothing the
+# classify pass runs, so they load on first access.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "Corpus": "repro.data.corpus",
+    "DagSvmClassifier": "repro.ml.svm.dagsvm",
+    "EntropyEstimator": "repro.core.estimation",
+    "GatewayTraceConfig": "repro.net.tracegen",
+    "LabeledFile": "repro.data.corpus",
+    "SupervisedSource": "repro.ingest.supervise",
+    "Trace": "repro.net.trace",
+    "build_corpus": "repro.data.corpus",
+    "generate_gateway_trace": "repro.net.tracegen",
+    "jensen_shannon_divergence": "repro.analysis.divergence",
+    "kl_divergence": "repro.analysis.divergence",
+    "render_text": "repro.obs.exposition",
+    "validate_text": "repro.obs.exposition",
+})
 
 __version__ = "1.5.0"
 

@@ -122,7 +122,8 @@ def open_engine(
     wrapped; None means defaults). ``sink`` attaches one result sink or
     a sequence of them — anything implementing the ``ResultSink``
     protocol (``on_flow_classified`` / ``on_packet``, and optionally
-    ``on_flows_classified``, which gets each drain in one call). A ``StatsSink``
+    ``on_flows_classified``, which gets each drain in one call; a sink
+    missing either required method is a ``TypeError``). A ``StatsSink``
     always rides along (added when ``sink`` doesn't include one), so
     ``engine.stats.classified`` and ``engine.evaluate_against`` work
     regardless of what else is attached. ``registry`` shares a metrics
@@ -171,12 +172,6 @@ def open_engine(
     sinks = None
     if sink is not None:
         sinks = list(sink) if isinstance(sink, (list, tuple)) else [sink]
-        for candidate in sinks:
-            if not callable(getattr(candidate, "on_flow_classified", None)):
-                raise TypeError(
-                    f"{type(candidate).__name__} does not implement the "
-                    "ResultSink protocol (missing on_flow_classified)"
-                )
         if not any(isinstance(candidate, StatsSink) for candidate in sinks):
             sinks.insert(0, StatsSink())
     return StagedEngine(

@@ -31,7 +31,10 @@ on replay.
 
 The command implementations go through the stable :mod:`repro.api`
 facade (``train`` / ``save_model`` / ``load_model`` / ``open_engine``),
-so they double as usage examples.
+so they double as usage examples. Module level imports only what a
+plain ``classify`` runs; corpus and trace generation, ground-truth
+scoring, supervision and the exposition load in the branch that uses
+them.
 """
 
 from __future__ import annotations
@@ -43,13 +46,9 @@ import sys
 from repro.api import load_model, open_engine, save_model, train
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.labels import FlowNature
-from repro.data.corpus import build_corpus
-from repro.ingest import PcapFileSource, SupervisedSource
+from repro.ingest import PcapFileSource
 from repro.net.flow import FlowKey
 from repro.net.pcap import PcapError, write_pcap
-from repro.net.trace import Trace
-from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
-from repro.obs import render_text
 
 __all__ = ["main"]
 
@@ -94,6 +93,8 @@ def _non_negative_int(text: str) -> int:
 
 
 def _cmd_gen_trace(args: argparse.Namespace) -> int:
+    from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
+
     config = GatewayTraceConfig(
         n_flows=args.flows,
         duration=args.duration,
@@ -114,6 +115,8 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from repro.data.corpus import build_corpus
+
     print(f"building corpus ({args.per_class} files/class, seed {args.seed})...")
     corpus = build_corpus(per_class=args.per_class, seed=args.seed)
     classifier = train(corpus, model=args.model, buffer_size=args.buffer)
@@ -184,6 +187,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return opened[-1]
 
     if args.max_retries:
+        from repro.ingest.supervise import SupervisedSource
+
         source = SupervisedSource(
             _open_source,
             max_attempts=args.max_retries,
@@ -225,8 +230,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"{results[-1]['flow']:50s} -> {results[-1]['nature']}")
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(results, handle, indent=2)
+        try:
+            with open(args.json, "w") as handle:
+                json.dump(results, handle, indent=2)
+        except OSError as exc:
+            print(f"error: cannot write flow labels {args.json}: {exc}",
+                  file=sys.stderr)
+            return 2
         print(f"wrote {len(results)} flow labels to {args.json}")
 
     print(f"packets {stats.packets}, flows classified {stats.classifications}, "
@@ -236,11 +246,25 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             print("error: engine telemetry is disabled; no metrics to write",
                   file=sys.stderr)
             return 2
-        with open(args.metrics, "w") as handle:
-            handle.write(render_text(engine.metrics))
+        from repro.obs.exposition import render_text
+
+        try:
+            with open(args.metrics, "w") as handle:
+                handle.write(render_text(engine.metrics))
+        except OSError as exc:
+            print(f"error: cannot write metrics {args.metrics}: {exc}",
+                  file=sys.stderr)
+            return 2
         print(f"wrote telemetry exposition to {args.metrics}")
     if labels:
-        report = engine.evaluate_against(Trace(packets=[], labels=labels))
+        from repro.net.trace import Trace
+
+        try:
+            report = engine.evaluate_against(Trace(packets=[], labels=labels))
+        except ValueError as exc:
+            print(f"error: cannot score against labels {args.labels}: {exc}",
+                  file=sys.stderr)
+            return 2
         print("accuracy vs ground truth: "
               + ", ".join(f"{k}={v:.1%}" for k, v in report.items()))
     return 0

@@ -2,6 +2,7 @@
 configuration of the online engine (:mod:`repro.engine`), and the
 offline (delta, epsilon) estimation study."""
 
+from repro._lazy import lazy_exports
 from repro.core.accounting import (
     distinct_counters,
     flow_state_bytes,
@@ -18,12 +19,6 @@ from repro.core.entropy import (
     max_normalized_entropy,
 )
 from repro.core.entropy_vector import EntropyVector, entropy_vector
-from repro.core.estimation import (
-    EntropyEstimator,
-    EstimationBudget,
-    estimate_hk,
-    feature_set_coefficient,
-)
 from repro.core.features import (
     FEATURE_SETS,
     FULL_FEATURES,
@@ -33,17 +28,25 @@ from repro.core.features import (
     PHI_SVM_PRIME,
     FeatureSet,
 )
-from repro.core.feature_selection import (
-    cart_voting_selection,
-    sequential_forward_selection,
-)
 from repro.core.headers import (
     APP_HEADER_SIGNATURES,
     detect_app_protocol,
     strip_app_header,
 )
 from repro.core.labels import BINARY, ENCRYPTED, TEXT, FlowNature
-from repro.core.delay import BufferingDelayModel, DelayBreakdown
+
+# The offline (delta, epsilon) estimation study, the delay model and
+# feature selection: nothing the classify pass runs.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "BufferingDelayModel": "repro.core.delay",
+    "DelayBreakdown": "repro.core.delay",
+    "EntropyEstimator": "repro.core.estimation",
+    "EstimationBudget": "repro.core.estimation",
+    "cart_voting_selection": "repro.core.feature_selection",
+    "estimate_hk": "repro.core.estimation",
+    "feature_set_coefficient": "repro.core.estimation",
+    "sequential_forward_selection": "repro.core.feature_selection",
+})
 
 __all__ = [
     "APP_HEADER_SIGNATURES",

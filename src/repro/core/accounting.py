@@ -16,12 +16,16 @@ reverse-engineered from the paper's own numbers:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.cdb import RECORD_BYTES
 from repro.core.entropy_vector import require_window_lengths, window_entropies
-from repro.core.estimation import EstimationBudget
 from repro.core.features import FeatureSet
+
+if TYPE_CHECKING:  # the estimation study is not on the classify path
+    from repro.core.estimation import EstimationBudget
 
 __all__ = [
     "DEFAULT_COUNTER_BYTES",

@@ -14,15 +14,17 @@ raw byte buffers (a flow's buffered payload or a file prefix).
 from __future__ import annotations
 
 import enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.entropy_vector import entropy_vectors_batch, training_windows
 from repro.core.features import PHI_SVM_PRIME, FeatureSet
 from repro.core.labels import ALL_NATURES, FlowNature
-from repro.ml.svm.dagsvm import DagSvmClassifier
-from repro.ml.svm.kernels import RbfKernel
 from repro.ml.tree.cart import DecisionTreeClassifier
+
+if TYPE_CHECKING:
+    from repro.ml.svm.dagsvm import DagSvmClassifier
 
 __all__ = ["IustitiaClassifier", "TrainingMethod"]
 
@@ -77,8 +79,14 @@ class IustitiaClassifier:
         self.buffer_size = buffer_size
         self.training = training
         self.header_threshold = header_threshold
-        self._rng = rng if rng is not None else np.random.default_rng()
+        # Only RANDOM_OFFSET training draws; without a caller's RNG one
+        # is created then, so loading a model never imports numpy.random.
+        self._rng = rng
         if model == "svm":
+            # Imported per SVM model: a CART classifier compiles no SVM code.
+            from repro.ml.svm.dagsvm import DagSvmClassifier
+            from repro.ml.svm.kernels import RbfKernel
+
             self._model: "DagSvmClassifier | DecisionTreeClassifier" = (
                 DagSvmClassifier(C=C, kernel=RbfKernel(gamma=gamma))
             )
@@ -122,12 +130,15 @@ class IustitiaClassifier:
             )
         if not data_list:
             raise ValueError("training set must be non-empty")
+        max_header = None
+        if self.training is TrainingMethod.RANDOM_OFFSET:
+            max_header = self.header_threshold
+            if self._rng is None:
+                self._rng = np.random.default_rng()
         windows = training_windows(
             data_list,
             None if self.training is TrainingMethod.WHOLE_FILE else self.buffer_size,
-            self.header_threshold
-            if self.training is TrainingMethod.RANDOM_OFFSET
-            else None,
+            max_header,
             self._rng,
         )
         X = entropy_vectors_batch(windows, self.feature_set)

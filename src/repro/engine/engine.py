@@ -27,8 +27,7 @@ fan-out, and the readers that put its counts on the metrics registry.
 from __future__ import annotations
 
 from functools import partial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.classifier import IustitiaClassifier
 from repro.core.config import EngineConfig, IustitiaConfig
@@ -40,8 +39,12 @@ from repro.engine.pipeline import FlowPipeline, WindowPolicy
 from repro.engine.sinks import ResultSink, StatsSink
 from repro.engine.types import EngineClosedError, EngineStats
 from repro.net.packet import Packet
-from repro.net.trace import Trace
 from repro.obs import MetricsRegistry
+
+if TYPE_CHECKING:  # in-memory traces are not on the classify path
+    import numpy as np
+
+    from repro.net.trace import Trace
 
 __all__ = ["SerialRuntime", "StagedEngine"]
 
@@ -202,6 +205,22 @@ class StagedEngine:
             engine_config = config
         else:
             engine_config = EngineConfig(pipeline=config)
+        self.sinks: list[ResultSink] = (
+            list(sinks) if sinks is not None else [StatsSink()]
+        )
+        for sink in self.sinks:
+            # Both events are required: a sink without on_packet would
+            # pass here and fail at its first CDB hit, mid-stream.
+            missing = [
+                event
+                for event in ("on_flow_classified", "on_packet")
+                if not callable(getattr(sink, event, None))
+            ]
+            if missing:
+                raise TypeError(
+                    f"{type(sink).__name__} does not implement the "
+                    f"ResultSink protocol (missing {', '.join(missing)})"
+                )
         self.classifier = classifier
         self.engine_config = engine_config
         self.config = engine_config.pipeline
@@ -239,14 +258,13 @@ class StagedEngine:
             purge_coefficient=self.config.purge_coefficient,
             purge_trigger_flows=self.config.purge_trigger_flows,
         )
-        self._rng = rng if rng is not None else np.random.default_rng()
         self.pipeline = FlowPipeline(
             self.table,
             extractor=self.extractor,
             policy=WindowPolicy(
                 config=self.config,
                 min_window=classifier.feature_set.max_width,
-                rng=self._rng,
+                rng=rng,
             ),
             max_batch=engine_config.max_batch,
             buffer_timeout=self.config.buffer_timeout,
@@ -259,9 +277,6 @@ class StagedEngine:
         self.batcher = self.pipeline.batcher
         #: Live counters: the engine counts packets, the pipeline the rest.
         self.stats: EngineStats = self.pipeline.stats
-        self.sinks: list[ResultSink] = (
-            list(sinks) if sinks is not None else [StatsSink()]
-        )
         self._payload_bytes = 0
         for sink in self.sinks:
             if isinstance(sink, StatsSink):

@@ -31,6 +31,8 @@ from __future__ import annotations
 from itertools import count
 from time import perf_counter
 
+import numpy as np
+
 from repro.core.cdb import DEFAULT_LAMBDA, CdbRecord
 from repro.core.headers import skip_threshold, strip_app_header
 from repro.core.labels import ALL_NATURES
@@ -78,7 +80,9 @@ class WindowPolicy:
     Pure classify-side configuration (header stripping/skipping, the
     random-skip defense, the usability bound). The random-skip draws
     come from the engine's one RNG in readiness order, which is what
-    keeps the staged engine's draws aligned with the monolith's.
+    keeps the staged engine's draws aligned with the monolith's. With
+    no RNG given, one is created at the first draw, so an engine that
+    never skips never imports ``numpy.random``.
     """
 
     __slots__ = ("config", "min_window", "rng")
@@ -97,6 +101,8 @@ class WindowPolicy:
         if config.random_skip_max:
             # Section 4.6 defense: examine bytes at an unpredictable offset
             # so adversarial padding at the flow head is skipped over.
+            if self.rng is None:
+                self.rng = np.random.default_rng()
             skip = int(self.rng.integers(0, config.random_skip_max + 1))
             skipped = skip_threshold(raw, skip)
             if len(skipped) >= min_window:

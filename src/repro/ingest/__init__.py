@@ -14,8 +14,13 @@ below the engine. See DESIGN.md's "Ingest layer" and "Ingest
 supervision" sections for the memory, equivalence, and fault contracts.
 """
 
+from repro._lazy import lazy_exports
 from repro.ingest.sources import PacketSource, PcapFileSource
-from repro.ingest.supervise import SupervisedSource
+
+# Supervision wraps a source only when asked to.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "SupervisedSource": "repro.ingest.supervise",
+})
 
 __all__ = [
     "PacketSource",

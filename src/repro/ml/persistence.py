@@ -18,19 +18,24 @@ on a feature the model does not have, classes that are not distinct
 integers, or, for a classifier, a model whose width, classes or scores
 do not fit the entropy vectors it will be handed — is the same error,
 raised at load rather than at the first predict.
+
+The SVM classes are imported by the functions that handle an SVM
+payload, so loading a CART model compiles no SVM code.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.ml.svm.binary import BinarySVC
-from repro.ml.svm.dagsvm import DagSvmClassifier
-from repro.ml.svm.kernels import LinearKernel, PolynomialKernel, RbfKernel
 from repro.ml.tree.cart import DecisionTreeClassifier, TreeNode
+
+if TYPE_CHECKING:
+    from repro.ml.svm.binary import BinarySVC
+    from repro.ml.svm.dagsvm import DagSvmClassifier
 
 __all__ = [
     "ModelFormatError",
@@ -122,6 +127,8 @@ def _classes(value, count: "int | None" = None) -> np.ndarray:
 
 
 def _kernel_to_dict(kernel) -> dict:
+    from repro.ml.svm.kernels import LinearKernel, PolynomialKernel, RbfKernel
+
     if isinstance(kernel, RbfKernel):
         return {"kind": "rbf", "gamma": kernel.gamma}
     if isinstance(kernel, LinearKernel):
@@ -137,6 +144,8 @@ def _kernel_to_dict(kernel) -> dict:
 
 
 def _kernel_from_dict(payload: dict):
+    from repro.ml.svm.kernels import LinearKernel, PolynomialKernel, RbfKernel
+
     kind = payload.get("kind")
     if kind == "rbf":
         return RbfKernel(gamma=_finite(payload["gamma"], "kernel gamma"))
@@ -247,6 +256,8 @@ def _binary_svc_to_dict(svc: BinarySVC) -> dict:
 
 
 def _binary_svc_from_dict(payload: dict) -> BinarySVC:
+    from repro.ml.svm.binary import BinarySVC
+
     svc = BinarySVC(
         C=_finite(payload["C"], "C"),
         kernel=_kernel_from_dict(payload["kernel"]),
@@ -288,6 +299,8 @@ def _dagsvm_to_dict(clf: DagSvmClassifier) -> dict:
 
 
 def _dagsvm_from_dict(payload: dict) -> DagSvmClassifier:
+    from repro.ml.svm.dagsvm import DagSvmClassifier
+
     clf = DagSvmClassifier(
         C=_finite(payload["C"], "C"),
         kernel=_kernel_from_dict(payload["kernel"]),
@@ -311,6 +324,8 @@ def _dagsvm_from_dict(payload: dict) -> DagSvmClassifier:
 
 def model_to_dict(model) -> dict:
     """Serialize a fitted CART or DAGSVM model to a JSON-able dict."""
+    from repro.ml.svm.dagsvm import DagSvmClassifier
+
     if isinstance(model, DecisionTreeClassifier):
         return _cart_to_dict(model)
     if isinstance(model, DagSvmClassifier):
@@ -514,6 +529,8 @@ def _gram_bound(kernel, width: int) -> float:
     exponent multiplies ``gamma`` by a squared distance of at most
     ``2 * width`` as computed.
     """
+    from repro.ml.svm.kernels import LinearKernel, RbfKernel
+
     if isinstance(kernel, RbfKernel):
         return 1.0 if math.isfinite(kernel.gamma * 2.0 * width) else math.inf
     if isinstance(kernel, LinearKernel):

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.ml.base import check_fitted, check_X, check_X_y
 from repro.ml.svm.kernels import Kernel, RbfKernel
-from repro.ml.svm.smo import solve_smo
 
 __all__ = ["BinarySVC"]
 
@@ -41,6 +40,9 @@ class BinarySVC:
 
     def fit(self, X, y) -> "BinarySVC":
         """Train on binary-labelled data; returns self."""
+        # Only training runs SMO: a loaded machine never compiles it.
+        from repro.ml.svm.smo import solve_smo
+
         features, labels = check_X_y(X, y)
         self.classes_ = np.unique(labels)
         if self.classes_.size != 2:

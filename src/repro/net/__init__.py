@@ -7,9 +7,9 @@ flow IDs, classic-pcap reading/writing, and a synthetic gateway-trace
 generator calibrated to the UMASS trace marginals the paper reports.
 """
 
+from repro._lazy import lazy_exports
 from repro.net.ethernet import EthernetHeader
 from repro.net.flow import FlowKey, assemble_flows
-from repro.net.hashing import flow_hash
 from repro.net.packet import (
     PROTO_TCP,
     PROTO_UDP,
@@ -25,13 +25,21 @@ from repro.net.pcap import (
     read_pcap,
     write_pcap,
 )
-from repro.net.trace import Trace, TraceRecord
-from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
 from repro.net.appproto import (
     APP_PROTOCOLS,
     make_app_header,
     random_app_header,
 )
+
+# Trace generation, in-memory traces and the SHA-1 flow hash: nothing
+# the classify pass runs.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "GatewayTraceConfig": "repro.net.tracegen",
+    "Trace": "repro.net.trace",
+    "TraceRecord": "repro.net.trace",
+    "flow_hash": "repro.net.hashing",
+    "generate_gateway_trace": "repro.net.tracegen",
+})
 
 __all__ = [
     "APP_PROTOCOLS",

@@ -1,7 +1,7 @@
 """Telemetry for the staged engine: metrics primitives + text exposition.
 
-``repro.obs`` is a dependency-free monitoring plane (stdlib only, no
-imports from the rest of ``repro``): a :class:`MetricsRegistry` of
+``repro.obs`` is a dependency-free monitoring plane (stdlib only; of
+the rest of ``repro`` it imports only the first-use export helper): a :class:`MetricsRegistry` of
 :class:`Counter` / :class:`Gauge` / fixed-bucket :class:`Histogram`
 instruments with :class:`Timer` context managers, and a Prometheus-style
 text exposition (:func:`render_text`, checked by :func:`validate_text`).
@@ -16,7 +16,7 @@ per drain. Snapshots come two ways: ``registry.snapshot()`` (plain
 dict) and ``render_text(registry)`` (scrape format).
 """
 
-from repro.obs.exposition import render_text, validate_text
+from repro._lazy import lazy_exports
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -25,6 +25,12 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Timer,
 )
+
+# The text exposition runs at scrape time, not in the classify pass.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "render_text": "repro.obs.exposition",
+    "validate_text": "repro.obs.exposition",
+})
 
 __all__ = [
     "Counter",

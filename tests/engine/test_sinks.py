@@ -1,8 +1,11 @@
 """Tests for the pluggable result sinks."""
 
+import pytest
+
 from repro.api import open_engine
 from repro.core.config import EngineConfig
 from repro.core.labels import ALL_NATURES, BINARY, TEXT
+from repro.engine.engine import StagedEngine
 from repro.engine.sinks import CallbackSink, QueueSink, ResultSink, StatsSink
 from repro.engine.types import ClassifiedFlow
 from repro.net.flow import FlowKey
@@ -159,3 +162,35 @@ class TestPerDrainProtocol:
         assert [packets for _, packets in duck.seen[:3]] == [
             buffered for _, _, buffered in first
         ]
+
+
+class TestProtocolCheck:
+    """A sink missing a required event is refused when the engine is built,
+    not at its first CDB hit mid-stream."""
+
+    class OnlyFlows:
+        def on_flow_classified(self, outcome, packets):
+            pass
+
+    class OnlyPackets:
+        def on_packet(self, label, packet):
+            pass
+
+    @pytest.mark.parametrize(
+        "sink, missing",
+        [(OnlyFlows(), "on_packet"), (OnlyPackets(), "on_flow_classified")],
+        ids=["only-flows", "only-packets"],
+    )
+    def test_open_engine_names_the_missing_method(self, trained_svm, sink, missing):
+        with pytest.raises(TypeError, match=f"ResultSink protocol.*{missing}"):
+            open_engine(trained_svm, EngineConfig(max_batch=1), sink=sink)
+
+    def test_staged_engine_checks_its_sinks_too(self, trained_svm):
+        with pytest.raises(TypeError, match="missing on_packet"):
+            StagedEngine(trained_svm, sinks=[StatsSink(), self.OnlyFlows()])
+
+    def test_non_callable_event_is_missing(self, trained_svm):
+        sink = self.OnlyFlows()
+        sink.on_packet = None
+        with pytest.raises(TypeError, match="missing on_packet"):
+            open_engine(trained_svm, sink=sink)

@@ -194,6 +194,30 @@ class TestTrainAndClassify:
         assert "Traceback" not in captured.err
         assert captured.out == ""  # refused before any engine ran
 
+    @pytest.mark.parametrize(
+        "option, target, message",
+        [
+            ("--labels", "foreign.json", "cannot score against labels"),
+            ("--json", "absent/results.json", "cannot write flow labels"),
+            ("--metrics", "absent/metrics.prom", "cannot write metrics"),
+        ],
+        ids=["labels-from-another-capture", "json-dir-missing",
+             "metrics-dir-missing"],
+    )
+    def test_classify_reports_failures_after_the_run(
+        self, artifacts, tmp_path, capsys, option, target, message
+    ):
+        model, pcap, _ = artifacts
+        path = tmp_path / target
+        if option == "--labels":
+            # Well-formed ground truth for a flow this capture does not hold.
+            path.write_text('{"10.9.9.9:1234>10.9.9.8:80/6": "text"}')
+        assert main(["classify", str(model), str(pcap), option, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message} {path}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_classify_supervised_matches_plain_run(self, artifacts, capsys):
         model, pcap, _ = artifacts
         assert main(["classify", str(model), str(pcap)]) == 0

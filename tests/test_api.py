@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
 import re
 import subprocess
@@ -13,6 +15,70 @@ import pytest
 import repro
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Training, trace-generation and paper-study modules: no classify pass
+#: runs them, so ``import repro`` and the pass itself load none of them.
+#: The CI step that runs ``repro classify`` under ``-X importtime``
+#: checks the same list.
+OFF_PATH_MODULES = (
+    "repro.analysis.distributions",
+    "repro.analysis.divergence",
+    "repro.analysis.visualize",
+    "repro.core.delay",
+    "repro.core.estimation",
+    "repro.core.feature_selection",
+    "repro.data.binarygen",
+    "repro.data.corpus",
+    "repro.data.cryptogen",
+    "repro.data.markov",
+    "repro.data.textgen",
+    "repro.data.wordlists",
+    "repro.ingest.supervise",
+    "repro.ml.metrics",
+    "repro.ml.validation",
+    "repro.ml.svm.ovo",
+    "repro.ml.svm.smo",
+    "repro.ml.tree.pruning",
+    "repro.net.hashing",
+    "repro.net.trace",
+    "repro.net.tracegen",
+    "repro.streaming.entropy_stream",
+    "repro.streaming.sketch",
+)
+
+#: A cold user of a saved model: the ``repro`` / ``numpy.random`` module
+#: set after each step, as JSON on stdout.
+_SERVING_PROBE = """
+import json, sys
+import repro
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "repro" or m == "numpy.random")
+
+steps = [loaded()]
+classifier = repro.load_model(sys.argv[1])
+steps.append(loaded())
+with repro.open_engine(classifier) as engine:
+    with repro.PcapFileSource(sys.argv[2]) as source:
+        stats = engine.process_source(source)
+assert stats.classifications > 0
+steps.append(loaded())
+repro.render_text(engine.metrics)
+steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def _run_cold(code: str, *args: str) -> str:
+    """stdout of ``code`` in a fresh interpreter that compiles every import."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def _imports_engine(subpackage: str) -> bool:
@@ -204,3 +270,66 @@ class TestFacade:
     def test_open_engine_rejects_bad_config(self, trained_svm):
         with pytest.raises(TypeError, match="EngineConfig"):
             repro.open_engine(trained_svm, config={"max_batch": 4})
+
+
+class TestImportPath:
+    """``import repro`` loads what a classify pass runs, and nothing else."""
+
+    @pytest.fixture(scope="class")
+    def capture(self, tmp_path_factory, small_trace):
+        path = tmp_path_factory.mktemp("import-path") / "trace.pcap"
+        repro.write_pcap(path, small_trace.packets)
+        return path
+
+    @pytest.mark.parametrize(
+        "model, svm_modules",
+        [
+            ("trained_cart", []),
+            ("trained_svm", ["repro.ml.svm", "repro.ml.svm.binary",
+                             "repro.ml.svm.dagsvm", "repro.ml.svm.kernels"]),
+        ],
+        ids=["cart", "svm"],
+    )
+    def test_classify_pass_loads_nothing_more(
+        self, request, tmp_path, capture, model, svm_modules
+    ):
+        path = tmp_path / "model.json"
+        repro.save_model(request.getfixturevalue(model), path)
+        imported, loaded, classified, scraped = map(
+            set, json.loads(_run_cold(_SERVING_PROBE, path, capture))
+        )
+        assert not imported & {*OFF_PATH_MODULES, "numpy.random"}
+        # Only an SVM model adds code, and only the SVM it predicts with.
+        assert sorted(loaded - imported) == svm_modules
+        assert classified == loaded
+        assert scraped - classified == {"repro.obs.exposition"}
+
+    def test_first_use_names_resolve(self):
+        probe = """
+import sys
+import repro
+
+assert set(repro.__all__) <= set(dir(repro))
+assert "repro.data.corpus" not in sys.modules
+from repro import generate_gateway_trace
+assert "repro.net.tracegen" in sys.modules
+assert callable(repro.build_corpus) and "repro.data.corpus" in sys.modules
+assert repro.core.EntropyEstimator is repro.EntropyEstimator
+for name in repro.__all__:
+    getattr(repro, name)
+print("ok")
+"""
+        assert _run_cold(probe).strip() == "ok"
+
+    @pytest.mark.parametrize(
+        "package",
+        ["repro.core", "repro.ingest", "repro.ml", "repro.ml.svm",
+         "repro.ml.tree", "repro.net", "repro.obs"],
+    )
+    def test_package_exports_resolve(self, package):
+        module = importlib.import_module(package)
+        assert set(module.__all__) <= set(dir(module))
+        for name in module.__all__:
+            assert getattr(module, name) is not None, name
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            module.missing
