@@ -43,7 +43,8 @@ import argparse
 import json
 import sys
 
-from repro.api import load_model, open_engine, save_model, train
+from repro.api import load_model, open_engine, save_model
+from repro.core.classifier import IustitiaClassifier
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.labels import FlowNature
 from repro.ingest import PcapFileSource
@@ -95,12 +96,16 @@ def _non_negative_int(text: str) -> int:
 def _cmd_gen_trace(args: argparse.Namespace) -> int:
     from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
 
-    config = GatewayTraceConfig(
-        n_flows=args.flows,
-        duration=args.duration,
-        seed=args.seed,
-        app_header_probability=args.headers,
-    )
+    try:
+        config = GatewayTraceConfig(
+            n_flows=args.flows,
+            duration=args.duration,
+            seed=args.seed,
+            app_header_probability=args.headers,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     trace = generate_gateway_trace(config)
     write_pcap(args.output, trace.packets)
     print(f"wrote {len(trace)} packets / {len(trace.labels)} flows to {args.output}")
@@ -117,9 +122,16 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.data.corpus import build_corpus
 
-    print(f"building corpus ({args.per_class} files/class, seed {args.seed})...")
-    corpus = build_corpus(per_class=args.per_class, seed=args.seed)
-    classifier = train(corpus, model=args.model, buffer_size=args.buffer)
+    try:
+        # What ``train`` fits, built before the corpus so that a bad
+        # setting fails at once.
+        classifier = IustitiaClassifier(model=args.model, buffer_size=args.buffer)
+        print(f"building corpus ({args.per_class} files/class, seed {args.seed})...")
+        corpus = build_corpus(per_class=args.per_class, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    classifier.fit_corpus(corpus)
     save_model(classifier, args.output)
     training_accuracy = classifier.score_files(
         [f.data for f in corpus], [f.nature for f in corpus]

@@ -33,9 +33,7 @@ __all__ = [
     "estimation_space_bytes",
     "exact_space_bytes",
     "flow_state_bytes",
-    "incremental_flow_state_bytes",
-    "incremental_flow_state_bytes_array",
-    "incremental_space_bytes",
+    "window_state_bytes",
 ]
 
 #: Counter width: 2 bytes count up to 65535 occurrences, enough for any
@@ -90,75 +88,27 @@ def estimation_space_bytes(
     return counter_bytes * (budget.total_counters(features) + h1_counters)
 
 
-def incremental_space_bytes(
-    num_counters: int,
-    carry_bytes: int,
-    counter_bytes: int = DEFAULT_COUNTER_BYTES,
-) -> int:
-    """Per-flow bytes of the paper's Section-4.4 fold-at-arrival shape.
+def window_state_bytes(
+    distinct: "np.ndarray", held_bytes: "np.ndarray"
+) -> "np.ndarray":
+    """Engine-telemetry per-flow state of a classify drain, CDB included.
 
-    Counters plus the ``max_width - 1`` boundary carry only: a flow
-    whose packets fold into k-gram count tables on arrival never retains
-    the payload, so the buffer term of :func:`exact_space_bytes`
-    disappears. ``num_counters`` is the number of *non-zero* counters
-    such tables would hold (the empirical ``alpha``), and
-    ``carry_bytes`` the trailing bytes kept to stitch grams across
-    packet boundaries. This is a *model*: the incremental extractor
-    charges it for each window it classifies, while what the process
-    holds is that window (at most ``b`` bytes, extracted once at the
-    drain — measured faster than folding tables per packet, DESIGN.md
-    "Fold batching").
-    """
-    if num_counters < 0:
-        raise ValueError(f"num_counters must be >= 0, got {num_counters}")
-    if carry_bytes < 0:
-        raise ValueError(f"carry_bytes must be >= 0, got {carry_bytes}")
-    if counter_bytes < 1:
-        raise ValueError(f"counter_bytes must be >= 1, got {counter_bytes}")
-    return counter_bytes * num_counters + carry_bytes
-
-
-def incremental_flow_state_bytes(
-    num_counters: int,
-    carry_bytes: int,
-    counter_bytes: int = DEFAULT_COUNTER_BYTES,
-) -> float:
-    """Engine-telemetry view of incremental per-flow state, CDB included.
-
-    The exact (not sampled) counterpart of :func:`flow_state_bytes` for
-    the incremental extractor: modelled counter tables + boundary carry
-    + the 194-bit CDB record the flow occupies once labelled. Comparable
-    one-for-one against the paper's ~200 B Table-3 figure and against
-    the buffered baseline's :func:`flow_state_bytes`.
+    ``distinct[i]`` is window ``i``'s distinct-gram total — the non-zero
+    counters of its §4.4 tables, as the window kernel counted them on
+    its way to the vector — and ``held_bytes[i]`` the payload bytes the
+    flow holds besides: the whole window on the buffered path (so a flow
+    is charged :func:`flow_state_bytes` of its window), only the
+    ``max_width - 1`` byte boundary carry on the Section-4.4
+    fold-at-arrival shape, whose count tables never retain the payload.
+    Plus the 194-bit CDB record the flow occupies once labelled; float64
+    bytes per flow, comparable one-for-one with the paper's ~200 B
+    Table-3 figure.
     """
     return (
-        incremental_space_bytes(num_counters, carry_bytes, counter_bytes)
+        DEFAULT_COUNTER_BYTES * np.asarray(distinct, dtype=np.float64)
+        + np.asarray(held_bytes, dtype=np.float64)
         + RECORD_BYTES
     )
-
-
-def incremental_flow_state_bytes_array(
-    num_counters: "np.ndarray",
-    carry_bytes: "np.ndarray",
-    counter_bytes: int = DEFAULT_COUNTER_BYTES,
-) -> "np.ndarray":
-    """Vectorized :func:`incremental_flow_state_bytes` over a whole batch.
-
-    Under exact accounting the engine charges every classified flow; one
-    arithmetic pass over the batch keeps that honest without a Python
-    call per flow. ``num_counters[i]`` / ``carry_bytes[i]`` describe
-    flow ``i``; returns float64 state bytes per flow, CDB record
-    included.
-    """
-    if counter_bytes < 1:
-        raise ValueError(f"counter_bytes must be >= 1, got {counter_bytes}")
-    counters = np.asarray(num_counters, dtype=np.float64)
-    carries = np.asarray(carry_bytes, dtype=np.float64)
-    if counters.size and float(counters.min(initial=0.0)) < 0:
-        raise ValueError("num_counters must be >= 0")
-    if carries.size and float(carries.min(initial=0.0)) < 0:
-        raise ValueError("carry_bytes must be >= 0")
-    return counter_bytes * counters + carries + RECORD_BYTES
 
 
 def flow_state_bytes(

@@ -5,11 +5,11 @@ Figure 1 draws and the original monolithic engine fused together:
 
 1. **key** — read the packet's packed 5-tuple, the flow ID every later
    stage is keyed by (the facade's only per-packet job);
-2. **CDB lookup / buffer / fold / ready** — owned by the
+2. **CDB lookup / buffer / ready** — owned by the
    :class:`~repro.engine.pipeline.FlowPipeline` over the one
    :class:`~repro.engine.flow_table.FlowTable`: pending buffers, the
-   :class:`~repro.engine.deadlines.DeadlineWheel`, deferred folds, and
-   the :class:`~repro.engine.batcher.MicroBatcher`;
+   :class:`~repro.engine.deadlines.DeadlineWheel`, and the
+   :class:`~repro.engine.batcher.MicroBatcher`;
 3. **extract + classify** — ready flows drain through one extractor
    ``finalize`` + vectorized predict call per batch
    (:meth:`classify_labels`), then apply back to the table;
@@ -47,12 +47,6 @@ if TYPE_CHECKING:  # in-memory traces are not on the classify path
     from repro.net.trace import Trace
 
 __all__ = ["SerialRuntime", "StagedEngine"]
-
-#: Sample per-flow state bytes every Nth classification: the accounting
-#: walk re-counts distinct k-grams (comparable to one extraction), so
-#: charging every flow would blow the <5% instrumentation budget. The
-#: first classification is always sampled.
-STATE_SAMPLE_EVERY = 512
 
 #: Buckets for per-flow state bytes: centred on the paper's ~200 B
 #: (b=32) and 5.1 KB (b=1024) Table-3 figures.
@@ -97,7 +91,7 @@ class SerialRuntime:
     * timeout expirations freeze in first-arrival (``seq``) order, which
       is the order the monolith's flush used (and what keeps random-skip
       draws aligned);
-    * ``engine.classify_apply`` folds each batch's deferred chunks in a
+    * ``engine.classify_apply`` folds each batch's buffered payload in a
       single call, then applies the drain's labels in one
       ``pipeline.apply`` loop in readiness order, so the CDB purge
       trigger fires at the same insert index, and hands every sink the
@@ -332,8 +326,6 @@ class StagedEngine:
         are registered as readers, read at scrape time; the per-flow
         distributions are histograms observed once per drain.
         """
-        self._delay_buf: list[float] = []
-        self._state_countdown = 0
         if registry is None:
             self._m_delay = None
             self._m_classify = None
@@ -362,8 +354,7 @@ class StagedEngine:
             "engine_flow_state_bytes",
             buckets=STATE_BYTE_BUCKETS,
             help="Per-flow state at classification (window/counters + CDB "
-            "record; the paper's ~200 B claim at b=32) — exact per flow "
-            "when the extractor affords it, sampled otherwise",
+            "record; the paper's ~200 B claim at b=32), every flow",
         )
         stats = self.stats
         for name, field, help_text in _STATS_COUNTERS:
@@ -382,60 +373,31 @@ class StagedEngine:
                 reader=partial(stats.per_class.__getitem__, nature),
                 nature=str(nature),
             )
-        # The delays of a drain are bucketed in bulk: every scrape first
-        # empties what the classify loop deferred.
-        registry.add_collector(self._flush_delay_buf)
-
-    def _flush_delay_buf(self) -> None:
-        """Bucket the deferred classification-delay observations."""
-        self._m_delay.observe_many(self._delay_buf)
-        self._delay_buf.clear()
 
     # -- coordinator surface (called by SerialRuntime) -------------------------
 
     def classify_labels(self, batch):
         """Run the batched finalize + predict kernels over ready flows.
 
-        Pure classification: the flow table is not touched. Observes
-        the classify/finalize timers and the delay / state-bytes
-        distributions from the ready flows' own fields alone.
+        Pure classification: the flow table is not touched. One
+        ``finalize`` call gives the feature matrix and every flow's
+        state bytes; the classify/finalize timers and the delay /
+        state-bytes distributions are observed once per drain, from the
+        ready flows' own fields alone.
         """
         payloads = [flow.window for flow in batch]
-        if self._m_classify is not None:
-            with self._m_classify.time():
-                with self._m_finalize.time():
-                    X = self.extractor.finalize(payloads)
-                labels = self.classifier.predict_vectors(X)
-        else:
-            labels = self.classifier.predict_vectors(
-                self.extractor.finalize(payloads)
+        if self._m_classify is None:
+            return self.classifier.predict_vectors(
+                self.extractor.finalize(payloads)[0]
             )
-        if self._m_delay is not None:
-            # Per drain, not per flow: each instrument is touched once.
-            self._delay_buf.extend(
-                [flow.ready_at - flow.first_arrival for flow in batch]
-            )
-            exact_state = self.extractor.exact_state_accounting
-            first_sampled = self._state_countdown
-            self._state_countdown -= len(batch)
-            sample_due = self._state_countdown < 0
-            if exact_state or sample_due:
-                # Exact accounting charges the whole drain; when it costs
-                # an extraction-scale walk, every STATE_SAMPLE_EVERY-th
-                # flow, counted across drains.
-                charged = (
-                    payloads
-                    if exact_state
-                    else payloads[first_sampled::STATE_SAMPLE_EVERY]
-                )
-                self._m_state_bytes.observe_many(
-                    self.extractor.state_bytes_batch(charged)
-                )
-            if sample_due:
-                # One slow-path stop per STATE_SAMPLE_EVERY flows: bucket
-                # the deferred delays (bounds the buffer).
-                self._state_countdown %= STATE_SAMPLE_EVERY
-                self._flush_delay_buf()
+        with self._m_classify.time():
+            with self._m_finalize.time():
+                X, state_bytes = self.extractor.finalize(payloads)
+            labels = self.classifier.predict_vectors(X)
+        self._m_delay.observe_many(
+            [flow.ready_at - flow.first_arrival for flow in batch]
+        )
+        self._m_state_bytes.observe_many(state_bytes)
         return labels
 
     def classify_apply(
@@ -614,6 +576,11 @@ class StagedEngine:
         """
         if not trace.labels:
             raise ValueError("trace carries no ground-truth labels")
+        if not any(isinstance(sink, StatsSink) for sink in self.sinks):
+            raise ValueError(
+                "no StatsSink keeps this engine's outcomes, so there is "
+                "nothing to evaluate; attach one (open_engine does)"
+            )
         total = 0
         correct = 0
         per_class_total = {nature: 0 for nature in ALL_NATURES}

@@ -1,10 +1,10 @@
-"""The per-packet pipeline: lookup, buffer, fold, ready — and label apply.
+"""The per-packet pipeline: lookup, buffer, ready — and fold and label apply.
 
 :class:`FlowPipeline` owns every stage between the flow key and the
 classifier, all of it keyed by one
 :class:`~repro.engine.flow_table.FlowTable`: the CDB lookup, the pending
 buffers, the :class:`~repro.engine.deadlines.DeadlineWheel` of
-buffer-timeout deadlines, the deferred fold of streaming extractors, and
+buffer-timeout deadlines, the per-drain fold of streaming extractors, and
 the :class:`~repro.engine.batcher.MicroBatcher` of ready flows — behind
 a narrow surface (:meth:`ingest` / :meth:`pop_expired` / :meth:`drain` /
 :meth:`apply`).
@@ -43,13 +43,6 @@ from repro.engine.types import ClassifiedFlow, EngineStats, PendingFlow
 from repro.net.flow import FlowKey
 
 __all__ = ["FlowPipeline", "IngestResult", "WindowPolicy"]
-
-#: Wall-clock-sample every Nth scalar fold when telemetry is on: two
-#: ``perf_counter`` calls per packet cost as much as the array fold
-#: itself at small payloads, so the fold timer samples 1-in-N and scales
-#: the measurement up (fold *counts* stay exact). The first fold is
-#: always sampled.
-FOLD_TIMER_SAMPLE_EVERY = 64
 
 
 class IngestResult:
@@ -128,7 +121,7 @@ class WindowPolicy:
 
 
 class FlowPipeline:
-    """The ingest→buffer→fold→ready pipeline over one flow table.
+    """The ingest→buffer→ready pipeline over one flow table.
 
     Owns the deadline wheel and the micro-batcher; reads and writes the
     table's pending dict and CDB. Never classifies: ready flows leave
@@ -159,12 +152,7 @@ class FlowPipeline:
         self._next_seq = count().__next__
         self.wheel = DeadlineWheel()
         self.batcher = MicroBatcher(max_batch=max_batch)
-        # Streaming extractors (nothing to re-window, state only read at
-        # classify drains) defer every fold to the classify drain, which
-        # absorbs a whole batch's chunks in one fold_batch call. The
-        # batch extractor folds at arrival — its raw window is re-read
-        # at readiness, so its state must always be current.
-        self._fold_at_drain = not extractor.retains_payload
+        self._retains_payload = extractor.retains_payload
         self.stats = EngineStats()
         self._time_folds = False
         self._m_fold_chunks = None
@@ -183,18 +171,18 @@ class FlowPipeline:
         self.batcher.bind_metrics(registry)
         registry.counter(
             "extractor_fold_seconds_total",
-            help="Cumulative wall-clock seconds folding arriving payload "
+            help="Cumulative wall-clock seconds folding buffered payload "
             "into per-flow feature state",
             reader=lambda: self._fold_seconds,
             extractor=self.extractor.name,
         )
         registry.counter(
             "extractor_folds_total",
-            help="Payload chunks folded into per-flow feature state",
+            help="Payload chunks of classified flows handed to the extractor",
             reader=lambda: self._fold_calls,
             extractor=self.extractor.name,
         )
-        if self._fold_at_drain:
+        if not self._retains_payload:
             self._m_fold_chunks = registry.histogram(
                 "fold_batch_chunks",
                 buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
@@ -204,50 +192,35 @@ class FlowPipeline:
 
     # -- fold stage ----------------------------------------------------------
 
-    def _fold_one(self, state, payload) -> None:
-        """Fold one chunk immediately, with 1-in-N sampled wall-clock."""
-        if not self._time_folds:
-            self.extractor.fold(state, payload)
-            return
-        calls = self._fold_calls
-        self._fold_calls = calls + 1
-        if calls % FOLD_TIMER_SAMPLE_EVERY:
-            self.extractor.fold(state, payload)
-        else:
-            fold_start = perf_counter()
-            self.extractor.fold(state, payload)
-            self._fold_seconds += (
-                perf_counter() - fold_start
-            ) * FOLD_TIMER_SAMPLE_EVERY
-
     def fold_for(self, batch: "list[PendingFlow]") -> None:
-        """Fold the deferred chunks of a batch about to be finalized.
+        """Hand a drain's buffered payload to the extractor.
 
-        The engine calls this once per classify batch, so the whole
-        batch folds in one ``fold_batch`` call — one chunk per flow,
-        whatever number of packets it arrived in.
+        The engine calls this once per classify drain. A streaming
+        extractor's states fill from their flows' buffers in one
+        ``fold_batch`` call — one chunk per flow, whatever number of
+        packets it arrived in; the batch extractor's windows were cut
+        at readiness, so its drain only counts the chunks.
         """
-        if not self._fold_at_drain:
+        time_folds = self._time_folds
+        if time_folds:
+            chunks = sum([pending.chunks for pending in batch])
+            self._fold_calls += chunks
+        if self._retains_payload:
             return
-        flows = [pending for pending in batch if pending.unfolded]
+        flows = [pending for pending in batch if pending.buffer]
         if not flows:
             return
-        states = [pending.state for pending in flows]
+        states = [pending.window for pending in flows]
         # A chunk list of one, not the bare buffer: whoever counts chunks
         # takes the length of ``payloads[i]``.
-        chunk_lists = [(pending.unfolded,) for pending in flows]
-        if self._time_folds:
+        chunk_lists = [(pending.buffer,) for pending in flows]
+        if time_folds:
             fold_start = perf_counter()
             self.extractor.fold_batch(states, chunk_lists)
             self._fold_seconds += perf_counter() - fold_start
-            chunks = sum([pending.unfolded_chunks for pending in flows])
-            self._fold_calls += chunks
             self._m_fold_chunks.observe(chunks)
         else:
             self.extractor.fold_batch(states, chunk_lists)
-        for pending in flows:
-            pending.unfolded = bytearray()
-            pending.unfolded_chunks = 0
 
     # -- readiness -----------------------------------------------------------
 
@@ -276,20 +249,16 @@ class FlowPipeline:
         """
         if armed:
             self.wheel.cancel(flow_id)
-        if self._fold_at_drain:
-            # A streaming state is its own window. Its deferred chunks
-            # count toward readiness: by the time the classify drain
-            # reads the state they will have folded, up to the cap.
-            window, protocol = pending.state, None
-            usable = min(
-                self.extractor.folded_bytes(window) + len(pending.unfolded),
-                self._window_cap,
-            )
-        else:
+        if self._retains_payload:
             window, protocol = self.policy.classification_window(
-                self.extractor.raw_window(pending.state)
+                bytes(pending.buffer)
             )
             usable = len(window)
+        else:
+            # A streaming state is its own window: the classify drain
+            # folds the buffer into it, up to the cap.
+            window, protocol = self.extractor.new_state(), None
+            usable = min(len(pending.buffer), self._window_cap)
         if usable < self.policy.min_window:
             self.stats.unclassifiable += 1
             self.table.pending.pop(flow_id, None)
@@ -342,7 +311,7 @@ class FlowPipeline:
     def ingest(
         self, packet, flow_id: bytes, now: float, is_close: bool
     ) -> IngestResult:
-        """Run one packet through lookup/buffer/fold/ready.
+        """Run one packet through lookup/buffer/ready.
 
         A result with a ``label`` is a CDB hit: the caller forwards the
         packet to the sinks.
@@ -395,7 +364,6 @@ class FlowPipeline:
             pending = PendingFlow(
                 FlowKey.unchecked(*packet.five_tuple),
                 self._next_seq(),
-                self.extractor.new_state(),
                 now,
                 flow_id,
             )
@@ -403,21 +371,15 @@ class FlowPipeline:
         else:
             pending.last_arrival = now
         payload = packet.payload
+        buffer = pending.buffer
         if payload:
-            prior_raw = pending.raw_bytes
-            pending.raw_bytes = prior_raw + len(payload)
-            if not self._fold_at_drain:
-                self._fold_one(pending.state, payload)
-            elif prior_raw < self._window_cap:
-                # Bytes fold in arrival order and the fold caps at the
-                # extractor window, so once the bytes *before* this chunk
-                # already cover the window its fold is provably a no-op —
-                # it is never queued, which also bounds deferred memory.
-                pending.unfolded.extend(payload)
-                pending.unfolded_chunks += 1
+            # Appended until the flow is ready, then never again: the
+            # buffer holds at most one packet past the target.
+            buffer.extend(payload)
+            pending.chunks += 1
             pending.packets.append(packet)
 
-        if pending.raw_bytes >= self._target_bytes or is_close:
+        if len(buffer) >= self._target_bytes or is_close:
             # Buffer full — or the flow is over; classify whatever
             # arrived (or give up).
             if is_close:
@@ -480,7 +442,7 @@ class FlowPipeline:
                 label,
                 ready_at,
                 ready_at - flow.first_arrival,
-                flow.raw_bytes,
+                len(flow.buffer),
                 flow.protocol,
             )))
             packets.append(flow.packets)

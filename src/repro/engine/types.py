@@ -47,13 +47,13 @@ class PendingFlow:
     ``flow_id`` is the packed 5-tuple the table, wheel and batcher key
     by; ``key`` the same identity as a :class:`FlowKey`, minted once.
 
-    ``state`` is whatever the engine's
-    :class:`~repro.core.extract.FeatureExtractor` minted for this flow —
-    the raw payload buffer for the batch extractor, the window capped at
-    ``b`` bytes for the incremental one; arriving payload is folded into
-    it through the extractor, never touched directly. ``raw_bytes`` counts every
-    payload byte that arrived while pending (the buffer-full trigger and
-    the ``buffered_bytes`` the flow reports at classification).
+    ``buffer`` holds every payload byte that arrives while the flow is
+    pending, on either extractor: each payload packet's bytes are copied
+    onto its end, with no extractor call and no payload object kept
+    alive for it. Its length is the buffer-full trigger and the
+    ``buffered_bytes`` the flow reports at classification; ``chunks``
+    counts the packets that contributed (the ``extractor_folds_total``
+    telemetry).
 
     ``last_arrival`` is the packet clock of the flow's latest packet: the
     buffer-timeout test (``last_arrival + buffer_timeout < now``) reads it
@@ -67,12 +67,13 @@ class PendingFlow:
     full, FIN, or timeout) and ``queued`` marks that hand-over to the
     micro-batcher. ``window`` is whatever the extractor's
     :meth:`~repro.core.extract.FeatureExtractor.finalize` takes: the
-    frozen payload window (``bytes``) for payload-retaining extractors —
-    exactly the bytes the monolithic engine would have classified at
-    that moment — or ``state`` itself for streaming extractors.
-    ``protocol`` is the application header stripped from it, if any. The
-    window is frozen at readiness and never re-read from ``state``, so
-    batching changes *when* the model runs, never *what* it sees.
+    payload window (``bytes``) cut from ``buffer`` for payload-retaining
+    extractors — exactly the bytes the monolithic engine would have
+    classified at that moment — or, for a streaming extractor, a state
+    it mints then, which the classify drain fills from ``buffer``.
+    ``protocol`` is the application header stripped from it, if any.
+    The window is fixed at readiness, so batching changes *when* the
+    model runs, never *what* it sees.
 
     ``ready_at`` is the packet clock at readiness, and ``record`` the
     flow's :class:`~repro.core.cdb.CdbRecord`, stamped then and
@@ -80,7 +81,7 @@ class PendingFlow:
     arrives while the flow is queued is the CDB hit it would be had the
     flow drained at readiness: it touches ``record`` (lambda) and
     appends to ``packets``, forwarded with the flow's outcome, but
-    neither folds nor counts toward ``raw_bytes``.
+    adds nothing to ``buffer``.
 
     ``retire`` is the CDB removal reason (``"fin"`` / ``"reclassified"``)
     of a flow whose record is gone before its label lands: its FIN/RST
@@ -88,25 +89,16 @@ class PendingFlow:
     The classify stage inserts the label and immediately removes the
     record (the monolith's remove-after-classify close path).
 
-    ``unfolded`` holds the payload bytes whose fold is deferred to the
-    classify drain (streaming extractors only): arriving payload is
-    copied onto its end instead of folding immediately — at most one
-    packet past the extractor's window, and no payload object is kept
-    alive for it — and one ``fold_batch`` call hands every flow's bytes
-    to its state as one chunk before the drain reads it.
-    ``unfolded_chunks`` counts the packets that contributed (the
-    ``extractor_folds_total`` telemetry).
-
-    Built by one positional call, ``PendingFlow(key, seq, state,
-    arrival, flow_id)``, once per new flow: a hand-written slotted
+    Built by one positional call, ``PendingFlow(key, seq, arrival,
+    flow_id)``, once per new flow: a hand-written slotted
     ``__init__`` parses no keywords and calls no per-field default
     factory, at half a slotted dataclass's cost (DESIGN.md, "Apply per
     drain"). Every other field starts empty.
     """
 
     __slots__ = (
-        "key", "seq", "state", "raw_bytes", "packets", "first_arrival",
-        "last_arrival", "queued", "retire", "unfolded", "unfolded_chunks",
+        "key", "seq", "packets", "first_arrival",
+        "last_arrival", "queued", "retire", "buffer", "chunks",
         "flow_id", "window", "protocol", "ready_at", "record",
     )
 
@@ -114,21 +106,18 @@ class PendingFlow:
         self,
         key: FlowKey,
         seq: int = 0,
-        state: object = None,
         arrival: float = 0.0,
         flow_id: bytes = b"",
     ) -> None:
         self.key = key
         self.seq = seq
-        self.state = state
-        self.raw_bytes = 0
         self.packets = []
         self.first_arrival = arrival
         self.last_arrival = arrival
         self.queued = False
         self.retire = None
-        self.unfolded = bytearray()
-        self.unfolded_chunks = 0
+        self.buffer = bytearray()
+        self.chunks = 0
         self.flow_id = flow_id
         self.window = None
         self.protocol = None

@@ -303,26 +303,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
-        self._collectors: list = []
 
     def __len__(self) -> int:
         """Number of instruments registered."""
         return sum(len(f.instruments) for f in self._families.values())
-
-    def add_collector(self, callback) -> None:
-        """Register a zero-arg callback run before every scrape.
-
-        For work a reader cannot do: the engine buckets its deferred
-        classification delays into their histogram here, so a scrape
-        sees every classified flow. A mirrored count wants a reader
-        (``counter(..., reader=...)``), not a collector.
-        """
-        self._collectors.append(callback)
-
-    def collect(self) -> None:
-        """Run every registered collector."""
-        for callback in self._collectors:
-            callback()
 
     def counter(
         self, name: str, help: str = "", *, reader=None, **labels
@@ -377,11 +361,7 @@ class MetricsRegistry:
         return instrument
 
     def families(self):
-        """``(name, kind, help, [instruments])`` in name order, for scrapes.
-
-        Runs :meth:`collect` first, so deferred observations are in.
-        """
-        self.collect()
+        """``(name, kind, help, [instruments])`` in name order, for scrapes."""
         for name in sorted(self._families):
             family = self._families[name]
             instruments = [

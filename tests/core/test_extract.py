@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.accounting import distinct_counters, incremental_flow_state_bytes
+from repro.core.accounting import distinct_counters
 from repro.core.cdb import RECORD_BYTES
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.entropy_vector import entropy_vector
@@ -38,25 +38,19 @@ class TestBatchExtractor:
         extractor = make_extractor("batch", PHI_SVM_PRIME, 32)
         assert isinstance(extractor, BatchEntropyExtractor)
         assert extractor.retains_payload
-        assert not extractor.exact_state_accounting
-
-    def test_fold_accumulates_raw_window(self):
-        extractor = make_extractor("batch", PHI_SVM_PRIME, 32)
-        state = extractor.new_state()
-        for chunk in (b"abc", b"", b"defgh"):
-            extractor.fold(state, chunk)
-        assert extractor.raw_window(state) == b"abcdefgh"
-        assert extractor.folded_bytes(state) == 8
 
     def test_finalize_matches_classifier_vectors(self, trained_cart):
         extractor = make_extractor(
             "batch", trained_cart.feature_set, trained_cart.buffer_size
         )
         windows = [bytes(range(64)), b"\x00" * 40, bytes(range(255, 215, -1))]
-        np.testing.assert_array_equal(
-            extractor.finalize(windows),
-            trained_cart.buffer_vectors(windows),
-        )
+        vectors, state_bytes = extractor.finalize(windows)
+        np.testing.assert_array_equal(vectors, trained_cart.buffer_vectors(windows))
+        # Window (cut to b) + 2 B per distinct gram + CDB record, per flow.
+        assert state_bytes.tolist() == [
+            32 + 2 * distinct_counters(w[:32], trained_cart.feature_set) + RECORD_BYTES
+            for w in windows
+        ]
 
 
 class TestIncrementalExtractor:
@@ -64,7 +58,6 @@ class TestIncrementalExtractor:
         extractor = make_extractor("incremental", PHI_SVM_PRIME, 32)
         assert isinstance(extractor, IncrementalEntropyExtractor)
         assert not extractor.retains_payload
-        assert extractor.exact_state_accounting
 
     def test_vector_matches_batch_on_fragmented_prefix(self):
         payload = bytes((7 * i + 3) % 256 for i in range(48))
@@ -75,35 +68,28 @@ class TestIncrementalExtractor:
                 extractor.fold(state, chunk)
             expected = entropy_vector(payload[:32], feature_set).values
             np.testing.assert_allclose(
-                extractor.vector(state), expected, rtol=0.0, atol=1e-12
+                extractor.finalize([state])[0][0], expected, rtol=0.0, atol=1e-12
             )
 
     def test_fold_caps_at_buffer_size(self):
         extractor = IncrementalEntropyExtractor(PHI_SVM_PRIME, 16)
         state = extractor.new_state()
         extractor.fold(state, bytes(range(100)))
-        assert extractor.folded_bytes(state) == 16
+        assert state.window == bytes(range(16))
         extractor.fold(state, b"more bytes")
-        assert extractor.folded_bytes(state) == 16
+        assert state.window == bytes(range(16))
         expected = entropy_vector(bytes(range(16)), PHI_SVM_PRIME).values
         np.testing.assert_allclose(
-            extractor.vector(state), expected, rtol=0.0, atol=1e-12
+            extractor.finalize([state])[0][0], expected, rtol=0.0, atol=1e-12
         )
-
-    def test_no_raw_window(self):
-        extractor = IncrementalEntropyExtractor(PHI_SVM_PRIME, 32)
-        state = extractor.new_state()
-        extractor.fold(state, b"0123456789abcdef")
-        with pytest.raises(TypeError, match="no payload"):
-            extractor.raw_window(state)
 
     def test_underfilled_state_rejected(self):
         extractor = IncrementalEntropyExtractor(PHI_SVM_PRIME, 32)
         state = extractor.new_state()
         extractor.fold(state, b"ab")
-        assert extractor.folded_bytes(state) == 2
+        assert state.window == b"ab"
         with pytest.raises(ValueError, match="has 2 bytes, cannot hold feature h_5"):
-            extractor.vector(state)
+            extractor.finalize([state])
         with pytest.raises(ValueError, match="cannot hold feature h_5"):
             extractor.state_bytes(state)
 
@@ -116,7 +102,6 @@ class TestIncrementalExtractor:
         got = incremental.state_bytes(state)
         counters = distinct_counters(window, PHI_SVM_PRIME)
         carry = PHI_SVM_PRIME.max_width - 1
-        assert got == incremental_flow_state_bytes(counters, carry)
         assert got == 2 * counters + carry + RECORD_BYTES
         batch = make_extractor("batch", PHI_SVM_PRIME, buffer_size)
         # Same counters, no retained window: the modelled shape saves
@@ -128,7 +113,7 @@ class TestIncrementalExtractor:
         "feature_set", [PHI_SVM_PRIME, FULL_FEATURES], ids=["packed", "wide"]
     )
     def test_state_bytes_batch_is_state_bytes_at_every_stage(self, feature_set):
-        """Before finalize, after it, and after a fold drops the cached total."""
+        """A drain's state bytes are each flow's own, however far it folded."""
         extractor = IncrementalEntropyExtractor(feature_set, 32)
         streams = [
             bytes((13 * i) % 256 for i in range(40)),
@@ -140,45 +125,32 @@ class TestIncrementalExtractor:
         extractor.fold_batch(states, [stream[:12] for stream in streams])
         folded = [12] * 4
 
-        def cached():
-            return [state.distinct is not None for state in states]
-
         def check():
-            assert [extractor.folded_bytes(state) for state in states] == folded
-            batched = extractor.state_bytes_batch(states)
+            assert [len(state.window) for state in states] == folded
+            _, batched = extractor.finalize(states)
             assert batched.tolist() == [extractor.state_bytes(s) for s in states]
-            # The oracle recounts the grams of the window's bytes, one
-            # width at a time: no kernel, no cached total involved.
+            # The oracle counts each window's grams alone, from the
+            # stream's bytes, not from the states a drain was handed.
             carry = feature_set.max_width - 1
             assert batched.tolist() == [
-                incremental_flow_state_bytes(
-                    distinct_counters(stream[:size], feature_set), min(carry, size)
-                )
+                2 * distinct_counters(stream[:size], feature_set)
+                + min(carry, size)
+                + RECORD_BYTES
                 for stream, size in zip(streams, folded)
             ]
 
-        assert cached() == [False] * 4
-        check()  # charging a state never finalized counts it
-        assert cached() == [True] * 4
-        extractor.finalize_batch(states)
         check()
         extractor.fold(states[0], streams[0][12:20])
         extractor.fold_batch([states[1]], [[streams[1][12:15], streams[1][15:]]])
         folded[:2] = [20, 32]
-        assert cached() == [False, False, True, True]
         check()
-        extractor.finalize_batch(states)
-        assert cached() == [True] * 4
-        check()
-        # A full window folds nothing more, so its total stands.
+        # A full window folds nothing more.
         extractor.fold(states[1], b"past the window")
-        assert cached() == [True] * 4
         check()
 
-    @pytest.mark.parametrize("name", ["batch", "incremental"])
-    def test_one_payload_rule_on_both_fold_entry_points(self, name):
+    def test_one_payload_rule_on_both_fold_entry_points(self):
         """uint8 arrays and every bytes-like fold; anything else is a TypeError."""
-        extractor = make_extractor(name, PHI_SVM_PRIME, 32)
+        extractor = make_extractor("incremental", PHI_SVM_PRIME, 32)
         accepted = [
             b"abc",
             bytearray(b"de"),
@@ -191,16 +163,12 @@ class TestIncrementalExtractor:
         for chunk in accepted:
             extractor.fold(one, chunk)
         extractor.fold_batch([many], [accepted])
-        for state in (one, many):
-            assert extractor.folded_bytes(state) == 16
         window = b"abcdefghijklmnop"
-        if extractor.retains_payload:
-            assert extractor.raw_window(one) == extractor.raw_window(many) == window
-        else:
-            np.testing.assert_array_equal(
-                extractor.finalize_batch([one, many]),
-                [entropy_vector(window, PHI_SVM_PRIME).values] * 2,
-            )
+        assert one.window == many.window == window
+        np.testing.assert_array_equal(
+            extractor.finalize([one, many])[0],
+            [entropy_vector(window, PHI_SVM_PRIME).values] * 2,
+        )
         for rejected in (np.arange(250, 290), np.zeros(4), "text", [1, 2], 7):
             with pytest.raises(TypeError):
                 extractor.fold(one, rejected)
@@ -208,8 +176,7 @@ class TestIncrementalExtractor:
                 extractor.fold_batch([many], [[rejected]])
             with pytest.raises(TypeError):
                 extractor.fold_batch([many], [rejected])
-        for state in (one, many):
-            assert extractor.folded_bytes(state) == 16
+        assert one.window == many.window == window
 
 
 class TestMakeExtractor:
@@ -253,6 +220,24 @@ class TestEngineIntegration:
             pipeline=IustitiaConfig(buffer_size=32, strip_known_headers=False),
             **kwargs,
         )
+
+    @pytest.mark.parametrize("name", ["batch", "incremental"])
+    def test_pending_buffer_accumulates_raw_payload(self, trained_cart, name):
+        """Both extractors: payload waits in the flow's one buffer, in order."""
+        engine = StagedEngine(
+            trained_cart,
+            EngineConfig(
+                extractor=name, pipeline=IustitiaConfig(strip_known_headers=False)
+            ),
+        )
+        for i, chunk in enumerate((b"abc", b"", memoryview(b"defgh"))):
+            engine.process_packet(_udp_packet(1, chunk, i * 1e-3))
+        (pending,) = engine.table.pending.values()
+        assert pending.buffer == b"abcdefgh" and pending.chunks == 2
+        assert pending.window is None
+        assert engine.flush_timeouts(100.0) == 1
+        (outcome,) = engine.stats.classified
+        assert outcome.buffered_bytes == 8
 
     def test_incremental_rejects_rewindowing_configs(self, trained_cart):
         for pipeline in (

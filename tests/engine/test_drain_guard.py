@@ -1,15 +1,15 @@
-"""Structural guard on the classify drain of the incremental extractor.
+"""Structural guard on the classify drain.
 
 A drain is supposed to do each thing once: one pooled sort serves the
-feature matrix *and* the exact state accounting — on either extractor,
-whether its windows are all full or each a different length — every
-flow hands ``fold_batch`` one chunk however many packets it arrived in,
-and the instruments are touched per drain, not per flow. Counted with
-``sys.setprofile`` (the ``test_packet_path_guard.py`` pattern), so the
-tests cannot flake and fail the day per-flow work comes back; the golden
-instrument values were recorded at ``1b69f48``, before the drain was
-restructured, and the re-segmentation property holds the deferred-fold
-buffer to "what a flow sent", not "how it was cut".
+feature matrix *and* every flow's state bytes — on either extractor,
+whether its windows are all full or each a different length, the first
+drain included — every flow hands ``fold_batch`` one chunk however many
+packets it arrived in, and the instruments are touched per drain, not
+per flow. Counted with ``sys.setprofile`` (the
+``test_packet_path_guard.py`` pattern), so the tests cannot flake and
+fail the day per-flow work comes back; the golden instrument values are
+the parents' (see below), and the re-segmentation property holds the
+pending buffer to "what a flow sent", not "how it was cut".
 """
 
 from collections import Counter
@@ -134,12 +134,33 @@ def test_a_drain_of_uneven_timeout_windows_sorts_once(
     assert entered["packed_kgram_keys"] == 0
 
 
-# -- (b) instruments against values recorded at 1b69f48 ---------------------------
+def test_the_batch_extractors_first_drain_sorts_once(trained_cart, still_clock):
+    """No flow's state bytes cost a second kernel pass, the first flow's included."""
+    engine = incremental_engine(trained_cart, "batch", max_batch=8)
+    packets = [
+        udp_packet(flow, bytes(range(flow, flow + 32)), flow * 1e-5)
+        for flow in range(8)
+    ]
+
+    def feed():
+        for packet in packets:
+            engine.process_packet(packet)
+
+    entered = frames_entered(feed)
+    assert engine.stats.classifications == 8
+    assert entered["StagedEngine.classify_labels"] == 1
+    assert entered["pooled_kgram_runs"] == 1
+    state = engine.metrics.snapshot()["engine_flow_state_bytes"]
+    assert state["count"] == 8
+
+
+# -- (b) instruments against the parents' values ----------------------------------
 #
-# State bytes were recorded at 1b69f48. Delay, CDB hits and batch folds are
-# what a ``max_batch=1`` run of 6dd33d4 reads: flows are stamped at
-# readiness, so no drain schedule moves them. The fold-drain count is that
-# of a stopped wall clock.
+# Incremental state bytes were recorded at 1b69f48; batch state bytes are
+# ``flow_state_bytes`` of every window at db0a52e. Delay, CDB hits and
+# folds are what a ``max_batch=1`` run of 6dd33d4 reads: flows are stamped
+# at readiness, so no drain schedule moves them. The fold-drain count is
+# that of a stopped wall clock.
 
 DELAY = {
     "count": 600,
@@ -152,15 +173,16 @@ DELAY = {
 }
 
 GOLDEN = {
-    # Sampled accounting: flows 0 and 512 of the 600 classified.
+    # Every flow charged: what ``flow_state_bytes`` of each of the 600
+    # windows reads at db0a52e, which sampled flows 0 and 512 only.
     "batch": {
         "state": {
-            "count": 2,
-            "sum": 496.5,
+            "count": 600,
+            "sum": 151319.0,
             "buckets": {
-                "64.0": 0, "128.0": 0, "192.0": 0, "256.0": 2, "384.0": 2,
-                "512.0": 2, "1024.0": 2, "2048.0": 2, "5120.0": 2,
-                "8192.0": 2, "+Inf": 2,
+                "64.0": 0, "128.0": 5, "192.0": 19, "256.0": 235, "384.0": 600,
+                "512.0": 600, "1024.0": 600, "2048.0": 600, "5120.0": 600,
+                "8192.0": 600, "+Inf": 600,
             },
         },
         "folds": 686.0,
@@ -259,9 +281,9 @@ def segmented_streams(draw):
     return flows
 
 
-def run_segmented(classifier, per_flow_segments, max_batch: int):
+def run_segmented(classifier, per_flow_segments, max_batch: int, extractor: str):
     """Feed every flow's segments round-robin; what the run concluded."""
-    engine = incremental_engine(classifier, max_batch=max_batch)
+    engine = incremental_engine(classifier, extractor, max_batch=max_batch)
     queues = [list(segments) for segments in per_flow_segments]
     clock = 0.0
     while any(queues):
@@ -283,8 +305,16 @@ def run_segmented(classifier, per_flow_segments, max_batch: int):
 
 
 @settings(deadline=None)  # examples: the profile's (100, ci 1,000)
-@given(flows=segmented_streams(), max_batch=st.sampled_from([1, 3, 64]))
-def test_resegmenting_a_flow_changes_nothing_concluded(trained_cart, flows, max_batch):
-    whole = run_segmented(trained_cart, [[stream] for stream, _ in flows], max_batch)
-    cut = run_segmented(trained_cart, [segments for _, segments in flows], max_batch)
-    assert cut == whole
+@given(
+    flows=segmented_streams(),
+    max_batch=st.sampled_from([1, 3, 64]),
+    extractor=st.sampled_from(["batch", "incremental"]),
+)
+def test_resegmenting_a_flow_changes_nothing_concluded(
+    trained_cart, flows, max_batch, extractor
+):
+    whole = [[stream] for stream, _ in flows]
+    cut = [segments for _, segments in flows]
+    assert run_segmented(trained_cart, cut, max_batch, extractor) == run_segmented(
+        trained_cart, whole, max_batch, extractor
+    )

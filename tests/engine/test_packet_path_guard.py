@@ -261,9 +261,9 @@ def test_pending_packet_arms_nothing_and_allocates_no_result(
     assert created["DeadlineWheel.schedule"] == 1
     assert not [name for name in later if name.startswith("DeadlineWheel.")]
     assert "IngestResult.__init__" not in created + later
-    if extractor == "incremental":
-        # Nothing folds before the classify drain: the ladder is all of it.
-        assert later == Counter(LADDER)
+    # Either extractor: the payload goes onto the flow's buffer inline and
+    # nothing folds before the classify drain, so the ladder is all of it.
+    assert later == Counter(LADDER)
 
 
 def test_deadline_armed_once_per_flow_and_rearmed_by_a_flush(counting, trained_svm):
@@ -356,14 +356,18 @@ def test_new_flow_enters_fewer_frames_than_the_parent(trained_svm, still_clock):
     drained nothing. ``b71e11f`` enters 26: per flow it still called
     ``pipeline.apply``, ``engine.emit``, ``StatsSink.on_flow_classified``,
     ``ClassificationDatabase.insert_record``, ``ClassifiedFlow``'s
-    generated ``__new__`` and ``FlowPipeline._freeze``. This tree applies
-    and emits once per drain, builds the outcome with ``tuple.__new__``
-    and freezes the window inside ``make_ready``: 20.
+    generated ``__new__`` and ``FlowPipeline._freeze``. ``db0a52e``
+    applies and emits once per drain, builds the outcome with
+    ``tuple.__new__`` and freezes the window inside ``make_ready``: 20,
+    five of them ``BatchEntropyExtractor.new_state`` and its
+    ``BufferedFlowState.__init__``, ``FlowPipeline._fold_one`` and the
+    ``fold`` it calls, and ``raw_window``. This tree appends the payload
+    to the flow's own buffer inline and cuts the window from it: 15.
     """
     per_flow = (
         frames_of_one_drain(trained_svm, 16) - frames_of_one_drain(trained_svm, 8)
     ) / 8
-    assert per_flow <= 20
+    assert per_flow <= 15
 
 
 def test_retained_heap_per_classified_flow(trained_svm):

@@ -337,6 +337,14 @@ class TestTraceAccuracy:
         assert sum(stats.per_class.values()) == stats.classifications
         assert engine.evaluate_against(small_trace)["accuracy"] > 0.75
 
+    def test_evaluating_without_a_stats_sink_says_so(self, trained_svm, small_trace):
+        """No sink keeps outcomes: not "nothing matched ground truth"."""
+        engine = StagedEngine(trained_svm, sinks=[QueueSink()])
+        stats = engine.process_trace(small_trace)
+        assert stats.classifications > 0
+        with pytest.raises(ValueError, match="no StatsSink keeps"):
+            engine.evaluate_against(small_trace)
+
     def test_default_knobs_work(self, trained_svm, small_trace):
         engine = StagedEngine(trained_svm, IustitiaConfig(buffer_size=32))
         engine.process_trace(small_trace)

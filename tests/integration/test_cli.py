@@ -43,6 +43,30 @@ class TestGenTrace:
         assert "wrote" in out
 
 
+class TestBadArguments:
+    """A setting the library rejects is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen-trace", "x.pcap", "--flows", "0"], "n_flows must be >= 1"),
+            (["gen-trace", "x.pcap", "--flows", "-3"], "n_flows must be >= 1"),
+            (["gen-trace", "x.pcap", "--headers", "1.5"], "app_header_probability"),
+            (["gen-trace", "x.pcap", "--duration", "0"], "duration must be positive"),
+            (["train", "m.json", "--per-class", "0"], "per_class must be >= 1"),
+            (["train", "m.json", "--buffer", "2"], "buffer_size 2 cannot hold"),
+        ],
+        ids=["flows-0", "flows-negative", "headers", "duration", "per-class", "buffer"],
+    )
+    def test_reported_not_raised(self, tmp_path, capsys, argv, message):
+        command, output, *knobs = argv
+        assert main([command, str(tmp_path / output), *knobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / output).exists()
+
+
 class TestTrainAndClassify:
     @pytest.fixture(scope="class")
     def artifacts(self, tmp_path_factory):

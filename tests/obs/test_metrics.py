@@ -207,17 +207,6 @@ class TestMetricsRegistry:
         assert snap["by_shard_total"] == {'shard="0"': 1.0, 'shard="1"': 2.0}
         assert snap["lat"]["count"] == 1
 
-    def test_collectors_run_on_snapshot(self):
-        """Pull-based gauges refresh exactly at scrape time."""
-        reg = MetricsRegistry()
-        state = {"depth": 0}
-        gauge = reg.gauge("depth")
-        reg.add_collector(lambda: gauge.set(state["depth"]))
-        state["depth"] = 7
-        assert reg.snapshot()["depth"] == 7.0
-        state["depth"] = 3
-        assert reg.snapshot()["depth"] == 3.0
-
     def test_readers_sum_at_read_time_with_no_collector(self):
         reg = MetricsRegistry()
         state = {"packets": 3, "depth": 2}

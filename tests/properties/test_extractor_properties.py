@@ -9,15 +9,21 @@ cross-flow :meth:`fold_batch` must agree with all of the above too —
 including when its chunks arrive as zero-copy memoryviews off the pcap
 path. The two extractors share one window kernel, so this is the whole
 proof that they agree: the oracle here is the scalar ``entropy_vector``.
+Through the engine, where both extractors' payload waits in one pending
+buffer, what the kernel is handed is the flow's first bytes however its
+packets cut them (:class:`TestEngineFragmentation`).
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.entropy_vector import entropy_vector
 from repro.core.extract import IncrementalEntropyExtractor
 from repro.core.features import FULL_FEATURES, PHI_SVM_PRIME
+from repro.engine import StagedEngine
+from repro.net.packet import Ipv4Header, Packet, UdpHeader
 
 #: PHI_SVM_PRIME exercises the packed-uint64 k-gram keys; FULL_FEATURES
 #: (h1..h10) also exercises the wide-gram (k > 8) kernels.
@@ -45,7 +51,7 @@ def assert_matches_batch(feature_set, buffer_size, chunks) -> None:
     extractor, state = folded_state(feature_set, buffer_size, chunks)
     payload = b"".join(chunks)
     expected = entropy_vector(payload[:buffer_size], feature_set).values
-    got = extractor.vector(state)
+    got = extractor.finalize([state])[0][0]
     assert float(np.max(np.abs(got - expected))) <= TOLERANCE
 
 
@@ -96,7 +102,7 @@ class TestFragmentationEquivalence:
         feature_set = FEATURE_SETS[set_index]
         chunks = fragments(payload, cut_points)
         extractor, state = folded_state(feature_set, buffer_size, chunks)
-        assert extractor.folded_bytes(state) == buffer_size
+        assert len(state.window) == buffer_size
         assert_matches_batch(feature_set, buffer_size, chunks)
 
     @settings(deadline=None)  # examples: the profile's (100, ci 1,000)
@@ -111,7 +117,7 @@ class TestFragmentationEquivalence:
         feature_set = FEATURE_SETS[set_index]
         chunks = fragments(payload, cut_points)
         extractor, state = folded_state(feature_set, 32, chunks)
-        assert extractor.folded_bytes(state) == len(payload)
+        assert len(state.window) == len(payload)
         assert_matches_batch(feature_set, 32, chunks)
 
 
@@ -157,11 +163,11 @@ class TestFoldBatchEquivalence:
             ]
             extractor.fold_batch(batch_states, chunk_lists)
         for scalar, batched in zip(scalar_states, batch_states):
-            assert extractor.folded_bytes(scalar) == extractor.folded_bytes(batched)
-        got = extractor.finalize_batch(batch_states)
-        want = extractor.finalize_batch(scalar_states)
+            assert scalar.window == batched.window
+        got, state_bytes = extractor.finalize(batch_states)
+        want, _ = extractor.finalize(scalar_states)
         assert float(np.max(np.abs(got - want))) == 0.0
-        assert extractor.state_bytes_batch(batch_states).tolist() == [
+        assert state_bytes.tolist() == [
             extractor.state_bytes(state) for state in scalar_states
         ]
         direct = np.stack(
@@ -184,7 +190,7 @@ class TestFoldBatchEquivalence:
         extractor = IncrementalEntropyExtractor(feature_set, 32)
         states = [extractor.new_state() for _ in payloads]
         extractor.fold_batch(states, [[p] for p in payloads])
-        batched = extractor.state_bytes_batch(states)
+        _, batched = extractor.finalize(states)
         per_flow = np.array([extractor.state_bytes(s) for s in states])
         assert batched.shape == (len(payloads),)
         assert float(np.max(np.abs(batched - per_flow))) == 0.0
@@ -200,9 +206,9 @@ class TestFoldBatchEquivalence:
         extractor = IncrementalEntropyExtractor(feature_set, 32)
         state = extractor.new_state()
         extractor.fold_batch([state], [fragments(payload, cut_points)])
-        assert extractor.folded_bytes(state) == 32
+        assert len(state.window) == 32
         expected = entropy_vector(payload[:32], feature_set).values
-        got = extractor.vector(state)
+        got = extractor.finalize([state])[0][0]
         assert float(np.max(np.abs(got - expected))) <= TOLERANCE
 
 
@@ -223,8 +229,58 @@ class TestFinalizeBatch:
             for i in range(0, len(payload), 7):
                 extractor.fold(state, payload[i : i + 7])
             states.append(state)
-        matrix = extractor.finalize(states)
+        matrix, _ = extractor.finalize(states)
         assert matrix.shape == (len(payloads), len(feature_set.widths))
         for row, payload in zip(matrix, payloads):
             expected = entropy_vector(payload[:32], feature_set).values
             assert float(np.max(np.abs(row - expected))) <= TOLERANCE
+
+
+class TestEngineFragmentation:
+    """Both extractors, through the engine: the window is the flow's bytes."""
+
+    @settings(deadline=None)  # examples: the profile's (100, ci 1,000)
+    @given(
+        payload=st.binary(min_size=5, max_size=120),
+        cut_points=st.lists(st.integers(0, 119), max_size=10),
+        extractor=st.sampled_from(["batch", "incremental"]),
+    )
+    @example(payload=bytes(range(120)), cut_points=[40, 80], extractor="batch")
+    def test_window_and_vector_ignore_how_packets_cut_the_flow(
+        self, trained_cart, payload, cut_points, extractor
+    ):
+        engine = StagedEngine(
+            trained_cart,
+            EngineConfig(
+                extractor=extractor,
+                pipeline=IustitiaConfig(strip_known_headers=False),
+            ),
+        )
+        handed = []
+        classify_labels = engine.classify_labels
+
+        def recording(batch):
+            handed.extend(flow.window for flow in batch)
+            return classify_labels(batch)
+
+        engine.classify_labels = recording
+        ip = Ipv4Header(src="10.9.0.1", dst="192.168.0.1", protocol=17)
+        chunks = fragments(payload, cut_points)
+        for i, chunk in enumerate(chunks):
+            engine.process_packet(Packet(ip, UdpHeader(4000, 53), chunk, i * 1e-5))
+        engine.finish(1.0)
+        (outcome,) = engine.stats.classified
+        # Buffered up to the packet that filled the window; the rest are
+        # the CDB hits of a flow queued for its label.
+        buffered = 0
+        for chunk in chunks:
+            buffered += len(chunk)
+            if buffered >= engine.config.buffer_size:
+                break
+        assert outcome.buffered_bytes == buffered
+
+        window = payload[: engine.extractor.buffer_size]
+        assert engine.extractor.windows(handed) == [window]
+        got = engine.extractor.finalize(handed)[0][0]
+        expected = entropy_vector(window, trained_cart.feature_set).values
+        assert float(np.max(np.abs(got - expected))) <= TOLERANCE

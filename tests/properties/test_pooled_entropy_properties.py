@@ -1,6 +1,6 @@
 """Differential tests: the pooled entropy reduction against the scalar twin.
 
-``entropy_vectors_batch`` and ``IncrementalEntropyExtractor.finalize_batch``
+``entropy_vectors_batch`` and ``IncrementalEntropyExtractor.finalize``
 are one window kernel (``repro.core.entropy_vector.window_entropies``)
 reducing through ``repro.core.entropy.pooled_kgram_entropies``; the
 oracle is ``entropy_vector``, one buffer and one width at a time. The
@@ -286,7 +286,7 @@ class TestIncrementalFinalize:
             extractor.fold(state, buffer[:cut])
             extractor.fold(state, buffer[cut:])
             states.append(state)
-        assert_close(extractor.finalize_batch(states), oracle(buffers, features))
+        assert_close(extractor.finalize(states)[0], oracle(buffers, features))
 
 
 def test_classify_buffers_golden_digest():

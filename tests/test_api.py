@@ -17,9 +17,8 @@ import repro
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Training, trace-generation and paper-study modules: no classify pass
-#: runs them, so ``import repro`` and the pass itself load none of them.
-#: The CI step that runs ``repro classify`` under ``-X importtime``
-#: checks the same list.
+#: runs them, so ``import repro``, the pass itself and the ``repro
+#: classify`` process load none of them (``TestImportPath``).
 OFF_PATH_MODULES = (
     "repro.analysis.distributions",
     "repro.analysis.divergence",
@@ -303,6 +302,27 @@ class TestImportPath:
         assert sorted(loaded - imported) == svm_modules
         assert classified == loaded
         assert scraped - classified == {"repro.obs.exposition"}
+
+    def test_cli_classify_process_imports_nothing_off_path(
+        self, tmp_path, capture, trained_cart
+    ):
+        """The real entry point, as a process, under ``-X importtime``."""
+        model = tmp_path / "model.json"
+        repro.save_model(trained_cart, model)
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "classify",
+             str(model), str(capture)],
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in done.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert {"repro.cli", "repro.engine.engine"} <= imported
+        assert not imported & {*OFF_PATH_MODULES, "numpy.random"}
 
     def test_first_use_names_resolve(self):
         probe = """
