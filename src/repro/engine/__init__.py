@@ -19,9 +19,10 @@ collection / classification / export pipelines):
   :class:`~repro.engine.engine.SerialRuntime` that drives it inline.
 
 Build an engine with
-:func:`repro.open_engine`; ``EngineConfig(max_batch=1)`` is the
-synchronous, classify-on-ready behaviour of the original monolith, and
-any larger batch emits the same labels and counters, later.
+:func:`repro.open_engine`; ``EngineConfig(max_batch=1)`` classifies
+each flow the instant it is ready, the behaviour the executable spec of
+Figure 1 (``tests/spec.py``) specifies, and any larger batch emits the
+same labels and counters, later.
 """
 
 from repro.engine.batcher import MicroBatcher

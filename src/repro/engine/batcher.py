@@ -23,8 +23,9 @@ CDB record stamped when it became ready: there is no separate
 ready-flow record, and batching changes *when* a label is emitted,
 never what it is or what any counter reads.
 
-``max_batch=1`` degenerates to the monolithic engine's behaviour: every
-push returns a singleton batch and nothing ever waits.
+``max_batch=1`` degenerates to the spec's classify-on-ready behaviour
+(``tests/spec.py``): every push returns a singleton batch and nothing
+ever waits.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Deadline wheel: a lazy min-heap of per-flow buffer-timeout deadlines.
 
-The monolithic engine found timed-out flows by scanning every pending
-flow on each flush — O(pending) per call, and only at trace-sampling
-points. The wheel keeps one heap entry per (flow, deadline) and pops
-expired flows in O(expired · log n), so ``flush_timeouts`` can run as
-often as the caller likes without touching live flows.
+The executable spec of Figure 1 (``tests/spec.py``) finds timed-out
+flows by scanning every pending flow on each flush: O(pending) per call.
+The wheel keeps one heap entry per (flow, deadline) and pops expired
+flows in O(expired · log n), so ``flush_timeouts`` can run as often as
+the caller likes without touching live flows; both expire the same flows
+at the same flush (``tests/properties/test_arm_once_deadlines.py``).
 
 Rescheduling is lazy: scheduling a flow again pushes a fresh entry and
 records the flow's current deadline; stale heap entries are discarded

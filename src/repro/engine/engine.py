@@ -1,7 +1,7 @@
 """The staged online engine: a thin facade over one flow pipeline.
 
 ``StagedEngine`` composes the explicit pipeline stages that the paper's
-Figure 1 draws and the original monolithic engine fused together:
+Figure 1 draws:
 
 1. **key** — read the packet's packed 5-tuple, the flow ID every later
    stage is keyed by (the facade's only per-packet job);
@@ -18,10 +18,11 @@ Figure 1 draws and the original monolithic engine fused together:
    ``on_flows_classified`` call per sink (:meth:`classify_apply`).
 
 :class:`SerialRuntime` drives the pipeline inline, in arrival order,
-and is packet-for-packet equivalent to the fused engine (the equivalence
-suite checks labels, counters, and the CDB size series at
-``max_batch=1``). The facade keeps dispatch, the classify kernels, sink
-fan-out, and the readers that put its counts on the metrics registry.
+and concludes what the executable spec of Figure 1 does
+(``tests/spec.py``: labels, counters, outcomes, the CDB and its size
+series, under any ``max_batch``). The facade keeps dispatch, the
+classify kernels, sink fan-out, and the readers that put its counts on
+the metrics registry.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.engine import batcher as batching
 from repro.engine.flow_table import FlowTable
 from repro.engine.pipeline import FlowPipeline, WindowPolicy
 from repro.engine.sinks import ResultSink, StatsSink
-from repro.engine.types import EngineClosedError, EngineStats
+from repro.engine.types import NO_STATS_SINK, EngineClosedError, EngineStats
 from repro.net.packet import Packet
 from repro.obs import MetricsRegistry
 
@@ -79,18 +80,19 @@ class SerialRuntime:
     """Inline, single-threaded execution of an engine's flow pipeline.
 
     The reference semantics: with ``max_batch=1`` the engine is
-    packet-for-packet equivalent to the fused monolith (labels, counters,
-    CDB size series — the staged-equivalence suite proves it), because
-    every ordering decision the monolith made is reproduced exactly:
+    packet-for-packet what the executable spec (``tests/spec.py``, which
+    classifies each flow the instant it is ready) concludes — labels,
+    counters, outcomes, CDB, size series; the spec-based suites check
+    it — because every ordering decision of the spec is reproduced:
 
     * drained batches classify in push order — readiness order, never
       re-sorted — and a FIN/RST drains the queue into one classify call;
     * a CDB-hit payload packet goes to every sink's ``on_packet`` right
       after ``ingest`` returns its label (and after a FIN/RST hit has
       retired the record);
-    * timeout expirations freeze in first-arrival (``seq``) order, which
-      is the order the monolith's flush used (and what keeps random-skip
-      draws aligned);
+    * timeout expirations freeze in first-arrival (``seq``) order, the
+      order the spec's flush walks its pending flows in (and what keeps
+      random-skip draws aligned);
     * ``engine.classify_apply`` folds each batch's buffered payload in a
       single call, then applies the drain's labels in one
       ``pipeline.apply`` loop in readiness order, so the CDB purge
@@ -144,8 +146,8 @@ class SerialRuntime:
         engine = self._engine
         pipeline = engine.pipeline
         # The wheel pops in deadline order; freeze in first-arrival
-        # order, matching the monolith's expiry sort (keeps any
-        # random-skip draws aligned).
+        # order, as the spec's flush does (keeps any random-skip draws
+        # aligned).
         expired = pipeline.pop_expired(now)
         expired.sort(key=lambda item: item[1].seq)
         for flow_id, pending in expired:
@@ -577,10 +579,7 @@ class StagedEngine:
         if not trace.labels:
             raise ValueError("trace carries no ground-truth labels")
         if not any(isinstance(sink, StatsSink) for sink in self.sinks):
-            raise ValueError(
-                "no StatsSink keeps this engine's outcomes, so there is "
-                "nothing to evaluate; attach one (open_engine does)"
-            )
+            raise ValueError(NO_STATS_SINK)
         total = 0
         correct = 0
         per_class_total = {nature: 0 for nature in ALL_NATURES}

@@ -73,9 +73,9 @@ class WindowPolicy:
     Pure classify-side configuration (header stripping/skipping, the
     random-skip defense, the usability bound). The random-skip draws
     come from the engine's one RNG in readiness order, which is what
-    keeps the staged engine's draws aligned with the monolith's. With
-    no RNG given, one is created at the first draw, so an engine that
-    never skips never imports ``numpy.random``.
+    keeps the engine's draws aligned with the spec's (``tests/spec.py``).
+    With no RNG given, one is created at the first draw, so an engine
+    that never skips never imports ``numpy.random``.
     """
 
     __slots__ = ("config", "min_window", "rng")

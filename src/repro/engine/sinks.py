@@ -1,9 +1,7 @@
 """Pluggable result sinks: where classified flows and their packets go.
 
-The monolithic engine hard-coded two destinations — per-nature
-``output_queues`` lists and a ``stats.classified`` list. The staged
-engine instead fans every outcome out to a list of :class:`ResultSink`
-subscribers:
+The staged engine fans every outcome out to a list of
+:class:`ResultSink` subscribers:
 
 * :class:`StatsSink`   — collects :class:`ClassifiedFlow` outcomes and
   per-class counts (what ``evaluate_against`` and the Figure benches

@@ -23,6 +23,12 @@ from repro.net.flow import FlowKey
 
 __all__ = ["ClassifiedFlow", "EngineClosedError", "EngineStats", "PendingFlow"]
 
+#: Why an engine without a ``StatsSink`` has no outcomes to read.
+NO_STATS_SINK = (
+    "no StatsSink keeps this engine's outcomes, so there is nothing to "
+    "evaluate; attach one (open_engine does)"
+)
+
 
 class EngineClosedError(RuntimeError):
     """The engine's lifecycle no longer permits the attempted call.
@@ -60,16 +66,16 @@ class PendingFlow:
     when the flow's armed deadline fires.
 
     ``seq`` is a global first-packet arrival index: drains iterate pending
-    flows in ``seq`` order so the staged engine classifies (and draws any
-    random-skip offsets) in exactly the order the monolithic engine did.
+    flows in ``seq`` order so the engine classifies (and draws any
+    random-skip offsets) in exactly the order the spec does.
 
     ``window`` / ``protocol`` are set when the flow becomes ready (buffer
     full, FIN, or timeout) and ``queued`` marks that hand-over to the
     micro-batcher. ``window`` is whatever the extractor's
     :meth:`~repro.core.extract.FeatureExtractor.finalize` takes: the
     payload window (``bytes``) cut from ``buffer`` for payload-retaining
-    extractors — exactly the bytes the monolithic engine would have
-    classified at that moment — or, for a streaming extractor, a state
+    extractors — exactly the bytes the spec (``tests/spec.py``) would
+    classify at that moment — or, for a streaming extractor, a state
     it mints then, which the classify drain fills from ``buffer``.
     ``protocol`` is the application header stripped from it, if any.
     The window is fixed at readiness, so batching changes *when* the
@@ -87,7 +93,7 @@ class PendingFlow:
     of a flow whose record is gone before its label lands: its FIN/RST
     arrived, or the reclassification defense expired it while queued.
     The classify stage inserts the label and immediately removes the
-    record (the monolith's remove-after-classify close path).
+    record (the spec's remove-after-classify close path).
 
     Built by one positional call, ``PendingFlow(key, seq, arrival,
     flow_id)``, once per new flow: a hand-written slotted
@@ -174,9 +180,18 @@ class EngineStats:
     #: (timestamp, CDB size) sampled every ``sample_interval`` of the
     #: packet clock by ``process_source``, plus the final timestamp.
     cdb_size_series: list[tuple[float, int]] = field(default_factory=list)
-    #: Completed classifications, in order (see class docstring).
+    #: Completed classifications, in order, as the engine's ``StatsSink``
+    #: keeps them (see class docstring). Without one it stays empty while
+    #: ``classifications`` counts on, and :meth:`buffering_delays` raises.
     classified: list[ClassifiedFlow] = field(default_factory=list)
 
     def buffering_delays(self) -> list[float]:
-        """Buffer-fill delays of all classified flows."""
+        """Buffer-fill delays of all classified flows.
+
+        Raises ``ValueError`` once flows have classified if no
+        ``StatsSink`` kept their outcomes: an empty list would read as
+        "no flow classified".
+        """
+        if self.classifications and not self.classified:
+            raise ValueError(NO_STATS_SINK)
         return [c.buffering_delay for c in self.classified]

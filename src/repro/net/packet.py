@@ -325,6 +325,10 @@ class Packet:
                 f"IP protocol {ip.protocol} does not match transport "
                 f"{type(transport).__name__}"
             )
+        if isinstance(payload, memoryview) and not payload.contiguous:
+            # The engine appends payloads to a ``bytearray``, which takes
+            # contiguous buffers only: copy a strided view once, here.
+            payload = payload.tobytes()
         self._ip = ip
         self._transport = transport
         self.payload = payload

@@ -33,9 +33,9 @@ settings.register_profile("ci", max_examples=1000, deadline=None, derandomize=Tr
 
 
 def sync_engine(classifier, config=None, **kwargs):
-    """``open_engine`` with the seed monolith's synchronous behaviour.
+    """``open_engine`` classifying each flow the instant it is ready.
 
-    ``max_batch=1`` classifies each flow the instant it is ready;
+    ``max_batch=1``: the behaviour :class:`tests.spec.Figure1` specifies.
     ``config`` is the :class:`IustitiaConfig` to nest and ``kwargs``
     (``sink=``, ``rng=``, ``registry=``) pass through.
     """
@@ -44,6 +44,26 @@ def sync_engine(classifier, config=None, **kwargs):
         EngineConfig(max_batch=1, pipeline=config),
         **kwargs,
     )
+
+
+def assert_concludes(engine, model):
+    """``engine`` concluded what the spec run ``model`` (``tests.spec``) did.
+
+    Its counters, its outcomes in order (times and delays included), the
+    CDB size series, the CDB's labels and its lifetime insert and removal
+    totals. The spec absorbs no dispatch error.
+    """
+    stats, table, removed = engine.stats, engine.table, model.removed
+    assert {name: getattr(stats, name) for name in model.stats} == model.stats
+    assert (stats.fin_removals, stats.reclassifications, stats.dispatch_errors) == (
+        removed["fin"], removed["reclassified"], 0
+    )
+    assert stats.classified == model.classified
+    assert stats.cdb_size_series == model.series
+    assert {flow_id: record.label for flow_id, record in table._records.items()} == {
+        key.to_bytes(): record[0] for key, record in model.cdb.items()
+    }
+    assert (table.total_inserted, table.removal_counts) == (model.inserted, removed)
 
 
 @pytest.fixture

@@ -100,7 +100,7 @@ class TestFlushOrdering:
 
     The wheel pops expired flows in deadline order; the runtime must put
     them back into first-arrival (seq) order before classification,
-    matching the monolith's flush.
+    matching the spec's flush (``tests/spec.py``).
     """
 
     def _packet(self, payload, timestamp, sport):

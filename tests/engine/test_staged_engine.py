@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import open_engine
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.labels import ALL_NATURES
 from repro.engine import batcher as batching
@@ -306,6 +307,16 @@ class TestSinkFanout:
         assert engine.stats.classifications == 1
         assert engine.stats.classified == []  # no StatsSink attached
 
+    def test_buffering_delays_without_stats_sink_say_so(
+        self, trained_svm, sample_files
+    ):
+        """Not an empty list, which would read as "no flow classified"."""
+        engine = _engine(trained_svm, max_batch=1, sinks=[QueueSink()])
+        assert engine.stats.buffering_delays() == []  # nothing classified yet
+        engine.process_packet(_udp_packet(sample_files["text"][:40], 0.0))
+        with pytest.raises(ValueError, match="no StatsSink keeps"):
+            engine.stats.buffering_delays()
+
     def test_cdb_hit_packets_reach_on_packet(self, trained_svm, sample_files):
         forwarded = []
         engine = _engine(
@@ -318,6 +329,26 @@ class TestSinkFanout:
         engine.process_packet(_udp_packet(data[40:60], 0.1))
         assert engine.stats.cdb_hits == 1
         assert len(forwarded) == 1
+
+
+class TestStridedPayload:
+    @pytest.mark.parametrize("extractor", ["batch", "incremental"])
+    def test_a_strided_memoryview_payload_is_buffered(
+        self, trained_cart, sample_files, extractor
+    ):
+        """A non-contiguous view is copied once, when the packet is built."""
+        data = sample_files["binary"][:96]
+        engine = open_engine(
+            trained_cart,
+            EngineConfig(
+                max_batch=1,
+                extractor=extractor,
+                pipeline=IustitiaConfig(buffer_size=32, strip_known_headers=False),
+            ),
+        )
+        label = engine.process_packet(_udp_packet(memoryview(data)[::2], 0.0))
+        assert label == trained_cart.classify_buffers([data[::2][:32]])[0]
+        assert engine.stats.classified[0].buffered_bytes == 48
 
 
 class TestTraceAccuracy:

@@ -1,14 +1,13 @@
-"""Property tests: arm-once buffer deadlines against an eager model.
+"""Property tests: arm-once buffer deadlines against the spec's eager timeouts.
 
 The pipeline arms a flow's buffer-timeout deadline when the flow is
 created and, when that deadline fires, compares ``last_arrival +
 buffer_timeout < now`` — expired, or re-armed at that true deadline.
-The reference below does what an eagerly rescheduled deadline does: it
-keeps ``last_arrival`` per flow and expires ``last + timeout < now`` at
-every flush. Under any interleaving of packets and flushes on a
-nondecreasing clock the two must expire the same flows at the same
-flush, classify them in the same (first-arrival) order, drop the same
-flows as unclassifiable and end with the same labels.
+The spec (``tests/spec.py``) looks at every pending flow at every flush,
+as an eagerly rescheduled deadline would. Under any interleaving of
+packets and flushes on a nondecreasing clock the two must expire the
+same flows at the same flush, classify them in the same (first-arrival)
+order, drop the same flows as unclassifiable and conclude alike.
 
 Clock steps are multiples of 0.25 s, so sums are exact and ``last +
 timeout == now`` (not expired: the test is strict) comes up all the time.
@@ -22,11 +21,13 @@ from repro.api import open_engine
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.net.packet import PROTO_UDP, Ipv4Header, Packet, UdpHeader
 
+from tests.conftest import assert_concludes
+from tests.spec import Figure1
+
 TIMEOUT = 2.0
-WINDOW = 32
-#: The widest feature of the session classifiers (h_5): fewer buffered
-#: bytes than this cannot be classified.
-MIN_WINDOW = 5
+CONFIG = IustitiaConfig(
+    buffer_size=32, buffer_timeout=TIMEOUT, strip_known_headers=False
+)
 FLOWS = 5
 
 steps = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.75, 2.0, 2.25, 4.0])
@@ -47,94 +48,34 @@ def packet(flow: int, size: int, now: float) -> Packet:
     return Packet(ip, UdpHeader(port_of(flow), 53, 8 + size), payload, now)
 
 
-class EagerModel:
-    """``last_arrival`` per pending flow; expire ``last + timeout < now``."""
-
-    def __init__(self) -> None:
-        self.pending: dict = {}  # flow -> [last_arrival, window]; dict order is seq order
-        self.labelled: set = set()
-        self.classified: list = []  # (flow, window), in classification order
-        self.unclassifiable = 0
-        self.hits = 0
-
-    def on_packet(self, flow: int, payload: bytes, now: float) -> None:
-        if flow in self.labelled:
-            self.hits += 1
-            return
-        entry = self.pending.setdefault(flow, [now, b""])
-        entry[0] = now
-        entry[1] += payload
-        if len(entry[1]) >= WINDOW:
-            self.retire(flow)
-
-    def retire(self, flow: int) -> None:
-        window = self.pending.pop(flow)[1]
-        if len(window) < MIN_WINDOW:
-            self.unclassifiable += 1
-            return
-        self.labelled.add(flow)
-        self.classified.append((flow, window[:WINDOW]))
-
-    def flush(self, now: float) -> int:
-        expired = [f for f, (last, _) in self.pending.items() if last + TIMEOUT < now]
-        for flow in expired:
-            self.retire(flow)
-        return len(expired)
-
-    def finish(self) -> None:
-        for flow in list(self.pending):
-            self.retire(flow)
-
-
 def engine_for(classifier, extractor: str):
     # Synchronous: a ready flow classifies on the spot, so the order of
     # ``stats.classified`` is the order flows became ready.
     return open_engine(
         classifier,
-        EngineConfig(
-            max_batch=1,
-            extractor=extractor,
-            pipeline=IustitiaConfig(
-                buffer_size=WINDOW,
-                buffer_timeout=TIMEOUT,
-                strip_known_headers=False,
-            ),
-        ),
+        EngineConfig(max_batch=1, extractor=extractor, pipeline=CONFIG),
     )
 
 
 def run_both(classifier, extractor: str, ops) -> None:
     engine = engine_for(classifier, extractor)
-    model = EagerModel()
-    classified = engine.stats.classified
+    model = Figure1(classifier, CONFIG)
     now = 0.0
     for kind, flow, size, step in ops:
         now += step
         if kind == "packet":
             sent = packet(flow, size, now)
             engine.process_packet(sent)
-            model.on_packet(flow, bytes(sent.payload), now)
+            model.packet(sent)
         else:
             # The same flows expire at this flush, no earlier and no later.
             assert engine.flush_timeouts(now) == model.flush(now)
-        assert [c.key.src_port for c in classified] == [
-            port_of(f) for f, _ in model.classified
-        ]
-        assert engine.stats.unclassifiable == model.unclassifiable
+        assert engine.stats.classified == model.classified
+        assert engine.stats.unclassifiable == model.stats["unclassifiable"]
     engine.finish(now)
-    model.finish()
+    model.flush(now, final=True)
     engine.close()
-
-    stats = engine.stats
-    assert [c.key.src_port for c in classified] == [
-        port_of(f) for f, _ in model.classified
-    ]
-    assert stats.unclassifiable == model.unclassifiable
-    assert stats.cdb_hits == model.hits
-    assert stats.packets == sum(kind == "packet" for kind, *_ in ops)
-    assert [c.label for c in classified] == classifier.classify_buffers(
-        [window for _, window in model.classified]
-    )
+    assert_concludes(engine, model)
     assert len(engine.wheel) == 0 and engine.table.pending_count == 0
 
 

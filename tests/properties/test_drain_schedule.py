@@ -4,8 +4,10 @@ A ready flow is stamped when it becomes ready — its outcome's time, its
 CDB record's first arrival and lambda, the time of the inactivity sweep
 its insert may fire — and a packet that arrives while it waits in the
 batcher is the CDB hit it would be had the batch drained at once. So a
-run's outcomes, every ``EngineStats`` counter and the CDB size series
-equal those of the ``max_batch=1`` run under any drain schedule.
+run's outcomes, every ``EngineStats`` counter, the CDB size series and
+the CDB equal those of the spec (``tests/spec.py``, which classifies each
+flow the instant it is ready) under any drain schedule, ``max_batch=1``
+included.
 
 The trace is TCP in 1-8 byte segments: flows that fill their window and
 close, flows that keep sending after their label (hits, and pauses long
@@ -39,6 +41,9 @@ from repro.net.packet import (
     Packet,
     TcpHeader,
 )
+
+from tests.conftest import assert_concludes
+from tests.spec import Figure1
 
 FLOWS = 48
 
@@ -87,68 +92,60 @@ class JumpyClock:
         return self.now
 
 
+def config(extractor: str, reclassify: float) -> IustitiaConfig:
+    return IustitiaConfig(
+        buffer_size=32,
+        buffer_timeout=0.5,
+        strip_known_headers=False,
+        random_skip_max=4 if extractor == "batch" else 0,
+        reclassify_interval=reclassify,
+        purge_trigger_flows=12,
+        purge_coefficient=1.0,
+    )
+
+
 def run(classifier, extractor: str, reclassify: float, max_batch: int):
-    """Everything a run concludes, keyed for comparison."""
+    """An engine that ran the trace under the batcher's current clock."""
     engine = open_engine(
         classifier,
         EngineConfig(
             max_batch=max_batch,
             extractor=extractor,
-            pipeline=IustitiaConfig(
-                buffer_size=32,
-                buffer_timeout=0.5,
-                strip_known_headers=False,
-                random_skip_max=4 if extractor == "batch" else 0,
-                reclassify_interval=reclassify,
-                purge_trigger_flows=12,
-                purge_coefficient=1.0,
-            ),
+            pipeline=config(extractor, reclassify),
         ),
         rng=np.random.default_rng(7),
     )
-    stats = engine.process_source(TRACE, sample_interval=1.0)
+    engine.process_source(TRACE, sample_interval=1.0)
     engine.close()
-    table = engine.table
-    drains = engine.metrics.snapshot()["batcher_drains_total"]
-    return {
-        "labels": Counter((outcome.key, outcome.label) for outcome in stats.classified),
-        "outcomes": list(stats.classified),
-        "counters": (
-            stats.packets, stats.data_packets, stats.cdb_hits,
-            stats.classifications, stats.unclassifiable, stats.fin_removals,
-            stats.reclassifications, stats.dispatch_errors, dict(stats.per_class),
-        ),
-        "cdb_size_series": list(stats.cdb_size_series),
-        "table": (len(table), table.total_inserted, table.removal_counts),
-        "drains": {key: value for key, value in drains.items() if value},
-    }
+    return engine
 
 
 @functools.cache
-def reference(classifier, extractor: str, reclassify: float) -> dict:
-    """The ``max_batch=1`` run: every flow classified the instant it is ready."""
-    return run(classifier, extractor, reclassify, max_batch=1)
+def reference(classifier, extractor: str, reclassify: float) -> Figure1:
+    """The spec's run: every flow classified the instant it is ready."""
+    model = Figure1(classifier, config(extractor, reclassify), np.random.default_rng(7))
+    return model.run(TRACE, sample_interval=1.0)
 
 
 @pytest.mark.parametrize("extractor", ["batch", "incremental"])
 def test_the_trace_sweeps_relabels_and_reclassifies_mid_flow(trained_cart, extractor):
     plain = reference(trained_cart, extractor, 0.0)
     defended = reference(trained_cart, extractor, 0.3)
-    removals = plain["table"][2]
-    assert removals["inactive"] > 0 and removals["fin"] > 0
+    assert plain.removed["inactive"] > 0 and plain.removed["fin"] > 0
     # Swept while still sending: the flow buffered again, labelled again.
-    relabelled = Counter(key for key, _label in plain["labels"].elements())
+    relabelled = Counter(outcome[0] for outcome in plain.classified)
     assert max(relabelled.values()) > 1
-    unclassifiable, reclassified = plain["counters"][4], defended["counters"][6]
-    assert unclassifiable > 0 and reclassified > 0
+    assert plain.stats["unclassifiable"] > 0 and defended.removed["reclassified"] > 0
 
 
 @pytest.mark.parametrize("extractor", ["batch", "incremental"])
 def test_batched_runs_drain_in_more_ways_than_one(trained_cart, extractor, monkeypatch):
     """The schedules differ: the property below is not vacuous."""
     monkeypatch.setattr(batcher, "clock", JumpyClock(seed=1, p_jump=0.3))
-    drains = run(trained_cart, extractor, 0.0, max_batch=8)["drains"]
-    assert {'reason="size"', 'reason="wait"', 'reason="purge"'} <= set(drains)
+    engine = run(trained_cart, extractor, 0.0, max_batch=8)
+    drains = engine.metrics.snapshot()["batcher_drains_total"]
+    reasons = {reason for reason, count in drains.items() if count}
+    assert {'reason="size"', 'reason="wait"', 'reason="purge"'} <= reasons
 
 
 @given(
@@ -163,7 +160,5 @@ def test_any_drain_schedule_concludes_what_max_batch_1_does(
 ):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(batcher, "clock", JumpyClock(seed, p_jump))
-        batched = run(trained_cart, extractor, reclassify, max_batch)
-    synchronous = reference(trained_cart, extractor, reclassify)
-    for part in ("labels", "outcomes", "counters", "cdb_size_series", "table"):
-        assert batched[part] == synchronous[part], part
+        engine = run(trained_cart, extractor, reclassify, max_batch)
+    assert_concludes(engine, reference(trained_cart, extractor, reclassify))
