@@ -137,8 +137,8 @@ def open_engine(
     first-``b``-bytes pipeline (no header stripping/skipping, no random
     skip).
 
-    The flow pipeline runs inline on the calling thread
-    (:class:`~repro.engine.engine.SerialRuntime`, the only runtime).
+    The engine runs every stage inline on the calling thread, in
+    arrival order.
 
     The returned engine is a context manager: ``with
     repro.open_engine(...) as engine:`` guarantees a final flush of

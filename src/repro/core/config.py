@@ -112,8 +112,8 @@ class EngineConfig:
     #: charges the paper's ~200 B counter-table model of that window. A
     #: name registered in :data:`repro.core.extract.EXTRACTORS`.
     extractor: str = "batch"
-    #: Execution runtime: ``"serial"``, the only one, runs the flow
-    #: pipeline inline (:class:`repro.engine.engine.SerialRuntime`).
+    #: Execution runtime: ``"serial"``, the only one; the engine runs
+    #: every stage inline, in arrival order.
     runtime: str = "serial"
     #: Template for the remaining pipeline knobs (feature set, header
     #: handling, CDB purging, Section-4.6 defenses).

@@ -48,6 +48,10 @@ _OPCODE_WEIGHTS = np.array(
     dtype=np.float64,
 )
 _OPCODE_WEIGHTS /= _OPCODE_WEIGHTS.sum()
+# ``rng.choice(_OPCODES, p=_OPCODE_WEIGHTS)``'s own draw, with the CDF
+# built once: the same opcode from the same one ``rng.random()``.
+_OPCODE_CDF = np.cumsum(_OPCODE_WEIGHTS)
+_OPCODE_CDF /= _OPCODE_CDF[-1]
 
 
 def _machine_code(size: int, rng: np.random.Generator) -> bytes:
@@ -55,7 +59,7 @@ def _machine_code(size: int, rng: np.random.Generator) -> bytes:
     out = np.empty(size, dtype=np.uint8)
     pos = 0
     while pos < size:
-        opcode = rng.choice(_OPCODES, p=_OPCODE_WEIGHTS)
+        opcode = _OPCODES[_OPCODE_CDF.searchsorted(rng.random(), side="right")]
         out[pos] = opcode
         pos += 1
         operand_len = int(rng.integers(0, 4))

@@ -34,7 +34,10 @@ class MarkovTextModel:
         if not self._starts:
             raise ValueError("seed sentences contained no words")
         self._unigram_words = list(COMMON_WORDS)
-        self._unigram_weights = zipf_weights(len(self._unigram_words))
+        # ``rng.choice(words, p=weights)``'s own draw, with the CDF built
+        # once: the same index from the same one ``rng.random()``.
+        self._unigram_cdf = np.cumsum(zipf_weights(len(self._unigram_words)))
+        self._unigram_cdf /= self._unigram_cdf[-1]
 
     def _next_word(self, current: "str | None", rng: np.random.Generator) -> str:
         if current is not None:
@@ -43,7 +46,9 @@ class MarkovTextModel:
             # text is not a verbatim loop over the seed sentences.
             if successors and rng.random() < 0.8:
                 return successors[int(rng.integers(0, len(successors)))]
-        return str(rng.choice(self._unigram_words, p=self._unigram_weights))
+        return self._unigram_words[
+            self._unigram_cdf.searchsorted(rng.random(), side="right")
+        ]
 
     def generate_sentence(self, rng: np.random.Generator, max_words: int = 18) -> str:
         """One sentence of 4..max_words words, capitalized, period-terminated."""

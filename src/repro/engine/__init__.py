@@ -10,13 +10,11 @@ collection / classification / export pipelines):
   O(expired) buffer-timeout flushes;
 * :mod:`~repro.engine.batcher`    — micro-batches ready flows into
   one classify drain (extractor ``finalize`` + vectorized predict);
-* :mod:`~repro.engine.pipeline`   — :class:`FlowPipeline`, the
-  lookup/buffer/fold/ready stages over that table;
 * :mod:`~repro.engine.sinks`      — pluggable outcome subscribers
   (stats, per-nature queues, callbacks);
-* :mod:`~repro.engine.engine`     — :class:`StagedEngine`, the thin
-  dispatch/classify/fan-out facade over the pipeline, and the
-  :class:`~repro.engine.engine.SerialRuntime` that drives it inline.
+* :mod:`~repro.engine.engine`     — :class:`StagedEngine`, which runs
+  the lookup/buffer/ready, classify and fan-out stages over that table
+  inline, in arrival order.
 
 Build an engine with
 :func:`repro.open_engine`; ``EngineConfig(max_batch=1)`` classifies
@@ -27,9 +25,8 @@ same labels and counters, later.
 
 from repro.engine.batcher import MicroBatcher
 from repro.engine.deadlines import DeadlineWheel
-from repro.engine.engine import StagedEngine
+from repro.engine.engine import IngestResult, StagedEngine, WindowPolicy
 from repro.engine.flow_table import FlowTable
-from repro.engine.pipeline import FlowPipeline, IngestResult, WindowPolicy
 from repro.engine.sinks import CallbackSink, QueueSink, ResultSink, StatsSink
 from repro.engine.types import (
     ClassifiedFlow,
@@ -44,7 +41,6 @@ __all__ = [
     "DeadlineWheel",
     "EngineClosedError",
     "EngineStats",
-    "FlowPipeline",
     "FlowTable",
     "IngestResult",
     "MicroBatcher",

@@ -69,7 +69,7 @@ class MicroBatcher:
         self.max_wait = 0.0
         #: Wall clock past which the queue is overdue (the oldest flow's
         #: push plus :attr:`max_wait`); None when nothing waits. The
-        #: runtime tests ``clock() > drain_at`` before every packet.
+        #: engine tests ``clock() > drain_at`` before every packet.
         self.drain_at: "float | None" = None
         self._m_drain_size = None
         self._m_drains: "dict[str, object] | None" = None

@@ -10,10 +10,10 @@ at the same flush (``tests/properties/test_arm_once_deadlines.py``).
 Rescheduling is lazy: scheduling a flow again pushes a fresh entry and
 records the flow's current deadline; stale heap entries are discarded
 when popped (and compacted wholesale when they outnumber live flows).
-The pipeline schedules sparingly — once when a flow is created and left
+The engine schedules sparingly — once when a flow is created and left
 pending, and again only when a fired deadline finds the flow still
-active (:meth:`FlowPipeline.pop_expired
-<repro.engine.pipeline.FlowPipeline.pop_expired>` compares the flow's
+active (:meth:`StagedEngine.pop_expired
+<repro.engine.engine.StagedEngine.pop_expired>` compares the flow's
 ``last_arrival`` and re-arms) — so the heap holds about one entry per
 pending flow, not one per pending packet, and a fired deadline is a cue
 to look at the flow, not yet a verdict.
@@ -43,7 +43,7 @@ class DeadlineWheel:
         """Register this wheel's instruments on a ``MetricsRegistry``.
 
         Exposes fired deadlines (counter: expired flows plus flows the
-        pipeline found still active and re-armed), heap entries including
+        engine found still active and re-armed), heap entries including
         stale ones (gauge: entries of cancelled — classified — flows stay
         until popped or compacted), and scheduled flows (gauge). The two
         gauges read the sizes when scraped, so ``schedule`` /

@@ -147,20 +147,15 @@ class Counter(_Scalar):
 
 
 class Gauge(_Scalar):
-    """A value that can go up and down (occupancy, depth, sizes)."""
+    """A value that can go up and down (occupancy, depth, sizes).
+
+    It mirrors a size the code keeps, so it is read, never pushed: its
+    value is the sum of its readers.
+    """
 
     __slots__ = ()
 
     kind = "gauge"
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
 
 class Histogram:
@@ -327,10 +322,6 @@ class MetricsRegistry:
     ) -> Histogram:
         """Get or create a fixed-bucket histogram."""
         return self._instrument(Histogram, name, help, tuple(buckets), labels)
-
-    def timer(self, name: str, help: str = "", **labels) -> Timer:
-        """Shorthand: a :class:`Timer` into ``histogram(name, ...)``."""
-        return self.histogram(name, help=help, **labels).time()
 
     def _instrument(self, cls, name, help_text, buckets, labels, reader=None):
         _check_name(name)

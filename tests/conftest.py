@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from repro.api import open_engine
 from repro.core.config import EngineConfig
@@ -30,6 +31,19 @@ from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
 # runner.
 settings.register_profile("default", max_examples=100)
 settings.register_profile("ci", max_examples=1000, deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def unicode_tables():
+    """Build Hypothesis's unicode tables before the first test runs.
+
+    The first ``st.text()`` of a session computes them: ~2.5 s with an
+    empty example store, as on every CI run, and inside a test that time
+    counts against its "input generation is slow" health check.
+    Validating one text strategy builds them once, outside any test, and
+    caches them in the store (a warm store reads them in ~0.03 s).
+    """
+    st.text().validate()
 
 
 def sync_engine(classifier, config=None, **kwargs):

@@ -90,6 +90,13 @@ class TestRuntimeKnobs:
         with pytest.raises(TypeError, match="runtime must be 'serial'"):
             EngineConfig(runtime=42)
 
+    def test_runtime_factory_rejected_never_called(self):
+        # A runtime factory is no longer a way in: rejected, never called.
+        calls = []
+        with pytest.raises(TypeError, match="runtime must be 'serial'"):
+            EngineConfig(runtime=calls.append)
+        assert calls == []
+
     def test_worker_and_queue_fields_removed(self):
         with pytest.raises(TypeError, match="num_workers"):
             EngineConfig(num_workers=2)

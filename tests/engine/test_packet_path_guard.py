@@ -205,8 +205,8 @@ LADDER = [
     "StagedEngine.process_packet",
     "Packet.flow_tuple",
     "Packet.is_close",
-    "SerialRuntime.dispatch",
-    "FlowPipeline.ingest",
+    "StagedEngine.dispatch",
+    "StagedEngine.ingest",
 ]
 
 

@@ -384,7 +384,7 @@ class TestTraceAccuracy:
 
 
 class TestLifecycle:
-    """close()/finish() session semantics on the serial runtime."""
+    """close()/finish() session semantics."""
 
     def test_close_is_idempotent_and_engine_becomes_readonly(
         self, trained_cart, small_trace
@@ -432,6 +432,42 @@ class TestLifecycle:
         with engine:
             engine.process_trace(small_trace)
         assert sink.flushed == 1
+
+    def test_context_manager_flushes_sinks(self, trained_svm):
+        class FlushCounting(QueueSink):
+            flushed = 0
+
+            def flush(self):
+                self.flushed += 1
+
+        sink = FlushCounting()
+        with StagedEngine(trained_svm, sinks=[sink]) as engine:
+            assert sink.flushed == 0
+        assert sink.flushed == 1
+        engine.close()  # idempotent: the sinks are not flushed twice
+        assert sink.flushed == 1
+
+    def test_bench_names_are_the_engine_itself(self, trained_svm):
+        # ``runtime`` / ``pipelines`` are views of the one engine: a method
+        # replaced through them is the one the packet and drain paths call.
+        engine = _engine(trained_svm, max_batch=1)
+        assert engine.runtime is engine and engine.pipelines == (engine,)
+        calls = []
+
+        def wrap(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            setattr(owner, name, counted)
+
+        wrap(engine.runtime, "dispatch")
+        wrap(engine.pipelines[0], "ingest")
+        wrap(engine.pipelines[0], "apply")
+        engine.process_packet(_udp_packet(b"x" * 40, 0.0))
+        assert calls == ["dispatch", "ingest", "apply"]
 
     def test_metrics_readable_after_close(self, trained_cart, small_trace):
         engine = StagedEngine(trained_cart, IustitiaConfig(buffer_size=32))

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.api import open_engine
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.engine import QueueSink, StagedEngine
-from repro.engine.engine import SerialRuntime
 
 from tests.conftest import assert_concludes, sync_engine
 from tests.spec import Figure1
@@ -159,7 +158,6 @@ class TestSerialRuntimeExplicit:
 
     def test_default_runtime_is_serial(self, trained_svm):
         engine = StagedEngine(trained_svm)
-        assert isinstance(engine.runtime, SerialRuntime)
         assert engine.engine_config.runtime == "serial"
 
     def test_explicit_serial_matches_seed(self, trained_svm, small_trace):

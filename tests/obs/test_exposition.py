@@ -9,7 +9,7 @@ def _demo_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
     reg.counter("packets_total", help="Packets seen", shard=0).inc(5)
     reg.counter("packets_total", shard=1).inc(7)
-    reg.gauge("pending_flows", help="Flows buffering").set(3)
+    reg.gauge("pending_flows", help="Flows buffering", reader=lambda: 3)
     h = reg.histogram("delay_seconds", buckets=(0.01, 0.1), help="Delay")
     h.observe(0.005)
     h.observe(0.05)

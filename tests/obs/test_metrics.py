@@ -40,17 +40,23 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_value_is_the_sum_of_its_readers(self):
+        depth = {"a": 10, "b": 5}
         g = Gauge("depth")
-        g.set(10)
-        g.inc(5)
-        g.dec(3)
+        g.readers += [lambda: depth["a"], lambda: depth["b"]]
+        assert g.value == 15.0
+        depth["b"] = 2  # read, not copied: the next read sees the change
         assert g.value == 12.0
 
-    def test_can_go_negative(self):
+    def test_reader_can_go_negative(self):
         g = Gauge("delta")
-        g.dec(2)
+        g.readers.append(lambda: -2)
         assert g.value == -2.0
+
+    def test_gauge_is_read_only(self):
+        g = Gauge("depth")
+        assert not any(hasattr(g, name) for name in ("set", "inc", "dec"))
+        assert not hasattr(MetricsRegistry(), "timer")
 
 
 class TestHistogram:
