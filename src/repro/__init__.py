@@ -27,7 +27,7 @@ faults instead of raising.
 
 Subpackages: ``repro.core`` (entropy vectors, the offline (delta,
 epsilon) estimation study, classifier, CDB, config), ``repro.engine``
-(staged online engine and its serial runtime), ``repro.ingest``
+(the staged online engine and its stages), ``repro.ingest``
 (the streaming pcap source + source supervision),
 ``repro.obs`` (telemetry), ``repro.ml`` (CART, SVM/SMO/DAGSVM),
 ``repro.streaming`` (stream-entropy estimation), ``repro.net``
@@ -39,57 +39,49 @@ corpus), ``repro.analysis`` (KL/JSD divergences), ``repro.experiments``
 (``load_model`` → ``open_engine`` → ``process_source``); the training,
 trace-generation, scrape and paper-study names above (``build_corpus``,
 ``generate_gateway_trace``, ``render_text``, ...) resolve on first use.
+This module is the one re-export layer: it imports each name from the
+module that defines it, and the subpackages' ``__init__`` files hold
+only their docstrings.
 """
 
-from repro._lazy import lazy_exports
+from importlib import import_module
+
 from repro.api import load_model, open_engine, save_model, train
-from repro.core import (
-    BINARY,
-    ENCRYPTED,
-    TEXT,
-    ClassificationDatabase,
-    EngineConfig,
-    EntropyVector,
-    FeatureSet,
-    FlowNature,
-    IustitiaClassifier,
-    IustitiaConfig,
-    TrainingMethod,
-    entropy_vector,
-    kgram_entropy,
-)
+from repro.core.cdb import ClassificationDatabase
+from repro.core.classifier import IustitiaClassifier, TrainingMethod
+from repro.core.config import EngineConfig, IustitiaConfig
+from repro.core.entropy import kgram_entropy
+from repro.core.entropy_vector import EntropyVector, entropy_vector
 from repro.core.features import (
     FULL_FEATURES,
     PHI_CART,
     PHI_CART_PRIME,
     PHI_SVM,
     PHI_SVM_PRIME,
+    FeatureSet,
 )
-from repro.engine import (
-    CallbackSink,
-    ClassifiedFlow,
-    EngineClosedError,
-    QueueSink,
-    ResultSink,
-    StagedEngine,
-    StatsSink,
-)
-from repro.ingest import PacketSource, PcapFileSource
-from repro.ml import DecisionTreeClassifier
-from repro.net import (
-    FlowKey,
-    Packet,
+from repro.core.labels import BINARY, ENCRYPTED, TEXT, FlowNature
+from repro.engine.engine import StagedEngine
+from repro.engine.sinks import CallbackSink, QueueSink, ResultSink, StatsSink
+from repro.engine.types import ClassifiedFlow, EngineClosedError
+from repro.ingest.sources import PacketSource, PcapFileSource
+from repro.ml.tree.cart import DecisionTreeClassifier
+from repro.net.flow import FlowKey
+from repro.net.packet import Packet
+from repro.net.pcap import (
     PcapDecodeStats,
     PcapError,
     iter_pcap,
     read_pcap,
     write_pcap,
 )
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, Timer
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Timer
 
 # Training, trace generation and the paper-study libraries: nothing the
-# classify pass runs, so they load on first access.
-__getattr__, __dir__ = lazy_exports(globals(), {
+# classify pass runs, so they load on first access (PEP 562). The first
+# access imports the defining module and stores the value here, so every
+# later lookup is a plain attribute read.
+_FIRST_USE = {
     "Corpus": "repro.data.corpus",
     "DagSvmClassifier": "repro.ml.svm.dagsvm",
     "EntropyEstimator": "repro.core.estimation",
@@ -103,7 +95,23 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "kl_divergence": "repro.analysis.divergence",
     "render_text": "repro.obs.exposition",
     "validate_text": "repro.obs.exposition",
-})
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _FIRST_USE[name]
+    except KeyError:
+        raise AttributeError(
+            f"module 'repro' has no attribute {name!r}"
+        ) from None
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
+
+def __dir__() -> "list[str]":
+    return sorted(globals().keys() | _FIRST_USE.keys())
+
 
 __version__ = "1.5.0"
 

@@ -40,7 +40,7 @@ per-packet dispatch failure is handed over instead of killing the run::
 * :func:`open_engine` — build a :class:`StagedEngine` from one
   :class:`EngineConfig`, optionally attaching result sinks (any object
   satisfying the :class:`~repro.engine.sinks.ResultSink` protocol) and
-  a shared :class:`~repro.obs.MetricsRegistry`.
+  a shared :class:`~repro.MetricsRegistry`.
 
 Everything here is re-exported at the top level (``repro.train`` etc.)
 and covered by the audited ``repro.__all__``.
@@ -58,7 +58,7 @@ from repro.core.features import PHI_SVM_PRIME, FeatureSet
 from repro.engine.engine import StagedEngine
 from repro.engine.sinks import ResultSink, StatsSink
 from repro.ml.persistence import load_classifier, save_classifier
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["load_model", "open_engine", "save_model", "train"]
 
@@ -77,8 +77,8 @@ def train(
 ) -> IustitiaClassifier:
     """Fit a flow-nature classifier on a labelled corpus.
 
-    ``corpus`` is a :class:`repro.data.Corpus` or any iterable of
-    :class:`repro.data.LabeledFile`. Defaults reproduce the paper's
+    ``corpus`` is a :class:`repro.Corpus` or any iterable of
+    :class:`repro.LabeledFile`. Defaults reproduce the paper's
     headline model: SVM-RBF (gamma=50, C=1000) over the primed SVM
     feature set, trained on each file's first ``buffer_size`` bytes.
     Returns the fitted classifier.
@@ -119,11 +119,12 @@ def open_engine(
     ``classifier`` is an :class:`IustitiaClassifier` or a path to a
     model saved by :func:`save_model` (loaded for you). ``config`` is an
     :class:`EngineConfig` (an :class:`IustitiaConfig` is accepted and
-    wrapped; None means defaults). ``sink`` attaches one result sink or
-    a sequence of them — anything implementing the ``ResultSink``
-    protocol (``on_flow_classified`` / ``on_packet``, and optionally
-    ``on_flows_classified``, which gets each drain in one call; a sink
-    missing either required method is a ``TypeError``). A ``StatsSink``
+    wrapped; None means defaults at the classifier's ``buffer_size``).
+    ``sink`` attaches one result sink or a sequence of them — anything
+    implementing the ``ResultSink`` protocol (``on_flow_classified`` /
+    ``on_packet``, and optionally ``on_flows_classified``, which gets
+    each drain in one call; a sink missing either required method is a
+    ``TypeError``). A ``StatsSink``
     always rides along (added when ``sink`` doesn't include one), so
     ``engine.stats.classified`` and ``engine.evaluate_against`` work
     regardless of what else is attached. ``registry`` shares a metrics
@@ -161,11 +162,9 @@ def open_engine(
             "classifier must be an IustitiaClassifier or a saved-model path, "
             f"got {type(classifier).__name__}"
         )
-    if config is None:
-        config = EngineConfig()
-    elif isinstance(config, IustitiaConfig):
-        config = EngineConfig(pipeline=config)
-    elif not isinstance(config, EngineConfig):
+    if config is not None and not isinstance(
+        config, (EngineConfig, IustitiaConfig)
+    ):
         raise TypeError(
             f"config must be an EngineConfig, got {type(config).__name__}"
         )

@@ -17,7 +17,7 @@ Subcommands::
 optional ground-truth label file; ``train`` builds a classifier from a
 synthetic corpus and saves it as JSON (no pickle: models loaded at a
 network boundary must not execute code); ``classify`` streams a pcap
-through the online engine (:class:`repro.ingest.PcapFileSource` →
+through the online engine (:class:`repro.PcapFileSource` →
 ``process_source``, one record in memory at a time — captures larger
 than RAM are fine), printing one line per classified flow and, when
 ground truth is supplied, an accuracy report. ``--metrics`` dumps the
@@ -47,7 +47,7 @@ from repro.api import load_model, open_engine, save_model
 from repro.core.classifier import IustitiaClassifier
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.labels import FlowNature
-from repro.ingest import PcapFileSource
+from repro.ingest.sources import PcapFileSource
 from repro.net.flow import FlowKey
 from repro.net.pcap import PcapError, write_pcap
 

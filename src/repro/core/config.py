@@ -85,7 +85,7 @@ class IustitiaConfig:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """All knobs of :class:`repro.engine.StagedEngine`, in one frozen object.
+    """All knobs of :class:`repro.StagedEngine`, in one frozen object.
 
     ``buffer_size`` (the paper's ``b``) and ``buffer_timeout`` default to
     the values of ``pipeline`` when one is given (and to the
@@ -103,7 +103,7 @@ class EngineConfig:
     #: batch drains once its oldest flow has waited a few drain costs of
     #: wall time (:data:`repro.engine.batcher.DRAIN_WAIT_COSTS`).
     max_batch: int = 32
-    #: Instrument the engine with a :class:`repro.obs.MetricsRegistry`.
+    #: Instrument the engine with a :class:`repro.MetricsRegistry`.
     telemetry: bool = True
     #: Per-flow feature pipeline: ``"batch"`` buffers raw payload and
     #: extracts at drain time (default; required for header stripping /

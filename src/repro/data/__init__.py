@@ -15,50 +15,3 @@ statistically equivalent corpus:
 All generators are deterministic given a ``numpy.random.Generator``, so
 every experiment is reproducible from a seed.
 """
-
-from repro.data.corpus import Corpus, LabeledFile, build_corpus, default_generators
-from repro.data.cryptogen import (
-    HashCtrCipher,
-    Rc4Cipher,
-    generate_encrypted_file,
-)
-from repro.data.binarygen import (
-    generate_avi_like,
-    generate_binary_file,
-    generate_elf_like,
-    generate_jpeg_like,
-    generate_pdf_like,
-    generate_png_like,
-    generate_zip_like,
-)
-from repro.data.markov import MarkovTextModel
-from repro.data.textgen import (
-    generate_email,
-    generate_html,
-    generate_log_file,
-    generate_plain_text,
-    generate_text_file,
-)
-
-__all__ = [
-    "Corpus",
-    "HashCtrCipher",
-    "LabeledFile",
-    "MarkovTextModel",
-    "Rc4Cipher",
-    "build_corpus",
-    "default_generators",
-    "generate_avi_like",
-    "generate_binary_file",
-    "generate_elf_like",
-    "generate_email",
-    "generate_encrypted_file",
-    "generate_html",
-    "generate_jpeg_like",
-    "generate_log_file",
-    "generate_pdf_like",
-    "generate_plain_text",
-    "generate_png_like",
-    "generate_text_file",
-    "generate_zip_like",
-]

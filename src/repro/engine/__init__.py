@@ -12,7 +12,7 @@ collection / classification / export pipelines):
   one classify drain (extractor ``finalize`` + vectorized predict);
 * :mod:`~repro.engine.sinks`      — pluggable outcome subscribers
   (stats, per-nature queues, callbacks);
-* :mod:`~repro.engine.engine`     — :class:`StagedEngine`, which runs
+* :mod:`~repro.engine.engine`     — ``StagedEngine``, which runs
   the lookup/buffer/ready, classify and fan-out stages over that table
   inline, in arrival order.
 
@@ -22,32 +22,3 @@ each flow the instant it is ready, the behaviour the executable spec of
 Figure 1 (``tests/spec.py``) specifies, and any larger batch emits the
 same labels and counters, later.
 """
-
-from repro.engine.batcher import MicroBatcher
-from repro.engine.deadlines import DeadlineWheel
-from repro.engine.engine import IngestResult, StagedEngine, WindowPolicy
-from repro.engine.flow_table import FlowTable
-from repro.engine.sinks import CallbackSink, QueueSink, ResultSink, StatsSink
-from repro.engine.types import (
-    ClassifiedFlow,
-    EngineClosedError,
-    EngineStats,
-    PendingFlow,
-)
-
-__all__ = [
-    "CallbackSink",
-    "ClassifiedFlow",
-    "DeadlineWheel",
-    "EngineClosedError",
-    "EngineStats",
-    "FlowTable",
-    "IngestResult",
-    "MicroBatcher",
-    "PendingFlow",
-    "QueueSink",
-    "ResultSink",
-    "StagedEngine",
-    "StatsSink",
-    "WindowPolicy",
-]

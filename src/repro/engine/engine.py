@@ -54,7 +54,7 @@ from repro.engine.types import (
 )
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # in-memory traces are not on the classify path
     from repro.net.trace import Trace
@@ -168,11 +168,13 @@ class StagedEngine:
 
     Configure with one frozen :class:`~repro.core.config.EngineConfig`
     (or a bare :class:`IustitiaConfig`, wrapped with engine defaults).
+    Without one, the engine buffers the classifier's own ``buffer_size``
+    bytes per flow.
     Staging knobs are ``EngineConfig`` fields, not constructor keywords
     — passing any raises ``TypeError``. Unless telemetry
     is disabled (``EngineConfig(telemetry=False)``), every stage
     registers instruments on ``self.metrics`` — a
-    :class:`repro.obs.MetricsRegistry`, shareable via the ``registry``
+    :class:`repro.MetricsRegistry`, shareable via the ``registry``
     argument — and a run yields live counters, gauges, and histograms
     for each paper claim (see DESIGN.md's metric map).
 
@@ -214,6 +216,12 @@ class StagedEngine:
         sinks: "list[ResultSink] | None" = None,
         registry: "MetricsRegistry | None" = None,
     ) -> None:
+        if config is None:
+            # No config: serve the window the model was trained on.
+            config = IustitiaConfig(
+                buffer_size=classifier.buffer_size,
+                feature_set=classifier.feature_set,
+            )
         if isinstance(config, EngineConfig):
             engine_config = config
         else:

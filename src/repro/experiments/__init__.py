@@ -5,26 +5,3 @@ feature matrices (entropy-vector extraction dominates experiment runtime);
 ``harness`` runs the paper's cross-validation protocol; ``reporting``
 formats results in the layout of the paper's tables and figure series.
 """
-
-from repro.experiments.datasets import (
-    feature_matrix,
-    standard_corpus,
-    standard_trace,
-)
-from repro.experiments.harness import (
-    ClassificationReport,
-    run_cv_experiment,
-    summarize_folds,
-)
-from repro.experiments.reporting import format_series, format_table
-
-__all__ = [
-    "ClassificationReport",
-    "feature_matrix",
-    "format_series",
-    "format_table",
-    "run_cv_experiment",
-    "standard_corpus",
-    "standard_trace",
-    "summarize_folds",
-]

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.core.entropy_vector import entropy_vectors_batch, training_windows
 from repro.core.features import FeatureSet
-from repro.core.labels import FlowNature
 from repro.data.corpus import Corpus, build_corpus
 from repro.net.trace import Trace
 from repro.net.tracegen import GatewayTraceConfig, generate_gateway_trace
@@ -110,8 +109,3 @@ def feature_matrix(
         per_class, seed, min_size, max_size, tuple(widths), prefix, offset_cap
     )
     return X.copy(), y.copy()
-
-
-def natures_of(y: np.ndarray) -> list[FlowNature]:
-    """Decode an integer label vector into FlowNature values."""
-    return [FlowNature(int(v)) for v in y]

@@ -2,7 +2,7 @@
 
 The :class:`PacketSource` protocol is the ingest layer's one contract —
 *an iterable of timestamped packets that can be closed* — and it is the
-written form of what :meth:`repro.engine.StagedEngine.process_source`
+written form of what :meth:`repro.StagedEngine.process_source`
 and :class:`~repro.ingest.supervise.SupervisedSource` accept. Packets
 that already live in memory need no adapter (``trace.packets``, a list,
 a generator all qualify as the iterable); the one concrete source is
@@ -13,7 +13,7 @@ the one that hides a format:
   :func:`repro.net.pcap.iter_pcap`).
 
 It is a context manager; iterating it after ``close()`` stops cleanly.
-Metrics are opt-in: pass a :class:`repro.obs.MetricsRegistry` and the
+Metrics are opt-in: pass a :class:`repro.MetricsRegistry` and the
 source registers readers of its decode counts on the ``ingest_*``
 counters, labeled ``source="pcap:<file name>"``.
 """

@@ -3,7 +3,7 @@
 The streaming layer is fail-fast at every seam — a source raises, the
 stream ends. :class:`SupervisedSource` is the one exception, sized to
 the one source that exists: a zero-argument factory that re-reads a
-capture from the start (a :class:`~repro.ingest.PcapFileSource` over a
+capture from the start (a :class:`~repro.PcapFileSource` over a
 file). On an ``OSError`` — raised by the pass or by the factory opening
 it — it closes the broken pass, backs off, opens a fresh pass and
 discards the packets it already delivered, so the supervised stream is
@@ -31,7 +31,7 @@ BACKOFF_CAP = 5.0
 class SupervisedSource:
     """Restart a re-readable packet source on ``OSError``, exactly once.
 
-    ``factory`` returns a fresh :class:`~repro.ingest.PacketSource` per
+    ``factory`` returns a fresh :class:`~repro.PacketSource` per
     pass; every pass starts from the first packet and the wrapper skips
     the :attr:`delivered` ones. ``max_attempts`` bounds the
     *consecutive* failure streak: the failure after it re-raises, and

@@ -42,9 +42,7 @@ __all__ = [
     "classifier_from_dict",
     "classifier_to_dict",
     "load_classifier",
-    "load_model",
     "save_classifier",
-    "save_model",
     "model_to_dict",
     "model_from_dict",
 ]
@@ -363,21 +361,6 @@ def model_from_dict(payload: dict):
         ) from exc
     except (ValueError, OverflowError) as exc:  # a value no estimator accepts
         raise ModelFormatError(f"{fmt} payload is malformed: {exc}") from exc
-
-
-def save_model(model, path) -> None:
-    """Write a fitted model as JSON."""
-    with open(path, "w") as handle:
-        json.dump(model_to_dict(model), handle)
-
-
-def load_model(path):
-    """Load a model written by :func:`save_model`.
-
-    Raises :class:`ModelFormatError` when the file is truncated, not
-    JSON, or not a supported model payload.
-    """
-    return model_from_dict(_read_json(path, "model"))
 
 
 def classifier_to_dict(classifier) -> dict:

@@ -121,10 +121,6 @@ class CompiledTree:
     prediction: np.ndarray
     classes: np.ndarray
 
-    @property
-    def n_nodes(self) -> int:
-        return int(self.feature.size)
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Index (into the flat arrays) of each row's leaf."""
         node = np.zeros(X.shape[0], dtype=np.int64)

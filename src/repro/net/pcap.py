@@ -197,7 +197,7 @@ def iter_pcap(
     force a giant allocation.
 
     ``stats`` — an optional :class:`PcapDecodeStats` the caller can
-    watch (or let :class:`repro.ingest.PcapFileSource` surface as
+    watch (or let :class:`repro.PcapFileSource` surface as
     ingest metrics); pass ``None`` to skip the bookkeeping object
     entirely (one is still kept internally).
     """
@@ -298,6 +298,6 @@ def read_pcap(path: "str | Path") -> list[Packet]:
 
     Materializes every packet; for captures that should not fit in
     memory, iterate :func:`iter_pcap` (or wrap it in a
-    :class:`repro.ingest.PcapFileSource`) instead.
+    :class:`repro.PcapFileSource`) instead.
     """
     return list(iter_pcap(path))

@@ -1,10 +1,11 @@
 """Telemetry for the staged engine: metrics primitives + text exposition.
 
-``repro.obs`` is a dependency-free monitoring plane (stdlib only; of
-the rest of ``repro`` it imports only the first-use export helper): a :class:`MetricsRegistry` of
-:class:`Counter` / :class:`Gauge` / fixed-bucket :class:`Histogram`
-instruments with :class:`Timer` context managers, and a Prometheus-style
-text exposition (:func:`render_text`, checked by :func:`validate_text`).
+``repro.obs`` is a dependency-free monitoring plane (stdlib only,
+nothing else of ``repro``): :mod:`repro.obs.metrics` holds a
+``MetricsRegistry`` of ``Counter`` / ``Gauge`` / fixed-bucket
+``Histogram`` instruments with ``Timer`` context managers, and
+:mod:`repro.obs.exposition` a Prometheus-style text exposition
+(``render_text``, checked by ``validate_text``).
 
 The staged engine instruments every stage with it by default — packet
 ingest, deadline-wheel expirations, micro-batch drains, per-batch
@@ -15,30 +16,3 @@ A count the code already keeps reaches its counter or gauge as a
 per drain. Snapshots come two ways: ``registry.snapshot()`` (plain
 dict) and ``render_text(registry)`` (scrape format).
 """
-
-from repro._lazy import lazy_exports
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-)
-
-# The text exposition runs at scrape time, not in the classify pass.
-__getattr__, __dir__ = lazy_exports(globals(), {
-    "render_text": "repro.obs.exposition",
-    "validate_text": "repro.obs.exposition",
-})
-
-__all__ = [
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Timer",
-    "render_text",
-    "validate_text",
-]

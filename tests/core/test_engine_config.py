@@ -5,9 +5,11 @@ import warnings
 
 import pytest
 
+import repro
+from repro.core.classifier import IustitiaClassifier
 from repro.core.config import EngineConfig, IustitiaConfig
-from repro.core.features import PHI_CART
-from repro.engine import StagedEngine
+from repro.core.features import PHI_CART, FeatureSet
+from repro.engine.engine import StagedEngine
 
 
 class TestEngineConfig:
@@ -135,3 +137,37 @@ class TestLegacyKwargRemoval:
     def test_engine_config_plus_legacy_kwargs_is_an_error(self, trained_svm):
         with pytest.raises(TypeError, match="max_batch"):
             StagedEngine(trained_svm, EngineConfig(), max_batch=4)
+
+
+class TestDefaultWindow:
+    """An engine built without a config serves the model's own ``b``."""
+
+    @pytest.fixture(scope="class")
+    def wide_cart(self, small_corpus):
+        return IustitiaClassifier(model="cart", buffer_size=64).fit_corpus(
+            small_corpus
+        )
+
+    def test_no_config_serves_the_model_window(self, wide_cart, small_trace):
+        engines = [StagedEngine(wide_cart), repro.open_engine(wide_cart)]
+        for engine in engines:
+            assert engine.config.buffer_size == 64
+            assert engine.extractor.buffer_size == 64
+        explicit = repro.open_engine(wide_cart, EngineConfig(buffer_size=64))
+        explicit.process_trace(small_trace)
+        for engine in engines:
+            engine.process_trace(small_trace)
+            assert engine.stats.classified == explicit.stats.classified
+
+    def test_explicit_config_keeps_its_window(self, wide_cart):
+        engine = StagedEngine(wide_cart, EngineConfig())
+        assert engine.config.buffer_size == engine.extractor.buffer_size == 32
+
+    def test_no_config_serves_a_model_narrower_than_the_defaults(
+        self, small_corpus
+    ):
+        narrow = IustitiaClassifier(
+            model="cart", feature_set=FeatureSet("narrow", (1, 2)),
+            buffer_size=4,
+        ).fit_corpus(small_corpus)
+        assert repro.open_engine(narrow).extractor.buffer_size == 4

@@ -15,7 +15,7 @@ from repro.core.extract import (
     make_extractor,
 )
 from repro.core.features import FULL_FEATURES, PHI_SVM_PRIME
-from repro.engine import StagedEngine
+from repro.engine.engine import StagedEngine
 from repro.net.packet import Ipv4Header, Packet, UdpHeader
 from repro.net.trace import Trace
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import IustitiaConfig
 from repro.core.labels import ALL_NATURES
-from repro.engine import QueueSink
+from repro.engine.sinks import QueueSink
 from repro.net.flow import FlowKey
 from repro.net.packet import (
     FLAG_ACK,

@@ -6,7 +6,7 @@ from repro.engine import batcher as batching
 from repro.engine.batcher import DRAIN_WAIT_COSTS, MicroBatcher
 from repro.engine.types import PendingFlow
 from repro.net.flow import FlowKey
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 def _ready(i: int) -> PendingFlow:

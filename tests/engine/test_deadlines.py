@@ -1,8 +1,8 @@
 """Tests for the deadline wheel (O(expired) timeout flushing)."""
 
 from repro.core.config import EngineConfig, IustitiaConfig
-from repro.engine import StagedEngine
 from repro.engine.deadlines import DeadlineWheel
+from repro.engine.engine import StagedEngine
 from repro.net.packet import Ipv4Header, Packet, UdpHeader
 
 

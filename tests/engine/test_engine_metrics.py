@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.engine import StagedEngine
+from repro.engine.engine import StagedEngine
 from repro.net.packet import Ipv4Header, Packet, UdpHeader
-from repro.obs import MetricsRegistry, render_text, validate_text
+from repro.obs.exposition import render_text, validate_text
+from repro.obs.metrics import MetricsRegistry
 
 
 def _short_udp_flow(port: int, timestamp: float) -> Packet:

@@ -35,7 +35,7 @@ from repro.api import open_engine
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.engine.deadlines import DeadlineWheel
 from repro.engine.sinks import QueueSink
-from repro.ingest import PcapFileSource
+from repro.ingest.sources import PcapFileSource
 from repro.net.flow import FlowKey
 from repro.net.packet import (
     FLAG_ACK,

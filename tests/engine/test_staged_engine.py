@@ -6,14 +6,9 @@ from repro.api import open_engine
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.labels import ALL_NATURES
 from repro.engine import batcher as batching
-from repro.engine import (
-    CallbackSink,
-    EngineClosedError,
-    IngestResult,
-    QueueSink,
-    StagedEngine,
-    StatsSink,
-)
+from repro.engine.engine import IngestResult, StagedEngine
+from repro.engine.sinks import CallbackSink, QueueSink, StatsSink
+from repro.engine.types import EngineClosedError
 from repro.net.packet import (
     FLAG_ACK,
     FLAG_FIN,

@@ -2,10 +2,11 @@
 
 import struct
 
-from repro.ingest import PacketSource, PcapFileSource, SupervisedSource
+from repro.ingest.sources import PacketSource, PcapFileSource
+from repro.ingest.supervise import SupervisedSource
 from repro.net.packet import Ipv4Header, Packet, UdpHeader
 from repro.net.pcap import read_pcap, write_pcap
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 def _packet(i: int, payload: bytes = b"abcdefgh") -> Packet:

@@ -9,11 +9,12 @@ import pytest
 
 from repro.api import open_engine
 from repro.cli import _ON_ERROR, build_parser
-from repro.engine import EngineClosedError
-from repro.ingest import PcapFileSource, SupervisedSource
+from repro.engine.types import EngineClosedError
+from repro.ingest.sources import PcapFileSource
+from repro.ingest.supervise import SupervisedSource
 from repro.net.packet import Ipv4Header, Packet, UdpHeader
 from repro.net.pcap import PcapError, write_pcap
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from tests.ingest.faults import FlakySource, RecordingSleep
 
 

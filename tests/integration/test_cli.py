@@ -8,7 +8,7 @@ import pytest
 import repro.cli
 from repro.cli import _key_to_str, _str_to_key, build_parser, main
 from repro.core.classifier import IustitiaClassifier
-from repro.ingest import PcapFileSource
+from repro.ingest.sources import PcapFileSource
 from repro.ml.persistence import load_classifier
 from repro.net.ethernet import EthernetHeader
 from repro.net.flow import FlowKey
@@ -117,7 +117,7 @@ class TestTrainAndClassify:
     def test_classify_writes_metrics_exposition(
         self, artifacts, tmp_path, capsys
     ):
-        from repro.obs import validate_text
+        from repro.obs.exposition import validate_text
 
         model, pcap, _ = artifacts
         metrics = tmp_path / "metrics.prom"

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.api import open_engine
 from repro.core.config import EngineConfig, IustitiaConfig
-from repro.engine import QueueSink, StagedEngine
+from repro.engine.engine import StagedEngine
+from repro.engine.sinks import QueueSink
 
 from tests.conftest import assert_concludes, sync_engine
 from tests.spec import Figure1

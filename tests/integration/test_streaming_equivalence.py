@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import EngineConfig, IustitiaConfig
 from repro.engine.engine import StagedEngine
-from repro.ingest import PcapFileSource
+from repro.ingest.sources import PcapFileSource
 from repro.net.pcap import read_pcap, write_pcap
 from repro.net.trace import Trace
 

@@ -12,11 +12,9 @@ from repro.ml.persistence import (
     ModelFormatError,
     classifier_to_dict,
     load_classifier,
-    load_model,
     model_from_dict,
     model_to_dict,
     save_classifier,
-    save_model,
 )
 from repro.ml.svm.dagsvm import DagSvmClassifier
 from repro.ml.svm.kernels import LinearKernel, PolynomialKernel, RbfKernel
@@ -24,11 +22,21 @@ from repro.ml.tree.cart import DecisionTreeClassifier
 
 #: The SVM and CART models the benchmark workloads train
 #: (``build_corpus(per_class=60, seed=7)``, ``b = 32``, PHI_SVM_PRIME /
-#: PHI_CART_PRIME), written by ``save_model`` of the release whose
+#: PHI_CART_PRIME), written by ``repro.save_model`` of the release whose
 #: classifier still carried a (delta, epsilon) estimator.
 SAVED_MODELS = Path(__file__).parent / "saved_models"
 SVM = "workload_svm.json"
 CART = "workload_cart.json"
+
+
+def dump_model(model, path) -> None:
+    """Write a bare estimator's payload as a JSON file."""
+    path.write_text(json.dumps(model_to_dict(model)))
+
+
+def read_model(path):
+    """Read a bare estimator back from :func:`dump_model`'s file."""
+    return model_from_dict(json.loads(path.read_text()))
 
 
 @pytest.fixture(scope="module")
@@ -43,15 +51,15 @@ class TestCartRoundTrip:
     def test_predictions_identical(self, fitted_models, tmp_path):
         cart, _, X, _ = fitted_models
         path = tmp_path / "cart.json"
-        save_model(cart, path)
-        loaded = load_model(path)
+        dump_model(cart, path)
+        loaded = read_model(path)
         np.testing.assert_array_equal(loaded.predict(X), cart.predict(X))
 
     def test_structure_preserved(self, fitted_models, tmp_path):
         cart, _, _, _ = fitted_models
         path = tmp_path / "cart.json"
-        save_model(cart, path)
-        loaded = load_model(path)
+        dump_model(cart, path)
+        loaded = read_model(path)
         assert loaded.node_count == cart.node_count
         assert loaded.depth == cart.depth
         assert loaded.max_depth == cart.max_depth
@@ -59,7 +67,7 @@ class TestCartRoundTrip:
     def test_file_is_plain_json(self, fitted_models, tmp_path):
         cart, _, _, _ = fitted_models
         path = tmp_path / "cart.json"
-        save_model(cart, path)
+        dump_model(cart, path)
         payload = json.loads(path.read_text())
         assert payload["format"] == "repro/cart"
 
@@ -72,22 +80,22 @@ class TestDagSvmRoundTrip:
     def test_predictions_identical(self, fitted_models, tmp_path):
         _, svm, X, _ = fitted_models
         path = tmp_path / "svm.json"
-        save_model(svm, path)
-        loaded = load_model(path)
+        dump_model(svm, path)
+        loaded = read_model(path)
         np.testing.assert_array_equal(loaded.predict(X), svm.predict(X))
 
     def test_support_vectors_preserved(self, fitted_models, tmp_path):
         _, svm, _, _ = fitted_models
         path = tmp_path / "svm.json"
-        save_model(svm, path)
-        loaded = load_model(path)
+        dump_model(svm, path)
+        loaded = read_model(path)
         assert loaded.total_support_vectors_ == svm.total_support_vectors_
 
     def test_kernel_parameters_preserved(self, fitted_models, tmp_path):
         _, svm, _, _ = fitted_models
         path = tmp_path / "svm.json"
-        save_model(svm, path)
-        loaded = load_model(path)
+        dump_model(svm, path)
+        loaded = read_model(path)
         assert loaded.kernel.gamma == svm.kernel.gamma
 
     def test_linear_and_poly_kernels_round_trip(self, blob_features):
@@ -117,7 +125,7 @@ class TestModelFormatError:
         cart, svm, _, _ = fitted_models
         for name, model in (("cart.json", cart), ("svm.json", svm)):
             path = tmp_path / name
-            save_model(model, path)
+            dump_model(model, path)
             payload = json.loads(path.read_text())
             assert payload["format_version"] == 1
 
@@ -141,25 +149,25 @@ class TestModelFormatError:
     ):
         cart, _, _, _ = fitted_models
         path = tmp_path / "cart.json"
-        save_model(cart, path)
+        dump_model(cart, path)
         truncated = tmp_path / "truncated.json"
         truncated.write_text(path.read_text()[: len(path.read_text()) // 2])
         with pytest.raises(ModelFormatError, match="truncated or not JSON"):
-            load_model(truncated)
+            load_classifier(truncated)
 
     def test_non_json_file_raises_model_format_error(self, tmp_path):
         path = tmp_path / "garbage.bin"
         path.write_bytes(b"\x80\x04not a model")
         with pytest.raises(ModelFormatError, match="truncated or not JSON"):
-            load_model(path)
-        with pytest.raises(ModelFormatError, match="truncated or not JSON"):
             load_classifier(path)
+        with pytest.raises(ModelFormatError, match="truncated or not JSON"):
+            repro.load_model(path)
 
     def test_non_object_payload_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(ModelFormatError, match="expected a JSON object"):
-            load_model(path)
+            load_classifier(path)
 
     def test_missing_model_field_raises_model_format_error(self, fitted_models):
         cart, _, _, _ = fitted_models

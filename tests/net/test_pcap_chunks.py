@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ingest import PcapFileSource
+from repro.ingest.sources import PcapFileSource
 from repro.net import pcap
 from repro.net.ethernet import EthernetHeader
 from repro.net.packet import Ipv4Header, Packet, TcpHeader, UdpHeader
@@ -28,7 +28,8 @@ from repro.net.pcap import (
     PcapError,
     iter_pcap,
 )
-from repro.obs import MetricsRegistry, exposition, metrics
+from repro.obs import exposition, metrics
+from repro.obs.metrics import MetricsRegistry
 from tests.engine.test_packet_path_guard import frames_entered
 
 REAL_CHUNK = pcap._READ_CHUNK

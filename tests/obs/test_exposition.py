@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, render_text, validate_text
+from repro.obs.exposition import render_text, validate_text
+from repro.obs.metrics import MetricsRegistry
 
 
 def _demo_registry() -> MetricsRegistry:

@@ -22,7 +22,7 @@ from repro.core.config import EngineConfig, IustitiaConfig
 from repro.core.entropy_vector import entropy_vector
 from repro.core.extract import IncrementalEntropyExtractor
 from repro.core.features import FULL_FEATURES, PHI_SVM_PRIME
-from repro.engine import StagedEngine
+from repro.engine.engine import StagedEngine
 from repro.net.packet import Ipv4Header, Packet, UdpHeader
 
 #: PHI_SVM_PRIME exercises the packed-uint64 k-gram keys; FULL_FEATURES

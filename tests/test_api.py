@@ -1,5 +1,6 @@
 """Public-API surface tests: everything README documents must exist."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -81,21 +82,22 @@ def _run_cold(code: str, *args: str) -> str:
 
 
 def _imports_engine(subpackage: str) -> bool:
-    """Whether importing ``subpackage`` alone pulls in ``repro.engine``.
+    """Whether importing any module of ``subpackage`` pulls in ``repro.engine``.
 
-    ``repro/__init__`` itself imports every subpackage, so the probe
-    stands in a bare ``repro`` namespace before importing the target.
-    ``repro.core`` goes first, as in ``repro/__init__``: ``net.trace``
-    and ``core.delay`` import each other's packages, and only the
-    core-first order resolves.
+    ``repro/__init__`` itself imports the engine, so the probe stands in
+    a bare ``repro`` namespace, then imports every module under the
+    target (``pkgutil.walk_packages``): the subpackage ``__init__``s
+    import nothing, so importing the package alone would prove nothing.
     """
     probe = (
-        "import importlib.util, sys, types\n"
+        "import importlib, importlib.util, pkgutil, sys, types\n"
         "pkg = types.ModuleType('repro')\n"
         "pkg.__path__ = list("
         "importlib.util.find_spec('repro').submodule_search_locations)\n"
         "sys.modules['repro'] = pkg\n"
-        f"import repro.core, {subpackage}\n"
+        f"root = importlib.import_module({subpackage!r})\n"
+        "for info in pkgutil.walk_packages(root.__path__, root.__name__ + '.'):\n"
+        "    importlib.import_module(info.name)\n"
         "sys.exit('repro.engine' in sys.modules)\n"
     )
     return subprocess.run([sys.executable, "-c", probe]).returncode != 0
@@ -155,6 +157,18 @@ class TestPublicApi:
             repro.ml, repro.net, repro.streaming,
         ):
             assert module.__doc__
+
+    def test_subpackage_inits_hold_only_a_docstring(self):
+        """``repro/__init__`` is the one re-export layer: every subpackage
+        ``__init__`` is its docstring and nothing else."""
+        root = REPO_ROOT / "src" / "repro"
+        inits = sorted(root.glob("*/**/__init__.py"))
+        assert len(inits) >= 12
+        for path in inits:
+            tree = ast.parse(path.read_text())
+            assert ast.get_docstring(tree), path
+            extra = [type(node).__name__ for node in tree.body[1:]]
+            assert not extra, f"{path.relative_to(root)} holds {extra}"
 
     def test_iustitia_engine_facade_is_gone(self):
         """``open_engine`` is the one front door."""
@@ -334,7 +348,8 @@ assert "repro.data.corpus" not in sys.modules
 from repro import generate_gateway_trace
 assert "repro.net.tracegen" in sys.modules
 assert callable(repro.build_corpus) and "repro.data.corpus" in sys.modules
-assert repro.core.EntropyEstimator is repro.EntropyEstimator
+assert repro.EntropyEstimator is repro.core.estimation.EntropyEstimator
+assert not hasattr(repro.core, "EntropyEstimator")
 for name in repro.__all__:
     getattr(repro, name)
 print("ok")
@@ -347,9 +362,14 @@ print("ok")
          "repro.ml.tree", "repro.net", "repro.obs"],
     )
     def test_package_exports_resolve(self, package):
+        """A subpackage exports nothing: names resolve from their
+        defining modules or from ``repro``, never through the package."""
         module = importlib.import_module(package)
-        assert set(module.__all__) <= set(dir(module))
-        for name in module.__all__:
-            assert getattr(module, name) is not None, name
+        assert module.__doc__
+        assert not hasattr(module, "__all__")
+        assert not hasattr(module, "__getattr__")
+        for name, value in vars(module).items():
+            if not name.startswith("__"):
+                assert inspect.ismodule(value), name
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             module.missing

@@ -81,7 +81,7 @@ def test_tree_paths_exist(doc):
 
 def test_the_guard_sees_stale_names_and_paths():
     text = (
-        "`repro.engine.StagedEngine` and `repro.runtime` and\n"
+        "`repro.engine.engine.StagedEngine` and `repro.runtime` and\n"
         "```bash\npython -m pytest tests/no_such_test.py::TestX\n```\n"
         "`src/repro/engine/engine.py:42` `bench/*.py` `bench/nothing*.txt`"
     )
