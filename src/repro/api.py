@@ -9,6 +9,7 @@ Four calls cover the whole workflow, so user code never imports from
     clf = repro.train(corpus, model="svm", buffer_size=32)
     repro.save_model(clf, "model.json")
 
+    # An EngineConfig without buffer_size serves the model's own b.
     engine = repro.open_engine(clf, repro.EngineConfig(max_batch=32))
     stats = engine.process_trace(repro.generate_gateway_trace())
     print(repro.render_text(engine.metrics))      # telemetry scrape
@@ -119,7 +120,10 @@ def open_engine(
     ``classifier`` is an :class:`IustitiaClassifier` or a path to a
     model saved by :func:`save_model` (loaded for you). ``config`` is an
     :class:`EngineConfig` (an :class:`IustitiaConfig` is accepted and
-    wrapped; None means defaults at the classifier's ``buffer_size``).
+    wrapped; None means defaults). Unless ``config`` sets a
+    ``buffer_size`` — the field or its ``pipeline`` template — the
+    engine buffers the classifier's own ``buffer_size``, the window the
+    model was trained on; ``EngineConfig(max_batch=32)`` does too.
     ``sink`` attaches one result sink or a sequence of them — anything
     implementing the ``ResultSink`` protocol (``on_flow_classified`` /
     ``on_packet``, and optionally ``on_flows_classified``, which gets

@@ -93,9 +93,13 @@ class EngineConfig:
     over the template. After construction ``pipeline`` is always a fully
     resolved, validated :class:`IustitiaConfig` — engines read their
     pipeline knobs from it and their staging knobs from this object.
+    The one exception is a ``buffer_size`` that neither this object nor
+    ``pipeline`` sets: it stays ``None``, and the engine serves the
+    window its classifier was trained on (``classifier.buffer_size``).
     """
 
-    #: Payload bytes buffered per new flow before classification (``b``).
+    #: Payload bytes buffered per new flow before classification (``b``);
+    #: ``None`` with no ``pipeline``: the classifier's own ``b``.
     buffer_size: "int | None" = None
     #: Give up and classify a partial buffer after this inactivity (seconds).
     buffer_timeout: "float | None" = None
@@ -144,6 +148,9 @@ class EngineConfig:
             ),
         )
         # replace() re-runs IustitiaConfig validation on the merged values.
-        object.__setattr__(self, "buffer_size", resolved.buffer_size)
+        if self.pipeline is not None:
+            # A template's b fills an unset field; without one, an unset
+            # b stays None for the engine to take from its classifier.
+            object.__setattr__(self, "buffer_size", resolved.buffer_size)
         object.__setattr__(self, "buffer_timeout", resolved.buffer_timeout)
         object.__setattr__(self, "pipeline", resolved)

@@ -27,6 +27,7 @@ the CDB and its size series, under any ``max_batch``).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from itertools import count
 from time import perf_counter
@@ -168,8 +169,9 @@ class StagedEngine:
 
     Configure with one frozen :class:`~repro.core.config.EngineConfig`
     (or a bare :class:`IustitiaConfig`, wrapped with engine defaults).
-    Without one, the engine buffers the classifier's own ``buffer_size``
-    bytes per flow.
+    Unless the config or its ``pipeline`` template sets ``buffer_size``,
+    the engine buffers the classifier's own ``buffer_size`` bytes per
+    flow.
     Staging knobs are ``EngineConfig`` fields, not constructor keywords
     — passing any raises ``TypeError``. Unless telemetry
     is disabled (``EngineConfig(telemetry=False)``), every stage
@@ -217,15 +219,19 @@ class StagedEngine:
         registry: "MetricsRegistry | None" = None,
     ) -> None:
         if config is None:
-            # No config: serve the window the model was trained on.
-            config = IustitiaConfig(
-                buffer_size=classifier.buffer_size,
-                feature_set=classifier.feature_set,
-            )
-        if isinstance(config, EngineConfig):
+            engine_config = EngineConfig()
+        elif isinstance(config, EngineConfig):
             engine_config = config
         else:
             engine_config = EngineConfig(pipeline=config)
+        pipeline = engine_config.pipeline
+        if engine_config.buffer_size is None:
+            # Nothing set b: serve the window the model was trained on.
+            pipeline = replace(
+                pipeline,
+                buffer_size=classifier.buffer_size,
+                feature_set=classifier.feature_set,
+            )
         self.sinks: list[ResultSink] = (
             list(sinks) if sinks is not None else [StatsSink()]
         )
@@ -244,7 +250,7 @@ class StagedEngine:
                 )
         self.classifier = classifier
         self.engine_config = engine_config
-        self.config = config = engine_config.pipeline
+        self.config = config = pipeline
         if config.buffer_size < classifier.feature_set.max_width:
             raise ValueError(
                 "engine buffer_size cannot hold the classifier's widest feature"

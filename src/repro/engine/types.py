@@ -5,12 +5,12 @@ micro-batcher, sinks). A flow costs four small records on its way to a
 label: its :class:`~repro.net.flow.FlowKey`, one :class:`PendingFlow`
 that every stage up to the label passes along, the CDB's
 :class:`~repro.core.cdb.CdbRecord`, and the :class:`ClassifiedFlow`
-handed to the sinks. None of them is built by a frozen dataclass's
-``__init__`` (an ``object.__setattr__`` call per field) or by writing
-into an instance ``__dict__`` (which un-shares the instance's key table
-and costs 64-128 B per object; DESIGN.md, "New-flow path"), and the
-engine builds each with one positional call (DESIGN.md, "Apply per
-drain").
+handed to the sinks. None of them has an instance ``__dict__`` (40 B
+or more per object; DESIGN.md, "New-flow path"): the key and the CDB
+record are slotted dataclasses, :class:`PendingFlow` a slotted class and
+:class:`ClassifiedFlow` a tuple. None is built by a frozen dataclass's
+``__init__`` (an ``object.__setattr__`` call per field), and the engine
+builds each with one positional call (DESIGN.md, "Apply per drain").
 """
 
 from __future__ import annotations

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.packet import Packet, pack_five_tuple
+from repro.net.packet import (
+    Packet,
+    _field_state,
+    _set_field_state,
+    pack_five_tuple,
+)
 
 __all__ = ["Flow", "FlowKey", "assemble_flows"]
 
@@ -18,7 +23,7 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowKey:
     """Directed 5-tuple flow identity."""
 
@@ -27,6 +32,10 @@ class FlowKey:
     dst: str
     dst_port: int
     protocol: int
+
+    # Pickles as the field dict, not the frozen-slots dataclass's tuple.
+    __getstate__ = _field_state
+    __setstate__ = _set_field_state
 
     def __post_init__(self) -> None:
         for port in (self.src_port, self.dst_port):
@@ -53,8 +62,9 @@ class FlowKey:
         ``struct.pack``'s range check on its way to becoming the flow ID
         (:attr:`Packet.flow_tuple <repro.net.packet.Packet.flow_tuple>`).
         Anything else goes through ``FlowKey(...)`` or :meth:`of_packet`.
-        The fields are set with ``object.__setattr__``, not through the
-        instance ``__dict__``, which would un-share its key table.
+        The fields are slots, set with ``object.__setattr__`` (the key is
+        frozen), so a minted key equals, hashes and pickles as a checked
+        one.
         """
         key = _new(cls)
         _set(key, "src", src)

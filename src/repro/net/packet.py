@@ -69,7 +69,23 @@ def _int_to_ip(value: int) -> str:
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-@dataclass
+def _field_state(self) -> dict:
+    """The pickled state of a slotted value type: its fields by name.
+
+    In field order, this is the ``__dict__`` the class pickled before it
+    had ``__slots__``, so a pickle written either way loads in the other
+    and the bytes do not move (``bench/.cache`` holds such pickles).
+    """
+    return {name: getattr(self, name) for name in self.__slots__}
+
+
+def _set_field_state(self, state: dict) -> None:
+    """Inverse of :func:`_field_state`; also sets the fields of a frozen key."""
+    for name, value in state.items():
+        object.__setattr__(self, name, value)
+
+
+@dataclass(slots=True)
 class Ipv4Header:
     """IPv4 header.
 
@@ -87,6 +103,9 @@ class Ipv4Header:
     ihl_bytes: int = 20
 
     HEADER_LEN = 20
+
+    __getstate__ = _field_state
+    __setstate__ = _set_field_state
 
     def to_bytes(self) -> bytes:
         """Serialize with a correct header checksum."""
@@ -144,7 +163,7 @@ class Ipv4Header:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpHeader:
     """TCP header.
 
@@ -163,6 +182,9 @@ class TcpHeader:
 
     HEADER_LEN = 20
     MAX_OPTIONS = 40
+
+    __getstate__ = _field_state
+    __setstate__ = _set_field_state
 
     @property
     def fin(self) -> bool:
@@ -228,7 +250,7 @@ class TcpHeader:
         return self.HEADER_LEN + len(self.options) + (-len(self.options)) % 4
 
 
-@dataclass
+@dataclass(slots=True)
 class UdpHeader:
     """UDP header."""
 
@@ -237,6 +259,9 @@ class UdpHeader:
     length: int = 8
 
     HEADER_LEN = 8
+
+    __getstate__ = _field_state
+    __setstate__ = _set_field_state
 
     def to_bytes(self) -> bytes:
         return struct.pack("!HHHH", self.src_port, self.dst_port, self.length, 0)

@@ -19,9 +19,10 @@ class TestEngineConfig:
         assert config.telemetry is True
         # Pipeline resolves to a full IustitiaConfig with its defaults.
         assert isinstance(config.pipeline, IustitiaConfig)
-        assert config.buffer_size == 32
+        # Nothing sets b, so the engine takes it from its classifier.
+        assert config.buffer_size is None
         assert config.buffer_timeout == 10.0
-        assert config.buffer_size == config.pipeline.buffer_size
+        assert EngineConfig(buffer_size=32).pipeline.buffer_size == 32
 
     def test_explicit_knobs_win_over_pipeline_template(self):
         template = IustitiaConfig(buffer_size=64, buffer_timeout=5.0)
@@ -160,8 +161,29 @@ class TestDefaultWindow:
             assert engine.stats.classified == explicit.stats.classified
 
     def test_explicit_config_keeps_its_window(self, wide_cart):
-        engine = StagedEngine(wide_cart, EngineConfig())
+        engine = StagedEngine(wide_cart, EngineConfig(buffer_size=32))
         assert engine.config.buffer_size == engine.extractor.buffer_size == 32
+
+    def test_config_without_a_window_serves_the_model_window(
+        self, wide_cart, small_trace
+    ):
+        """The README's ``EngineConfig(max_batch=32)`` serves the model's b.
+
+        An explicit config that sets no ``buffer_size`` (nor a template
+        that does) leaves the window to the classifier, as no config does.
+        """
+        engine = repro.open_engine(wide_cart, EngineConfig(max_batch=32))
+        assert engine.engine_config.buffer_size is None
+        assert engine.config.buffer_size == engine.extractor.buffer_size == 64
+        engine.process_trace(small_trace)
+        reference = repro.open_engine(wide_cart)
+        reference.process_trace(small_trace)
+        assert engine.stats.classified == reference.stats.classified
+        # A template's b keeps its meaning.
+        templated = StagedEngine(
+            wide_cart, EngineConfig(pipeline=IustitiaConfig(buffer_size=32))
+        )
+        assert templated.extractor.buffer_size == 32
 
     def test_no_config_serves_a_model_narrower_than_the_defaults(
         self, small_corpus

@@ -18,8 +18,9 @@ only by a flush that finds the flow still active.
 The third part guards the new-flow path's per-flow records: one
 ``FlowKey`` minted without the dataclass ``__init__``, one
 ``PendingFlow`` from first packet to label (no second ready-flow
-record), fewer frames per flow than ``b71e11f``, and no more retained
-heap per classified flow.
+record), fewer frames per flow than ``b71e11f``, no instance ``__dict__``
+on any packet or per-flow record, and bounded heap per constructed
+packet and per classified flow.
 """
 
 import gc
@@ -370,6 +371,60 @@ def test_new_flow_enters_fewer_frames_than_the_parent(trained_svm, still_clock):
     assert per_flow <= 15
 
 
+def test_per_flow_records_carry_no_instance_dict(trained_svm):
+    """Every record a packet or a flow is held in has no ``__dict__``.
+
+    A trace holds its packets and their headers by the hundred thousand,
+    and the default ``StatsSink`` keeps every outcome and its key; an
+    instance ``__dict__`` costs 40-48 B per object on top of the fields.
+    """
+    engine = open_engine(trained_svm, EngineConfig(max_batch=1))
+    done = udp_packet(1, bytes(range(48)), 0.0)
+    waiting = tcp_packet(2, b"1234", 0.0)
+    engine.process_packet(done)
+    engine.process_packet(waiting)
+    outcome = engine.stats.classified[0]
+    records = [
+        done, decoded(done), done.ip, done.transport, waiting.transport,
+        FlowKey.of_packet(done), outcome, outcome.key,
+        engine.table.record_of(done.flow_tuple),
+        engine.table.pending[waiting.flow_tuple],
+        engine.ingest(done, done.flow_tuple, 0.5, False),
+    ]
+
+    assert {type(record).__name__ for record in records} == {
+        "Packet", "Ipv4Header", "UdpHeader", "TcpHeader", "FlowKey",
+        "ClassifiedFlow", "CdbRecord", "PendingFlow", "IngestResult",
+    }
+    assert [
+        type(record).__name__ for record in records if hasattr(record, "__dict__")
+    ] == []
+
+
+def test_heap_per_constructed_packet():
+    """``tracemalloc`` over 20,000 ``udp_packet`` calls, per packet.
+
+    What one constructed packet holds of its own: the ``Packet``, its
+    ``Ipv4Header`` and ``UdpHeader``. The payload and timestamp are
+    shared, and the address string the helper formats per packet and
+    the list that holds the packets are taken off. Slotted headers read
+    232 B; with an instance ``__dict__`` each they read 320 B.
+    """
+    flows = 20_000
+    payload = bytes(range(48))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        packets = [udp_packet(i, payload, 0.0) for i in range(flows)]
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held -= sys.getsizeof(packets)
+    held -= sum(sys.getsizeof(packet.ip.src) for packet in packets)
+
+    assert held / flows <= 250
+
+
 def test_retained_heap_per_classified_flow(trained_svm):
     """``tracemalloc`` around a flow-churn-shaped pass, over flows classified.
 
@@ -377,10 +432,10 @@ def test_retained_heap_per_classified_flow(trained_svm):
     ``StatsSink`` (it keeps every ``ClassifiedFlow`` and, through it, the
     flow's ``FlowKey``); the packets exist before tracing starts, so what
     is counted is what the engine retains: CDB records, outcomes, keys.
-    ``5196104`` reads 390.5 B per flow by this method (404 B by the
-    issue's), this tree 365.2 B. A record built by writing into its
-    ``__dict__`` loses CPython's shared key table — 64 to 128 B more per
-    ``FlowKey`` and per outcome — and fails this.
+    ``5196104`` reads 390.5 B per flow by this method, a ``FlowKey``
+    with an instance ``__dict__`` 366 B, the slotted one 326 B. A
+    record that gains a ``__dict__`` — 40 B more per ``FlowKey``, 64 to
+    128 B more per record built by writing into one — fails this.
     """
     flows = 20_000
     payloads = [bytes((i * 7 + j) & 255 for j in range(48)) for i in range(64)]
@@ -397,4 +452,4 @@ def test_retained_heap_per_classified_flow(trained_svm):
     engine.close()
 
     assert stats.classifications == flows
-    assert retained / flows <= 404
+    assert retained / flows <= 350

@@ -1,4 +1,6 @@
-"""Tests for packet headers: wire-format round trips and checksums."""
+"""Tests for packet headers: wire-format round trips, checksums, pickles."""
+
+import pickle
 
 import pytest
 
@@ -229,3 +231,44 @@ class TestIpv4Options:
         raw[0] = (4 << 4) | 8  # claims 32 bytes, only 20 present
         with pytest.raises(ValueError, match="claims"):
             Ipv4Header.from_bytes(bytes(raw))
+
+
+#: ``pickle.dumps(header, protocol=4)`` of the headers below, as commit
+#: ``95fbbf4`` (each header with an instance ``__dict__``) wrote them.
+PARENT_COMMIT_PICKLES = {
+    "ipv4": (
+        b"\x80\x04\x95\x94\x00\x00\x00\x00\x00\x00\x00\x8c\x10repro.net.packet\x94\x8c"
+        b"\nIpv4Header\x94\x93\x94)\x81\x94}\x94(\x8c\x03src\x94\x8c\x0810.0.0.1\x94"
+        b"\x8c\x03dst\x94\x8c\x0810.0.0.2\x94\x8c\x08protocol\x94K\x11\x8c\x0ctotal_le"
+        b"ngth\x94K<\x8c\x0eidentification\x94K\x07\x8c\x03ttl\x94K?\x8c\tihl_bytes"
+        b"\x94K\x14ub."
+    ),
+    "tcp": (
+        b"\x80\x04\x95|\x00\x00\x00\x00\x00\x00\x00\x8c\x10repro.net.packet\x94\x8c\tT"
+        b"cpHeader\x94\x93\x94)\x81\x94}\x94(\x8c\x08src_port\x94KP\x8c\x08dst_port"
+        b"\x94M\x88\x13\x8c\x03seq\x94K\x01\x8c\x03ack\x94K\x02\x8c\x05flags\x94K\x18"
+        b"\x8c\x06window\x94M\x00\x04\x8c\x07options\x94C\x04\x01\x01\x08\n\x94ub."
+    ),
+    "udp": (
+        b"\x80\x04\x95P\x00\x00\x00\x00\x00\x00\x00\x8c\x10repro.net.packet\x94\x8c\tU"
+        b"dpHeader\x94\x93\x94)\x81\x94}\x94(\x8c\x08src_port\x94M\xa0\x0f\x8c\x08dst_"
+        b"port\x94K5\x8c\x06length\x94K\x0cub."
+    ),
+}
+
+PINNED_HEADERS = {
+    "ipv4": Ipv4Header("10.0.0.1", "10.0.0.2", PROTO_UDP, 60, 7, 63),
+    "tcp": TcpHeader(80, 5000, 1, 2, 0x18, 1024, b"\x01\x01\x08\x0a"),
+    "udp": UdpHeader(4000, 53, 12),
+}
+
+
+class TestPickledForm:
+    """Slotted headers pickle as the field dict their unslotted form did."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_HEADERS))
+    def test_pickle_written_before_slots_loads_and_is_rewritten(self, name):
+        header = PINNED_HEADERS[name]
+        pinned = PARENT_COMMIT_PICKLES[name]
+        assert pickle.loads(pinned) == header
+        assert pickle.dumps(header, protocol=4) == pinned
