@@ -120,10 +120,11 @@ def open_engine(
     ``classifier`` is an :class:`IustitiaClassifier` or a path to a
     model saved by :func:`save_model` (loaded for you). ``config`` is an
     :class:`EngineConfig` (an :class:`IustitiaConfig` is accepted and
-    wrapped; None means defaults). Unless ``config`` sets a
-    ``buffer_size`` — the field or its ``pipeline`` template — the
-    engine buffers the classifier's own ``buffer_size``, the window the
-    model was trained on; ``EngineConfig(max_batch=32)`` does too.
+    wrapped; None means defaults). Unless ``config`` sets
+    ``buffer_size`` or is or carries an :class:`IustitiaConfig` (any
+    such template fixes ``b``, at 32 if it sets none), the engine
+    buffers the classifier's own ``buffer_size``, the window the model
+    was trained on; ``EngineConfig(max_batch=32)`` does too.
     ``sink`` attaches one result sink or a sequence of them — anything
     implementing the ``ResultSink`` protocol (``on_flow_classified`` /
     ``on_packet``, and optionally ``on_flows_classified``, which gets

@@ -93,13 +93,16 @@ class EngineConfig:
     over the template. After construction ``pipeline`` is always a fully
     resolved, validated :class:`IustitiaConfig` — engines read their
     pipeline knobs from it and their staging knobs from this object.
-    The one exception is a ``buffer_size`` that neither this object nor
-    ``pipeline`` sets: it stays ``None``, and the engine serves the
-    window its classifier was trained on (``classifier.buffer_size``).
+    The one exception is ``buffer_size`` with no ``pipeline`` given and
+    none set here: it stays ``None``, ``pipeline.buffer_size`` holds the
+    default 32 as a placeholder, and the engine serves the window its
+    classifier was trained on (``classifier.buffer_size``). A
+    ``pipeline`` template always fixes ``b``: its own, 32 if it sets none.
     """
 
     #: Payload bytes buffered per new flow before classification (``b``);
-    #: ``None`` with no ``pipeline``: the classifier's own ``b``.
+    #: ``None`` with no ``pipeline``: the classifier's own ``b``. Any
+    #: ``pipeline`` template fills it (32 unless the template sets one).
     buffer_size: "int | None" = None
     #: Give up and classify a partial buffer after this inactivity (seconds).
     buffer_timeout: "float | None" = None

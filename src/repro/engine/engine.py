@@ -169,9 +169,10 @@ class StagedEngine:
 
     Configure with one frozen :class:`~repro.core.config.EngineConfig`
     (or a bare :class:`IustitiaConfig`, wrapped with engine defaults).
-    Unless the config or its ``pipeline`` template sets ``buffer_size``,
-    the engine buffers the classifier's own ``buffer_size`` bytes per
-    flow.
+    Unless the config sets ``buffer_size`` or carries a ``pipeline``
+    template (which fixes ``b``, at 32 if it sets none; a bare
+    ``IustitiaConfig`` is one), the engine buffers the classifier's own
+    ``buffer_size`` bytes per flow.
     Staging knobs are ``EngineConfig`` fields, not constructor keywords
     — passing any raises ``TypeError``. Unless telemetry
     is disabled (``EngineConfig(telemetry=False)``), every stage

@@ -33,10 +33,6 @@ class FlowKey:
     dst_port: int
     protocol: int
 
-    # Pickles as the field dict, not the frozen-slots dataclass's tuple.
-    __getstate__ = _field_state
-    __setstate__ = _set_field_state
-
     def __post_init__(self) -> None:
         for port in (self.src_port, self.dst_port):
             if not 0 <= port <= 65535:
@@ -89,6 +85,13 @@ class FlowKey:
             dst_port=self.src_port,
             protocol=self.protocol,
         )
+
+
+# Pickle as the field dict, not the frozen-slots dataclass's field list.
+# Set after the decorator: before 3.11.4 it overwrites a pair defined in
+# the class body of a frozen slotted class with its own.
+FlowKey.__getstate__ = _field_state
+FlowKey.__setstate__ = _set_field_state
 
 
 @dataclass
